@@ -1,6 +1,7 @@
 //! The GA evaluation hot path: per-row oracle scoring vs the columnar
-//! LUT engine with the population-level neuron-column cache, plus the
-//! batched/memoized evaluation core on top.
+//! engine with the population-level neuron-column cache, plus the
+//! batched/memoized evaluation core on top, and a raw race of the
+//! scalar reference kernel against the SIMD accumulator.
 //!
 //! Run with `cargo bench -p pe-bench --bench eval_hot_path`. Besides
 //! the Criterion timings it writes `target/experiments/BENCH_eval.json`
@@ -10,18 +11,24 @@
 //! genome memo and mutated siblings hit the neuron-column cache — so
 //! CI can track the speedup of the columnar engine over the naive
 //! loop. The `ga_stream_memoized_evals_per_sec` field is directly
-//! comparable across revisions (same shape, same seeds).
+//! comparable across revisions (same shape, same seeds). `PE_THREADS`
+//! sets the evaluator worker budget, like the bench bins.
 
+use std::rc::Rc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use serde::Serialize;
 
+use pe_bench::Knobs;
 use pe_datasets::{generate, quantize, stratified_split, Dataset, QuantMatrix};
-use pe_mlp::columnar::{accuracy_columns, predictions_columns_with_kernel, ColumnarScratch};
-use pe_mlp::{AxMlp, FixedMlp, InferenceScratch, KernelKind, QuantConfig, Topology, TrainConfig};
+use pe_mlp::columnar::{
+    accumulate_neuron_column_narrow_scalar, accuracy_columns, fits_i32, hidden_column,
+};
+use pe_mlp::TrainConfig;
+use pe_mlp::{AxMlp, AxNeuron, FixedMlp, InferenceScratch, KernelKind, QuantConfig, Topology};
 use pe_nsga::{random_genome, Evaluation, IntProblem};
-use printed_axc::eval::{thread_budget, CachedEvaluator, GENOME_CACHE_CAPACITY};
+use printed_axc::eval::{CachedEvaluator, GENOME_CACHE_CAPACITY};
 use printed_axc::{AxTrainConfig, AxTrainProblem, GenomeSpec, HwAwareTrainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,19 +142,20 @@ fn drift(population: &mut [Vec<u32>], bounds: &[u32], rng: &mut StdRng) {
     }
 }
 
-/// One raw-kernel timing: the full doped network pushed through
-/// [`predictions_columns_with_kernel`] in the given mode, no caches.
+/// One raw-kernel timing: every neuron of the doped network
+/// accumulated over its real input columns, no caches.
 #[derive(Debug, Serialize)]
 struct KernelEntry {
-    /// Kernel mode name (`scalar`/`lut`/`bitsliced`/`simd`).
+    /// Kernel name (`scalar` / `simd`).
     kernel: String,
-    /// Whether the mode has hardware backing here (`simd` is `false`
-    /// on non-x86 targets or `--no-default-features` builds; it then
-    /// falls back to the scalar kernel and still runs bit-exactly).
+    /// Whether the kernel is built here (`simd` is `false` on non-x86
+    /// targets and `--no-default-features` builds, where its row
+    /// reports the scalar fallback).
     available: bool,
-    /// Input vectors classified per second (samples × passes / time).
+    /// Samples pushed through every neuron's accumulation per second
+    /// (samples × passes / time).
     raw_kernel_evals_per_sec: f64,
-    /// Predictions byte-identical to the scalar reference kernel.
+    /// Accumulators identical to the scalar reference kernel's.
     matches_scalar: bool,
 }
 
@@ -168,8 +176,8 @@ struct EvalBenchReport {
     threads: usize,
     population: usize,
     generation_rounds: usize,
-    /// The kernel mode the cached regimes below ran under
-    /// (`PE_KERNEL` or the auto-detected default).
+    /// The column kernel this build runs (`simd` where the explicit
+    /// x86_64 kernels are built, `scalar` elsewhere).
     kernel_mode: String,
     /// Shards the neuron-column cache was split across.
     column_shards: usize,
@@ -177,7 +185,7 @@ struct EvalBenchReport {
     column_contended: u64,
     /// The pre-columnar per-row algorithm (reference oracle).
     row_oracle_evals_per_sec: f64,
-    /// Columnar LUT engine, one genome at a time (column cache warms
+    /// Columnar engine, one genome at a time (column cache warms
     /// within the regime).
     serial_evals_per_sec: f64,
     /// Cold batched-parallel waves: fresh genome memo *and* fresh
@@ -193,64 +201,100 @@ struct EvalBenchReport {
     cache_misses: u64,
     column_hits: u64,
     column_misses: u64,
-    /// Raw columnar-kernel throughput per [`KernelKind`].
+    /// Raw accumulation throughput of the scalar reference and the
+    /// SIMD kernel ([`KernelKind`]).
     kernels: Vec<KernelEntry>,
     /// GA-stream throughput at explicit worker counts (1 → 32), each
     /// proven byte-identical to the single-thread run.
     thread_scaling: Vec<ThreadScalingEntry>,
 }
 
-/// Time the raw columnar kernel (no caches, no genome memo) in every
-/// mode and prove each bit-exact against the scalar reference.
-fn kernel_entries(setup: &Setup, repeats: usize) -> Vec<KernelEntry> {
+/// One neuron of the doped network with the input columns it sees.
+type NeuronInputs<'a> = (&'a AxNeuron, Rc<Vec<Vec<u8>>>);
+
+/// Every neuron of the doped network with its input columns: the
+/// dataset's columns for the first layer, the previous hidden layer's
+/// activations after that.
+fn doped_neurons(setup: &Setup) -> Vec<NeuronInputs<'_>> {
     let cols = setup.rows.columns();
     let samples = cols.samples();
-    let passes = 50;
-    let mut scratch = ColumnarScratch::default();
-    let mut preds = Vec::new();
-    let mut reference = Vec::new();
-    predictions_columns_with_kernel(
-        &setup.doped,
-        &cols,
-        &mut scratch,
-        &mut reference,
-        KernelKind::Scalar,
-    );
-    [
-        KernelKind::Scalar,
-        KernelKind::Lut,
-        KernelKind::BitSliced,
-        KernelKind::Simd,
-    ]
-    .into_iter()
-    .map(|kernel| {
-        predictions_columns_with_kernel(&setup.doped, &cols, &mut scratch, &mut preds, kernel);
-        let matches_scalar = preds == reference;
-        let best = (0..repeats)
-            .map(|_| {
-                let started = Instant::now();
-                for _ in 0..passes {
-                    predictions_columns_with_kernel(
-                        &setup.doped,
-                        &cols,
-                        &mut scratch,
-                        &mut preds,
-                        kernel,
-                    );
-                    black_box(&preds);
-                }
-                started.elapsed()
-            })
-            .min()
-            .expect("repeats > 0");
-        KernelEntry {
-            kernel: kernel.name().to_owned(),
-            available: kernel != KernelKind::Simd || pe_mlp::simd::available(),
-            raw_kernel_evals_per_sec: (passes * samples) as f64 / best.as_secs_f64().max(1e-9),
-            matches_scalar,
+    let mut inputs: Rc<Vec<Vec<u8>>> =
+        Rc::new(cols.col_refs().iter().map(|c| c.to_vec()).collect());
+    let (mut acc, mut narrow) = (Vec::new(), Vec::new());
+    let mut neurons = Vec::new();
+    for layer in &setup.doped.layers {
+        for neuron in &layer.neurons {
+            assert!(fits_i32(neuron), "doped neurons are genome-encodable");
+            neurons.push((neuron, Rc::clone(&inputs)));
         }
-    })
-    .collect()
+        if let Some(q) = layer.qrelu {
+            let next = layer
+                .neurons
+                .iter()
+                .map(|neuron| {
+                    let mut out = Vec::new();
+                    hidden_column(neuron, &inputs, samples, q, &mut acc, &mut narrow, &mut out);
+                    out
+                })
+                .collect();
+            inputs = Rc::new(next);
+        }
+    }
+    neurons
+}
+
+/// One pass of `kernel` over every doped neuron, accumulators into
+/// `outs` (`simd` falls back to the scalar kernel where it is not
+/// built).
+fn kernel_pass(
+    kernel: KernelKind,
+    neurons: &[NeuronInputs<'_>],
+    samples: usize,
+    outs: &mut [Vec<i32>],
+) {
+    for ((neuron, inputs), out) in neurons.iter().zip(outs.iter_mut()) {
+        if kernel == KernelKind::Scalar
+            || !pe_mlp::simd::accumulate_neuron_column_simd(neuron, inputs, samples, out)
+        {
+            accumulate_neuron_column_narrow_scalar(neuron, inputs, samples, out);
+        }
+    }
+}
+
+/// Race the scalar reference kernel against the SIMD accumulator over
+/// every neuron of the doped network (no caches, no genome memo) and
+/// prove the two bit-exact.
+fn kernel_entries(setup: &Setup, repeats: usize) -> Vec<KernelEntry> {
+    let samples = setup.rows.len();
+    let neurons = doped_neurons(setup);
+    let passes = 50;
+    let mut reference = vec![Vec::new(); neurons.len()];
+    kernel_pass(KernelKind::Scalar, &neurons, samples, &mut reference);
+    let mut outs = vec![Vec::new(); neurons.len()];
+    [KernelKind::Scalar, KernelKind::Simd]
+        .into_iter()
+        .map(|kernel| {
+            kernel_pass(kernel, &neurons, samples, &mut outs);
+            let matches_scalar = outs == reference;
+            let best = (0..repeats)
+                .map(|_| {
+                    let started = Instant::now();
+                    for _ in 0..passes {
+                        kernel_pass(kernel, &neurons, samples, &mut outs);
+                        black_box(&outs);
+                    }
+                    started.elapsed()
+                })
+                .min()
+                .expect("repeats > 0");
+            KernelEntry {
+                kernel: kernel.name().to_owned(),
+                available: kernel == KernelKind::Scalar || pe_mlp::simd::available(),
+                raw_kernel_evals_per_sec: (passes * samples) as f64 / best.as_secs_f64().max(1e-9),
+                matches_scalar,
+            }
+        })
+        .collect()
 }
 
 /// Re-run the GA-shaped generation stream at explicit worker counts
@@ -302,8 +346,7 @@ fn thread_scaling_entries(setup: &Setup, rounds: usize, repeats: usize) -> Vec<T
 
 /// Timed comparison written to `BENCH_eval.json` (independent of the
 /// Criterion samples so the JSON is one clean apples-to-apples pass).
-fn write_report(setup: &Setup) {
-    let threads = thread_budget();
+fn write_report(setup: &Setup, threads: usize) {
     // Enough waves that the one-off cold start (generation 0) weighs
     // about as little as it does in a real study, where it is one of
     // hundreds of generations; all regimes use the same count, so the
@@ -350,7 +393,7 @@ fn write_report(setup: &Setup) {
         let started = Instant::now();
         for _ in 0..rounds {
             let problem = setup.problem();
-            let evaluator = CachedEvaluator::new(&problem);
+            let evaluator = CachedEvaluator::with_options(&problem, GENOME_CACHE_CAPACITY, threads);
             black_box(evaluator.evaluate_batch(population));
         }
         started.elapsed()
@@ -364,7 +407,7 @@ fn write_report(setup: &Setup) {
     let mut ga_counters = None;
     let ga_stream = best_of(Box::new(|| {
         let problem = setup.problem();
-        let evaluator = CachedEvaluator::new(&problem);
+        let evaluator = CachedEvaluator::with_options(&problem, GENOME_CACHE_CAPACITY, threads);
         let mut wave = population.to_vec();
         let mut rng = StdRng::seed_from_u64(11);
         let started = Instant::now();
@@ -384,7 +427,7 @@ fn write_report(setup: &Setup) {
     let thread_scaling = thread_scaling_entries(setup, rounds, repeats);
     assert!(
         kernels.iter().all(|k| k.matches_scalar),
-        "kernel parity violated: {kernels:?} — every mode must match the scalar reference",
+        "kernel parity violated: {kernels:?} — the SIMD kernel must match the scalar reference",
     );
     assert!(
         thread_scaling
@@ -450,6 +493,7 @@ fn write_report(setup: &Setup) {
 }
 
 fn bench(c: &mut Criterion) {
+    let threads = Knobs::from_env_or_exit().thread_budget();
     let setup = setup();
     let population = &setup.population;
 
@@ -465,14 +509,14 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("evaluate_population_batch_parallel_cold", |b| {
         b.iter_batched(
-            || CachedEvaluator::new(&problem),
+            || CachedEvaluator::with_options(&problem, GENOME_CACHE_CAPACITY, threads),
             |evaluator| evaluator.evaluate_batch(population),
             BatchSize::SmallInput,
         )
     });
 
     c.bench_function("evaluate_population_batch_warm_memo", |b| {
-        let evaluator = CachedEvaluator::new(&problem);
+        let evaluator = CachedEvaluator::with_options(&problem, GENOME_CACHE_CAPACITY, threads);
         let _ = evaluator.evaluate_batch(population);
         b.iter(|| evaluator.evaluate_batch(population))
     });
@@ -493,25 +537,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(accuracy_columns(&setup.doped, &cols, &setup.labels)))
     });
 
-    // --- explicit kernel modes (raw, no caches) ----------------------
-    for kernel in [
-        KernelKind::Scalar,
-        KernelKind::Lut,
-        KernelKind::BitSliced,
-        KernelKind::Simd,
-    ] {
-        let mut scratch = ColumnarScratch::default();
-        let mut preds = Vec::new();
+    // --- the scalar reference vs the SIMD accumulator (raw) ---------
+    let neurons = doped_neurons(&setup);
+    let mut outs = vec![Vec::new(); neurons.len()];
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         c.bench_function(&format!("columnar_kernel/{}", kernel.name()), |b| {
             b.iter(|| {
-                predictions_columns_with_kernel(
-                    &setup.doped,
-                    &cols,
-                    &mut scratch,
-                    &mut preds,
-                    kernel,
-                );
-                black_box(&preds);
+                kernel_pass(kernel, &neurons, setup.rows.len(), &mut outs);
+                black_box(&outs);
             })
         });
     }
@@ -531,7 +564,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(problem.evaluate(&doped_genes)))
     });
 
-    write_report(&setup);
+    write_report(&setup, threads);
 }
 
 criterion_group!(

@@ -8,16 +8,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_baselines::{approximate_tc23, Tc23Config};
 use pe_bench::study::run_selected;
-use pe_bench::{fig4, BudgetPreset};
+use pe_bench::{fig4, BudgetPreset, Knobs};
 
 fn bench(c: &mut Criterion) {
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick);
-    let selected = run_selected(budget, 0);
+    let knobs = Knobs::from_env_or_exit();
+    let selected = run_selected(&knobs, knobs.budget.unwrap_or(BudgetPreset::Quick), 0);
     let engines = fig4::paper_engines();
     let tech = pe_hw::TechLibrary::egfet();
     let rows: Vec<_> = selected
         .iter()
-        .map(|s| fig4::row(s, &engines, &tech))
+        .map(|s| fig4::row(s, &engines, &tech, knobs.thread_budget()))
         .collect();
     println!("{}", fig4::render(&rows));
     pe_bench::format::write_json("fig4_bench", &rows);

@@ -7,15 +7,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_bench::study::run_studies;
-use pe_bench::{table1, BudgetPreset};
+use pe_bench::{table1, BudgetPreset, Knobs};
 use pe_datasets::{generate, stratified_split, Dataset};
 use pe_hw::{Elaborator, TechLibrary};
 use pe_mlp::{fixed_to_hardware, FixedMlp, QuantConfig, Topology, TrainConfig};
 
 fn bench(c: &mut Criterion) {
     // Print the table once, from a quick run.
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick);
-    let studies = run_studies(budget, 0);
+    let knobs = Knobs::from_env_or_exit();
+    let studies = run_studies(&knobs, knobs.budget.unwrap_or(BudgetPreset::Quick), 0);
     let rows = table1::rows(&studies);
     println!("{}", table1::render(&rows));
     pe_bench::format::write_json("table1_bench", &rows);

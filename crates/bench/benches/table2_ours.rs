@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_bench::study::run_studies;
-use pe_bench::{table2, BudgetPreset};
+use pe_bench::{table2, BudgetPreset, Knobs};
 use pe_datasets::{generate, quantize, stratified_split, Dataset};
 use pe_mlp::{FixedMlp, QuantConfig, Topology, TrainConfig};
 use pe_nsga::{random_genome, IntProblem};
@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn bench(c: &mut Criterion) {
-    let budget = BudgetPreset::from_env(BudgetPreset::Quick);
-    let studies = run_studies(budget, 0);
+    let knobs = Knobs::from_env_or_exit();
+    let studies = run_studies(&knobs, knobs.budget.unwrap_or(BudgetPreset::Quick), 0);
     let rows = table2::rows(&studies);
     println!("{}", table2::render(&rows));
     let (ga, gp) = table2::geomean_reductions(&rows);

@@ -8,15 +8,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pe_bench::table3::{self, Table3Budget};
+use pe_bench::Knobs;
 use pe_datasets::{generate, quantize, stratified_split, Dataset};
 use pe_mlp::{FixedMlp, QuantConfig, Topology, TrainConfig};
 use pe_nsga::{Nsga2, NsgaConfig};
 use printed_axc::PlainGaProblem;
 
 fn bench(c: &mut Criterion) {
+    let threads = Knobs::from_env_or_exit().thread_budget();
     let rows: Vec<_> = Dataset::ALL
         .iter()
-        .map(|&d| table3::measure(d, &Table3Budget::quick(), 0))
+        .map(|&d| table3::measure(d, &Table3Budget::quick(), 0, threads))
         .collect();
     println!("{}", table3::render(&rows));
     pe_bench::format::write_json("table3_bench", &rows);

@@ -21,7 +21,7 @@ use pe_mlp::{ax_to_hardware, DenseMlp, SgdTrainer, Topology, TrainConfig};
 use pe_nsga::{Nsga2, NsgaConfig};
 use printed_axc::{
     doped_seeds, select_within_loss, AreaObjective, AxTrainConfig, AxTrainProblem, FloatTrained,
-    HwAwareTrainer, NsgaEngine, RunControl, SearchEngine, Study, StudyConfig,
+    HwAwareTrainer, NsgaEngine, RunControl, SearchContext, SearchEngine, Study, StudyConfig,
 };
 
 use crate::format::render_table;
@@ -195,7 +195,8 @@ pub struct ObjectiveResult {
 /// Compare the paper's FA-count objective against the full
 /// gate-equivalent objective at a fixed GA budget: the same
 /// [`NsgaEngine`] run twice through the generic engine interface, with
-/// only `config.objective` differing.
+/// only `config.objective` differing. `eval_threads` is the engines'
+/// batch-evaluation worker budget (results never depend on it).
 ///
 /// # Panics
 ///
@@ -206,6 +207,7 @@ pub fn objective(
     population: usize,
     generations: usize,
     seed: u64,
+    eval_threads: usize,
 ) -> ObjectiveResult {
     let spec = dataset.spec();
     let cfg = AxTrainConfig {
@@ -228,7 +230,10 @@ pub fn objective(
     let costed = pipeline.baseline_costed().expect("stages 1-3");
 
     let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
-    let ctx = costed.search_context(&model, loss_budget);
+    let ctx = SearchContext {
+        eval_threads,
+        ..costed.search_context(&model, loss_budget)
+    };
 
     let run = |objective: AreaObjective| {
         let engine = NsgaEngine::new(AxTrainConfig {

@@ -4,9 +4,11 @@
 
 use pe_bench::ablation;
 use pe_bench::format::write_json;
+use pe_bench::Knobs;
 use pe_datasets::Dataset;
 
 fn main() {
+    let knobs = Knobs::from_env_or_exit();
     let doping: Vec<_> = [Dataset::BreastCancer, Dataset::Cardio, Dataset::RedWine]
         .iter()
         .map(|&d| ablation::doping(d, 32, 30, 0))
@@ -20,7 +22,7 @@ fn main() {
 
     let objective: Vec<_> = [Dataset::BreastCancer, Dataset::RedWine]
         .iter()
-        .map(|&d| ablation::objective(d, 40, 60, 0))
+        .map(|&d| ablation::objective(d, 40, 60, 0, knobs.thread_budget()))
         .collect();
     println!("{}", ablation::render_objective(&objective));
     write_json("ablation_objective", &objective);

@@ -15,14 +15,14 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{sweep, BudgetPreset};
+use pe_bench::{sweep, BudgetPreset, Knobs};
 use pe_store::DesignStore;
 
 fn main() {
-    let points = match std::env::var_os("PE_STORE") {
+    let knobs = Knobs::from_env_or_exit();
+    let points = match &knobs.store {
         Some(path) => {
-            let path = std::path::PathBuf::from(path);
-            let store = match DesignStore::load(&path) {
+            let store = match DesignStore::load(path) {
                 Ok(store) => store,
                 Err(err) => {
                     eprintln!("error: cannot load design store {}: {err}", path.display());
@@ -38,8 +38,7 @@ fn main() {
             sweep::sweep_designs(&designs)
         }
         None => {
-            let budget = BudgetPreset::from_env(BudgetPreset::Full);
-            let studies = run_studies(budget, 0);
+            let studies = run_studies(&knobs, knobs.budget.unwrap_or(BudgetPreset::Full), 0);
             sweep::sweep(&studies)
         }
     };

@@ -3,9 +3,10 @@
 //! `BENCH_fault.json` and exits non-zero when any cycle is red.
 
 fn main() {
+    let knobs = pe_bench::Knobs::from_env_or_exit();
     // This binary re-executes itself as fault-armed children; dispatch
     // a child role (and exit) before doing any parent work.
-    if pe_bench::fault_drill::child_dispatch() {
+    if pe_bench::fault_drill::child_dispatch(&knobs) {
         return;
     }
     let scratch = std::path::Path::new("target/experiments/fault_drill");

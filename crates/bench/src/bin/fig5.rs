@@ -5,11 +5,11 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{fig5, BudgetPreset};
+use pe_bench::{fig5, BudgetPreset, Knobs};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
-    let studies = run_studies(budget, 0);
+    let knobs = Knobs::from_env_or_exit();
+    let studies = run_studies(&knobs, knobs.budget.unwrap_or(BudgetPreset::Full), 0);
     let rows: Vec<_> = studies.iter().map(fig5::row).collect();
     println!("{}", fig5::render(&rows));
     if let Some(avg) = fig5::avg_power_reduction_0v6(&studies) {

@@ -8,11 +8,11 @@
 //! held-out Monte-Carlo evaluation on the test split.
 
 use pe_bench::format::write_json;
-use pe_bench::{robust, BudgetPreset};
+use pe_bench::{robust, BudgetPreset, Knobs};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
-    let rows = robust::compare(budget, 0);
+    let knobs = Knobs::from_env_or_exit();
+    let rows = robust::compare(&knobs, knobs.budget.unwrap_or(BudgetPreset::Full), 0);
     println!("{}", robust::render(&rows));
     println!("{}", robust::summary(&rows));
     write_json("BENCH_robust", &rows);

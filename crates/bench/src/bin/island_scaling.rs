@@ -8,10 +8,12 @@
 //! byte-identical at every worker count before writing the report.
 
 use pe_bench::format::write_json;
-use pe_bench::{island, BudgetPreset};
+use pe_bench::{island, BudgetPreset, Knobs};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
+    let budget = Knobs::from_env_or_exit()
+        .budget
+        .unwrap_or(BudgetPreset::Full);
     let report = island::sweep(budget, 0);
     println!("{}", island::render(&report));
     println!("note: {}", report.note);

@@ -8,11 +8,11 @@
 //! of "best design within budget" queries against the populated store.
 
 use pe_bench::format::write_json;
-use pe_bench::{store_query, BudgetPreset};
+use pe_bench::{store_query, BudgetPreset, Knobs};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
-    let report = store_query::run(budget, 0);
+    let knobs = Knobs::from_env_or_exit();
+    let report = store_query::run(&knobs, knobs.budget.unwrap_or(BudgetPreset::Full), 0);
     println!("{}", store_query::render(&report));
     println!("{}", store_query::summary(&report));
     write_json("BENCH_store", &report);

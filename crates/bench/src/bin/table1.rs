@@ -7,11 +7,11 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{table1, BudgetPreset};
+use pe_bench::{table1, BudgetPreset, Knobs};
 
 fn main() {
-    let budget = BudgetPreset::from_env(BudgetPreset::Full);
-    let studies = run_studies(budget, 0);
+    let knobs = Knobs::from_env_or_exit();
+    let studies = run_studies(&knobs, knobs.budget.unwrap_or(BudgetPreset::Full), 0);
     let rows = table1::rows(&studies);
     println!("{}", table1::render(&rows));
     write_json("table1", &rows);

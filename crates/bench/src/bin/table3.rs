@@ -5,17 +5,18 @@
 
 use pe_bench::format::write_json;
 use pe_bench::table3::{self, Table3Budget};
-use pe_bench::BudgetPreset;
+use pe_bench::{BudgetPreset, Knobs};
 use pe_datasets::Dataset;
 
 fn main() {
-    let budget = match BudgetPreset::from_env(BudgetPreset::Full) {
+    let knobs = Knobs::from_env_or_exit();
+    let budget = match knobs.budget.unwrap_or(BudgetPreset::Full) {
         BudgetPreset::Quick => Table3Budget::quick(),
         BudgetPreset::Full => Table3Budget::full(),
     };
     let rows: Vec<_> = Dataset::ALL
         .iter()
-        .map(|&d| table3::measure(d, &budget, 0))
+        .map(|&d| table3::measure(d, &budget, 0, knobs.thread_budget()))
         .collect();
     println!("{}", table3::render(&rows));
     println!("Reproduction target: grad << GA ~ GA-AxC (the paper's ratios, not minutes).");

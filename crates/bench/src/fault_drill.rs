@@ -46,6 +46,7 @@ use pe_store::{DesignRecord, DesignStore, StoreError, StoreWriter};
 use printed_axc::{AxTrainConfig, Selected, Study, StudyConfig};
 
 use crate::format::render_table;
+use crate::knobs::Knobs;
 
 /// Environment variable selecting a child role (internal protocol
 /// between the drill parent and its re-executed children).
@@ -174,14 +175,15 @@ fn drill_record(bias: i32) -> DesignRecord {
 /// Dispatch a child role if this process was spawned by the drill
 /// parent (`PE_DRILL_ROLE` set). Returns `true` when a role ran — the
 /// caller's `main` should then return immediately. Call this before
-/// doing anything else in the `fault_drill` binary.
+/// doing anything else in the `fault_drill` binary. A study child runs
+/// its batch evaluation on `knobs`' worker budget.
 ///
 /// # Panics
 ///
 /// Panics on malformed role parameters — the parent always sets them
 /// correctly, so a panic here is a drill bug (and, conveniently, a
 /// non-zero child exit the parent will flag).
-pub fn child_dispatch() -> bool {
+pub fn child_dispatch(knobs: &Knobs) -> bool {
     let Some(role) = std::env::var(ROLE_VAR).ok() else {
         return false;
     };
@@ -194,9 +196,13 @@ pub fn child_dispatch() -> bool {
                 .ok()
                 .map(|v| v.parse().expect("island count parses"))
                 .unwrap_or(0);
+            // Cadence 1 maximizes resume coverage: every generation is
+            // a potential resume point. Cadence never affects results.
             let mut study = Study::for_dataset(Dataset::BreastCancer)
                 .config(drill_config(seed))
-                .cache_dir(cache);
+                .cache_dir(cache)
+                .checkpoint_every(1)
+                .eval_threads(knobs.thread_budget());
             if islands >= 2 {
                 study = study
                     .islands(islands)
@@ -231,19 +237,13 @@ pub fn child_dispatch() -> bool {
 }
 
 /// Spawn this binary as a child in `role`, with exactly the given
-/// extra environment (any ambient `PE_FAULT`/`PE_CHECKPOINT_EVERY` is
-/// scrubbed first so only the drill's plan is armed). Returns the
-/// child's success flag, wall-clock, and captured stderr.
+/// extra environment (any ambient `PE_FAULT` is scrubbed first so only
+/// the drill's plan is armed). Returns the child's success flag,
+/// wall-clock, and captured stderr.
 fn spawn_child(role: &str, envs: &[(&str, String)]) -> std::io::Result<ChildRun> {
     let exe = std::env::current_exe()?;
     let mut cmd = Command::new(exe);
-    cmd.env_remove("PE_FAULT")
-        .env_remove("PE_CHECKPOINT_EVERY")
-        .env_remove("PE_STORE")
-        .env_remove("PE_CACHE_DIR")
-        .env_remove("PE_ISLANDS")
-        .env_remove("PE_MIGRATE_EVERY")
-        .env(ROLE_VAR, role);
+    cmd.env_remove("PE_FAULT").env(ROLE_VAR, role);
     for (key, value) in envs {
         cmd.env(key, value);
     }
@@ -314,9 +314,6 @@ fn study_envs(
     let mut envs = vec![
         ("PE_DRILL_CACHE", cache.display().to_string()),
         ("PE_DRILL_SEED", seed.to_string()),
-        // Cadence 1 maximizes resume coverage: every generation is a
-        // potential resume point. Cadence never affects results.
-        ("PE_CHECKPOINT_EVERY", "1".to_owned()),
     ];
     if islands >= 2 {
         envs.push(("PE_DRILL_ISLANDS", islands.to_string()));

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use pe_baselines::{ScEngine, Tc23Engine, Tcad23Engine};
 use pe_hw::{CostScenario, ExactCostModel, TechLibrary};
-use printed_axc::{select_within_loss, RunControl, SearchEngine, Selected};
+use printed_axc::{select_within_loss, RunControl, SearchContext, SearchEngine, Selected};
 
 use crate::format::render_table;
 
@@ -60,7 +60,7 @@ pub fn paper_engines() -> Vec<Box<dyn SearchEngine>> {
 
 /// Build one Fig. 4 row from a completed study's stage artifacts by
 /// running every engine against the same
-/// [`SearchContext`](printed_axc::SearchContext) the study's own
+/// [`SearchContext`] the study's own
 /// search saw. `tech` must be the technology the study ran with, so
 /// the engines' circuits and the baseline normalizer share one model;
 /// the loss budget comes from the `Selected` stage itself, so every
@@ -69,19 +69,28 @@ pub fn paper_engines() -> Vec<Box<dyn SearchEngine>> {
 /// Each engine's reported design is the smallest front member within
 /// that budget, falling back to its most accurate design when none
 /// qualifies (the paper's treatment of SC, which cannot reach the
-/// budget).
+/// budget). `eval_threads` is the engines' batch-evaluation worker
+/// budget (results never depend on it).
 ///
 /// # Panics
 ///
 /// Panics if an engine fails — nothing cancels these searches, so a
 /// failure is a bug.
 #[must_use]
-pub fn row(selected: &Selected, engines: &[Box<dyn SearchEngine>], tech: &TechLibrary) -> Fig4Row {
+pub fn row(
+    selected: &Selected,
+    engines: &[Box<dyn SearchEngine>],
+    tech: &TechLibrary,
+    eval_threads: usize,
+) -> Fig4Row {
     let costed = &selected.searched.costed;
     let spec = costed.float.prepared.dataset.spec();
     let model = ExactCostModel::new(CostScenario::nominal(tech.clone()));
     let budget = selected.loss_budget;
-    let ctx = costed.search_context(&model, budget);
+    let ctx = SearchContext {
+        eval_threads,
+        ..costed.search_context(&model, budget)
+    };
     let base_area = costed.baseline_report.area_cm2;
     let base_power = costed.baseline_report.power_mw;
 

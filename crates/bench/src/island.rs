@@ -23,9 +23,9 @@ use crate::study::{study_config, BudgetPreset, EvalCacheSummary};
 /// [`printed_axc::NsgaEngine`] baseline).
 pub const ISLAND_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Evaluator worker budgets the sweep visits (what `PE_THREADS` would
-/// set; the island scheduler splits each budget between island workers
-/// and per-island evaluator threads).
+/// Evaluator worker budgets the sweep visits (the island scheduler
+/// splits each budget between island workers and per-island evaluator
+/// threads).
 pub const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// One cell of the islands × threads sweep.
@@ -96,12 +96,9 @@ pub struct IslandScalingReport {
 #[must_use]
 pub fn sweep(budget: BudgetPreset, master_seed: u64) -> IslandScalingReport {
     let dataset = Dataset::Pendigits;
-    // Pin the island knobs: the sweep grid must not bend to
-    // `PE_ISLANDS` (the builder overrides below control each cell).
-    let mut config = study_config(budget, master_seed);
-    config.islands = 0;
-    config.migration_every = 0;
-    config.migrants = 0;
+    // The preset's single-population config; the builder overrides
+    // below pick each cell's island count.
+    let config = study_config(budget, master_seed);
     let summary = Arc::new(EvalCacheSummary::default());
 
     struct Raw {

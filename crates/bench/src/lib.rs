@@ -23,6 +23,10 @@
 //! crash/resume [`fault_drill`] (`BENCH_fault.json`) and the
 //! island-model scaling sweep [`island`] (`BENCH_islands.json`).
 //!
+//! Configuration is resolved once at the binary edge: every bin reads
+//! its environment knobs into one [`Knobs`] value before any work and
+//! passes it down as explicit parameters.
+//!
 //! Everything executes through `printed-axc`'s staged pipeline:
 //! [`study::run_studies`] fans the five datasets out over a worker pool
 //! (`Pipeline::run_many`) with deterministic per-dataset seeds, and the
@@ -37,6 +41,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod format;
 pub mod island;
+pub mod knobs;
 pub mod robust;
 pub mod store_query;
 pub mod study;
@@ -45,4 +50,5 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
+pub use knobs::{KnobError, Knobs};
 pub use study::{run_selected, run_studies, study_config, BudgetPreset};

@@ -18,7 +18,8 @@ use pe_hw::{VariationConfig, VariationModel};
 use printed_axc::{derive_seed, mc_accuracy, Pipeline, Selected};
 
 use crate::format::render_table;
-use crate::study::{observed_options, study_config, BudgetPreset};
+use crate::knobs::Knobs;
+use crate::study::{observed_options, BudgetPreset};
 
 /// Monte-Carlo trials the *search* optimizes over (kept small — it
 /// multiplies the fitness cost of every robust evaluation).
@@ -76,17 +77,17 @@ pub struct RobustRow {
 /// Panics if a study fails (the bench presets are valid and nothing
 /// cancels them) or a front is empty.
 #[must_use]
-pub fn compare(budget: BudgetPreset, master_seed: u64) -> Vec<RobustRow> {
+pub fn compare(knobs: &Knobs, budget: BudgetPreset, master_seed: u64) -> Vec<RobustRow> {
     let model = VariationModel::printed_egfet();
-    let nominal_cfg = study_config(budget, master_seed);
+    let nominal_cfg = knobs.study_config(budget, master_seed);
     let mut robust_cfg = nominal_cfg.clone();
     robust_cfg.variation = Some(VariationConfig::new(model, SEARCH_TRIALS));
 
-    let (nominal_opts, nominal_summary) = observed_options();
+    let (nominal_opts, nominal_summary) = observed_options(knobs);
     let nominal = Pipeline::run_many_selected(&Dataset::ALL, &nominal_cfg, &nominal_opts)
         .expect("bench presets are valid and uncancelled");
     println!("nominal {}", nominal_summary.render());
-    let (robust_opts, robust_summary) = observed_options();
+    let (robust_opts, robust_summary) = observed_options(knobs);
     let robust = Pipeline::run_many_selected(&Dataset::ALL, &robust_cfg, &robust_opts)
         .expect("bench presets are valid and uncancelled");
     println!("robust {}", robust_summary.render());

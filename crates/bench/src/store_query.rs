@@ -27,10 +27,13 @@ use serde::{Deserialize, Serialize};
 use pe_datasets::Dataset;
 use pe_hw::{CostScenario, TechLibrary};
 use pe_store::{DesignStore, StoreWriter};
-use printed_axc::{select_from_store, store_front, Pipeline, RunManyOptions, Selected};
+use printed_axc::{
+    select_from_store, store_front, Pipeline, RunManyOptions, Selected, StudyConfig,
+};
 
 use crate::format::render_table;
-use crate::study::{study_config, BudgetPreset};
+use crate::knobs::Knobs;
+use crate::study::BudgetPreset;
 use crate::sweep::SUPPLY_GRID;
 
 /// One timed store query of the scenario grid.
@@ -102,10 +105,9 @@ pub fn scenario_grid() -> Vec<CostScenario> {
     grid
 }
 
-fn run_suite(seed: u64, budget: BudgetPreset, opts: &RunManyOptions) -> (Vec<Selected>, f64) {
-    let config = study_config(budget, seed);
+fn run_suite(config: &StudyConfig, opts: &RunManyOptions) -> (Vec<Selected>, f64) {
     let start = Instant::now();
-    let selected = Pipeline::run_many_selected(&Dataset::ALL, &config, opts)
+    let selected = Pipeline::run_many_selected(&Dataset::ALL, config, opts)
         .expect("bench presets are valid and uncancelled");
     (selected, start.elapsed().as_secs_f64() * 1e3)
 }
@@ -119,11 +121,12 @@ fn run_suite(seed: u64, budget: BudgetPreset, opts: &RunManyOptions) -> (Vec<Sel
 /// when a store query under a study's own scenario disagrees with the
 /// live pipeline's selection — all three are bugs, not conditions.
 #[must_use]
-pub fn run(budget: BudgetPreset, seed: u64) -> StoreBenchReport {
-    // Deliberately NOT `run_many_options()`: a `PE_STORE` in the
-    // environment must not contaminate the storeless baseline timing.
-    let opts = RunManyOptions::with_threads(printed_axc::eval::thread_budget());
-    let (_, storeless_wall_ms) = run_suite(seed, budget, &opts);
+pub fn run(knobs: &Knobs, budget: BudgetPreset, seed: u64) -> StoreBenchReport {
+    let config = knobs.study_config(budget, seed);
+    // Deliberately NOT `knobs.run_many_options()`: a `PE_STORE` knob
+    // must not contaminate the storeless baseline timing.
+    let opts = RunManyOptions::with_threads(knobs.thread_budget());
+    let (_, storeless_wall_ms) = run_suite(&config, &opts);
 
     let store_path = PathBuf::from("target/experiments/store_query.jsonl");
     if let Some(dir) = store_path.parent() {
@@ -131,14 +134,13 @@ pub fn run(budget: BudgetPreset, seed: u64) -> StoreBenchReport {
     }
     let _ = std::fs::remove_file(&store_path);
     let writer = Arc::new(StoreWriter::open(&store_path).expect("can open a fresh store"));
-    let mut store_opts = RunManyOptions::with_threads(printed_axc::eval::thread_budget());
+    let mut store_opts = RunManyOptions::with_threads(knobs.thread_budget());
     store_opts.store = Some(Arc::clone(&writer));
-    let (selected, store_wall_ms) = run_suite(seed, budget, &store_opts);
+    let (selected, store_wall_ms) = run_suite(&config, &store_opts);
     let stats = writer.stats();
     drop(writer);
 
     let store = DesignStore::load(&store_path).expect("the store just written loads");
-    let config = study_config(budget, seed);
     assert_selection_parity(&store, &selected, &config.scenario);
 
     let mut scenario_queries = Vec::new();

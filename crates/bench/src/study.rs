@@ -16,6 +16,8 @@ use printed_axc::{
     AxTrainConfig, DatasetStudy, Pipeline, ProgressEvent, RunManyOptions, Selected, StudyConfig,
 };
 
+use crate::knobs::Knobs;
+
 /// How much compute an experiment run may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetPreset {
@@ -26,31 +28,14 @@ pub enum BudgetPreset {
     Full,
 }
 
-impl BudgetPreset {
-    /// Parse from the `PE_BUDGET` environment variable (`quick`/`full`),
-    /// defaulting to the given preset.
-    #[must_use]
-    pub fn from_env(default: BudgetPreset) -> Self {
-        match std::env::var("PE_BUDGET").ok().as_deref() {
-            Some("quick") => BudgetPreset::Quick,
-            Some("full") => BudgetPreset::Full,
-            _ => default,
-        }
-    }
-}
-
 /// The study configuration used by every experiment at the given
-/// budget. One master seed governs the whole flow (each dataset runs at
-/// a seed derived from it), so tables regenerate bit-identically.
-///
-/// The island-search knobs (`PE_ISLANDS`, `PE_MIGRATE_EVERY`) are
-/// applied on top via [`StudyConfig::with_env_islands`], so every bench
-/// bin honors them uniformly. Unset, the configuration keeps the
-/// single-population engine — and its byte-identical artifacts and
-/// cache keys.
+/// budget — a pure function of its arguments. One master seed governs
+/// the whole flow (each dataset runs at a seed derived from it), so
+/// tables regenerate bit-identically. The bins apply their island
+/// knobs on top through [`Knobs::study_config`].
 #[must_use]
 pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
-    let config = match budget {
+    match budget {
         BudgetPreset::Quick => StudyConfig {
             seed,
             ga: AxTrainConfig {
@@ -84,16 +69,15 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
             sgd_epochs_scale: 1.0,
             ..StudyConfig::default()
         },
-    };
-    config.with_env_islands()
+    }
 }
 
 /// Accumulates the per-generation
 /// [`ProgressEvent::EvalCache`] streams of every study into one
 /// run-wide tally, so the bench bins can print how hard the genome
 /// memo, the neuron-column cache and the cost layer's gate-count memo
-/// worked — plus the design-store ingest counters when `PE_STORE`
-/// attaches a store. Robust to several GA runs
+/// worked — plus the design-store ingest counters when a store is
+/// attached. Robust to several GA runs
 /// per dataset (each search's cumulative counters restart at zero; a
 /// decrease folds the finished run into the total).
 ///
@@ -261,83 +245,29 @@ impl EvalCacheSummary {
     }
 }
 
-/// Run studies for all five datasets at the given budget on a worker
-/// pool (one thread per core, capped at the dataset count), printing
-/// the run-wide evaluation-cache summary when done.
+/// Run studies for all five datasets at the given budget on the
+/// knobs' worker pool (capped at the dataset count), printing the
+/// run-wide evaluation-cache summary when done.
 ///
 /// # Panics
 ///
 /// Panics if a study fails — the bench presets are valid and nothing
 /// cancels them, so a failure here is a bug.
 #[must_use]
-pub fn run_studies(budget: BudgetPreset, master_seed: u64) -> Vec<DatasetStudy> {
-    let (opts, summary) = observed_options();
-    let studies = Pipeline::run_many(&Dataset::ALL, &study_config(budget, master_seed), &opts)
-        .expect("bench presets are valid and uncancelled");
-    println!("{}", summary.render());
-    studies
+pub fn run_studies(knobs: &Knobs, budget: BudgetPreset, master_seed: u64) -> Vec<DatasetStudy> {
+    run_selected(knobs, budget, master_seed)
+        .into_iter()
+        .map(Selected::into_study)
+        .collect()
 }
 
-/// Worker-pool options honoring the shared `PE_THREADS` budget
-/// ([`printed_axc::eval::thread_budget`]: `0`/unset = one worker per
-/// core; `1` forces sequential execution — the output is byte-identical
-/// either way). The same budget governs the within-study batch
-/// evaluator, so one knob controls every pool the bench bins spin up.
-///
-/// `PE_CACHE_DIR` attaches a stage-cache directory: stage artifacts
-/// (and the search stage's crash-safety checkpoints) persist there, so
-/// a killed bench run resumes instead of restarting — with
-/// byte-identical outputs either way.
+/// [`Knobs::run_many_options`] plus an attached [`EvalCacheSummary`]
+/// observer (the summary is shared with the returned handle for
+/// rendering).
 #[must_use]
-pub fn run_many_options() -> RunManyOptions {
-    let mut opts = RunManyOptions::with_threads(printed_axc::eval::thread_budget());
-    opts.store = env_store();
-    opts.cache_dir = std::env::var_os("PE_CACHE_DIR").map(std::path::PathBuf::from);
-    opts
-}
-
-/// The shared design-store writer requested through the `PE_STORE`
-/// environment variable (a JSON-lines store path), or `None`.
-///
-/// Ingest-only: designs are recorded as a pure side channel, never
-/// warm-started, so every artifact a `PE_STORE`-enabled bench run
-/// emits is byte-identical to a storeless run's. A corrupt store is
-/// reopened through [`pe_store::StoreWriter::open_salvaged`] — a torn
-/// trailing line (the signature a killed append leaves behind) is
-/// truncated away with a report to stderr, keeping every intact
-/// record. A store that still cannot be opened is reported and
-/// skipped — a broken store file must never fail a bench run.
-#[must_use]
-pub fn env_store() -> Option<Arc<pe_store::StoreWriter>> {
-    let path = std::path::PathBuf::from(std::env::var_os("PE_STORE")?);
-    match pe_store::StoreWriter::open(&path) {
-        Ok(writer) => Some(Arc::new(writer)),
-        Err(err @ pe_store::StoreError::Corrupt { .. }) => {
-            eprintln!("warning: PE_STORE store is corrupt ({err}); attempting salvage");
-            match pe_store::StoreWriter::open_salvaged(&path) {
-                Ok((writer, report)) => {
-                    eprintln!("PE_STORE salvage: {report}");
-                    Some(Arc::new(writer))
-                }
-                Err(err) => {
-                    eprintln!("warning: PE_STORE ignored (salvage failed): {err}");
-                    None
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("warning: PE_STORE ignored: {err}");
-            None
-        }
-    }
-}
-
-/// [`run_many_options`] plus an attached [`EvalCacheSummary`] observer
-/// (the summary is shared with the returned handle for rendering).
-#[must_use]
-pub fn observed_options() -> (RunManyOptions, Arc<EvalCacheSummary>) {
+pub fn observed_options(knobs: &Knobs) -> (RunManyOptions, Arc<EvalCacheSummary>) {
     let summary = Arc::new(EvalCacheSummary::default());
-    let mut opts = run_many_options();
+    let mut opts = knobs.run_many_options();
     let observer = Arc::clone(&summary);
     opts.progress = Some(Arc::new(move |dataset, event| {
         observer.observe(dataset, event);
@@ -353,11 +283,11 @@ pub fn observed_options() -> (RunManyOptions, Arc<EvalCacheSummary>) {
 ///
 /// Panics if a study fails (see [`run_studies`]).
 #[must_use]
-pub fn run_selected(budget: BudgetPreset, master_seed: u64) -> Vec<Selected> {
-    let (opts, summary) = observed_options();
-    let selected =
-        Pipeline::run_many_selected(&Dataset::ALL, &study_config(budget, master_seed), &opts)
-            .expect("bench presets are valid and uncancelled");
+pub fn run_selected(knobs: &Knobs, budget: BudgetPreset, master_seed: u64) -> Vec<Selected> {
+    let (opts, summary) = observed_options(knobs);
+    let config = knobs.study_config(budget, master_seed);
+    let selected = Pipeline::run_many_selected(&Dataset::ALL, &config, &opts)
+        .expect("bench presets are valid and uncancelled");
     println!("{}", summary.render());
     selected
 }

@@ -17,8 +17,8 @@ use pe_hw::TechLibrary;
 use pe_mlp::{DenseMlp, SgdTrainer, Topology, TrainConfig};
 use pe_nsga::NsgaConfig;
 use printed_axc::{
-    AxTrainConfig, FloatTrained, NsgaEngine, PlainGaEngine, RunControl, SearchEngine, Study,
-    StudyConfig,
+    AxTrainConfig, FloatTrained, NsgaEngine, PlainGaEngine, RunControl, SearchContext,
+    SearchEngine, Study, StudyConfig,
 };
 
 use crate::format::render_table;
@@ -101,7 +101,12 @@ impl Table3Budget {
 /// Panics if a stage or engine fails — these budgets are valid and
 /// uncancelled, so a failure is a bug.
 #[must_use]
-pub fn measure(dataset: Dataset, budget: &Table3Budget, seed: u64) -> Table3Row {
+pub fn measure(
+    dataset: Dataset,
+    budget: &Table3Budget,
+    seed: u64,
+    eval_threads: usize,
+) -> Table3Row {
     let spec = dataset.spec();
     let nsga_cfg = NsgaConfig {
         population: budget.population,
@@ -156,7 +161,10 @@ pub fn measure(dataset: Dataset, budget: &Table3Budget, seed: u64) -> Table3Row 
 
     // (2) + (3): both GA trainers through the engine interface.
     let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
-    let ctx = costed.search_context(&model, 0.05);
+    let ctx = SearchContext {
+        eval_threads,
+        ..costed.search_context(&model, 0.05)
+    };
     let engines: [Box<dyn SearchEngine>; 2] = [
         Box::new(PlainGaEngine::new(nsga_cfg, Some(budget.subsample))),
         Box::new(NsgaEngine::new(ga_cfg)),

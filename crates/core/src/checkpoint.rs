@@ -28,21 +28,10 @@ use pe_nsga::{CheckpointSink, IslandCheckpoint, IslandConfig, NsgaConfig, Search
 
 use crate::progress::{ProgressEvent, RunControl};
 
-/// Default checkpoint cadence in completed generations (the
-/// `PE_CHECKPOINT_EVERY` fallback).
+/// Default checkpoint cadence in completed generations (what
+/// [`Study::checkpoint_every`](crate::Study::checkpoint_every)
+/// overrides).
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 5;
-
-/// Checkpoint cadence from the `PE_CHECKPOINT_EVERY` environment
-/// variable: unset or unparsable means [`DEFAULT_CHECKPOINT_EVERY`];
-/// `0` disables checkpointing; any other value is the cadence in
-/// completed generations.
-#[must_use]
-pub fn checkpoint_every() -> usize {
-    std::env::var("PE_CHECKPOINT_EVERY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_CHECKPOINT_EVERY)
-}
 
 /// Where and how often a search persists its generation checkpoint.
 ///
@@ -57,21 +46,12 @@ pub struct CheckpointSpec {
     pub path: PathBuf,
     /// Flush cadence in completed generations (`0` disables periodic
     /// flushes; completion/cancellation still flushes nothing because
-    /// the whole plan is skipped — use [`checkpoint_every`] defaults
+    /// the whole plan is skipped — use [`DEFAULT_CHECKPOINT_EVERY`]
     /// instead of `0` unless checkpointing is meant to be off).
     pub every: usize,
 }
 
 impl CheckpointSpec {
-    /// A spec writing to `path` at the environment-configured cadence.
-    #[must_use]
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: path.into(),
-            every: checkpoint_every(),
-        }
-    }
-
     /// Whether this spec asks for checkpointing at all.
     #[must_use]
     pub fn is_active(&self) -> bool {
@@ -321,13 +301,13 @@ mod tests {
     }
 
     #[test]
-    fn env_cadence_is_a_positive_default() {
-        const { assert!(DEFAULT_CHECKPOINT_EVERY > 0) }
+    fn default_cadence_is_active_and_zero_disables() {
         let spec = CheckpointSpec {
             path: scratch("active"),
-            every: 0,
+            every: DEFAULT_CHECKPOINT_EVERY,
         };
-        assert!(!spec.is_active());
+        assert!(spec.is_active());
+        assert!(!CheckpointSpec { every: 0, ..spec }.is_active());
     }
 
     #[test]

@@ -33,20 +33,18 @@
 //!   The intern table is probed once per layer (not per neuron), so it
 //!   stays a single mutex.
 //!
-//! The shard count defaults to [`DEFAULT_SHARDS`], is overridable
-//! per-process with the `PE_CACHE_SHARDS` environment variable or
-//! per-cache with [`NeuronColumnCache::with_shards`], and is always a
-//! power of two in `1..=256`. Per-shard hit/miss/contention counters
-//! ([`ShardStats`], aggregated in [`ColumnCacheStats`]) make lock
-//! pressure observable; `contended` counts probes that found their
-//! shard lock held.
+//! The shard count defaults to [`DEFAULT_SHARDS`], is set per cache
+//! with [`NeuronColumnCache::with_shards`], and is always a power of
+//! two in `1..=256`. Per-shard hit/miss/contention counters,
+//! aggregated in [`ColumnCacheStats`], make lock pressure observable;
+//! `contended` counts probes that found their shard lock held.
 //!
 //! Output (argmax) layers are deliberately **not** cached: their
 //! accumulators depend on every hidden column at once, so any upstream
 //! mutation would invalidate them wholesale, and exact genome repeats
 //! are already absorbed by the genome memo in
-//! [`crate::eval::CachedEvaluator`]; the columnar kernels recompute
-//! them directly into scratch.
+//! [`crate::eval::CachedEvaluator`]; the fitness walk recomputes them
+//! into scratch on every evaluation.
 //!
 //! Caching is an optimization, never a semantic: every value is a pure
 //! function of its full key, so any mix of hits, misses, evictions,
@@ -55,7 +53,7 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use pe_arith::cache::FxHasher;
 use pe_arith::BoundedCache;
@@ -64,8 +62,8 @@ use pe_mlp::{AxNeuron, QReluCfg};
 /// The signature of the *dataset itself* — the input of layer 0.
 pub const ROOT_SIGNATURE: u64 = 0;
 
-/// Shard count used when neither `PE_CACHE_SHARDS` nor
-/// [`NeuronColumnCache::with_shards`] says otherwise.
+/// Shard count used unless [`NeuronColumnCache::with_shards`] says
+/// otherwise.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Snapshot of a [`NeuronColumnCache`]'s counters, aggregated over all
@@ -82,19 +80,6 @@ pub struct ColumnCacheStats {
     pub contended: u64,
     /// Number of shards the column map is split across.
     pub shards: usize,
-}
-
-/// One shard's counter snapshot ([`NeuronColumnCache::shard_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Columns this shard served from its map (lifetime).
-    pub hits: u64,
-    /// Columns computed after missing in this shard (lifetime).
-    pub misses: u64,
-    /// Probes that found this shard's lock already held (lifetime).
-    pub contended: u64,
-    /// Columns currently resident in this shard.
-    pub entries: usize,
 }
 
 /// Cache key of one hidden neuron's column. The layer index, input
@@ -209,18 +194,6 @@ fn clamp_shards(requested: usize) -> usize {
     requested.clamp(1, 256).next_power_of_two()
 }
 
-/// The process-wide default shard count: `PE_CACHE_SHARDS` (clamped to
-/// a power of two in `1..=256`) or [`DEFAULT_SHARDS`]. Read once.
-fn env_shards() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var("PE_CACHE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(DEFAULT_SHARDS, clamp_shards)
-    })
-}
-
 /// Bounded, thread-shared, sharded memo of hidden-neuron output
 /// columns. See the [module docs](self).
 #[derive(Debug)]
@@ -237,11 +210,10 @@ pub struct NeuronColumnCache {
 
 impl NeuronColumnCache {
     /// A cache bounded to roughly `capacity` columns per eviction
-    /// generation, split across the process-default shard count
-    /// (`PE_CACHE_SHARDS` or [`DEFAULT_SHARDS`]).
+    /// generation, split across [`DEFAULT_SHARDS`] shards.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, env_shards())
+        Self::with_shards(capacity, DEFAULT_SHARDS)
     }
 
     /// A cache bounded to roughly `capacity` columns total, split
@@ -261,16 +233,10 @@ impl NeuronColumnCache {
 
     /// A cache sized for a dataset of `samples` rows: the bound targets
     /// a fixed memory budget (tens of MB at paper-scale subsamples),
-    /// clamped to a useful range.
+    /// clamped to a useful range, split across `shards` shards (see
+    /// [`with_shards`](Self::with_shards)).
     #[must_use]
-    pub fn for_samples(samples: usize) -> Self {
-        Self::new(Self::budget_capacity(samples))
-    }
-
-    /// [`NeuronColumnCache::for_samples`] with an explicit shard count
-    /// (the engine-level override used by determinism tests).
-    #[must_use]
-    pub fn for_samples_with_shards(samples: usize, shards: usize) -> Self {
+    pub fn for_samples(samples: usize, shards: usize) -> Self {
         Self::with_shards(Self::budget_capacity(samples), shards)
     }
 
@@ -316,20 +282,6 @@ impl NeuronColumnCache {
             stats.entries += shard.lock().len();
         }
         stats
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| ShardStats {
-                hits: shard.hits.load(Ordering::Relaxed),
-                misses: shard.misses.load(Ordering::Relaxed),
-                contended: shard.contended.load(Ordering::Relaxed),
-                entries: shard.lock().len(),
-            })
-            .collect()
     }
 
     /// A hidden neuron's post-QReLU column: served from the cache, or
@@ -539,12 +491,6 @@ mod tests {
             let stats = cache.stats();
             assert_eq!((stats.hits, stats.misses), (32, 32), "shards {shards}");
             assert_eq!(stats.entries, 32);
-            // Per-shard counters reconcile with the aggregate.
-            let per: Vec<ShardStats> = cache.shard_stats();
-            assert_eq!(per.len(), shards);
-            assert_eq!(per.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-            assert_eq!(per.iter().map(|s| s.misses).sum::<u64>(), stats.misses);
-            assert_eq!(per.iter().map(|s| s.entries).sum::<usize>(), stats.entries);
         }
     }
 
@@ -592,8 +538,8 @@ mod tests {
     #[test]
     fn capacity_scales_with_sample_count() {
         // Tiny datasets get the upper clamp, huge ones the lower.
-        let small = NeuronColumnCache::for_samples(16);
-        let large = NeuronColumnCache::for_samples(10_000_000);
+        let small = NeuronColumnCache::for_samples(16, DEFAULT_SHARDS);
+        let large = NeuronColumnCache::for_samples(10_000_000, DEFAULT_SHARDS);
         // Both behave as caches; the clamp bounds are internal, so just
         // exercise them.
         let n = neuron(1);

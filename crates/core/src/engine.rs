@@ -233,8 +233,9 @@ impl SearchEngine for NsgaEngine {
 /// `crate::eval::run_ga_islands`'s two-level thread split). Same
 /// evaluation budget, byte-identical results at any worker count;
 /// selected by the pipeline whenever
-/// [`Study::islands`](crate::Study::islands) (or `PE_ISLANDS` via
-/// [`StudyConfig`](crate::flow::StudyConfig)) asks for ≥ 2 islands.
+/// [`Study::islands`](crate::Study::islands) (or
+/// [`StudyConfig::islands`](crate::flow::StudyConfig::islands)) asks
+/// for ≥ 2 islands.
 #[derive(Debug, Clone)]
 pub struct IslandEngine {
     /// GA training configuration (the total budget).

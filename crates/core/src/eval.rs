@@ -19,17 +19,18 @@
 //!      order-indexed slots), so
 //!   3. evaluations return **in input order**, byte-identical to a
 //!      serial loop, regardless of thread count.
-//! * [`thread_budget`] is the one place the `PE_THREADS` knob is read —
+//! * [`thread_budget`] is the default worker count (one per core)
 //!   shared by [`Pipeline::run_many`](crate::Pipeline::run_many)'s
-//!   dataset-level pool and the within-study batch evaluator, so
-//!   `PE_THREADS=1` forces the whole flow sequential and `0`/unset uses
-//!   one worker per core.
+//!   dataset-level pool and the within-study batch evaluator; callers
+//!   choose another budget explicitly
+//!   ([`RunManyOptions::with_threads`](crate::RunManyOptions::with_threads),
+//!   [`Study::eval_threads`](crate::Study::eval_threads)).
 //!
 //! Correctness rests on one contract: `evaluate` must be a pure,
 //! deterministic function of the genes (see [`IntProblem::evaluate`]).
 //! Under that contract neither caching nor parallelism can change any
 //! result — only how much work is re-done — which is what keeps
-//! `PE_THREADS=1` and `PE_THREADS=32` runs byte-identical.
+//! 1-thread and 32-thread runs byte-identical.
 //!
 //! Cache effectiveness is observable: [`CachedEvaluator::stats`]
 //! snapshots hit/miss counters, and the GA engines forward them as
@@ -44,24 +45,15 @@ use pe_arith::cache::FxBuildHasher;
 use pe_arith::BoundedCache;
 use pe_nsga::{Evaluation, IntProblem};
 
-/// Worker-thread budget for parallel evaluation, from the `PE_THREADS`
-/// environment variable: unset, unparsable or `0` means one worker per
-/// available core; any other value is used verbatim. Always at least 1.
+/// Default worker-thread budget for parallel evaluation: one worker per
+/// available core, always at least 1.
 ///
 /// Both [`Pipeline::run_many`](crate::Pipeline::run_many) and
 /// [`CachedEvaluator::new`] resolve their defaults through this single
-/// helper, so one knob governs every pool in the flow.
+/// helper, so every pool in the flow sizes itself the same way.
 #[must_use]
 pub fn thread_budget() -> usize {
-    match std::env::var("PE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        None | Some(0) => {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
-        Some(t) => t,
-    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Default bound on memoized genomes per cache generation (a paper-size

@@ -17,8 +17,25 @@ use pe_mlp::InferenceScratch;
 use pe_nsga::{Evaluation, IntProblem};
 use serde::{Deserialize, Serialize};
 
-use crate::columns::{ColumnCacheStats, NeuronColumnCache, ROOT_SIGNATURE};
+use crate::columns::{ColumnCacheStats, NeuronColumnCache, DEFAULT_SHARDS, ROOT_SIGNATURE};
 use crate::genome::GenomeSpec;
+
+/// Evaluate `$body` with `$inputs` bound to the current layer's input
+/// columns: the dataset's (`$data`) for the first layer, the previous
+/// hidden layer's cached activations (`$act`) after that. The column
+/// kernels are generic over the column type, so each branch runs them
+/// straight on its own storage — no per-layer reference vector.
+macro_rules! with_inputs {
+    ($first:expr, $data:expr, $act:expr, |$inputs:ident| $body:expr) => {
+        if $first {
+            let $inputs = &$data[..];
+            $body
+        } else {
+            let $inputs = &$act[..];
+            $body
+        }
+    };
+}
 
 /// Which area model the GA minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,11 +69,13 @@ impl Default for AreaObjective {
 ///
 /// Internally the accuracy objective runs on the **columnar engine**:
 /// the dataset is transposed once into a [`ColumnMatrix`], every
-/// weight becomes a branch-free LUT kernel
-/// ([`pe_mlp::columnar`]), and neuron output columns are memoized in a
-/// population-level [`NeuronColumnCache`] shared across clones and
-/// threads — sibling genomes only pay for the neurons mutation
-/// actually touched. Per-neuron gate counts are likewise memoized by
+/// neuron is one branch-free pass per weight of the platform's
+/// analytic column kernel ([`pe_mlp::columnar`]), and hidden-neuron
+/// output columns are memoized in a population-level
+/// [`NeuronColumnCache`] shared across clones and threads — sibling
+/// genomes only pay for the hidden neurons mutation actually touched.
+/// The output layer is recomputed per genome (see
+/// [`crate::columns`]). Per-neuron gate counts are likewise memoized by
 /// weight signature ([`MemoAreaEstimator`]). The columnar path is
 /// bit-exact with the per-row oracle ([`score_with`](Self::score_with),
 /// i.e. [`pe_mlp::AxMlp::predict_with`] per sample), which the parity
@@ -135,7 +154,7 @@ impl AxTrainProblem {
         assert_eq!(rows.len(), labels.len());
         assert!(!rows.is_empty(), "fitness data must be non-empty");
         let columns = rows.columns();
-        let col_cache = Arc::new(NeuronColumnCache::for_samples(rows.len()));
+        let col_cache = Arc::new(NeuronColumnCache::for_samples(rows.len(), DEFAULT_SHARDS));
         let scenario = CostScenario::default();
         let power_per_ge_at_supply = power_per_ge_at_supply(&scenario);
         Self {
@@ -238,15 +257,12 @@ impl AxTrainProblem {
     /// [`NeuronColumnCache::with_shards`]). A concurrency knob only —
     /// any shard count yields byte-identical evaluations, which the
     /// sharded-cache determinism test pins down. The default cache
-    /// follows the `PE_CACHE_SHARDS` environment variable.
+    /// uses [`DEFAULT_SHARDS`].
     ///
     /// Call before evaluations start: the fresh cache begins cold.
     #[must_use]
     pub fn with_column_shards(mut self, shards: usize) -> Self {
-        self.col_cache = Arc::new(NeuronColumnCache::for_samples_with_shards(
-            self.rows.len(),
-            shards,
-        ));
+        self.col_cache = Arc::new(NeuronColumnCache::for_samples(self.rows.len(), shards));
         self
     }
 
@@ -408,7 +424,6 @@ impl AxTrainProblem {
         let device = trial as u32 + 1;
         let model = &robust.model;
         let cache = &*self.col_cache;
-        let kernel = columnar::kernel_mode();
         let mut signature = ROOT_SIGNATURE;
         let mut pending_signature: Option<(&[pe_mlp::AxNeuron], pe_mlp::QReluCfg)> = None;
         let ColumnarEvalScratch {
@@ -420,7 +435,6 @@ impl AxTrainProblem {
             best_index,
             act,
             next_act,
-            kernel: kscratch,
             ..
         } = scratch;
         act.clear();
@@ -452,26 +466,12 @@ impl AxTrainProblem {
                             ni as u32,
                             neuron,
                             || {
-                                if first {
-                                    columnar::accumulate_neuron_column_kernel(
-                                        kernel, neuron, &refs, n, acc, narrow, kscratch,
+                                with_inputs!(first, refs, act, |inputs| {
+                                    columnar::accumulate_neuron_column(
+                                        neuron, inputs, n, acc, narrow,
                                     );
-                                } else {
-                                    columnar::accumulate_neuron_column_kernel(
-                                        kernel,
-                                        neuron,
-                                        &act[..],
-                                        n,
-                                        acc,
-                                        narrow,
-                                        kscratch,
-                                    );
-                                }
-                                if !draw.is_identity() {
-                                    for a in acc.iter_mut() {
-                                        *a = draw.apply(*a);
-                                    }
-                                }
+                                });
+                                apply_draw(&draw, acc);
                                 columnar::qrelu_column(q, acc, col);
                                 Arc::from(col.as_slice())
                             },
@@ -487,58 +487,41 @@ impl AxTrainProblem {
                     for (ni, (neuron, out)) in
                         layer.neurons.iter().zip(out_accs.iter_mut()).enumerate()
                     {
-                        if first {
-                            columnar::accumulate_neuron_column_kernel(
-                                kernel, neuron, &refs, n, acc, narrow, kscratch,
-                            );
-                        } else {
-                            columnar::accumulate_neuron_column_kernel(
-                                kernel,
-                                neuron,
-                                &act[..],
-                                n,
-                                acc,
-                                narrow,
-                                kscratch,
-                            );
-                        }
-                        let draw = model.device_draw(tseed, li, ni, layer.input_bits);
-                        if !draw.is_identity() {
-                            for a in acc.iter_mut() {
-                                *a = draw.apply(*a);
-                            }
-                        }
+                        with_inputs!(first, refs, act, |inputs| {
+                            columnar::accumulate_neuron_column(neuron, inputs, n, acc, narrow);
+                        });
+                        apply_draw(&model.device_draw(tseed, li, ni, layer.input_bits), acc);
                         std::mem::swap(acc, out);
                     }
-                    return argmax_hits(&out_accs[..count], &self.labels, best_index, best_value);
+                    return argmax_hits(
+                        &out_accs[..count],
+                        &self.labels,
+                        best_index,
+                        best_value,
+                        scalar_only,
+                    );
                 }
             }
         }
         // Trailing-QReLU topology: argmax over the final activations.
-        let preds = if first {
-            columnar::argmax_columns(&refs, n)
-        } else {
-            columnar::argmax_columns(&act[..], n)
-        };
-        preds
-            .iter()
-            .zip(&self.labels)
-            .filter(|&(p, l)| p == l)
-            .count()
+        let preds = with_inputs!(first, refs, act, |inputs| {
+            columnar::argmax_columns(inputs, n)
+        });
+        count_hits(&preds, &self.labels)
     }
 
     /// Training accuracy of a decoded network on the columnar engine:
-    /// hidden and output neuron columns come from the shared
-    /// [`NeuronColumnCache`] when the population has already computed
-    /// them; misses run the branch-free LUT kernels over the transposed
-    /// dataset. Bit-exact with the per-row oracle.
+    /// hidden neuron columns come from the shared [`NeuronColumnCache`]
+    /// when the population has already computed them, and misses run
+    /// the platform column kernel over the transposed dataset; the
+    /// output layer is recomputed into scratch. Bit-exact with the
+    /// per-row oracle.
     fn columnar_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarEvalScratch) -> f64 {
         let n = self.labels.len();
         if n == 0 {
             return 0.0; // the workspace-wide empty-data convention
         }
         let cache = &*self.col_cache;
-        let kernel = columnar::kernel_mode();
         let mut signature = ROOT_SIGNATURE;
         // The previous *hidden* layer's neurons, not yet interned: the
         // signature is only needed to key columns of a deeper hidden
@@ -556,7 +539,6 @@ impl AxTrainProblem {
             best_index,
             act,
             next_act,
-            kernel: kscratch,
             ..
         } = scratch;
         act.clear();
@@ -584,23 +566,9 @@ impl AxTrainProblem {
                             0, // …whose columns are position-independent
                             neuron,
                             || {
-                                if first {
-                                    columnar::hidden_column_kernel(
-                                        kernel, neuron, &refs, n, q, acc, narrow, kscratch, col,
-                                    );
-                                } else {
-                                    columnar::hidden_column_kernel(
-                                        kernel,
-                                        neuron,
-                                        &act[..],
-                                        n,
-                                        q,
-                                        acc,
-                                        narrow,
-                                        kscratch,
-                                        col,
-                                    );
-                                }
+                                with_inputs!(first, refs, act, |inputs| {
+                                    columnar::hidden_column(neuron, inputs, n, q, acc, narrow, col);
+                                });
                                 Arc::from(col.as_slice())
                             },
                         ));
@@ -622,50 +590,39 @@ impl AxTrainProblem {
                     let hits = if layer.neurons.iter().all(columnar::fits_i32) {
                         out_narrow.resize(count, Vec::new());
                         for (neuron, out) in layer.neurons.iter().zip(out_narrow.iter_mut()) {
-                            if first {
-                                columnar::accumulate_neuron_column_narrow_kernel(
-                                    kernel, neuron, &refs, n, narrow, kscratch,
+                            with_inputs!(first, refs, act, |inputs| {
+                                columnar::accumulate_neuron_column_narrow(
+                                    neuron, inputs, n, narrow,
                                 );
-                            } else {
-                                columnar::accumulate_neuron_column_narrow_kernel(
-                                    kernel,
-                                    neuron,
-                                    &act[..],
-                                    n,
-                                    narrow,
-                                    kscratch,
-                                );
-                            }
+                            });
                             std::mem::swap(narrow, out);
                         }
-                        argmax_hits_narrow(
-                            kernel,
+                        // Where the explicit SIMD kernel is built (and
+                        // AVX2 is present) each column pass runs
+                        // vectorized — same strictly-greater rule, same
+                        // column order, so bit-exact.
+                        argmax_hits(
                             &out_narrow[..count],
                             &self.labels,
                             best_index,
                             best_narrow,
+                            pe_mlp::simd::argmax_update_narrow,
                         )
                     } else {
                         out_accs.resize(count, Vec::new());
                         for (neuron, out) in layer.neurons.iter().zip(out_accs.iter_mut()) {
-                            if first {
-                                columnar::accumulate_neuron_column_kernel(
-                                    kernel, neuron, &refs, n, acc, narrow, kscratch,
-                                );
-                            } else {
-                                columnar::accumulate_neuron_column_kernel(
-                                    kernel,
-                                    neuron,
-                                    &act[..],
-                                    n,
-                                    acc,
-                                    narrow,
-                                    kscratch,
-                                );
-                            }
+                            with_inputs!(first, refs, act, |inputs| {
+                                columnar::accumulate_neuron_column(neuron, inputs, n, acc, narrow);
+                            });
                             std::mem::swap(acc, out);
                         }
-                        argmax_hits(&out_accs[..count], &self.labels, best_index, best_value)
+                        argmax_hits(
+                            &out_accs[..count],
+                            &self.labels,
+                            best_index,
+                            best_value,
+                            scalar_only,
+                        )
                     };
                     return hits as f64 / n as f64;
                 }
@@ -673,17 +630,10 @@ impl AxTrainProblem {
         }
         // A network whose last layer has a QReLU (unusual): argmax over
         // the final activation columns, mirroring the row oracle.
-        let preds = if first {
-            columnar::argmax_columns(&refs, n)
-        } else {
-            columnar::argmax_columns(&act[..], n)
-        };
-        let hits = preds
-            .iter()
-            .zip(&self.labels)
-            .filter(|&(p, l)| p == l)
-            .count();
-        hits as f64 / n as f64
+        let preds = with_inputs!(first, refs, act, |inputs| {
+            columnar::argmax_columns(inputs, n)
+        });
+        count_hits(&preds, &self.labels) as f64 / n as f64
     }
 
     /// Assemble the Eq. (3) [`Evaluation`] from a scored
@@ -829,8 +779,8 @@ fn has_constant_hidden_neuron(mlp: &pe_mlp::AxMlp) -> bool {
     })
 }
 
-/// Reusable buffers for the cached columnar scoring path (LUT,
-/// accumulator column, activation column). One per worker thread / per
+/// Reusable buffers for the cached columnar scoring path (accumulator,
+/// activation and output columns). One per worker thread / per
 /// batch; grows to the dataset size once. `act`/`next_act` are the
 /// batch-scoped arena for the per-wave activation column sets: the
 /// `Arc` handles are cheap clones of cached columns, and keeping the
@@ -848,7 +798,6 @@ struct ColumnarEvalScratch {
     best_index: Vec<u32>,
     act: Vec<Arc<[u8]>>,
     next_act: Vec<Arc<[u8]>>,
-    kernel: columnar::KernelScratch,
     /// Decode-in-place network, reused across genomes so the decode
     /// step allocates nothing in steady state.
     decoded: pe_mlp::AxMlp,
@@ -858,12 +807,14 @@ struct ColumnarEvalScratch {
 /// the lowest index (the hardware comparator / row oracle), counting
 /// agreements with `labels`. Neuron-major sweep with a running best
 /// value/index pair per sample: every pass is a linear walk over
-/// contiguous columns.
+/// contiguous columns. `vector_update` may run one column's pass
+/// itself (returning `true`); otherwise the scalar sweep serves.
 fn argmax_hits<T: Copy + PartialOrd>(
     accs: &[Vec<T>],
     labels: &[usize],
     best_index: &mut Vec<u32>,
     best_value: &mut Vec<T>,
+    vector_update: fn(u32, &[T], &mut [u32], &mut [T]) -> bool,
 ) -> usize {
     best_value.clear();
     best_value.extend_from_slice(&accs[0]);
@@ -871,6 +822,9 @@ fn argmax_hits<T: Copy + PartialOrd>(
     best_index.resize(labels.len(), 0);
     for (j, acc) in accs.iter().enumerate().skip(1) {
         let j = j as u32;
+        if vector_update(j, acc, best_index, best_value) {
+            continue;
+        }
         for ((b, v), &x) in best_index
             .iter_mut()
             .zip(best_value.iter_mut())
@@ -889,34 +843,24 @@ fn argmax_hits<T: Copy + PartialOrd>(
         .count()
 }
 
-/// [`argmax_hits`] over narrow (`i32`) columns: under the explicit
-/// SIMD kernel the per-column update runs vectorized (bit-exact —
-/// same strictly-greater rule, same column order); every other kernel
-/// mode, and hosts without the vector path, take the scalar sweep.
-fn argmax_hits_narrow(
-    kernel: pe_mlp::KernelKind,
-    accs: &[Vec<i32>],
-    labels: &[usize],
-    best_index: &mut Vec<u32>,
-    best_value: &mut Vec<i32>,
-) -> usize {
-    if kernel == pe_mlp::KernelKind::Simd {
-        best_value.clear();
-        best_value.extend_from_slice(&accs[0]);
-        best_index.clear();
-        best_index.resize(labels.len(), 0);
-        let vectored = accs.iter().enumerate().skip(1).all(|(j, acc)| {
-            pe_mlp::simd::argmax_update_narrow(j as u32, acc, best_index, best_value)
-        });
-        if vectored {
-            return best_index
-                .iter()
-                .zip(labels)
-                .filter(|&(&b, &l)| b as usize == l)
-                .count();
+/// Predictions that agree with their labels.
+fn count_hits(preds: &[usize], labels: &[usize]) -> usize {
+    preds.iter().zip(labels).filter(|&(p, l)| p == l).count()
+}
+
+/// Apply one Monte-Carlo device's gain/offset draw to a whole
+/// accumulator column.
+fn apply_draw(draw: &pe_hw::variation::DeviceDraw, acc: &mut [i64]) {
+    if !draw.is_identity() {
+        for a in acc {
+            *a = draw.apply(*a);
         }
     }
-    argmax_hits(accs, labels, best_index, best_value)
+}
+
+/// No vectorized argmax pass for wide (`i64`) columns.
+fn scalar_only(_: u32, _: &[i64], _: &mut [u32], _: &mut [i64]) -> bool {
+    false
 }
 
 impl IntProblem for AxTrainProblem {

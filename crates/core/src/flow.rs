@@ -57,14 +57,11 @@ pub struct StudyConfig {
     /// default, and what any pre-island cached config deserializes
     /// to — keeps the single-population engine and its cache keys
     /// byte for byte; ≥ 2 selects
-    /// [`IslandEngine`](crate::engine::IslandEngine)). The `PE_ISLANDS`
-    /// knob is read by the bench harness into this field (see
-    /// [`islands_from_env`]).
+    /// [`IslandEngine`](crate::engine::IslandEngine)).
     #[serde(default)]
     pub islands: usize,
     /// Migration cadence in completed generations (`0` = the
-    /// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default; `PE_MIGRATE_EVERY`
-    /// lands here, see [`migrate_every_from_env`]). Only meaningful
+    /// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default). Only meaningful
     /// with `islands >= 2`.
     #[serde(default)]
     pub migration_every: usize,
@@ -103,21 +100,6 @@ impl StudyConfig {
         }
     }
 
-    /// Apply the island-search environment knobs (`PE_ISLANDS`,
-    /// `PE_MIGRATE_EVERY`) on top of this configuration — what the
-    /// bench bins call right after choosing a budget preset. Unset or
-    /// unparsable variables leave the corresponding field untouched.
-    #[must_use]
-    pub fn with_env_islands(mut self) -> Self {
-        if let Some(islands) = islands_from_env() {
-            self.islands = islands;
-        }
-        if let Some(every) = migrate_every_from_env() {
-            self.migration_every = every;
-        }
-        self
-    }
-
     /// The SGD configuration this study uses for a given dataset.
     #[must_use]
     pub fn sgd_for(&self, spec: &DatasetSpec) -> TrainConfig {
@@ -128,26 +110,6 @@ impl StudyConfig {
             ..TrainConfig::default()
         }
     }
-}
-
-/// Island count from the `PE_ISLANDS` environment variable: unset or
-/// unparsable means `None` (leave the configured value); `0`/`1` force
-/// the single-population path; ≥ 2 selects the island engine.
-#[must_use]
-pub fn islands_from_env() -> Option<usize> {
-    std::env::var("PE_ISLANDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-}
-
-/// Migration cadence from the `PE_MIGRATE_EVERY` environment variable:
-/// unset or unparsable means `None` (leave the configured value); `0`
-/// restores the [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default.
-#[must_use]
-pub fn migrate_every_from_env() -> Option<usize> {
-    std::env::var("PE_MIGRATE_EVERY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
 }
 
 /// All artifacts of one dataset's evaluation.

@@ -38,7 +38,10 @@
 //! * [`eval`] — the shared evaluation core: [`CachedEvaluator`] wraps
 //!   any `IntProblem` with a bounded genome memo and a deterministic
 //!   thread-pool batch path (results in input order, byte-identical to
-//!   serial), and [`thread_budget`] centralizes the `PE_THREADS` knob.
+//!   serial), and [`thread_budget`] is the default worker count (one
+//!   per core) every pool falls back to. This crate reads no
+//!   environment variables: worker budgets, checkpoint cadences, shard
+//!   and island counts are explicit parameters chosen by the caller.
 //! * [`checkpoint`] — crash-safe search checkpointing: the pipeline
 //!   persists a generation-level GA snapshot (atomically, next to the
 //!   `Searched` stage artifact) and resumes a killed or cancelled
@@ -48,8 +51,8 @@
 //!   path and the uncached [`robust::mc_accuracy`] reference oracle
 //!   (the variation corner itself is [`pe_hw::VariationModel`]).
 //! * [`columns`] — the population-level [`NeuronColumnCache`] behind
-//!   the columnar fitness engine: hidden/output neuron columns over
-//!   the fitness dataset, memoized across the population and threads
+//!   the columnar fitness engine: hidden-neuron columns over the
+//!   fitness dataset, memoized across the population and threads
 //!   with interned layer signatures (bit-exact by construction).
 //! * [`store`] — design-store integration over `pe-store`: the
 //!   [`StoreSink`] eval hook that persists every unique design a
@@ -106,8 +109,8 @@ pub mod robust;
 pub mod store;
 pub mod train;
 
-pub use checkpoint::{checkpoint_every, CheckpointSpec, DEFAULT_CHECKPOINT_EVERY};
-pub use columns::{ColumnCacheStats, NeuronColumnCache, ShardStats, DEFAULT_SHARDS};
+pub use checkpoint::{CheckpointSpec, DEFAULT_CHECKPOINT_EVERY};
+pub use columns::{ColumnCacheStats, NeuronColumnCache, DEFAULT_SHARDS};
 pub use config::AxTrainConfig;
 pub use engine::{
     fingerprint_json, IslandEngine, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine,
@@ -116,7 +119,7 @@ pub use engine::{
 pub use error::FlowError;
 pub use eval::{thread_budget, CachedEvaluator, EvalCacheStats};
 pub use fitness::{AreaObjective, AxTrainProblem};
-pub use flow::{islands_from_env, migrate_every_from_env, DatasetStudy, StudyConfig};
+pub use flow::{DatasetStudy, StudyConfig};
 pub use genome::{GenomeSpec, LayerGenomeSpec};
 pub use init::{doped_seeds, doped_seeds_calibrated, doped_seeds_refined, refine_doped};
 pub use pareto::{

@@ -415,8 +415,7 @@ impl Study {
     }
 
     /// Flush a crash-safety checkpoint of the search stage every
-    /// `every` completed GA generations (default: the
-    /// `PE_CHECKPOINT_EVERY` environment knob, falling back to
+    /// `every` completed GA generations (default
     /// [`DEFAULT_CHECKPOINT_EVERY`](crate::checkpoint::DEFAULT_CHECKPOINT_EVERY);
     /// `0` disables checkpointing). Requires a
     /// [`cache_dir`](Self::cache_dir) — the checkpoint lives next to
@@ -442,7 +441,7 @@ impl Study {
     /// single-population [`NsgaEngine`] and its cache keys byte for
     /// byte; ≥ 2 selects [`IslandEngine`], whose name and fingerprint
     /// re-key the `Searched`/`Selected` stage caches. Results are
-    /// byte-identical at any `PE_THREADS`. Overrides the island count
+    /// byte-identical at any worker budget. Overrides the island count
     /// inside a [`config`](Self::config), if both are given.
     pub fn islands(mut self, n: usize) -> Self {
         self.islands = Some(n);
@@ -647,7 +646,7 @@ impl Study {
             store_sink,
             checkpoint_every: self
                 .checkpoint_every
-                .unwrap_or_else(crate::checkpoint::checkpoint_every),
+                .unwrap_or(crate::checkpoint::DEFAULT_CHECKPOINT_EVERY),
         })
     }
 }
@@ -1305,8 +1304,8 @@ pub type EngineFactory =
 #[derive(Default)]
 pub struct RunManyOptions {
     /// Worker threads (`0` = the shared
-    /// [`thread_budget`](crate::eval::thread_budget) — the `PE_THREADS`
-    /// knob, one per core when unset — capped at the dataset count).
+    /// [`thread_budget`](crate::eval::thread_budget), one per core),
+    /// capped at the dataset count.
     pub threads: usize,
     /// Stage-cache directory shared by all datasets.
     pub cache_dir: Option<PathBuf>,
@@ -1758,8 +1757,7 @@ mod tests {
             .expect("valid");
 
         // Ingest-only store: every key identical to storeless (the
-        // byte-identity guarantee behind `PE_STORE`-enabled artifact
-        // runs).
+        // byte-identity guarantee behind store-attached artifact runs).
         let path = store_scratch("ingest");
         let ingest_only = Study::for_dataset(Dataset::BreastCancer)
             .config(base.clone())

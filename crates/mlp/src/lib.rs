@@ -14,8 +14,11 @@
 //! [`hardware`] lowers the integer networks into `pe-hw` circuit
 //! descriptions; [`metrics`] provides accuracy/confusion helpers;
 //! [`columnar`] holds the structure-of-arrays inference engine —
-//! [`QuantMatrix`] flat datasets, per-weight LUT kernels and
+//! [`QuantMatrix`] flat datasets, neuron-column kernels and
 //! column-major batch prediction, bit-exact with the per-row path.
+//! The column kernel is chosen by the platform: the explicit
+//! `std::arch` kernels of [`simd`] when the `simd` feature is built on
+//! x86_64, the portable scalar kernel otherwise.
 //!
 //! # Example: train, quantize, approximate
 //!
@@ -40,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod axmlp;
-pub mod bitslice;
 pub mod columnar;
 pub mod dense;
 pub mod hardware;
@@ -51,7 +53,7 @@ pub mod topology;
 pub mod train;
 
 pub use axmlp::{fold_constants, AxLayer, AxMlp, AxNeuron, AxWeight, InferenceScratch};
-pub use columnar::{ColumnMatrix, ColumnarScratch, KernelKind, KernelScratch, QuantMatrix};
+pub use columnar::{ColumnMatrix, ColumnarScratch, KernelKind, QuantMatrix};
 pub use dense::{argmax, DenseMlp};
 pub use hardware::{ax_to_hardware, fixed_to_hardware};
 pub use quant::{FixedLayer, FixedMlp, QReluCfg, QReluKernel, QuantConfig};

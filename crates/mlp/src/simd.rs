@@ -28,23 +28,16 @@ use crate::quant::QReluCfg;
 /// scalar fallback serves.
 #[must_use]
 pub fn available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        true
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
+    cfg!(all(feature = "simd", target_arch = "x86_64"))
 }
 
-/// [`accumulate_neuron_column_narrow`] via explicit `std::arch`
+/// [`accumulate_neuron_column_narrow_scalar`] via explicit `std::arch`
 /// intrinsics where available. Returns `true` when the kernel ran
 /// (results in `acc`, bit-exact with the scalar reference) and `false`
 /// when the caller must fall back — off-target builds, the `simd`
 /// feature disabled, or a neuron outside the narrow precondition.
 ///
-/// [`accumulate_neuron_column_narrow`]: crate::columnar::accumulate_neuron_column_narrow
+/// [`accumulate_neuron_column_narrow_scalar`]: crate::columnar::accumulate_neuron_column_narrow_scalar
 pub fn accumulate_neuron_column_simd<C: AsRef<[u8]>>(
     neuron: &AxNeuron,
     inputs: &[C],
@@ -416,7 +409,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::axmlp::AxWeight;
-    use crate::columnar::{accumulate_neuron_column_narrow, QuantMatrix};
+    use crate::columnar::{accumulate_neuron_column_narrow_scalar, QuantMatrix};
 
     #[test]
     fn simd_matches_the_scalar_narrow_kernel_when_available() {
@@ -451,7 +444,7 @@ mod tests {
                 cols.col_refs()
             };
             let (mut want, mut got) = (Vec::new(), Vec::new());
-            accumulate_neuron_column_narrow(&neuron, &refs, samples, &mut want);
+            accumulate_neuron_column_narrow_scalar(&neuron, &refs, samples, &mut want);
             let ran = accumulate_neuron_column_simd(&neuron, &refs, samples, &mut got);
             assert_eq!(ran, available());
             if ran {

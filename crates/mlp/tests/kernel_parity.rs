@@ -1,37 +1,33 @@
-//! Kernel parity: every [`KernelKind`] must be **bit-exact** with the
-//! scalar reference kernel, for random 4-bit networks and for neurons
-//! driven straight at the per-column accumulators — including masks up
-//! to the full `u16` range, shifts past the `i32`-safety cutoff (the
-//! wide `i64` path), and weights sitting exactly on the bit-sliced
-//! 16-bit lane boundary and the `i32` worst-case-bound boundary.
+//! Kernel parity: the platform column kernel (the explicit SIMD kernel
+//! when the `simd` feature is built on x86_64, the scalar kernel
+//! otherwise) must be **bit-exact** with the scalar reference kernel,
+//! for random 4-bit networks and for neurons driven straight at the
+//! per-column accumulators — including masks up to the full `u16`
+//! range, shifts past the `i32`-safety cutoff (the wide `i64` path,
+//! checked against the per-sample oracle), and weights sitting exactly
+//! on the `i32` worst-case-bound boundary.
 //!
 //! The scalar kernel is itself pinned against the per-row oracle
 //! elsewhere (`columnar.rs` unit tests and the core crate's
-//! `columnar_parity` suite), so scalar equality here transitively pins
-//! every mode to the paper's Eq. (4) semantics.
+//! `columnar_parity` suite), and whole networks are checked against
+//! the oracle here, so the platform kernel is pinned to the paper's
+//! Eq. (4) semantics on every build.
 
 use proptest::prelude::*;
 
 use pe_mlp::columnar::{
-    accumulate_neuron_column, accumulate_neuron_column_kernel, fits_i32,
-    predictions_columns_with_kernel,
+    accumulate_neuron_column, accumulate_neuron_column_narrow_scalar, fits_i32, kernel_mode,
+    predictions_columns_with,
 };
 use pe_mlp::{
-    AxLayer, AxMlp, AxNeuron, AxWeight, ColumnarScratch, InferenceScratch, KernelKind,
-    KernelScratch, QReluCfg, QuantMatrix,
+    AxLayer, AxMlp, AxNeuron, AxWeight, ColumnarScratch, InferenceScratch, KernelKind, QReluCfg,
+    QuantMatrix,
 };
-
-const KERNELS: [KernelKind; 4] = [
-    KernelKind::Scalar,
-    KernelKind::Lut,
-    KernelKind::BitSliced,
-    KernelKind::Simd,
-];
 
 /// A weight drawn to stress the interesting regimes: plain 4/8-bit
 /// masks, fully-masked (pruned) connections, masks with bits above the
-/// 8-bit activation range, small shifts (the bit-sliceable regime) and
-/// shifts past 22 (forcing the wide `i64` path).
+/// 8-bit activation range, small shifts and shifts past 22 (forcing
+/// the wide `i64` path).
 fn weight() -> impl Strategy<Value = AxWeight> {
     let mask = prop_oneof![
         0u16..=0xFF,
@@ -64,20 +60,29 @@ fn columns(fan_in: usize, samples: usize) -> impl Strategy<Value = Vec<Vec<u8>>>
     )
 }
 
-/// The scalar reference accumulation, widened to `i64`.
-fn reference(neuron: &AxNeuron, inputs: &[Vec<u8>], samples: usize) -> Vec<i64> {
-    let mut acc = Vec::new();
-    let mut narrow = Vec::new();
-    accumulate_neuron_column(neuron, inputs, samples, &mut acc, &mut narrow);
-    acc
+/// `(platform, reference)` accumulations of one neuron: the reference
+/// is the scalar kernel where the narrow precondition holds (where the
+/// SIMD kernel runs) and the per-sample Eq. (4) oracle beyond it.
+fn both(neuron: &AxNeuron, inputs: &[Vec<u8>], samples: usize) -> (Vec<i64>, Vec<i64>) {
+    let (mut got, mut narrow) = (Vec::new(), Vec::new());
+    accumulate_neuron_column(neuron, inputs, samples, &mut got, &mut narrow);
+    let want = if fits_i32(neuron) {
+        accumulate_neuron_column_narrow_scalar(neuron, inputs, samples, &mut narrow);
+        narrow.iter().map(|&a| i64::from(a)).collect()
+    } else {
+        (0..samples)
+            .map(|s| neuron.accumulate(&inputs.iter().map(|col| col[s]).collect::<Vec<u8>>()))
+            .collect()
+    };
+    (got, want)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Single neuron, every kernel, random weights/inputs: the per-
-    /// column accumulators must match the scalar reference bit-exactly
-    /// in both the narrow (`i32`) and wide (`i64`) regimes.
+    /// Single neuron, random weights/inputs: the platform kernel's
+    /// per-column accumulators must match the scalar reference
+    /// bit-exactly in both the narrow (`i32`) and wide (`i64`) regimes.
     #[test]
     fn every_kernel_matches_the_scalar_accumulator(
         (neuron, inputs, samples) in (neuron(10), 0usize..=67).prop_flat_map(|(n, samples)| {
@@ -85,20 +90,13 @@ proptest! {
             (Just(n), columns(fan_in, samples), Just(samples))
         }),
     ) {
-        let expected = reference(&neuron, &inputs, samples);
-        let mut scratch = KernelScratch::new();
-        for kernel in KERNELS {
-            let mut acc = Vec::new();
-            let mut narrow = Vec::new();
-            accumulate_neuron_column_kernel(
-                kernel, &neuron, &inputs, samples, &mut acc, &mut narrow, &mut scratch,
-            );
-            prop_assert_eq!(&acc, &expected, "kernel {:?} diverged", kernel);
-        }
+        let (got, want) = both(&neuron, &inputs, samples);
+        prop_assert_eq!(&got, &want, "kernel {:?} diverged", kernel_mode());
     }
 
-    /// Whole random two-hidden-layer 4-bit networks: every kernel's
-    /// predictions must equal the per-row oracle's, sample for sample.
+    /// Whole random two-hidden-layer 4-bit networks: the platform
+    /// kernel's predictions must equal the per-row oracle's, sample for
+    /// sample.
     #[test]
     fn every_kernel_matches_the_per_row_oracle_on_full_networks(
         l1_raw in proptest::collection::vec(neuron(5), 1..=6),
@@ -147,18 +145,15 @@ proptest! {
         let oracle: Vec<usize> =
             rows.iter().map(|r| mlp.predict_with(r, &mut oracle_scratch)).collect();
 
-        let mut scratch = ColumnarScratch::new();
         let mut preds = Vec::new();
-        for kernel in KERNELS {
-            predictions_columns_with_kernel(&mlp, &cols, &mut scratch, &mut preds, kernel);
-            prop_assert_eq!(&preds, &oracle, "kernel {:?} diverged", kernel);
-        }
+        predictions_columns_with(&mlp, &cols, &mut ColumnarScratch::new(), &mut preds);
+        prop_assert_eq!(&preds, &oracle, "kernel {:?} diverged", kernel_mode());
     }
 }
 
 /// Deterministic saturation boundaries: one weight set just inside the
-/// `i32` worst-case bound (narrow path) and one just past it (wide
-/// path), plus the bit-sliced lane boundary `(0xFF << 8) == 0xFF00`.
+/// `i32` worst-case bound (narrow path, where the SIMD kernel runs) and
+/// one just past it (wide path, scalar on every build).
 #[test]
 fn kernels_agree_on_both_sides_of_the_i32_boundary() {
     let big = AxWeight {
@@ -176,22 +171,9 @@ fn kernels_agree_on_both_sides_of_the_i32_boundary() {
     };
     assert!(fits_i32(&narrow));
     assert!(!fits_i32(&wide));
-    let lane_edge = AxNeuron {
-        weights: vec![
-            AxWeight {
-                mask: 0xFF,
-                shift: 8,
-                negative: false,
-            };
-            6
-        ],
-        bias: -3,
-    };
-    assert!(fits_i32(&lane_edge));
 
     let samples = 33;
-    let mut scratch = KernelScratch::new();
-    for neuron in [&narrow, &wide, &lane_edge] {
+    for neuron in [&narrow, &wide] {
         let inputs: Vec<Vec<u8>> = (0..neuron.weights.len())
             .map(|w| {
                 (0..samples)
@@ -199,20 +181,24 @@ fn kernels_agree_on_both_sides_of_the_i32_boundary() {
                     .collect()
             })
             .collect();
-        let expected = reference(neuron, &inputs, samples);
-        for kernel in KERNELS {
-            let mut acc = Vec::new();
-            let mut narrow_acc = Vec::new();
-            accumulate_neuron_column_kernel(
-                kernel,
-                neuron,
-                &inputs,
-                samples,
-                &mut acc,
-                &mut narrow_acc,
-                &mut scratch,
-            );
-            assert_eq!(acc, expected, "kernel {kernel:?} diverged at a boundary");
-        }
+        let (got, want) = both(neuron, &inputs, samples);
+        assert_eq!(
+            got,
+            want,
+            "kernel {:?} diverged at a boundary",
+            kernel_mode()
+        );
     }
+}
+
+/// The build's kernel is the one the feature set promises.
+#[test]
+fn the_platform_picks_the_kernel() {
+    let simd = cfg!(all(feature = "simd", target_arch = "x86_64"));
+    let expected = if simd {
+        KernelKind::Simd
+    } else {
+        KernelKind::Scalar
+    };
+    assert_eq!(kernel_mode(), expected);
 }
