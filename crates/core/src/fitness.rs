@@ -809,7 +809,7 @@ struct ColumnarEvalScratch {
 /// value/index pair per sample: every pass is a linear walk over
 /// contiguous columns. `vector_update` may run one column's pass
 /// itself (returning `true`); otherwise the scalar sweep serves.
-fn argmax_hits<T: Copy + PartialOrd>(
+pub(crate) fn argmax_hits<T: Copy + PartialOrd>(
     accs: &[Vec<T>],
     labels: &[usize],
     best_index: &mut Vec<u32>,
@@ -858,8 +858,9 @@ fn apply_draw(draw: &pe_hw::variation::DeviceDraw, acc: &mut [i64]) {
     }
 }
 
-/// No vectorized argmax pass for wide (`i64`) columns.
-fn scalar_only(_: u32, _: &[i64], _: &mut [u32], _: &mut [i64]) -> bool {
+/// No vectorized argmax pass: wide (`i64`) or activation (`u8`)
+/// columns.
+pub(crate) fn scalar_only<T>(_: u32, _: &[T], _: &mut [u32], _: &mut [T]) -> bool {
     false
 }
 

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pe_mlp::{AxMlp, FixedMlp, QuantMatrix};
+use pe_mlp::{columnar, AxLayer, AxMlp, FixedMlp, QuantMatrix};
 
 use crate::genome::GenomeSpec;
 
@@ -158,6 +158,22 @@ fn for_each_mask_gene(spec: &GenomeSpec, mut visit: impl FnMut(usize)) {
 /// couple of sweeps the doped seed is genuinely "nearly
 /// non-approximate" even on the multi-class datasets, and the NSGA-II
 /// run then explores the accuracy/area trade-off around it.
+///
+/// Every trial runs on the columnar engine against resident state: the
+/// rows are transposed once, every hidden neuron's post-QReLU column and
+/// every output accumulator column stay in memory, and a trial
+/// recomputes only the touched neuron's column and the layers after it.
+/// Candidates are accepted on integer hit counts over the fixed rows,
+/// which orders them exactly as accuracy does.
+///
+/// One quirk of the weight sweep is kept on purpose, because fixing it
+/// changes every study's artifacts: each weight's candidates (shift −1,
+/// shift +1, sign flip) are all derived from the weight's value before
+/// its sweep, and a rejected candidate restores *that* value. So when an
+/// earlier candidate was accepted and a later one is rejected, the
+/// accepted change is lost, while the acceptance bar stays at the hit
+/// count the lost change reached. Later candidates must beat that bar,
+/// not the network's actual accuracy.
 #[must_use]
 pub fn refine_doped(
     mlp: &pe_mlp::AxMlp,
@@ -173,12 +189,14 @@ pub fn refine_doped(
     }
     let bias_lo = -(1i64 << (bias_bits - 1)) as i32;
     let bias_hi = ((1i64 << (bias_bits - 1)) - 1) as i32;
-    let mut best_acc = best.accuracy(rows, labels);
+    let mut state = ResidentColumns::new(&best, rows, labels);
+    let mut best_hits = state.hits();
 
     for _ in 0..passes {
-        let improved_before = best_acc;
-        let layer_count = best.layers.len();
-        for li in 0..layer_count {
+        let improved_before = best_hits;
+        // Layers past the argmax layer never reach a prediction, so
+        // every trial there would be rejected: skip them.
+        for li in 0..state.live_layers() {
             for ni in 0..best.layers[li].neurons.len() {
                 for wi in 0..best.layers[li].neurons[ni].weights.len() {
                     let current = best.layers[li].neurons[ni].weights[wi];
@@ -202,13 +220,26 @@ pub fn refine_doped(
                         negative: !current.negative,
                         ..current
                     });
+                    // Whether the resident state holds an accepted
+                    // candidate rather than `current`.
+                    let mut moved = false;
                     for cand in candidates {
                         best.layers[li].neurons[ni].weights[wi] = cand;
-                        let acc = best.accuracy(rows, labels);
-                        if acc > best_acc {
-                            best_acc = acc;
+                        let hits = state.trial(&best, li, ni);
+                        if hits > best_hits {
+                            best_hits = hits;
+                            moved = true;
                         } else {
                             best.layers[li].neurons[ni].weights[wi] = current;
+                            if moved {
+                                // The quirk (see above): the weight is
+                                // back at `current`, so the state must
+                                // be too; the bar keeps the lost count.
+                                state.trial(&best, li, ni);
+                                moved = false;
+                            } else {
+                                state.undo(li, ni);
+                            }
                         }
                     }
                 }
@@ -222,22 +253,241 @@ pub fn refine_doped(
                             continue;
                         }
                         best.layers[li].neurons[ni].bias = cand;
-                        let acc = best.accuracy(rows, labels);
-                        if acc > best_acc {
-                            best_acc = acc;
+                        let hits = state.trial(&best, li, ni);
+                        if hits > best_hits {
+                            best_hits = hits;
                         } else {
                             best.layers[li].neurons[ni].bias = current;
+                            state.undo(li, ni);
                         }
                     }
                     step /= 2;
                 }
             }
         }
-        if best_acc <= improved_before {
+        if best_hits <= improved_before {
             break;
         }
     }
     best
+}
+
+/// The resident columnar state behind [`refine_doped`]: one network's
+/// forward pass over fixed rows, kept column by column. A trial swaps
+/// freshly computed columns in for the touched neuron and every layer
+/// after it; [`undo`](Self::undo) swaps the previous ones back, and
+/// accepting a trial is free.
+struct ResidentColumns<'a> {
+    labels: &'a [usize],
+    samples: usize,
+    /// `acts[0]` holds the transposed rows, one column per feature;
+    /// `acts[l + 1]` the post-QReLU columns of layer `l`, for every
+    /// QReLU layer before the argmax layer.
+    acts: Vec<Vec<Vec<u8>>>,
+    /// The argmax layer's accumulator columns, or `None` when every
+    /// layer has a QReLU and argmax runs over the last activations.
+    outputs: Option<Vec<Vec<i64>>>,
+    /// The columns the last trial swapped out, so `undo` can swap them
+    /// back: the touched hidden neuron's column, whole later hidden
+    /// layers (indexed like `acts`), the output layer, or the touched
+    /// output neuron's column.
+    spare_col: Vec<u8>,
+    spare_acts: Vec<Vec<Vec<u8>>>,
+    spare_outputs: Vec<Vec<i64>>,
+    spare_acc: Vec<i64>,
+    acc: Vec<i64>,
+    narrow: Vec<i32>,
+    best_index: Vec<u32>,
+    best_wide: Vec<i64>,
+    best_act: Vec<u8>,
+}
+
+impl<'a> ResidentColumns<'a> {
+    /// Transpose `rows` once and run `mlp`'s full forward pass.
+    fn new(mlp: &AxMlp, rows: &QuantMatrix, labels: &'a [usize]) -> Self {
+        assert_eq!(rows.len(), labels.len());
+        let samples = rows.len();
+        let columns = rows.columns();
+        let mut acts = vec![(0..columns.width())
+            .map(|f| columns.col(f).to_vec())
+            .collect::<Vec<_>>()];
+        let mut outputs = None;
+        let (mut acc, mut narrow) = (Vec::new(), Vec::new());
+        for layer in &mlp.layers {
+            let inputs = acts.last().expect("the rows are resident");
+            if layer.qrelu.is_none() {
+                let mut out = Vec::new();
+                output_layer(layer, inputs, samples, &mut narrow, &mut out);
+                outputs = Some(out);
+                break;
+            }
+            let mut out = Vec::new();
+            hidden_layer(layer, inputs, samples, &mut acc, &mut narrow, &mut out);
+            acts.push(out);
+        }
+        Self {
+            labels,
+            samples,
+            spare_acts: vec![Vec::new(); acts.len()],
+            acts,
+            outputs,
+            spare_col: Vec::new(),
+            spare_outputs: Vec::new(),
+            spare_acc: Vec::new(),
+            acc,
+            narrow,
+            best_index: Vec::new(),
+            best_wide: Vec::new(),
+            best_act: Vec::new(),
+        }
+    }
+
+    /// Layers whose weights reach a prediction: every QReLU layer up to
+    /// and including the argmax layer.
+    fn live_layers(&self) -> usize {
+        self.acts.len() - 1 + usize::from(self.outputs.is_some())
+    }
+
+    /// Bring the state up to date with `mlp` after neuron `ni` of layer
+    /// `li` changed, keeping what it replaces for [`undo`](Self::undo),
+    /// and count the hits.
+    fn trial(&mut self, mlp: &AxMlp, li: usize, ni: usize) -> usize {
+        let hidden = self.acts.len() - 1;
+        let samples = self.samples;
+        if li < hidden {
+            let layer = &mlp.layers[li];
+            columnar::hidden_column(
+                &layer.neurons[ni],
+                &self.acts[li],
+                samples,
+                layer.qrelu.expect("a hidden layer has a QReLU"),
+                &mut self.acc,
+                &mut self.narrow,
+                &mut self.spare_col,
+            );
+            std::mem::swap(&mut self.spare_col, &mut self.acts[li + 1][ni]);
+            for l in li + 1..hidden {
+                let out = &mut self.spare_acts[l + 1];
+                hidden_layer(
+                    &mlp.layers[l],
+                    &self.acts[l],
+                    samples,
+                    &mut self.acc,
+                    &mut self.narrow,
+                    out,
+                );
+                std::mem::swap(out, &mut self.acts[l + 1]);
+            }
+            if let Some(outputs) = &mut self.outputs {
+                let out = &mut self.spare_outputs;
+                output_layer(
+                    &mlp.layers[hidden],
+                    &self.acts[hidden],
+                    samples,
+                    &mut self.narrow,
+                    out,
+                );
+                std::mem::swap(out, outputs);
+            }
+        } else {
+            let outputs = self.outputs.as_mut().expect("only live layers are tried");
+            columnar::accumulate_neuron_column(
+                &mlp.layers[li].neurons[ni],
+                &self.acts[hidden],
+                samples,
+                &mut self.spare_acc,
+                &mut self.narrow,
+            );
+            std::mem::swap(&mut self.spare_acc, &mut outputs[ni]);
+        }
+        self.hits()
+    }
+
+    /// Revert the last [`trial`](Self::trial) of neuron `ni` in layer
+    /// `li`.
+    fn undo(&mut self, li: usize, ni: usize) {
+        let hidden = self.acts.len() - 1;
+        if li < hidden {
+            std::mem::swap(&mut self.spare_col, &mut self.acts[li + 1][ni]);
+            for l in li + 1..hidden {
+                std::mem::swap(&mut self.spare_acts[l + 1], &mut self.acts[l + 1]);
+            }
+            if let Some(outputs) = &mut self.outputs {
+                std::mem::swap(&mut self.spare_outputs, outputs);
+            }
+        } else if let Some(outputs) = &mut self.outputs {
+            std::mem::swap(&mut self.spare_acc, &mut outputs[ni]);
+        }
+    }
+
+    /// Rows whose argmax (ties to the lowest index) matches the label.
+    fn hits(&mut self) -> usize {
+        match &self.outputs {
+            Some(outputs) => argmax_label_hits(
+                outputs,
+                self.labels,
+                &mut self.best_index,
+                &mut self.best_wide,
+            ),
+            None => {
+                let last = self.acts.last().expect("the rows are resident");
+                argmax_label_hits(last, self.labels, &mut self.best_index, &mut self.best_act)
+            }
+        }
+    }
+}
+
+/// Every post-QReLU column of a hidden `layer` over `inputs`, into
+/// `out`.
+fn hidden_layer(
+    layer: &AxLayer,
+    inputs: &[Vec<u8>],
+    samples: usize,
+    acc: &mut Vec<i64>,
+    narrow: &mut Vec<i32>,
+    out: &mut Vec<Vec<u8>>,
+) {
+    let q = layer.qrelu.expect("a hidden layer has a QReLU");
+    out.resize(layer.neurons.len(), Vec::new());
+    for (neuron, col) in layer.neurons.iter().zip(out.iter_mut()) {
+        columnar::hidden_column(neuron, inputs, samples, q, acc, narrow, col);
+    }
+}
+
+/// Every accumulator column of the argmax `layer` over `inputs`, into
+/// `out`.
+fn output_layer(
+    layer: &AxLayer,
+    inputs: &[Vec<u8>],
+    samples: usize,
+    narrow: &mut Vec<i32>,
+    out: &mut Vec<Vec<i64>>,
+) {
+    out.resize(layer.neurons.len(), Vec::new());
+    for (neuron, col) in layer.neurons.iter().zip(out.iter_mut()) {
+        columnar::accumulate_neuron_column(neuron, inputs, samples, col, narrow);
+    }
+}
+
+/// [`argmax_hits`](crate::fitness::argmax_hits) that also covers an
+/// empty column set, where the row oracle predicts class 0 for every
+/// row.
+fn argmax_label_hits<T: Copy + PartialOrd>(
+    columns: &[Vec<T>],
+    labels: &[usize],
+    best_index: &mut Vec<u32>,
+    best_value: &mut Vec<T>,
+) -> usize {
+    if columns.is_empty() {
+        return labels.iter().filter(|&&l| l == 0).count();
+    }
+    crate::fitness::argmax_hits(
+        columns,
+        labels,
+        best_index,
+        best_value,
+        crate::fitness::scalar_only,
+    )
 }
 
 /// Clear a handful of random mask bits in place (~2% of mask genes get
@@ -263,7 +513,281 @@ fn perturb_masks(spec: &GenomeSpec, genes: &mut [u32], rng: &mut StdRng) {
 mod tests {
     use super::*;
     use crate::genome::LayerGenomeSpec;
-    use pe_mlp::{FixedLayer, QReluCfg};
+    use pe_mlp::{AxNeuron, AxWeight, FixedLayer, QReluCfg};
+    use proptest::prelude::*;
+
+    /// The parity reference of [`refine_doped`]: the same coordinate
+    /// descent, re-scoring the whole network through the per-row oracle
+    /// [`AxMlp::accuracy`] on every trial.
+    fn refine_doped_oracle(
+        mlp: &AxMlp,
+        rows: &QuantMatrix,
+        labels: &[usize],
+        max_shift: u8,
+        bias_bits: u32,
+        passes: usize,
+    ) -> AxMlp {
+        let mut best = mlp.clone();
+        if rows.is_empty() {
+            return best;
+        }
+        let bias_lo = -(1i64 << (bias_bits - 1)) as i32;
+        let bias_hi = ((1i64 << (bias_bits - 1)) - 1) as i32;
+        let mut best_acc = best.accuracy(rows, labels);
+
+        for _ in 0..passes {
+            let improved_before = best_acc;
+            let layer_count = best.layers.len();
+            for li in 0..layer_count {
+                for ni in 0..best.layers[li].neurons.len() {
+                    for wi in 0..best.layers[li].neurons[ni].weights.len() {
+                        let current = best.layers[li].neurons[ni].weights[wi];
+                        if current.mask == 0 {
+                            continue;
+                        }
+                        let mut candidates = Vec::with_capacity(3);
+                        if current.shift > 0 {
+                            candidates.push(AxWeight {
+                                shift: current.shift - 1,
+                                ..current
+                            });
+                        }
+                        if current.shift < max_shift {
+                            candidates.push(AxWeight {
+                                shift: current.shift + 1,
+                                ..current
+                            });
+                        }
+                        candidates.push(AxWeight {
+                            negative: !current.negative,
+                            ..current
+                        });
+                        for cand in candidates {
+                            best.layers[li].neurons[ni].weights[wi] = cand;
+                            let acc = best.accuracy(rows, labels);
+                            if acc > best_acc {
+                                best_acc = acc;
+                            } else {
+                                best.layers[li].neurons[ni].weights[wi] = current;
+                            }
+                        }
+                    }
+                    let mut step = 1i32 << (bias_bits.min(12) - 2);
+                    while step >= 1 {
+                        for delta in [step, -step] {
+                            let current = best.layers[li].neurons[ni].bias;
+                            let cand = current.saturating_add(delta).clamp(bias_lo, bias_hi);
+                            if cand == current {
+                                continue;
+                            }
+                            best.layers[li].neurons[ni].bias = cand;
+                            let acc = best.accuracy(rows, labels);
+                            if acc > best_acc {
+                                best_acc = acc;
+                            } else {
+                                best.layers[li].neurons[ni].bias = current;
+                            }
+                        }
+                        step /= 2;
+                    }
+                }
+            }
+            if best_acc <= improved_before {
+                break;
+            }
+        }
+        best
+    }
+
+    const MAX_SHIFT: u8 = 6;
+    const BIAS_BITS: u32 = 6;
+
+    /// A random network and labelled rows. `variant` bits: 0 — two
+    /// hidden layers; 1 — trailing QReLU (no argmax layer, argmax runs
+    /// over the last activations); 2 — one neuron outside `fits_i32`
+    /// (the wide `i64` path); 3 — biases at the `BIAS_BITS` clamp;
+    /// 4 — the last layer's first two neurons are identical, so every
+    /// row is an argmax tie between them.
+    fn random_case(seed: u64, variant: u8, row_count: usize) -> (AxMlp, QuantMatrix, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let width = rng.gen_range(1usize..5);
+        let input_bits = rng.gen_range(2u32..5);
+        let q = QReluCfg {
+            out_bits: rng.gen_range(3u32..6),
+            shift: rng.gen_range(0u32..3),
+        };
+        let mut layers = vec![LayerGenomeSpec {
+            fan_in: width,
+            neurons: rng.gen_range(1usize..5),
+            input_bits,
+            qrelu: Some(q),
+        }];
+        if variant & 1 != 0 {
+            layers.push(LayerGenomeSpec {
+                fan_in: layers[0].neurons,
+                neurons: rng.gen_range(1usize..5),
+                input_bits: q.out_bits,
+                qrelu: Some(q),
+            });
+        }
+        layers.push(LayerGenomeSpec {
+            fan_in: layers[layers.len() - 1].neurons,
+            neurons: rng.gen_range(2usize..5),
+            input_bits: q.out_bits,
+            qrelu: (variant & 2 != 0).then_some(q),
+        });
+        let spec = GenomeSpec::new(layers, u32::from(MAX_SHIFT) + 2, BIAS_BITS);
+        let mut mlp = spec.decode(&pe_nsga::random_genome(spec.bounds(), &mut rng));
+        if variant & 4 != 0 {
+            let layer = rng.gen_range(0..mlp.layers.len());
+            let neuron = &mut mlp.layers[layer].neurons[0];
+            neuron.weights[0].mask = 1;
+            neuron.weights[0].shift = rng.gen_range(23u8..31);
+            assert!(!columnar::fits_i32(neuron));
+        }
+        if variant & 8 != 0 {
+            let limit = 1i32 << (BIAS_BITS - 1);
+            for neuron in mlp.layers.iter_mut().flat_map(|l| &mut l.neurons) {
+                if rng.gen_bool(0.5) {
+                    neuron.bias = if rng.gen() { -limit } else { limit - 1 };
+                }
+            }
+        }
+        let last = mlp.layers.last_mut().expect("at least one layer");
+        if variant & 16 != 0 {
+            last.neurons[1] = last.neurons[0].clone();
+        }
+        let classes = last.neurons.len();
+        let rows: Vec<Vec<u8>> = (0..row_count)
+            .map(|_| {
+                (0..width)
+                    .map(|_| rng.gen_range(0u8..1 << input_bits))
+                    .collect()
+            })
+            .collect();
+        let labels = (0..row_count).map(|_| rng.gen_range(0..classes)).collect();
+        (mlp, QuantMatrix::from_rows(&rows), labels)
+    }
+
+    /// Refine one random case at 1, 2 and 3 passes with both
+    /// implementations; returns whether any refinement changed the
+    /// network, or the first disagreement.
+    fn check_parity(seed: u64, variant: u8, row_count: usize) -> Result<bool, String> {
+        let (mlp, rows, labels) = random_case(seed, variant, row_count);
+        let mut changed = false;
+        for passes in 1..=3 {
+            let fast = refine_doped(&mlp, &rows, &labels, MAX_SHIFT, BIAS_BITS, passes);
+            let oracle = refine_doped_oracle(&mlp, &rows, &labels, MAX_SHIFT, BIAS_BITS, passes);
+            if fast != oracle {
+                return Err(format!(
+                    "passes {passes}: incremental {fast:?}\n oracle {oracle:?}"
+                ));
+            }
+            changed |= fast != mlp;
+        }
+        Ok(changed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The resident-column refinement takes the row oracle's
+        /// decision sequence: fixing the pass count at 1, 2 and 3
+        /// compares intermediate states, not just the converged one.
+        #[test]
+        fn incremental_refinement_matches_the_row_oracle(
+            seed in any::<u64>(),
+            variant in 0u8..32,
+            row_count in 0usize..40,
+        ) {
+            let outcome = check_parity(seed, variant, row_count);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// The seeded cases refine something on 30 rows (the parity above is
+    /// not vacuous), and zero rows leave every network unchanged.
+    #[test]
+    fn seeded_parity_cases_are_not_vacuous() {
+        let mut changed = 0;
+        for seed in 0..40u64 {
+            let variant = (seed % 32) as u8;
+            assert!(!check_parity(seed, variant, 0).expect("parity"));
+            changed += usize::from(check_parity(seed, variant, 30).expect("parity"));
+        }
+        assert!(changed >= 20, "only {changed} of 40 cases refined anything");
+    }
+
+    /// Pins the revert quirk documented on [`refine_doped`]. One
+    /// feature `x` in `0..16`, class 1 only at `x = 0`. Output neuron 0
+    /// computes `(x << 1) + b0`, neuron 1 the constant `b1 = 8`, so the
+    /// network predicts class 0 iff `x >= 4`: 13 of 16 hits.
+    ///
+    /// - Shift +1 (`x >= 2`, 15 hits) is accepted. The sign flip that
+    ///   follows is rejected and restores the pre-sweep shift, so the
+    ///   accepted change is lost.
+    /// - The bar stays at 15. The first bias step, `b0 = 16`, also
+    ///   reaches 15 and is rejected; against the network's real 13 hits
+    ///   it would have been accepted.
+    /// - The state is recomputed for the restored shift. A state still
+    ///   holding shift +1 would accept `b1 = 4` (16 hits).
+    ///
+    /// So the network comes back unchanged.
+    #[test]
+    fn a_rejected_candidate_reverts_an_accepted_shift_and_keeps_the_bar() {
+        let active = |shift| AxWeight {
+            mask: 0b1111,
+            shift,
+            negative: false,
+        };
+        let network = |shift, b0, b1| AxMlp {
+            layers: vec![AxLayer {
+                input_bits: 4,
+                neurons: vec![
+                    AxNeuron {
+                        weights: vec![active(shift)],
+                        bias: b0,
+                    },
+                    AxNeuron {
+                        weights: vec![AxWeight {
+                            mask: 0,
+                            ..active(0)
+                        }],
+                        bias: b1,
+                    },
+                ],
+                qrelu: None,
+            }],
+        };
+        let rows: Vec<Vec<u8>> = (0..16u8).map(|x| vec![x]).collect();
+        let rows = QuantMatrix::from_rows(&rows);
+        let labels: Vec<usize> = (0..16).map(|x| usize::from(x == 0)).collect();
+        let hits = |mlp: &AxMlp| (mlp.accuracy(&rows, &labels) * 16.0) as usize;
+        let mlp = network(1, 0, 8);
+        assert_eq!(hits(&mlp), 13);
+        assert_eq!(
+            hits(&network(2, 0, 8)),
+            15,
+            "the accepted, then lost, shift"
+        );
+        assert_eq!(
+            hits(&network(1, 16, 8)),
+            15,
+            "the bias step the bar rejects"
+        );
+        assert_eq!(
+            hits(&network(2, 0, 4)),
+            16,
+            "what a stale state would accept"
+        );
+        assert_eq!(hits(&network(1, 0, 4)), 15, "the same step, restored");
+        for passes in 1..=3 {
+            let refined = refine_doped(&mlp, &rows, &labels, MAX_SHIFT, BIAS_BITS, passes);
+            assert_eq!(refined, mlp, "passes {passes}");
+            let oracle = refine_doped_oracle(&mlp, &rows, &labels, MAX_SHIFT, BIAS_BITS, passes);
+            assert_eq!(oracle, mlp, "passes {passes}");
+        }
+    }
 
     fn baseline() -> FixedMlp {
         FixedMlp {

@@ -473,9 +473,10 @@ impl Study {
     /// [`FlowError::InvalidConfig`] when the configuration cannot run:
     /// GA population below 2, zero generations, non-positive SGD epoch
     /// scale, an accuracy budget outside `[0, 1]`, a weight width
-    /// below 2 bits, an operating supply outside the technology's
-    /// range, a non-positive power budget, a power budget combined
-    /// with the FA-count area proxy (which carries no power
+    /// outside `2..=16` bits or a bias width outside `2..=24` bits
+    /// (what the genome can encode), an operating supply outside the
+    /// technology's range, a non-positive power budget, a power budget
+    /// combined with the FA-count area proxy (which carries no power
     /// information), an invalid variation request (zero trials, a
     /// negative spread, droop outside `[0, 1)`), both a design-store
     /// path and a shared writer, or warm-start without a design store.
@@ -575,10 +576,18 @@ impl Study {
                 config.accuracy_loss_budget
             ));
         }
-        if config.ga.weight_bits < 2 {
+        // `GenomeSpec::new` panics on widths the genome cannot encode;
+        // reject them here, before SGD spends its time.
+        if !(2..=16).contains(&config.ga.weight_bits) {
             return invalid(format!(
-                "weight width must be at least 2 bits, got {}",
+                "weight width must be within 2..=16 bits, got {}",
                 config.ga.weight_bits
+            ));
+        }
+        if !(2..=24).contains(&config.ga.bias_bits) {
+            return invalid(format!(
+                "bias width must be within 2..=24 bits, got {}",
+                config.ga.bias_bits
             ));
         }
         if let Some(variation) = &config.variation {
@@ -1436,6 +1445,34 @@ mod tests {
                 .finish(),
             Err(FlowError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn builder_rejects_widths_the_genome_cannot_encode() {
+        let with_widths = |weight_bits, bias_bits| StudyConfig {
+            ga: crate::AxTrainConfig {
+                weight_bits,
+                bias_bits,
+                ..crate::AxTrainConfig::default()
+            },
+            ..StudyConfig::quick(0)
+        };
+        for (weight_bits, bias_bits) in [(1, 12), (17, 12), (20, 12), (8, 1), (8, 25), (8, 30)] {
+            let result = Study::for_dataset(Dataset::BreastCancer)
+                .config(with_widths(weight_bits, bias_bits))
+                .finish();
+            assert!(
+                matches!(result, Err(FlowError::InvalidConfig { .. })),
+                "weight_bits {weight_bits}, bias_bits {bias_bits}"
+            );
+        }
+        // The encodable extremes pass validation.
+        for (weight_bits, bias_bits) in [(2, 2), (16, 24)] {
+            assert!(Study::for_dataset(Dataset::BreastCancer)
+                .config(with_widths(weight_bits, bias_bits))
+                .finish()
+                .is_ok());
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use pe_datasets::QuantizedData;
 use pe_hw::CostModel;
+use pe_mlp::columnar::accuracy_columns;
 use pe_mlp::{AxMlp, FixedMlp, QReluCfg, QuantMatrix};
 use pe_nsga::{Evaluation, GenerationStats, IntProblem, Nsga2};
 
@@ -311,13 +312,17 @@ impl HwAwareTrainer {
         let ga_wall = started.elapsed();
         ctl.ensure_live(StageKind::Searched)?;
 
-        // Estimated front -> candidates with both-split accuracies.
+        // Estimated front -> candidates with both-split accuracies. The
+        // test split is transposed once and scored on the same columnar
+        // engine as the GA fitness.
+        let test_columns = test.features.columns();
+        let test_accuracy_of = |mlp: &AxMlp| accuracy_columns(mlp, &test_columns, &test.labels);
         let mut estimated_front: Vec<DesignCandidate> = result
             .pareto_front
             .iter()
             .map(|ind| {
                 let mlp: AxMlp = spec.decode(&ind.genes);
-                let test_accuracy = mlp.accuracy(&test.features, &test.labels);
+                let test_accuracy = test_accuracy_of(&mlp);
                 DesignCandidate {
                     train_accuracy: 1.0 - ind.evaluation.objectives[0],
                     test_accuracy,
@@ -329,7 +334,7 @@ impl HwAwareTrainer {
 
         // Memetic polish of the accuracy end: coordinate-descent sweeps
         // (the same local search used on the doped seeds) applied to the
-        // three most accurate front members. This substitutes for the
+        // five most accurate front members. This substitutes for the
         // paper's ~26M-evaluation budget near convergence; the hardware
         // Pareto filter below discards any polished design whose area
         // regressed.
@@ -341,6 +346,21 @@ impl HwAwareTrainer {
         });
         let refine_n = train.len().min(2500);
         let polish_rows = train.features.head(refine_n);
+        let mut problem_view = AxTrainProblem::new(
+            spec.clone(),
+            polish_rows.clone(),
+            train.labels[..refine_n].to_vec(),
+            baseline_train_accuracy,
+            self.config.max_accuracy_loss,
+        )
+        .with_objective(self.config.objective)
+        .with_scenario(cost.scenario().clone());
+        if let Some(variation) = &self.variation {
+            // Same statistic, same master seed: the polish view scores
+            // candidates the way the GA did (the keyed sampler makes the
+            // draws row-subset independent).
+            problem_view = problem_view.with_variation(variation, self.config.nsga.seed);
+        }
         for &idx in by_acc.iter().take(5) {
             let polished = crate::init::refine_doped(
                 &estimated_front[idx].mlp,
@@ -351,23 +371,8 @@ impl HwAwareTrainer {
                 3,
             );
             if polished != estimated_front[idx].mlp {
-                let mut problem_view = AxTrainProblem::new(
-                    spec.clone(),
-                    polish_rows.clone(),
-                    train.labels[..refine_n].to_vec(),
-                    baseline_train_accuracy,
-                    self.config.max_accuracy_loss,
-                )
-                .with_objective(self.config.objective)
-                .with_scenario(cost.scenario().clone());
-                if let Some(variation) = &self.variation {
-                    // Same statistic, same master seed: the polish view
-                    // scores candidates the way the GA did (the keyed
-                    // sampler makes the draws row-subset independent).
-                    problem_view = problem_view.with_variation(variation, self.config.nsga.seed);
-                }
                 let (train_acc, area) = problem_view.score(&polished);
-                let test_accuracy = polished.accuracy(&test.features, &test.labels);
+                let test_accuracy = test_accuracy_of(&polished);
                 estimated_front.push(DesignCandidate {
                     train_accuracy: train_acc,
                     test_accuracy,
