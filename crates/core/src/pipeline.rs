@@ -30,7 +30,9 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use pe_datasets::{generate, quantize, stratified_split, Dataset, QuantizedData, TabularData};
+use pe_datasets::{
+    generate, quantize, stratified_split, Dataset, DatasetError, QuantizedData, TabularData,
+};
 use pe_hw::{
     CostModel, CostScenario, ExactCostModel, HardwareReport, PowerSource, TechLibrary, VddModel,
 };
@@ -60,6 +62,40 @@ pub struct Prepared {
     pub train: QuantizedData,
     /// Quantized test split.
     pub test: QuantizedData,
+}
+
+/// Check that a float split fits `topology`: as many labels as rows,
+/// every row as wide as the inputs, every label one of the outputs.
+fn check_float_split(data: &TabularData, topology: &pe_mlp::Topology) -> Result<(), DatasetError> {
+    if data.features.len() != data.labels.len() {
+        return Err(DatasetError::LengthMismatch {
+            features: data.features.len(),
+            labels: data.labels.len(),
+        });
+    }
+    let expected = topology.inputs();
+    if let Some((row, found)) = data
+        .features
+        .iter()
+        .map(Vec::len)
+        .enumerate()
+        .find(|&(_, found)| found != expected)
+    {
+        return Err(DatasetError::RaggedRow {
+            row,
+            expected,
+            found,
+        });
+    }
+    let classes = topology.outputs();
+    if let Some((row, &label)) = data.labels.iter().enumerate().find(|&(_, &l)| l >= classes) {
+        return Err(DatasetError::LabelOutOfRange {
+            row,
+            label,
+            classes,
+        });
+    }
+    Ok(())
 }
 
 /// Stage 2: the backprop-trained float MLP at the paper's topology.
@@ -758,18 +794,28 @@ impl Pipeline {
     ///
     /// # Errors
     ///
+    /// [`FlowError::Dataset`] when `prepared`'s float splits do not fit
+    /// the topology (no training samples, a row of the wrong width, a
+    /// label outside the classes, more rows than labels or fewer) — a
+    /// hand-edited stage-cache file can hold such a split.
     /// [`FlowError::Cancelled`] when cancelled mid-training.
     pub fn train_float(&self, prepared: Prepared) -> Result<FloatTrained, FlowError> {
         let ctl = self.control();
         ctl.ensure_live(StageKind::FloatTrained)?;
+        let spec = prepared.dataset.spec();
+        let topology = pe_mlp::Topology::new(spec.topology());
+        check_float_split(&prepared.float_train, &topology)?;
+        if prepared.float_train.is_empty() {
+            return Err(DatasetError::NoSamples.into());
+        }
+        check_float_split(&prepared.float_test, &topology)?;
         ctl.emit(&ProgressEvent::StageStarted {
             stage: StageKind::FloatTrained,
         });
-        let spec = prepared.dataset.spec();
         let sgd = self.config.sgd_for(&spec);
         let epochs = sgd.epochs;
         let (float_mlp, _) = train_best_of_observed(
-            &pe_mlp::Topology::new(spec.topology()),
+            &topology,
             &prepared.float_train.features,
             &prepared.float_train.labels,
             &sgd,
@@ -1472,6 +1518,80 @@ mod tests {
                 .config(with_widths(weight_bits, bias_bits))
                 .finish()
                 .is_ok());
+        }
+    }
+
+    #[test]
+    fn train_float_rejects_malformed_float_splits() {
+        let pipeline = Study::for_dataset(Dataset::BreastCancer)
+            .config(StudyConfig::quick(0))
+            .finish()
+            .expect("valid");
+        let prepared = pipeline.prepare().expect("prepared");
+        let rows = prepared.float_train.len();
+        let inputs = Dataset::BreastCancer.spec().features;
+        let classes = Dataset::BreastCancer.spec().classes;
+        type Edit = fn(&mut Prepared);
+        let cases: [(Edit, DatasetError); 6] = [
+            (
+                |p| {
+                    p.float_train.features.clear();
+                    p.float_train.labels.clear();
+                },
+                DatasetError::NoSamples,
+            ),
+            (
+                |p| {
+                    p.float_train
+                        .features
+                        .iter_mut()
+                        .for_each(|row| row.truncate(9))
+                },
+                DatasetError::RaggedRow {
+                    row: 0,
+                    expected: inputs,
+                    found: 9,
+                },
+            ),
+            (
+                |p| p.float_train.features[3].push(0.5),
+                DatasetError::RaggedRow {
+                    row: 3,
+                    expected: inputs,
+                    found: inputs + 1,
+                },
+            ),
+            (
+                |p| p.float_train.labels[5] = 2,
+                DatasetError::LabelOutOfRange {
+                    row: 5,
+                    label: 2,
+                    classes,
+                },
+            ),
+            (
+                |p| {
+                    p.float_train.labels.pop();
+                },
+                DatasetError::LengthMismatch {
+                    features: rows,
+                    labels: rows - 1,
+                },
+            ),
+            (
+                |p| p.float_test.features[2].clear(),
+                DatasetError::RaggedRow {
+                    row: 2,
+                    expected: inputs,
+                    found: 0,
+                },
+            ),
+        ];
+        for (edit, expected) in cases {
+            let mut malformed = prepared.clone();
+            edit(&mut malformed);
+            let result = pipeline.train_float(malformed);
+            assert_eq!(result.err(), Some(FlowError::Dataset(expected)));
         }
     }
 

@@ -33,6 +33,8 @@ pub enum DatasetError {
     },
     /// A dataset must have at least one class.
     NoClasses,
+    /// A split that needs samples (e.g. training data) has none.
+    NoSamples,
     /// A CSV cell failed to parse as a number.
     ParseCell {
         /// 1-based line number.
@@ -75,6 +77,7 @@ impl fmt::Display for DatasetError {
                 write!(f, "row {row} has label {label}, outside 0..{classes}")
             }
             DatasetError::NoClasses => write!(f, "dataset must declare at least one class"),
+            DatasetError::NoSamples => write!(f, "dataset has no samples"),
             DatasetError::ParseCell { line, column, cell } => {
                 write!(
                     f,

@@ -103,11 +103,6 @@ impl DenseMlp {
         &self.biases
     }
 
-    /// Mutable parameter access for the trainer.
-    pub(crate) fn params_mut(&mut self) -> (&mut Vec<Vec<Vec<f32>>>, &mut Vec<Vec<f32>>) {
-        (&mut self.weights, &mut self.biases)
-    }
-
     /// Forward pass returning every layer's post-activation values
     /// (index 0 is the input itself); the last entry is the logits.
     ///

@@ -4,6 +4,22 @@
 //! both for the exact baselines (before quantization) and as the
 //! "Grad." reference row of Table III. Softmax cross-entropy loss,
 //! ReLU hidden layers, SGD with momentum.
+//!
+//! The trainer keeps the parameters, one batch's gradients and the
+//! momenta in flat row-major buffers, and runs each mini-batch through
+//! one reused arena of feature-major (`[unit][sample]`) activations and
+//! deltas. The forward sums and the back-propagated deltas are small
+//! matrix products whose vector lanes run across the batch's samples,
+//! the weight gradients one whose lanes run across a neuron's inputs,
+//! and the softmax runs across samples too, so the compiler vectorizes
+//! all of them. No single f32 chain changes its order from the textbook
+//! per-sample loop: a (neuron, sample) sum starts at −0.0, as
+//! `Iterator::sum` does, adds the products in input order, then the
+//! bias; a back-propagated delta starts at +0.0 and walks the neurons in
+//! order; a gradient starts at +0.0 and sums the batch's samples in
+//! batch order; the momentum update is the textbook one. Trained weights
+//! are therefore bit-identical to the per-sample loop's, which the tests
+//! keep as the parity oracle.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -11,6 +27,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::dense::DenseMlp;
+use crate::topology::Topology;
 
 /// Hyperparameters for [`SgdTrainer`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,10 +116,487 @@ impl SgdTrainer {
     ) -> TrainReport {
         assert_eq!(rows.len(), labels.len());
         assert!(!rows.is_empty(), "training data must be non-empty");
+        let topology = mlp.topology().clone();
+        assert!(
+            rows.iter().all(|row| row.len() == topology.inputs()),
+            "input width mismatch"
+        );
+        assert!(
+            labels.iter().all(|&l| l < topology.outputs()),
+            "label out of range"
+        );
+
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xa076_1d64_78bd_642f);
+        let mut layers = flatten(mlp);
+        let mut grads: Vec<FlatLayer> = layers.iter().map(FlatLayer::zeros_like).collect();
+        let mut velocities = grads.clone();
+        let batch_size = self.config.batch_size.max(1);
+        let mut arena = Arena::new(topology.sizes(), batch_size.min(rows.len()));
+
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        let mut evaluations = 0u64;
+
+        let mut executed = 0usize;
+        for epoch in 0..self.config.epochs {
+            order.shuffle(&mut rng);
+            for batch in order.chunks(batch_size) {
+                evaluations += batch.len() as u64;
+                arena.gather(batch.iter().map(|&idx| rows[idx].as_slice()));
+                arena.forward(&layers, batch.len());
+                arena.softmax(batch.len());
+                // dL/dlogit = softmax - onehot.
+                let width = arena.width;
+                let delta = arena.deltas.last_mut().expect("at least one layer");
+                for (s, &idx) in batch.iter().enumerate() {
+                    delta[labels[idx] * width + s] -= 1.0;
+                }
+                arena.backward(&layers, &mut grads, batch.len());
+                let scale = self.config.learning_rate / batch.len() as f32;
+                let steps = layers.iter_mut().zip(&grads).zip(&mut velocities);
+                for ((layer, grad), velocity) in steps {
+                    layer.step(grad, velocity, self.config.momentum, scale);
+                }
+            }
+            executed = epoch + 1;
+            if !on_epoch(epoch) {
+                break;
+            }
+        }
+
+        let (train_accuracy, train_loss) = arena.evaluate(&layers, rows, labels);
+        *mlp = unflatten(topology, layers);
+        TrainReport {
+            epochs: executed,
+            train_accuracy,
+            train_loss,
+            evaluations,
+        }
+    }
+}
+
+/// One layer's parameters, gradients or momenta, one neuron per row of
+/// [`stride`]`(fan_in)` values: the `fan_in` input weights, then the
+/// bias as the weight of one more input, then zero padding. The arena
+/// feeds that extra input a constant 1.0, and `b · 1.0 = b` exactly, so
+/// a neuron's sum still ends by adding its bias and the bias gradient is
+/// still the plain sum of the batch's deltas.
+#[derive(Clone)]
+struct FlatLayer {
+    fan_in: usize,
+    w: Vec<f32>,
+}
+
+impl FlatLayer {
+    fn zeros_like(&self) -> Self {
+        Self {
+            fan_in: self.fan_in,
+            w: vec![0.0; self.w.len()],
+        }
+    }
+
+    /// One momentum step: `v = momentum·v − scale·g`, then `p += v`.
+    fn step(&mut self, grad: &FlatLayer, velocity: &mut FlatLayer, momentum: f32, scale: f32) {
+        let params = self.w.iter_mut().zip(&grad.w).zip(&mut velocity.w);
+        for ((p, &g), v) in params {
+            *v = momentum * *v - scale * g;
+            *p += *v;
+        }
+    }
+}
+
+/// Columns per register block in [`combine`].
+const LANES: usize = 8;
+
+/// Row length for `fan_in` inputs plus the constant 1.0, in whole
+/// [`LANES`] blocks.
+fn stride(fan_in: usize) -> usize {
+    (fan_in + 1).next_multiple_of(LANES)
+}
+
+fn flatten(mlp: &DenseMlp) -> Vec<FlatLayer> {
+    let layers = mlp.weights().iter().zip(mlp.biases());
+    layers
+        .zip(mlp.topology().sizes())
+        .map(|((rows, biases), &fan_in)| {
+            let mut w = vec![0.0; rows.len() * stride(fan_in)];
+            let neurons = w
+                .chunks_exact_mut(stride(fan_in))
+                .zip(rows.iter().zip(biases));
+            for (flat, (row, &bias)) in neurons {
+                flat[..fan_in].copy_from_slice(row);
+                flat[fan_in] = bias;
+            }
+            FlatLayer { fan_in, w }
+        })
+        .collect()
+}
+
+fn unflatten(topology: Topology, layers: Vec<FlatLayer>) -> DenseMlp {
+    let (weights, biases) = layers
+        .iter()
+        .map(|layer| {
+            let fan_in = layer.fan_in;
+            let neurons = layer.w.chunks_exact(stride(fan_in));
+            neurons
+                .map(|row| (row[..fan_in].to_vec(), row[fan_in]))
+                .unzip()
+        })
+        .unzip();
+    DenseMlp::from_parameters(topology, weights, biases)
+}
+
+/// `out[c] = init + Σ_k coefs[k] · rows[k * stride + c]` for every `c`,
+/// in whole [`LANES`] blocks. Every element sums its terms in `k` order,
+/// exactly as a scalar loop would; a block's sums run side by side in
+/// one register accumulator the compiler vectorizes.
+fn combine(
+    out: &mut [f32],
+    init: f32,
+    coefs: impl Iterator<Item = f32> + Clone,
+    rows: &[f32],
+    stride: usize,
+) {
+    debug_assert_eq!(out.len() % LANES, 0);
+    for (block, out) in out.chunks_exact_mut(LANES).enumerate() {
+        let mut acc = [init; LANES];
+        for (x, row) in coefs.clone().zip(rows.chunks_exact(stride)) {
+            let ys = &row[block * LANES..][..LANES];
+            for (a, &y) in acc.iter_mut().zip(ys) {
+                *a += x * y;
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+}
+
+/// The reused per-batch buffers, sized for batches of up to `width`
+/// samples (`width` a multiple of [`LANES`]). The feature-major buffers
+/// compute whole blocks of samples; lanes past the batch hold stale
+/// values that nothing reads.
+struct Arena {
+    width: usize,
+    /// `acts[l]`, feature-major (`[unit][sample]`, row stride `width`):
+    /// layer `l`'s input units (`acts[0]` the gathered rows, later ones
+    /// post-ReLU) and one last row of constant 1.0 for the bias. The
+    /// final entry holds the logits, without the constant row.
+    acts: Vec<Vec<f32>>,
+    /// `inputs[l]`: the same input units sample-major (`[sample][unit]`,
+    /// row stride [`stride`]`(fan_in)`: the units, the constant 1.0,
+    /// zero padding), so the weight gradients run along contiguous rows.
+    inputs: Vec<Vec<f32>>,
+    /// `deltas[l]`, feature-major: the loss gradient at layer `l`'s
+    /// pre-activations. The last entry doubles as the softmax output.
+    deltas: Vec<Vec<f32>>,
+    /// Per-sample softmax maximum and denominator.
+    max: Vec<f32>,
+    sum: Vec<f32>,
+}
+
+impl Arena {
+    fn new(sizes: &[usize], batch: usize) -> Self {
+        let width = batch.next_multiple_of(LANES);
+        let (fan_ins, classes) = sizes.split_at(sizes.len() - 1);
+        let mut acts: Vec<Vec<f32>> = fan_ins
+            .iter()
+            .map(|&units| {
+                let mut act = vec![0.0; (units + 1) * width];
+                act[units * width..].fill(1.0);
+                act
+            })
+            .collect();
+        acts.push(vec![0.0; classes[0] * width]);
+        let inputs = fan_ins
+            .iter()
+            .map(|&units| {
+                let mut input = vec![0.0; width * stride(units)];
+                for row in input.chunks_exact_mut(stride(units)) {
+                    row[units] = 1.0;
+                }
+                input
+            })
+            .collect();
+        Self {
+            width,
+            acts,
+            inputs,
+            deltas: sizes[1..]
+                .iter()
+                .map(|&units| vec![0.0; units * width])
+                .collect(),
+            max: vec![0.0; width],
+            sum: vec![0.0; width],
+        }
+    }
+
+    /// Copy up to `width` rows into `acts[0]` and `inputs[0]`.
+    fn gather<'r>(&mut self, rows: impl Iterator<Item = &'r [f32]>) {
+        let width = self.width;
+        let (act, input) = (&mut self.acts[0], &mut self.inputs[0]);
+        let stride = input.len() / width;
+        for (s, row) in rows.enumerate() {
+            for (i, &x) in row.iter().enumerate() {
+                act[i * width + s] = x;
+            }
+            input[s * stride..][..row.len()].copy_from_slice(row);
+        }
+    }
+
+    /// Forward the first `n` gathered samples through `layers`: a
+    /// (neuron, sample) sum starts at −0.0, as `Iterator::sum` does, and
+    /// adds the products in input order, then the bias.
+    fn forward(&mut self, layers: &[FlatLayer], n: usize) {
+        let (width, blocks) = (self.width, n.next_multiple_of(LANES));
+        let last = layers.len() - 1;
+        for (l, layer) in layers.iter().enumerate() {
+            let (done, todo) = self.acts.split_at_mut(l + 1);
+            let (input, output) = (&done[l], &mut todo[0]);
+            let neurons = layer.w.chunks_exact(stride(layer.fan_in));
+            for (j, row) in neurons.enumerate() {
+                let out = &mut output[j * width..][..blocks];
+                combine(
+                    out,
+                    -0.0,
+                    row[..=layer.fan_in].iter().copied(),
+                    input,
+                    width,
+                );
+                if l < last {
+                    for o in out.iter_mut() {
+                        *o = o.max(0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Softmax of the first `n` samples' logits into the last `deltas`
+    /// entry, each sample as a numerically-stable per-row softmax
+    /// computes it.
+    fn softmax(&mut self, n: usize) {
+        let width = self.width;
+        let logits = self.acts.last().expect("at least one layer");
+        let probs = self.deltas.last_mut().expect("at least one layer");
+        let (max, sum) = (&mut self.max[..n], &mut self.sum[..n]);
+        let classes = logits.len() / width;
+        max.fill(f32::NEG_INFINITY);
+        for j in 0..classes {
+            for (m, &z) in max.iter_mut().zip(&logits[j * width..][..n]) {
+                *m = m.max(z);
+            }
+        }
+        sum.fill(-0.0);
+        for j in 0..classes {
+            let p = &mut probs[j * width..][..n];
+            for ((p, &z), &m) in p.iter_mut().zip(&logits[j * width..][..n]).zip(&*max) {
+                *p = (z - m).exp();
+            }
+            for (s, &p) in sum.iter_mut().zip(&*p) {
+                *s += p;
+            }
+        }
+        for s in sum.iter_mut() {
+            *s = s.max(f32::MIN_POSITIVE);
+        }
+        for j in 0..classes {
+            for (p, &s) in probs[j * width..][..n].iter_mut().zip(&*sum) {
+                *p /= s;
+            }
+        }
+    }
+
+    /// Back-propagate the output deltas of the first `n` forwarded
+    /// samples and sum each parameter's gradient over them, in sample
+    /// order from +0.0, into `grads`. A back-propagated delta starts at
+    /// +0.0 and walks the neurons in order.
+    fn backward(&mut self, layers: &[FlatLayer], grads: &mut [FlatLayer], n: usize) {
+        let (width, blocks) = (self.width, n.next_multiple_of(LANES));
+        for (l, (layer, grad)) in layers.iter().zip(grads.iter_mut()).enumerate().rev() {
+            let (fan_in, stride) = (layer.fan_in, stride(layer.fan_in));
+            let (act, input) = (&self.acts[l], &mut self.inputs[l]);
+            if l > 0 {
+                for (s, row) in input.chunks_exact_mut(stride).take(n).enumerate() {
+                    for (i, x) in row[..fan_in].iter_mut().enumerate() {
+                        *x = act[i * width + s];
+                    }
+                }
+            }
+            let (lower, upper) = self.deltas.split_at_mut(l);
+            let delta = &upper[0];
+            for (j, g) in grad.w.chunks_exact_mut(stride).enumerate() {
+                combine(
+                    g,
+                    0.0,
+                    delta[j * width..][..n].iter().copied(),
+                    input,
+                    stride,
+                );
+            }
+            if l > 0 {
+                // Propagate through the weights and the ReLU of layer
+                // l-1's output.
+                let next = &mut lower[l - 1];
+                for i in 0..fan_in {
+                    let out = &mut next[i * width..][..blocks];
+                    let column = layer.w[i..].iter().step_by(stride).copied();
+                    combine(out, 0.0, column, delta, width);
+                    for (o, &a) in out.iter_mut().zip(&act[i * width..]) {
+                        if a <= 0.0 {
+                            *o = 0.0;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Accuracy and mean cross-entropy of `layers` over all rows, in one
+    /// batched pass: argmax of the logits (first on ties) and
+    /// `−ln max(p_label, 1e-12)` summed in row order.
+    fn evaluate(
+        &mut self,
+        layers: &[FlatLayer],
+        rows: &[Vec<f32>],
+        labels: &[usize],
+    ) -> (f64, f64) {
+        let width = self.width;
+        let mut hits = 0usize;
+        let mut total = 0.0f64;
+        for (chunk, chunk_labels) in rows.chunks(width).zip(labels.chunks(width)) {
+            let n = chunk.len();
+            self.gather(chunk.iter().map(Vec::as_slice));
+            self.forward(layers, n);
+            let logits = self.acts.last().expect("at least one layer");
+            let classes = logits.len() / width;
+            for (s, &label) in chunk_labels.iter().enumerate() {
+                let mut best = 0;
+                for j in 1..classes {
+                    if logits[j * width + s] > logits[best * width + s] {
+                        best = j;
+                    }
+                }
+                hits += usize::from(best == label);
+            }
+            self.softmax(n);
+            let probs = self.deltas.last().expect("at least one layer");
+            for (s, &label) in chunk_labels.iter().enumerate() {
+                total -= f64::from(probs[label * width + s].max(1e-12)).ln();
+            }
+        }
+        let count = rows.len() as f64;
+        (hits as f64 / count, total / count)
+    }
+}
+
+/// Train `restarts` randomly initialized networks and keep the one with
+/// the lowest final training loss.
+///
+/// The paper's topologies have as few as two hidden units, where single
+/// initializations occasionally die (all-ReLU-dead); best-of-N restarts
+/// is the standard remedy and stays deterministic in `seed`.
+///
+/// # Panics
+///
+/// Panics if `restarts` is zero or the data is empty.
+#[must_use]
+pub fn train_best_of(
+    topology: &Topology,
+    rows: &[Vec<f32>],
+    labels: &[usize],
+    config: &TrainConfig,
+    restarts: u64,
+) -> (DenseMlp, TrainReport) {
+    train_best_of_observed(topology, rows, labels, config, restarts, |_, _| true)
+}
+
+/// [`train_best_of`] with a per-epoch observer: `on_epoch(restart,
+/// epoch)` runs after every completed epoch of every restart and
+/// returns whether to keep training. Returning `false` abandons the
+/// remaining epochs and restarts; the best network trained so far is
+/// still returned (callers deciding to cancel typically discard it).
+///
+/// # Panics
+///
+/// Panics if `restarts` is zero or the data is empty.
+#[must_use]
+pub fn train_best_of_observed(
+    topology: &Topology,
+    rows: &[Vec<f32>],
+    labels: &[usize],
+    config: &TrainConfig,
+    restarts: u64,
+    mut on_epoch: impl FnMut(u64, usize) -> bool,
+) -> (DenseMlp, TrainReport) {
+    assert!(restarts > 0, "at least one restart required");
+    let trainer = SgdTrainer::new(config.clone());
+    let mut best: Option<(DenseMlp, TrainReport)> = None;
+    for r in 0..restarts {
+        let mut stopped = false;
+        let mut mlp = DenseMlp::random(topology.clone(), config.seed ^ (r * 0x9e37_79b9));
+        let report = trainer.train_observed(&mut mlp, rows, labels, |epoch| {
+            let keep_going = on_epoch(r, epoch);
+            stopped = !keep_going;
+            keep_going
+        });
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| report.train_loss < b.train_loss)
+        {
+            best = Some((mlp, report));
+        }
+        if stopped {
+            break;
+        }
+    }
+    best.expect("restarts > 0")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// Numerically-stable per-row softmax (the oracle's).
+    fn softmax(logits: &[f32]) -> Vec<f32> {
+        let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let exps: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
+        let sum: f32 = exps.iter().sum();
+        exps.iter()
+            .map(|&e| e / sum.max(f32::MIN_POSITIVE))
+            .collect()
+    }
+
+    /// Mean softmax cross-entropy of `mlp` over a labelled set, row by
+    /// row (the oracle's).
+    fn mean_cross_entropy(mlp: &DenseMlp, rows: &[Vec<f32>], labels: &[usize]) -> f64 {
+        assert_eq!(rows.len(), labels.len());
+        if rows.is_empty() {
+            return 0.0;
+        }
+        let mut total = 0.0f64;
+        for (row, &l) in rows.iter().zip(labels) {
+            let probs = softmax(&mlp.logits(row));
+            total -= f64::from(probs[l].max(1e-12)).ln();
+        }
+        total / rows.len() as f64
+    }
+
+    /// The textbook per-sample trainer, kept as the parity oracle: nested
+    /// `Vec` gradients per batch, and a `forward_trace`, softmax and
+    /// delta `Vec` per sample.
+    fn oracle_train_observed(
+        config: &TrainConfig,
+        mlp: &mut DenseMlp,
+        rows: &[Vec<f32>],
+        labels: &[usize],
+        mut on_epoch: impl FnMut(usize) -> bool,
+    ) -> TrainReport {
+        assert_eq!(rows.len(), labels.len());
+        assert!(!rows.is_empty(), "training data must be non-empty");
         let classes = mlp.topology().outputs();
         assert!(labels.iter().all(|&l| l < classes), "label out of range");
 
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xa076_1d64_78bd_642f);
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xa076_1d64_78bd_642f);
         let layer_count = mlp.topology().layer_count();
 
         // Momentum buffers mirroring the parameter shapes.
@@ -117,9 +611,9 @@ impl SgdTrainer {
         let mut evaluations = 0u64;
 
         let mut executed = 0usize;
-        for epoch in 0..self.config.epochs {
+        for epoch in 0..config.epochs {
             order.shuffle(&mut rng);
-            for batch in order.chunks(self.config.batch_size.max(1)) {
+            for batch in order.chunks(config.batch_size.max(1)) {
                 // Accumulate gradients over the batch.
                 let mut grad_w: Vec<Vec<Vec<f32>>> = mlp
                     .weights()
@@ -166,20 +660,22 @@ impl SgdTrainer {
                     }
                 }
 
-                let scale = self.config.learning_rate / batch.len() as f32;
-                let (weights, biases) = mlp.params_mut();
+                let scale = config.learning_rate / batch.len() as f32;
+                let mut weights = mlp.weights().to_vec();
+                let mut biases = mlp.biases().to_vec();
                 for l in 0..layer_count {
                     for j in 0..weights[l].len() {
                         for i in 0..weights[l][j].len() {
                             let v = &mut vel_w[l][j][i];
-                            *v = self.config.momentum * *v - scale * grad_w[l][j][i];
+                            *v = config.momentum * *v - scale * grad_w[l][j][i];
                             weights[l][j][i] += *v;
                         }
                         let vb = &mut vel_b[l][j];
-                        *vb = self.config.momentum * *vb - scale * grad_b[l][j];
+                        *vb = config.momentum * *vb - scale * grad_b[l][j];
                         biases[l][j] += *vb;
                     }
                 }
+                *mlp = DenseMlp::from_parameters(mlp.topology().clone(), weights, biases);
             }
             executed = epoch + 1;
             if !on_epoch(epoch) {
@@ -196,105 +692,247 @@ impl SgdTrainer {
             evaluations,
         }
     }
-}
 
-/// Train `restarts` randomly initialized networks and keep the one with
-/// the lowest final training loss.
-///
-/// The paper's topologies have as few as two hidden units, where single
-/// initializations occasionally die (all-ReLU-dead); best-of-N restarts
-/// is the standard remedy and stays deterministic in `seed`.
-///
-/// # Panics
-///
-/// Panics if `restarts` is zero or the data is empty.
-#[must_use]
-pub fn train_best_of(
-    topology: &crate::topology::Topology,
-    rows: &[Vec<f32>],
-    labels: &[usize],
-    config: &TrainConfig,
-    restarts: u64,
-) -> (DenseMlp, TrainReport) {
-    train_best_of_observed(topology, rows, labels, config, restarts, |_, _| true)
-}
+    /// `Err` naming the first parameter whose bits differ. `DenseMlp`'s
+    /// derived `PartialEq` would treat −0.0 and +0.0 as equal.
+    fn same_bits(a: &DenseMlp, b: &DenseMlp) -> Result<(), String> {
+        if a.topology() != b.topology() {
+            return Err("topologies differ".into());
+        }
+        for (l, (wa, wb)) in a.weights().iter().zip(b.weights()).enumerate() {
+            for (j, (ra, rb)) in wa.iter().zip(wb).enumerate() {
+                for (i, (x, y)) in ra.iter().zip(rb).enumerate() {
+                    if x.to_bits() != y.to_bits() {
+                        return Err(format!("weight [{l}][{j}][{i}]: {x:e} vs {y:e}"));
+                    }
+                }
+            }
+        }
+        for (l, (ba, bb)) in a.biases().iter().zip(b.biases()).enumerate() {
+            for (j, (x, y)) in ba.iter().zip(bb).enumerate() {
+                if x.to_bits() != y.to_bits() {
+                    return Err(format!("bias [{l}][{j}]: {x:e} vs {y:e}"));
+                }
+            }
+        }
+        Ok(())
+    }
 
-/// [`train_best_of`] with a per-epoch observer: `on_epoch(restart,
-/// epoch)` runs after every completed epoch of every restart and
-/// returns whether to keep training. Returning `false` abandons the
-/// remaining epochs and restarts; the best network trained so far is
-/// still returned (callers deciding to cancel typically discard it).
-///
-/// # Panics
-///
-/// Panics if `restarts` is zero or the data is empty.
-#[must_use]
-pub fn train_best_of_observed(
-    topology: &crate::topology::Topology,
-    rows: &[Vec<f32>],
-    labels: &[usize],
-    config: &TrainConfig,
-    restarts: u64,
-    mut on_epoch: impl FnMut(u64, usize) -> bool,
-) -> (DenseMlp, TrainReport) {
-    assert!(restarts > 0, "at least one restart required");
-    let trainer = SgdTrainer::new(config.clone());
-    let mut best: Option<(DenseMlp, TrainReport)> = None;
-    for r in 0..restarts {
-        let mut stopped = false;
-        let mut mlp = DenseMlp::random(topology.clone(), config.seed ^ (r * 0x9e37_79b9));
-        let report = trainer.train_observed(&mut mlp, rows, labels, |epoch| {
-            let keep_going = on_epoch(r, epoch);
-            stopped = !keep_going;
-            keep_going
+    /// A report's fields, floats as bits.
+    fn report_bits(r: &TrainReport) -> (usize, u64, u64, u64) {
+        (
+            r.epochs,
+            r.evaluations,
+            r.train_accuracy.to_bits(),
+            r.train_loss.to_bits(),
+        )
+    }
+
+    /// One random parity case.
+    struct Case {
+        topology: Topology,
+        rows: Vec<Vec<f32>>,
+        labels: Vec<usize>,
+        config: TrainConfig,
+        /// The initial network; with `kill`, every width-1 hidden
+        /// layer's neuron starts with non-positive weights, so on
+        /// non-negative inputs its ReLU is dead from the first sample.
+        init: DenseMlp,
+    }
+
+    fn case(seed: u64, hidden: &[usize], batch_size: usize, momentum: f32, kill: bool) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inputs = rng.gen_range(1..=8);
+        let classes = rng.gen_range(2..=5);
+        let mut sizes = vec![inputs];
+        sizes.extend_from_slice(hidden);
+        sizes.push(classes);
+        let topology = Topology::new(sizes);
+        // Row counts the batch size does not divide (unless it is 1),
+        // some below one batch.
+        let mut count = rng.gen_range(1..=90);
+        if batch_size > 1 && count % batch_size == 0 {
+            count += 1;
+        }
+        let rows: Vec<Vec<f32>> = (0..count)
+            .map(|_| {
+                (0..inputs)
+                    .map(|_| {
+                        if rng.gen_range(0..8) == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0f32..1.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let labels = (0..count).map(|_| rng.gen_range(0..classes)).collect();
+        let config = TrainConfig {
+            learning_rate: [0.02f32, 0.05, 0.3][rng.gen_range(0..3usize)],
+            momentum,
+            epochs: rng.gen_range(1..=6),
+            batch_size,
+            seed: rng.gen(),
+        };
+        let mut init = DenseMlp::random(topology.clone(), rng.gen());
+        if kill {
+            let mut weights = init.weights().to_vec();
+            for (l, layer) in weights.iter_mut().enumerate() {
+                if l + 1 < topology.layer_count() && layer.len() == 1 {
+                    for w in &mut layer[0] {
+                        *w = -w.abs();
+                    }
+                }
+            }
+            init = DenseMlp::from_parameters(topology.clone(), weights, init.biases().to_vec());
+        }
+        Case {
+            topology,
+            rows,
+            labels,
+            config,
+            init,
+        }
+    }
+
+    fn check_parity(case: &Case, stop_at: usize) -> Result<(), String> {
+        let trainer = SgdTrainer::new(case.config.clone());
+        let (rows, labels) = (&case.rows, &case.labels);
+
+        let mut fast = case.init.clone();
+        let mut oracle = case.init.clone();
+        let report = trainer.train(&mut fast, rows, labels);
+        let expected = oracle_train_observed(&case.config, &mut oracle, rows, labels, |_| true);
+        same_bits(&fast, &oracle).map_err(|e| format!("full run: {e}"))?;
+        if report_bits(&report) != report_bits(&expected) {
+            return Err(format!("full run: {report:?} vs {expected:?}"));
+        }
+
+        // Early stop after epoch `stop_at`: the same prefix, the same
+        // observer calls.
+        let (mut fast_calls, mut oracle_calls) = (Vec::new(), Vec::new());
+        let mut fast = case.init.clone();
+        let mut oracle = case.init.clone();
+        let report = trainer.train_observed(&mut fast, rows, labels, |e| {
+            fast_calls.push(e);
+            e < stop_at
         });
-        if best
-            .as_ref()
-            .is_none_or(|(_, b)| report.train_loss < b.train_loss)
-        {
-            best = Some((mlp, report));
+        let expected = oracle_train_observed(&case.config, &mut oracle, rows, labels, |e| {
+            oracle_calls.push(e);
+            e < stop_at
+        });
+        same_bits(&fast, &oracle).map_err(|e| format!("stopped at {stop_at}: {e}"))?;
+        if report_bits(&report) != report_bits(&expected) || fast_calls != oracle_calls {
+            return Err(format!(
+                "stopped at {stop_at}: {report:?} after {fast_calls:?} vs \
+                 {expected:?} after {oracle_calls:?}"
+            ));
         }
-        if stopped {
-            break;
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The batched trainer reproduces the per-sample oracle bit for
+        /// bit: every weight and bias, the report, and an early-stopped
+        /// prefix. One to three hidden layers, width-1 layers (dead
+        /// ReLUs with `kill`), batch sizes 1, 7, 32 and 33 over row
+        /// counts they do not divide, momentum 0 and 0.9.
+        #[test]
+        fn batched_training_matches_the_per_sample_oracle(
+            seed in any::<u64>(),
+            hidden in proptest::collection::vec(1usize..=5, 1..=3),
+            batch_size in prop_oneof![Just(1usize), Just(7), Just(32), Just(33)],
+            momentum in prop_oneof![Just(0.0f32), Just(0.9)],
+            kill in any::<bool>(),
+            stop_at in 0usize..6,
+        ) {
+            let case = case(seed, &hidden, batch_size, momentum, kill);
+            let outcome = check_parity(&case, stop_at.min(case.config.epochs - 1));
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        /// `train_best_of_observed` cancelled at a random (restart,
+        /// epoch) makes the same observer calls and returns the same
+        /// network and report as best-of over the oracle.
+        #[test]
+        fn cancelled_best_of_matches_the_oracle(
+            seed in any::<u64>(),
+            hidden in proptest::collection::vec(1usize..=4, 1..=2),
+            cancel_restart in 0u64..3,
+            cancel_epoch in 0usize..6,
+        ) {
+            let case = case(seed, &hidden, 7, 0.9, false);
+            let epochs = case.config.epochs;
+            let cancel_epoch = cancel_epoch.min(epochs - 1);
+            let (rows, labels, cfg) = (&case.rows, &case.labels, &case.config);
+            let mut calls = 0u64;
+            let (mlp, report) =
+                train_best_of_observed(&case.topology, rows, labels, cfg, 3, |r, e| {
+                    calls += 1;
+                    (r, e) != (cancel_restart, cancel_epoch)
+                });
+            prop_assert_eq!(calls, cancel_restart * epochs as u64 + cancel_epoch as u64 + 1);
+
+            let mut best: Option<(DenseMlp, TrainReport)> = None;
+            for r in 0..=cancel_restart {
+                let init_seed = cfg.seed ^ (r * 0x9e37_79b9);
+                let mut oracle = DenseMlp::random(case.topology.clone(), init_seed);
+                let expected = oracle_train_observed(cfg, &mut oracle, rows, labels, |e| {
+                    (r, e) != (cancel_restart, cancel_epoch)
+                });
+                if best.as_ref().is_none_or(|(_, b)| expected.train_loss < b.train_loss) {
+                    best = Some((oracle, expected));
+                }
+            }
+            let (oracle, expected) = best.expect("at least one restart");
+            let outcome = same_bits(&mlp, &oracle);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+            prop_assert_eq!(report_bits(&report), report_bits(&expected));
         }
     }
-    best.expect("restarts > 0")
-}
 
-/// Numerically-stable softmax.
-#[must_use]
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.iter()
-        .map(|&e| e / sum.max(f32::MIN_POSITIVE))
-        .collect()
-}
-
-/// Mean softmax cross-entropy of `mlp` over a labelled set.
-///
-/// # Panics
-///
-/// Panics if `rows` and `labels` differ in length.
-#[must_use]
-pub fn mean_cross_entropy(mlp: &DenseMlp, rows: &[Vec<f32>], labels: &[usize]) -> f64 {
-    assert_eq!(rows.len(), labels.len());
-    if rows.is_empty() {
-        return 0.0;
+    /// The parity cases are not vacuous: training moves the weights, and
+    /// `kill` really leaves a width-1 hidden layer dead.
+    #[test]
+    fn parity_cases_train_and_kill() {
+        let case = case(3, &[1, 4], 7, 0.9, true);
+        let mut mlp = case.init.clone();
+        let _ = SgdTrainer::new(case.config.clone()).train(&mut mlp, &case.rows, &case.labels);
+        assert!(
+            same_bits(&mlp, &case.init).is_err(),
+            "training moved nothing"
+        );
+        assert!(case.rows.iter().all(|r| mlp.forward_trace(r)[1][0] == 0.0));
+        assert_eq!(
+            mlp.weights()[0],
+            case.init.weights()[0],
+            "a dead neuron learns nothing"
+        );
     }
-    let mut total = 0.0f64;
-    for (row, &l) in rows.iter().zip(labels) {
-        let probs = softmax(&mlp.logits(row));
-        total -= f64::from(probs[l].max(1e-12)).ln();
-    }
-    total / rows.len() as f64
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::topology::Topology;
+    /// Tied logits count as a prediction of the first class, as
+    /// `DenseMlp::predict` breaks ties.
+    #[test]
+    fn the_report_breaks_logit_ties_toward_the_first_class() {
+        let zero = DenseMlp::from_parameters(
+            Topology::new(vec![2, 3, 3]),
+            vec![vec![vec![0.0; 2]; 3], vec![vec![0.0; 3]; 3]],
+            vec![vec![0.0; 3]; 2],
+        );
+        let rows = vec![vec![0.5, 0.25]; 6];
+        let labels = [0, 1, 0, 2, 0, 1];
+        let config = TrainConfig {
+            epochs: 0,
+            ..TrainConfig::default()
+        };
+        let report = SgdTrainer::new(config.clone()).train(&mut zero.clone(), &rows, &labels);
+        let expected = oracle_train_observed(&config, &mut zero.clone(), &rows, &labels, |_| true);
+        assert_eq!(report.train_accuracy, 0.5);
+        assert_eq!(report_bits(&report), report_bits(&expected));
+    }
 
     /// Two well-separated blobs in 2D.
     fn toy_problem() -> (Vec<Vec<f32>>, Vec<usize>) {
@@ -405,11 +1043,27 @@ mod tests {
         assert_eq!(report.epochs, 10);
     }
 
+    /// The batched softmax sums to one per sample, keeps the logits'
+    /// order, and equals the per-row softmax bit for bit.
     #[test]
     fn softmax_sums_to_one() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
-        let sum: f32 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
+        let samples = [[1.0f32, 2.0, 3.0], [0.0, -0.0, 0.0], [-50.0, 40.0, 39.5]];
+        let mut arena = Arena::new(&[1, 3], samples.len());
+        let width = arena.width;
+        for (s, logits) in samples.iter().enumerate() {
+            for (j, &z) in logits.iter().enumerate() {
+                arena.acts[1][j * width + s] = z;
+            }
+        }
+        arena.softmax(samples.len());
+        for (s, logits) in samples.iter().enumerate() {
+            let p: Vec<f32> = (0..3).map(|j| arena.deltas[0][j * width + s]).collect();
+            let sum: f32 = p.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-6);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p), bits(&softmax(logits)));
+        }
+        let p = softmax(&samples[0]);
         assert!(p[2] > p[1] && p[1] > p[0]);
     }
 

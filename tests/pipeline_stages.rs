@@ -6,10 +6,10 @@
 use std::sync::{Arc, Mutex};
 
 use printed_mlps::axc::{
-    AxTrainConfig, CancelToken, FlowError, Pipeline, ProgressEvent, RunManyOptions, StageKind,
-    Study, StudyConfig,
+    AxTrainConfig, CancelToken, FlowError, Pipeline, Prepared, ProgressEvent, RunManyOptions,
+    StageKind, Study, StudyConfig,
 };
-use printed_mlps::datasets::Dataset;
+use printed_mlps::datasets::{Dataset, DatasetError};
 use printed_mlps::hw::TechLibrary;
 use printed_mlps::nsga::NsgaConfig;
 
@@ -186,6 +186,50 @@ fn nominal_cached_search_is_not_reused_by_a_robust_study() {
 fn untimed(mut selected: printed_mlps::axc::Selected) -> printed_mlps::axc::Selected {
     selected.searched.outcome.ga_wall = std::time::Duration::ZERO;
     selected
+}
+
+#[test]
+fn a_hand_edited_prepared_cache_file_is_a_typed_error() {
+    let dir = fresh_dir("edited-prepared");
+    let (pipeline, _) = recording_pipeline(Dataset::BreastCancer, 3, Some(&dir));
+    let original = pipeline.prepared().expect("prepared");
+    let path = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|entry| entry.expect("entry").path())
+        .find(|path| path.to_string_lossy().ends_with("-prepared.json"))
+        .expect("a prepared stage file");
+    // Dataset and seed still match, so the pipeline loads the file.
+    type Edit = fn(&mut Prepared);
+    let edits: [(Edit, DatasetError); 2] = [
+        (
+            |p| p.float_train.labels[0] = 7,
+            DatasetError::LabelOutOfRange {
+                row: 0,
+                label: 7,
+                classes: 2,
+            },
+        ),
+        (
+            |p| {
+                p.float_train.features[4].pop();
+            },
+            DatasetError::RaggedRow {
+                row: 4,
+                expected: 10,
+                found: 9,
+            },
+        ),
+    ];
+    for (edit, expected) in edits {
+        let mut edited = original.clone();
+        edit(&mut edited);
+        std::fs::write(&path, serde_json::to_string(&edited).expect("json")).expect("write");
+        let (pipeline, events) = recording_pipeline(Dataset::BreastCancer, 3, Some(&dir));
+        let result = pipeline.float_trained();
+        assert_eq!(result.err(), Some(FlowError::Dataset(expected)));
+        assert_eq!(loaded_stages(&events), vec![StageKind::Prepared]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
