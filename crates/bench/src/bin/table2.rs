@@ -7,11 +7,12 @@
 
 use pe_bench::format::write_json;
 use pe_bench::study::run_studies;
-use pe_bench::{table2, BudgetPreset, Knobs};
+use pe_bench::{study_config, table2, BudgetPreset, Knobs};
 
 fn main() {
     let knobs = Knobs::from_env_or_exit();
-    let studies = run_studies(&knobs, knobs.budget.unwrap_or(BudgetPreset::Full), 0);
+    let budget = knobs.budget.unwrap_or(BudgetPreset::Full);
+    let studies = run_studies(&knobs, budget, 0);
     let rows = table2::rows(&studies);
     println!("{}", table2::render(&rows));
     let (ga, gp) = table2::geomean_reductions(&rows);
@@ -20,5 +21,8 @@ fn main() {
         ga.map_or("-".into(), |v| format!("{v:.1}x")),
         gp.map_or("-".into(), |v| format!("{v:.1}x")),
     );
+    for note in table2::notes(&studies, study_config(budget, 0).accuracy_loss_budget) {
+        println!("{note}");
+    }
     write_json("table2", &rows);
 }

@@ -12,12 +12,6 @@
 //!   restarted, and must resume from its checkpoint to a `Selected`
 //!   artifact byte-identical (wall-clock zeroed) to an uninterrupted
 //!   baseline run's.
-//! * **island-search** — the same study run as a 2-island archipelago
-//!   is killed at a seeded *migration epoch*
-//!   ([`pe_store::fault::SITE_ISLAND_MIGRATION`]); the restart must
-//!   resume mid-epoch from the per-island checkpoint files, re-run the
-//!   interrupted migration, and still land a byte-identical `Selected`
-//!   artifact.
 //! * **atomic-write** — [`pe_store::atomic_write`] is killed after
 //!   half its temp-file bytes; the destination must keep its previous
 //!   contents, and a retry must fully replace them.
@@ -128,21 +122,6 @@ pub fn drill_config(seed: u64) -> StudyConfig {
 /// it).
 const DRILL_GENERATIONS: u64 = 12;
 
-/// Islands of the island-search drill cycles.
-const DRILL_ISLANDS: usize = 2;
-
-/// Migration cadence of the island drill (every 2 of 12 generations ⇒
-/// migrations after generations 2, 4, 6, 8 and 10 — the final epoch
-/// boundary at 12 only merges).
-const DRILL_MIGRATION_EVERY: usize = 2;
-
-/// Elites each island emits per drill migration.
-const DRILL_MIGRANTS: usize = 2;
-
-/// `SITE_ISLAND_MIGRATION` arrivals per drill run (the seeded kill
-/// span): one per migration epoch below the generation budget.
-const DRILL_MIGRATIONS: u64 = (DRILL_GENERATIONS - 1) / DRILL_MIGRATION_EVERY as u64;
-
 /// Records per store-append drill.
 const APPEND_COUNT: usize = 6;
 
@@ -192,24 +171,13 @@ pub fn child_dispatch(knobs: &Knobs) -> bool {
         "study" => {
             let cache: PathBuf = var("PE_DRILL_CACHE").into();
             let seed: u64 = var("PE_DRILL_SEED").parse().expect("seed parses");
-            let islands: usize = std::env::var("PE_DRILL_ISLANDS")
-                .ok()
-                .map(|v| v.parse().expect("island count parses"))
-                .unwrap_or(0);
             // Cadence 1 maximizes resume coverage: every generation is
             // a potential resume point. Cadence never affects results.
-            let mut study = Study::for_dataset(Dataset::BreastCancer)
+            let selected = Study::for_dataset(Dataset::BreastCancer)
                 .config(drill_config(seed))
                 .cache_dir(cache)
                 .checkpoint_every(1)
-                .eval_threads(knobs.thread_budget());
-            if islands >= 2 {
-                study = study
-                    .islands(islands)
-                    .migration_every(DRILL_MIGRATION_EVERY)
-                    .migrants(DRILL_MIGRANTS);
-            }
-            let selected = study
+                .eval_threads(knobs.thread_budget())
                 .finish()
                 .expect("drill config is valid")
                 .run()
@@ -289,35 +257,20 @@ fn zeroed_selected(dir: &Path) -> Result<String, String> {
 }
 
 /// Completed generations in the checkpoint left under `dir`, if one
-/// survived the crash. Reads both checkpoint shapes: a plain search
-/// leaves a [`pe_nsga::SearchCheckpoint`]; an island search leaves a
-/// [`pe_nsga::IslandCheckpoint`] epoch file (whose generation is the
-/// last *completed migration epoch* — a mid-epoch kill resumes further
-/// ahead from the per-island files next to it).
+/// survived the crash.
 fn checkpoint_generation(dir: &Path) -> Option<usize> {
     let path = find_suffix(dir, ".ckpt.json")?;
     let text = std::fs::read_to_string(path).ok()?;
-    if let Ok(cp) = serde_json::from_str::<pe_nsga::SearchCheckpoint>(&text) {
-        return Some(cp.generation);
-    }
-    serde_json::from_str::<pe_nsga::IslandCheckpoint>(&text)
+    serde_json::from_str::<pe_nsga::SearchCheckpoint>(&text)
         .ok()
         .map(|cp| cp.generation)
 }
 
-fn study_envs(
-    cache: &Path,
-    seed: u64,
-    fault: Option<&str>,
-    islands: usize,
-) -> Vec<(&'static str, String)> {
+fn study_envs(cache: &Path, seed: u64, fault: Option<&str>) -> Vec<(&'static str, String)> {
     let mut envs = vec![
         ("PE_DRILL_CACHE", cache.display().to_string()),
         ("PE_DRILL_SEED", seed.to_string()),
     ];
-    if islands >= 2 {
-        envs.push(("PE_DRILL_ISLANDS", islands.to_string()));
-    }
     if let Some(plan) = fault {
         envs.push(("PE_FAULT", plan.to_owned()));
     }
@@ -326,26 +279,14 @@ fn study_envs(
 
 /// One search crash/resume cycle: arm `fault`, expect the child to
 /// die, resume without the fault, compare artifacts against
-/// `baseline_json`. `islands >= 2` runs the study as an archipelago
-/// (the `island-search` stage).
-fn search_cycle(
-    scratch: &Path,
-    index: usize,
-    fault: &str,
-    baseline_json: &str,
-    islands: usize,
-) -> DrillCycle {
+/// `baseline_json`.
+fn search_cycle(scratch: &Path, index: usize, fault: &str, baseline_json: &str) -> DrillCycle {
     let seed = 9;
-    let stage = if islands >= 2 {
-        "island-search"
-    } else {
-        "search"
-    };
-    let dir = scratch.join(format!("{stage}-{index}"));
+    let dir = scratch.join(format!("search-{index}"));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut cycle = DrillCycle {
-        stage: stage.to_owned(),
+        stage: "search".to_owned(),
         fault: fault.to_owned(),
         crashed: false,
         resumed_from_generation: None,
@@ -353,7 +294,7 @@ fn search_cycle(
         identical: false,
         detail: String::new(),
     };
-    let crash = match spawn_child("study", &study_envs(&dir, seed, Some(fault), islands)) {
+    let crash = match spawn_child("study", &study_envs(&dir, seed, Some(fault))) {
         Ok(run) => run,
         Err(e) => {
             cycle.detail = format!("cannot spawn crash child: {e}");
@@ -367,7 +308,7 @@ fn search_cycle(
     }
     cycle.resumed_from_generation = checkpoint_generation(&dir);
 
-    let resume = match spawn_child("study", &study_envs(&dir, seed, None, islands)) {
+    let resume = match spawn_child("study", &study_envs(&dir, seed, None)) {
         Ok(run) => run,
         Err(e) => {
             cycle.detail = format!("cannot spawn resume child: {e}");
@@ -614,13 +555,12 @@ fn concurrent_append_cycle(scratch: &Path, index: usize) -> DrillCycle {
 
 /// Run the whole drill under `scratch` (wiped first): one baseline
 /// study, then 12 search kills (8 per-generation, 2 per-wave, 2 error
-/// path), one island baseline plus 3 island-search kills at seeded
-/// migration epochs, 4 torn atomic writes, 4 torn store appends, and 2
-/// two-process concurrency checks — 25 cycles.
+/// path), 4 torn atomic writes, 4 torn store appends, and 2
+/// two-process concurrency checks — 22 cycles.
 ///
 /// # Panics
 ///
-/// Panics when the scratch directory or a baseline study cannot be
+/// Panics when the scratch directory or the baseline study cannot be
 /// set up at all; individual cycle failures are reported, not fatal.
 #[must_use]
 pub fn run(scratch: &Path) -> FaultDrillReport {
@@ -628,7 +568,7 @@ pub fn run(scratch: &Path) -> FaultDrillReport {
     std::fs::create_dir_all(scratch).expect("can create the drill scratch directory");
 
     let baseline_dir = scratch.join("baseline");
-    let baseline = spawn_child("study", &study_envs(&baseline_dir, 9, None, 0))
+    let baseline = spawn_child("study", &study_envs(&baseline_dir, 9, None))
         .expect("can spawn the baseline child");
     assert!(
         baseline.success,
@@ -637,46 +577,19 @@ pub fn run(scratch: &Path) -> FaultDrillReport {
     );
     let baseline_json = zeroed_selected(&baseline_dir).expect("baseline Selected artifact loads");
 
-    // The island cycles compare against their own uninterrupted
-    // archipelago run — a different engine, a different (equally
-    // deterministic) merged front.
-    let island_baseline_dir = scratch.join("island-baseline");
-    let island_baseline = spawn_child(
-        "study",
-        &study_envs(&island_baseline_dir, 9, None, DRILL_ISLANDS),
-    )
-    .expect("can spawn the island baseline child");
-    assert!(
-        island_baseline.success,
-        "uninterrupted island baseline study failed: {}",
-        island_baseline.stderr.trim()
-    );
-    let island_baseline_json =
-        zeroed_selected(&island_baseline_dir).expect("island baseline Selected artifact loads");
-
     let mut cycles = Vec::new();
     let span = DRILL_GENERATIONS - 1;
     for i in 0..8 {
         let fault = format!("kill@searched_generation:s{i}/{span}");
-        cycles.push(search_cycle(scratch, i, &fault, &baseline_json, 0));
+        cycles.push(search_cycle(scratch, i, &fault, &baseline_json));
     }
     for i in 8..10 {
         let fault = format!("kill@eval_batch:s{i}/{DRILL_GENERATIONS}");
-        cycles.push(search_cycle(scratch, i, &fault, &baseline_json, 0));
+        cycles.push(search_cycle(scratch, i, &fault, &baseline_json));
     }
     for i in 10..12 {
         let fault = format!("err@searched_generation:s{i}/{span}");
-        cycles.push(search_cycle(scratch, i, &fault, &baseline_json, 0));
-    }
-    for i in 0..3 {
-        let fault = format!("kill@island_migration:s{i}/{DRILL_MIGRATIONS}");
-        cycles.push(search_cycle(
-            scratch,
-            i,
-            &fault,
-            &island_baseline_json,
-            DRILL_ISLANDS,
-        ));
+        cycles.push(search_cycle(scratch, i, &fault, &baseline_json));
     }
     for i in 0..4 {
         cycles.push(atomic_write_cycle(scratch, i));

@@ -10,9 +10,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use printed_axc::{RunManyOptions, StudyConfig};
+use printed_axc::RunManyOptions;
 
-use crate::study::{study_config, BudgetPreset};
+use crate::study::BudgetPreset;
 
 /// Every knob the bench bins honour, with the variable it comes from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -26,12 +26,6 @@ pub struct Knobs {
     pub store: Option<PathBuf>,
     /// `PE_CACHE_DIR`: a stage-cache directory.
     pub cache_dir: Option<PathBuf>,
-    /// `PE_ISLANDS`: island count of the studies (`0`/`1` = one
-    /// population); `None` leaves the preset's value.
-    pub islands: Option<usize>,
-    /// `PE_MIGRATE_EVERY`: island migration cadence in generations (`0`
-    /// = the library default); `None` leaves the preset's value.
-    pub migrate_every: Option<usize>,
 }
 
 /// A knob set to a value it does not accept.
@@ -100,8 +94,6 @@ impl Knobs {
             threads: count("PE_THREADS")?.unwrap_or(0),
             store: get("PE_STORE").map(PathBuf::from),
             cache_dir: get("PE_CACHE_DIR").map(PathBuf::from),
-            islands: count("PE_ISLANDS")?,
-            migrate_every: count("PE_MIGRATE_EVERY")?,
         })
     }
 
@@ -122,21 +114,6 @@ impl Knobs {
             0 => printed_axc::thread_budget(),
             threads => threads,
         }
-    }
-
-    /// [`study_config`] with the island knobs applied on top. Unset,
-    /// the configuration keeps the single-population engine — and its
-    /// byte-identical artifacts and cache keys.
-    #[must_use]
-    pub fn study_config(&self, budget: BudgetPreset, seed: u64) -> StudyConfig {
-        let mut config = study_config(budget, seed);
-        if let Some(islands) = self.islands {
-            config.islands = islands;
-        }
-        if let Some(every) = self.migrate_every {
-            config.migration_every = every;
-        }
-        config
     }
 
     /// Worker-pool options for [`printed_axc::Pipeline::run_many`]: the
@@ -218,8 +195,6 @@ mod tests {
             ("PE_THREADS", "2"),
             ("PE_STORE", "/tmp/store.jsonl"),
             ("PE_CACHE_DIR", "cache"),
-            ("PE_ISLANDS", "4"),
-            ("PE_MIGRATE_EVERY", "0"),
             ("PE_UNRELATED", "x"),
         ]);
         let expected = Knobs {
@@ -227,8 +202,6 @@ mod tests {
             threads: 2,
             store: Some(PathBuf::from("/tmp/store.jsonl")),
             cache_dir: Some(PathBuf::from("cache")),
-            islands: Some(4),
-            migrate_every: Some(0),
         };
         assert_eq!(parsed, Ok(expected.clone()));
         assert_eq!(expected.thread_budget(), 2);
@@ -242,8 +215,7 @@ mod tests {
             ("PE_BUDGET", "Quick", "quick, full"),
             ("PE_THREADS", "two", COUNT),
             ("PE_THREADS", "-1", COUNT),
-            ("PE_ISLANDS", "four", COUNT),
-            ("PE_MIGRATE_EVERY", "5.0", COUNT),
+            ("PE_THREADS", "2.0", COUNT),
         ] {
             let err = knobs(&[(variable, value)]).expect_err("malformed knob");
             let message = err.to_string();
@@ -263,18 +235,5 @@ mod tests {
                 }
             );
         }
-    }
-
-    #[test]
-    fn island_knobs_override_the_preset_only_when_set() {
-        let plain = Knobs::default().study_config(BudgetPreset::Quick, 3);
-        assert_eq!(plain, study_config(BudgetPreset::Quick, 3));
-        let islands = Knobs {
-            islands: Some(4),
-            migrate_every: Some(7),
-            ..Knobs::default()
-        }
-        .study_config(BudgetPreset::Quick, 3);
-        assert_eq!((islands.islands, islands.migration_every), (4, 7));
     }
 }

@@ -19,9 +19,8 @@
 //! multi-technology / multi-voltage cost [`sweep`]
 //! (`BENCH_cost.json`), the nominal-vs-robust variation
 //! comparison [`robust`] (`BENCH_robust.json`), the design-store
-//! ingest/query benchmark [`store_query`] (`BENCH_store.json`), the
-//! crash/resume [`fault_drill`] (`BENCH_fault.json`) and the
-//! island-model scaling sweep [`island`] (`BENCH_islands.json`).
+//! ingest/query benchmark [`store_query`] (`BENCH_store.json`) and the
+//! crash/resume [`fault_drill`] (`BENCH_fault.json`).
 //!
 //! Configuration is resolved once at the binary edge: every bin reads
 //! its environment knobs into one [`Knobs`] value before any work and
@@ -40,7 +39,6 @@ pub mod fault_drill;
 pub mod fig4;
 pub mod fig5;
 pub mod format;
-pub mod island;
 pub mod knobs;
 pub mod robust;
 pub mod store_query;

@@ -19,7 +19,7 @@ use printed_axc::{derive_seed, mc_accuracy, Pipeline, Selected};
 
 use crate::format::render_table;
 use crate::knobs::Knobs;
-use crate::study::{observed_options, BudgetPreset};
+use crate::study::{observed_options, study_config, BudgetPreset};
 
 /// Monte-Carlo trials the *search* optimizes over (kept small — it
 /// multiplies the fitness cost of every robust evaluation).
@@ -79,7 +79,7 @@ pub struct RobustRow {
 #[must_use]
 pub fn compare(knobs: &Knobs, budget: BudgetPreset, master_seed: u64) -> Vec<RobustRow> {
     let model = VariationModel::printed_egfet();
-    let nominal_cfg = knobs.study_config(budget, master_seed);
+    let nominal_cfg = study_config(budget, master_seed);
     let mut robust_cfg = nominal_cfg.clone();
     robust_cfg.variation = Some(VariationConfig::new(model, SEARCH_TRIALS));
 

@@ -33,7 +33,7 @@ use printed_axc::{
 
 use crate::format::render_table;
 use crate::knobs::Knobs;
-use crate::study::BudgetPreset;
+use crate::study::{study_config, BudgetPreset};
 use crate::sweep::SUPPLY_GRID;
 
 /// One timed store query of the scenario grid.
@@ -122,7 +122,7 @@ fn run_suite(config: &StudyConfig, opts: &RunManyOptions) -> (Vec<Selected>, f64
 /// live pipeline's selection — all three are bugs, not conditions.
 #[must_use]
 pub fn run(knobs: &Knobs, budget: BudgetPreset, seed: u64) -> StoreBenchReport {
-    let config = knobs.study_config(budget, seed);
+    let config = study_config(budget, seed);
     // Deliberately NOT `knobs.run_many_options()`: a `PE_STORE` knob
     // must not contaminate the storeless baseline timing.
     let opts = RunManyOptions::with_threads(knobs.thread_budget());

@@ -31,8 +31,7 @@ pub enum BudgetPreset {
 /// The study configuration used by every experiment at the given
 /// budget — a pure function of its arguments. One master seed governs
 /// the whole flow (each dataset runs at a seed derived from it), so
-/// tables regenerate bit-identically. The bins apply their island
-/// knobs on top through [`Knobs::study_config`].
+/// tables regenerate bit-identically.
 #[must_use]
 pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
     match budget {
@@ -80,18 +79,9 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
 /// attached. Robust to several GA runs
 /// per dataset (each search's cumulative counters restart at zero; a
 /// decrease folds the finished run into the total).
-///
-/// Island runs stream two disjoint counter families: each island tags
-/// its genome-memo counters with [`ProgressEvent::Island`] (tallied
-/// under `(dataset, Some(island))`), while the coordinator's untagged
-/// per-epoch events carry only the shared problem-level counters
-/// (tallied under `(dataset, None)`). Keying by island keeps the
-/// per-run restart detection sound — island streams restart
-/// independently — and summing every key recovers the run-wide totals
-/// without double counting.
 #[derive(Debug, Default)]
 pub struct EvalCacheSummary {
-    tallies: Mutex<HashMap<(Dataset, Option<usize>), CacheTally>>,
+    tallies: Mutex<HashMap<Dataset, CacheTally>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -134,21 +124,12 @@ impl EvalCacheSummary {
     /// `generation == 0` marks the start of a new GA run (its
     /// cumulative counters restart), so the previous run's totals are
     /// folded deterministically; a component-wise decrease is kept as
-    /// a backstop for engines that skip the marker. Island-tagged
-    /// events are unwrapped and tallied under their island id.
+    /// a backstop for engines that skip the marker.
     pub fn observe(&self, dataset: Dataset, event: &ProgressEvent) {
-        if let ProgressEvent::Island { island, event } = event {
-            self.observe_keyed(dataset, Some(*island), event);
-        } else {
-            self.observe_keyed(dataset, None, event);
-        }
-    }
-
-    fn observe_keyed(&self, dataset: Dataset, island: Option<usize>, event: &ProgressEvent) {
         let current = match *event {
             ProgressEvent::GaGeneration { generation: 0, .. } => {
                 let mut tallies = self.tallies.lock().unwrap_or_else(|e| e.into_inner());
-                tallies.entry((dataset, island)).or_default().fold_last();
+                tallies.entry(dataset).or_default().fold_last();
                 return;
             }
             ProgressEvent::EvalCache {
@@ -183,7 +164,7 @@ impl EvalCacheSummary {
         };
         let (current, shards) = current;
         let mut tallies = self.tallies.lock().unwrap_or_else(|e| e.into_inner());
-        let tally = tallies.entry((dataset, island)).or_default();
+        let tally = tallies.entry(dataset).or_default();
         if current.iter().zip(&tally.last).any(|(c, l)| c < l) {
             tally.fold_last(); // backstop: counters restarted unannounced
         }
@@ -285,7 +266,7 @@ pub fn observed_options(knobs: &Knobs) -> (RunManyOptions, Arc<EvalCacheSummary>
 #[must_use]
 pub fn run_selected(knobs: &Knobs, budget: BudgetPreset, master_seed: u64) -> Vec<Selected> {
     let (opts, summary) = observed_options(knobs);
-    let config = knobs.study_config(budget, master_seed);
+    let config = study_config(budget, master_seed);
     let selected = Pipeline::run_many_selected(&Dataset::ALL, &config, &opts)
         .expect("bench presets are valid and uncancelled");
     println!("{}", summary.render());
@@ -305,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn island_tagged_counters_fold_separately() {
+    fn counters_fold_per_dataset_and_per_run() {
         let summary = EvalCacheSummary::default();
         let eval = |hits| ProgressEvent::EvalCache {
             hits,
@@ -322,17 +303,19 @@ mod tests {
             store_deduplicated: 0,
             store_bytes: 0,
         };
-        let tag = |island, event: ProgressEvent| ProgressEvent::Island {
-            island,
-            event: Box::new(event),
+        let restart = ProgressEvent::GaGeneration {
+            generation: 0,
+            generations: 2,
+            evaluations: 0,
         };
-        // Two islands stream cumulative memo counters independently
-        // (island 0 reports twice — only its latest value may count),
-        // while the coordinator's untagged stream tallies on its own
-        // key. Totals are the sum of the three latest values.
-        summary.observe(Dataset::BreastCancer, &tag(0, eval(10)));
-        summary.observe(Dataset::BreastCancer, &tag(1, eval(7)));
-        summary.observe(Dataset::BreastCancer, &tag(0, eval(12)));
+        // Two datasets stream cumulative counters concurrently (Breast
+        // Cancer reports twice — only its latest value may count), then
+        // Breast Cancer starts a second GA run, whose counters restart
+        // and add to the first run's. Totals are 12 + 7 + 5.
+        summary.observe(Dataset::BreastCancer, &eval(10));
+        summary.observe(Dataset::Cardio, &eval(7));
+        summary.observe(Dataset::BreastCancer, &eval(12));
+        summary.observe(Dataset::BreastCancer, &restart);
         summary.observe(Dataset::BreastCancer, &eval(5));
         let line = summary.render();
         assert!(line.contains("genome memo 24 hits / 3 misses"), "{line}");

@@ -99,6 +99,47 @@ pub fn render(rows: &[Table2Row]) -> String {
     )
 }
 
+/// The lines printed under the table: one per dataset without a
+/// selected design, giving the smallest test-accuracy loss
+/// (`baseline_test_accuracy − test_accuracy`) any member of its front
+/// reached against `loss_budget`, then the power-model caveat.
+#[must_use]
+pub fn notes(studies: &[DatasetStudy], loss_budget: f64) -> Vec<String> {
+    let mut lines: Vec<String> = studies
+        .iter()
+        .filter(|s| s.selected.is_none())
+        .map(|s| {
+            let front: Vec<f64> = s.outcome.front.iter().map(|p| p.test_accuracy).collect();
+            empty_row_note(
+                s.dataset.spec().name,
+                s.baseline_test_accuracy,
+                &front,
+                loss_budget,
+            )
+        })
+        .collect();
+    lines.push(
+        "PowerRed equals AreaRed by construction: power_mw = GE x power_per_ge_mw.".to_owned(),
+    );
+    lines
+}
+
+/// Why `name`'s row is empty, from its baseline test accuracy and its
+/// front members' test accuracies.
+fn empty_row_note(name: &str, baseline: f64, front: &[f64], loss_budget: f64) -> String {
+    match front
+        .iter()
+        .map(|accuracy| baseline - accuracy)
+        .min_by(f64::total_cmp)
+    {
+        Some(loss) => format!(
+            "{name}: no design within the loss budget; the closest front member \
+             loses {loss:.3} test accuracy (budget {loss_budget:.3})"
+        ),
+        None => format!("{name}: no design within the loss budget; the front is empty"),
+    }
+}
+
 /// Geometric-mean reduction across rows (the paper quotes averages of
 /// 181× area / 203× power; a geometric mean is the fair aggregate for
 /// ratios and is reported alongside).
@@ -151,6 +192,22 @@ mod tests {
         assert_eq!(paper_reductions(Dataset::BreastCancer), (288.0, 274.0));
         assert_eq!(paper_reductions(Dataset::Pendigits), (5.3, 5.3));
         assert_eq!(paper_reductions(Dataset::RedWine), (470.0, 579.0));
+    }
+
+    #[test]
+    fn notes_give_the_closest_loss_of_an_empty_row() {
+        let note = empty_row_note("Pendigits", 0.9, &[0.7, 0.82, 0.6], 0.05);
+        assert!(note.starts_with("Pendigits:"), "{note}");
+        assert!(
+            note.contains("loses 0.080 test accuracy (budget 0.050)"),
+            "{note}"
+        );
+        let empty = empty_row_note("RedWine", 0.6, &[], 0.05);
+        assert!(empty.contains("the front is empty"), "{empty}");
+        // With no empty rows only the power-model caveat remains.
+        let lines = notes(&[], 0.05);
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains("PowerRed equals AreaRed"), "{}", lines[0]);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! run's artifacts byte for byte (the RNG stream, population
 //! annotations and evaluation counters are all part of the snapshot).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use pe_nsga::{CheckpointSink, IslandCheckpoint, IslandConfig, NsgaConfig, SearchCheckpoint};
+use pe_nsga::{CheckpointSink, NsgaConfig, SearchCheckpoint};
 
 use crate::progress::{ProgressEvent, RunControl};
 
@@ -90,70 +90,6 @@ pub(crate) fn load(
             );
             None
         }
-    }
-}
-
-/// The on-disk path of island `island`'s mid-epoch checkpoint, derived
-/// from the epoch file's path: `foo.ckpt.json` owns
-/// `foo.ckpt.island0.json`, `foo.ckpt.island1.json`, … — same stage
-/// key, so sibling studies can never collide.
-#[must_use]
-pub(crate) fn island_path(epoch: &Path, island: usize) -> PathBuf {
-    epoch.with_extension(format!("island{island}.json"))
-}
-
-/// Load and validate the island-model epoch checkpoint at `spec.path`.
-/// Same contract as [`load`]: missing, unparsable or invalid files load
-/// as `None` (with a stderr warning when a file was present), and the
-/// run starts fresh.
-#[must_use]
-pub(crate) fn load_island(
-    spec: &CheckpointSpec,
-    config: &IslandConfig,
-    bounds: &[u32],
-) -> Option<IslandCheckpoint> {
-    let text = std::fs::read_to_string(&spec.path).ok()?;
-    let Ok(checkpoint) = serde_json::from_str::<IslandCheckpoint>(&text) else {
-        eprintln!(
-            "warning: ignoring unreadable island checkpoint {}",
-            spec.path.display()
-        );
-        return None;
-    };
-    match checkpoint.validate(config, bounds) {
-        Ok(()) => Some(checkpoint),
-        Err(reason) => {
-            eprintln!(
-                "warning: ignoring stale island checkpoint {}: {reason}",
-                spec.path.display()
-            );
-            None
-        }
-    }
-}
-
-/// Persist one island-model epoch snapshot at `path` through
-/// [`pe_store::atomic_write`], reporting a
-/// [`ProgressEvent::Checkpoint`] (the barrier generation plus the
-/// summed evaluation counter) on success. Like `FileSink`, write
-/// failures are stderr warnings — durability degrades, the search
-/// survives.
-pub(crate) fn save_island(path: &Path, ctl: &RunControl<'_>, checkpoint: &IslandCheckpoint) {
-    match serde_json::to_string(checkpoint) {
-        Ok(json) => {
-            if let Err(e) = pe_store::atomic_write(path, json.as_bytes()) {
-                eprintln!(
-                    "warning: cannot write island checkpoint {}: {e}",
-                    path.display()
-                );
-                return;
-            }
-            ctl.emit(&ProgressEvent::Checkpoint {
-                generation: checkpoint.generation,
-                evaluations: checkpoint.islands.iter().map(|s| s.evaluations).sum(),
-            });
-        }
-        Err(e) => eprintln!("warning: cannot serialize island checkpoint: {e}"),
     }
 }
 

@@ -227,94 +227,6 @@ impl SearchEngine for NsgaEngine {
     }
 }
 
-/// The island-model variant of [`NsgaEngine`]: the same
-/// hardware-aware training flow with the GA loop replaced by an
-/// N-island archipelago (see [`pe_nsga::IslandModel`] and
-/// `crate::eval::run_ga_islands`'s two-level thread split). Same
-/// evaluation budget, byte-identical results at any worker count;
-/// selected by the pipeline whenever
-/// [`Study::islands`](crate::Study::islands) (or
-/// [`StudyConfig::islands`](crate::flow::StudyConfig::islands)) asks
-/// for ≥ 2 islands.
-#[derive(Debug, Clone)]
-pub struct IslandEngine {
-    /// GA training configuration (the total budget).
-    pub config: AxTrainConfig,
-    /// Number of islands (≥ 2 — a single island *is* [`NsgaEngine`];
-    /// the pipeline keeps that path, and its cache keys, unchanged).
-    pub islands: usize,
-    /// Migration cadence in completed generations.
-    pub migration_every: usize,
-    /// Elites each island emits per migration epoch.
-    pub migrants: usize,
-}
-
-impl IslandEngine {
-    /// Engine with the given configuration and topology.
-    #[must_use]
-    pub fn new(
-        config: AxTrainConfig,
-        islands: usize,
-        migration_every: usize,
-        migrants: usize,
-    ) -> Self {
-        Self {
-            config,
-            islands,
-            migration_every,
-            migrants,
-        }
-    }
-
-    /// The [`pe_nsga::IslandConfig`] this engine trains under.
-    #[must_use]
-    pub fn topology(&self) -> pe_nsga::IslandConfig {
-        pe_nsga::IslandConfig {
-            nsga: self.config.nsga.clone(),
-            islands: self.islands,
-            migration_every: self.migration_every,
-            migrants: self.migrants,
-        }
-    }
-}
-
-impl SearchEngine for IslandEngine {
-    fn name(&self) -> &'static str {
-        "nsga2-axc-islands"
-    }
-
-    fn cache_fingerprint(&self) -> u64 {
-        fingerprint_json(&(
-            &self.config,
-            self.islands,
-            self.migration_every,
-            self.migrants,
-        ))
-    }
-
-    fn search(
-        &self,
-        ctx: &SearchContext<'_>,
-        ctl: &RunControl<'_>,
-    ) -> Result<SearchOutcome, FlowError> {
-        HwAwareTrainer::new(self.config.clone())
-            .with_eval_threads(ctx.eval_threads)
-            .with_variation(ctx.variation.copied())
-            .with_store(ctx.store.cloned())
-            .with_checkpoint(ctx.checkpoint.cloned())
-            .with_islands(Some(self.topology()))
-            .train_controlled(
-                ctx.baseline,
-                ctx.baseline_train_accuracy,
-                ctx.train,
-                ctx.test,
-                ctx.cost,
-                ctx.name,
-                ctl,
-            )
-    }
-}
-
 /// The hardware-unaware GA reference of Table III: the same NSGA-II
 /// loop over the plain 8-bit weight/bias chromosome with accuracy as
 /// the only objective (no approximations trained).

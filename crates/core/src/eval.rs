@@ -373,321 +373,6 @@ pub(crate) fn run_ga_cached<P: IntProblem + Sync>(
     })
 }
 
-/// Run an island-model NSGA-II search with the shared progress
-/// protocol — the parallel counterpart of [`run_ga_cached`], driving
-/// [`pe_nsga::IslandModel`]'s epoch legs over a `std::thread::scope`
-/// worker pool.
-///
-/// The worker budget splits two levels deep, exactly like
-/// [`Pipeline::run_many`](crate::Pipeline::run_many): `workers =
-/// budget.clamp(1, islands)` island legs run concurrently, each over a
-/// private [`CachedEvaluator`] with `budget / workers` evaluation
-/// threads — pools multiply up to the budget instead of
-/// oversubscribing. Each island keeps its *own* genome memo for the
-/// whole run (the memo's hit pattern is then a pure function of that
-/// island's deterministic stream, so worker count cannot change any
-/// counter, let alone any result); shared problem-level caches remain
-/// safe because [`IntProblem::evaluate`] is pure.
-///
-/// Events: per-generation [`ProgressEvent::GaGeneration`] and
-/// genome-memo-only [`ProgressEvent::EvalCache`] events arrive wrapped
-/// in [`ProgressEvent::Island`] (islands interleave arbitrarily — fold
-/// tagged streams per island); each barrier emits one
-/// [`ProgressEvent::Migration`] per island, also tagged; the
-/// coordinator reports the shared problem-level cache counters in one
-/// *untagged* [`ProgressEvent::EvalCache`] per epoch, with the
-/// per-island memo fields zeroed, so aggregating consumers never
-/// double-count.
-///
-/// Crash safety: each leg forwards its cadence flushes to a per-island
-/// file next to the spec's path (see `island_path`), and every barrier
-/// persists a post-migration [`pe_nsga::IslandCheckpoint`] at the spec
-/// path itself. On resume the epoch file restores the barrier state
-/// and any strictly-newer island file fast-forwards its island, so a
-/// kill anywhere — mid-epoch or mid-migration — resumes bit-exactly.
-///
-/// The final history is the concatenation of the islands' recorded
-/// histories in island order (never the live interleave), keeping the
-/// outcome byte-identical at any worker count.
-#[allow(clippy::too_many_arguments)] // mirrors `run_ga_cached`
-pub(crate) fn run_ga_islands<P: IntProblem + Sync>(
-    model: &pe_nsga::IslandModel,
-    problem: &P,
-    seeds: Vec<Vec<u32>>,
-    eval_threads: usize,
-    ctl: &crate::progress::RunControl<'_>,
-    history: &mut Vec<pe_nsga::GenerationStats>,
-    problem_stats: &(dyn Fn() -> Option<ProblemCacheStats> + Sync),
-    checkpoint: Option<&crate::checkpoint::CheckpointSpec>,
-) -> pe_nsga::NsgaResult {
-    use crate::progress::ProgressEvent;
-    use pe_nsga::SearchCheckpoint;
-
-    let cfg = model.config();
-    let n = cfg.islands;
-    let generations = cfg.nsga.generations;
-
-    // Two-level thread split: island workers × per-island evaluation
-    // threads, multiplying to at most the budget.
-    let budget = eval_threads.max(1);
-    let workers = budget.clamp(1, n.max(1));
-    let per_island_threads = (budget / workers).max(1);
-
-    let evaluators: Vec<CachedEvaluator<&P>> = (0..n)
-        .map(|_| CachedEvaluator::with_options(problem, GENOME_CACHE_CAPACITY, per_island_threads))
-        .collect();
-
-    // Doped seeds deal round-robin across the archipelago.
-    let mut island_seeds: Vec<Vec<Vec<u32>>> = (0..n).map(|_| Vec::new()).collect();
-    for (index, genome) in seeds.into_iter().enumerate() {
-        island_seeds[index % n].push(genome);
-    }
-
-    // Resume: the epoch file is the post-migration barrier state;
-    // island files override their slot only when strictly ahead of it
-    // (equal generations mean the island file is the stale
-    // pre-migration flush of an already-persisted barrier).
-    let checkpoint = checkpoint.filter(|spec| spec.is_active());
-    let island_paths: Vec<std::path::PathBuf> = (0..n)
-        .map(|island| {
-            checkpoint.map_or_else(std::path::PathBuf::new, |spec| {
-                crate::checkpoint::island_path(&spec.path, island)
-            })
-        })
-        .collect();
-    let mut migrated_through = 0usize;
-    let mut states: Vec<Option<SearchCheckpoint>> = (0..n).map(|_| None).collect();
-    if let Some(spec) = checkpoint {
-        if let Some(cp) = crate::checkpoint::load_island(spec, cfg, problem.bounds()) {
-            migrated_through = cp.generation;
-            states = cp.islands.into_iter().map(Some).collect();
-        }
-        for (island, slot) in states.iter_mut().enumerate() {
-            let island_spec = crate::checkpoint::CheckpointSpec {
-                path: island_paths[island].clone(),
-                every: spec.every,
-            };
-            if let Some(cp) = crate::checkpoint::load(
-                &island_spec,
-                &model.island_configs()[island],
-                problem.bounds(),
-            ) {
-                if slot.as_ref().is_none_or(|s| cp.generation > s.generation) {
-                    *slot = Some(cp);
-                }
-            }
-        }
-    }
-
-    let mut stopped = false;
-    for target in cfg.epoch_targets() {
-        if target <= migrated_through {
-            continue;
-        }
-
-        // One epoch leg: every island advances to the barrier, the
-        // standard claim-by-counter worker pool from `run_many`.
-        // One cell per island: its carried-over state plus any not-yet
-        // consumed seed genomes, claimed exactly once by the worker
-        // that picks the island up.
-        type LegInput = (Option<pe_nsga::SearchCheckpoint>, Vec<Vec<u32>>);
-        let inputs: Vec<Mutex<LegInput>> = states
-            .iter_mut()
-            .zip(island_seeds.iter_mut())
-            .map(|(state, seeds)| Mutex::new((state.take(), std::mem::take(seeds))))
-            .collect();
-        let outputs: Vec<Mutex<Option<SearchCheckpoint>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let island = next.fetch_add(1, Ordering::SeqCst);
-                    if island >= n {
-                        break;
-                    }
-                    let (state, leg_seeds) = {
-                        let mut guard = inputs[island]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        (guard.0.take(), std::mem::take(&mut guard.1))
-                    };
-                    // Cadence flushes of this leg go to the island's own
-                    // durable file, reported as island-tagged events.
-                    let tagger = |e: &ProgressEvent| {
-                        ctl.emit(&ProgressEvent::Island {
-                            island,
-                            event: Box::new(e.clone()),
-                        });
-                    };
-                    let island_ctl = crate::progress::RunControl::new(Some(&tagger), None);
-                    let sink = checkpoint.map(|_| {
-                        crate::checkpoint::FileSink::new(&island_paths[island], &island_ctl)
-                    });
-                    let forward =
-                        checkpoint
-                            .zip(sink.as_ref())
-                            .map(|(spec, sink)| pe_nsga::CheckpointPlan {
-                                every: spec.every,
-                                sink,
-                            });
-                    let done = model.run_island_to(
-                        island,
-                        &evaluators[island],
-                        leg_seeds,
-                        state,
-                        target,
-                        forward,
-                        &mut |s| {
-                            // `PE_FAULT` drill site: same per-generation
-                            // arrival the single-population path has.
-                            match pe_store::fault::check(pe_store::fault::SITE_SEARCHED_GENERATION)
-                            {
-                                Some(pe_store::FaultAction::Kill) => pe_store::fault::kill_now(),
-                                Some(pe_store::FaultAction::Err) => {
-                                    panic!("injected fault: searched_generation")
-                                }
-                                None => {}
-                            }
-                            ctl.emit(&ProgressEvent::Island {
-                                island,
-                                event: Box::new(ProgressEvent::GaGeneration {
-                                    generation: s.generation,
-                                    generations,
-                                    evaluations: s.evaluations,
-                                }),
-                            });
-                            let cache = evaluators[island].stats();
-                            ctl.emit(&ProgressEvent::Island {
-                                island,
-                                event: Box::new(ProgressEvent::EvalCache {
-                                    hits: cache.hits,
-                                    misses: cache.misses,
-                                    entries: cache.entries,
-                                    // Problem-level caches are shared across
-                                    // islands; the coordinator reports them
-                                    // untagged so folds never double-count.
-                                    column_hits: 0,
-                                    column_misses: 0,
-                                    column_entries: 0,
-                                    column_contended: 0,
-                                    column_shards: 0,
-                                    cost_hits: 0,
-                                    cost_misses: 0,
-                                    store_ingested: 0,
-                                    store_deduplicated: 0,
-                                    store_bytes: 0,
-                                }),
-                            });
-                            !ctl.is_cancelled()
-                        },
-                    );
-                    *outputs[island]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(done);
-                });
-            }
-        });
-        for (slot, output) in states.iter_mut().zip(outputs) {
-            let state = output
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every island leg returns a state");
-            stopped |= state.generation < target;
-            *slot = Some(state);
-        }
-
-        // Shared problem-level cache counters, once per epoch,
-        // untagged (memo fields zero — those live in the island
-        // streams).
-        let shared = problem_stats().unwrap_or_default();
-        let columns = shared.columns;
-        ctl.emit(&ProgressEvent::EvalCache {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            column_hits: columns.hits,
-            column_misses: columns.misses,
-            column_entries: columns.entries,
-            column_contended: columns.contended,
-            column_shards: columns.shards,
-            cost_hits: shared.cost_hits,
-            cost_misses: shared.cost_misses,
-            store_ingested: shared.store.ingested,
-            store_deduplicated: shared.store.deduplicated,
-            store_bytes: shared.store.bytes_written,
-        });
-        if stopped {
-            break;
-        }
-
-        if target < generations {
-            // `PE_FAULT` drill site: one arrival per interior barrier,
-            // *before* the exchange and its epoch checkpoint — a kill
-            // here must resume from the per-island files and re-run
-            // the migration deterministically.
-            match pe_store::fault::check(pe_store::fault::SITE_ISLAND_MIGRATION) {
-                Some(pe_store::FaultAction::Kill) => pe_store::fault::kill_now(),
-                Some(pe_store::FaultAction::Err) => {
-                    panic!("injected fault: island_migration")
-                }
-                None => {}
-            }
-            let mut barrier: Vec<SearchCheckpoint> = states
-                .iter_mut()
-                .map(|slot| slot.take().expect("every island reached the barrier"))
-                .collect();
-            model.migrate(&mut barrier);
-            migrated_through = target;
-            for (slot, state) in states.iter_mut().zip(barrier) {
-                *slot = Some(state);
-            }
-            for island in 0..n {
-                ctl.emit(&ProgressEvent::Island {
-                    island,
-                    event: Box::new(ProgressEvent::Migration {
-                        generation: target,
-                        migrants: cfg.migrants,
-                    }),
-                });
-            }
-        }
-
-        if let Some(spec) = checkpoint {
-            crate::checkpoint::save_island(
-                &spec.path,
-                ctl,
-                &pe_nsga::IslandCheckpoint {
-                    generation: target,
-                    islands: states
-                        .iter()
-                        .map(|slot| slot.clone().expect("every island holds a state"))
-                        .collect(),
-                },
-            );
-        }
-    }
-
-    let finals: Vec<SearchCheckpoint> = states.into_iter().flatten().collect();
-    // The outcome's history is the islands' recorded histories in
-    // island order — a pure function of the deterministic streams,
-    // never the live event interleave.
-    for state in &finals {
-        history.extend(state.history.iter().cloned());
-    }
-    if !stopped {
-        // The run completed: the mid-epoch island files are superseded
-        // by the final epoch checkpoint (the pipeline deletes that one
-        // once the stage artifact is safely cached).
-        for path in &island_paths {
-            if checkpoint.is_some() {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-    model.merge(&finals)
-}
-
 /// Snapshot of an [`IntProblem`]'s internal caches for the
 /// [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache)
 /// stream: the columnar engine's neuron-column cache, the cost layer's

@@ -53,23 +53,6 @@ pub struct StudyConfig {
     /// bit. Keys the stage caches.
     #[serde(default)]
     pub variation: Option<pe_hw::VariationConfig>,
-    /// Island count of an island-model search (`0` or `1` — the
-    /// default, and what any pre-island cached config deserializes
-    /// to — keeps the single-population engine and its cache keys
-    /// byte for byte; ≥ 2 selects
-    /// [`IslandEngine`](crate::engine::IslandEngine)).
-    #[serde(default)]
-    pub islands: usize,
-    /// Migration cadence in completed generations (`0` = the
-    /// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default). Only meaningful
-    /// with `islands >= 2`.
-    #[serde(default)]
-    pub migration_every: usize,
-    /// Elites each island emits per migration epoch (`0` = the
-    /// [`pe_nsga::DEFAULT_MIGRANTS`] default). Only meaningful with
-    /// `islands >= 2`.
-    #[serde(default)]
-    pub migrants: usize,
 }
 
 impl Default for StudyConfig {
@@ -81,9 +64,6 @@ impl Default for StudyConfig {
             accuracy_loss_budget: 0.05,
             scenario: CostScenario::default(),
             variation: None,
-            islands: 0,
-            migration_every: 0,
-            migrants: 0,
         }
     }
 }

@@ -40,8 +40,8 @@
 //!   thread-pool batch path (results in input order, byte-identical to
 //!   serial), and [`thread_budget`] is the default worker count (one
 //!   per core) every pool falls back to. This crate reads no
-//!   environment variables: worker budgets, checkpoint cadences, shard
-//!   and island counts are explicit parameters chosen by the caller.
+//!   environment variables: worker budgets, checkpoint cadences and
+//!   shard counts are explicit parameters chosen by the caller.
 //! * [`checkpoint`] — crash-safe search checkpointing: the pipeline
 //!   persists a generation-level GA snapshot (atomically, next to the
 //!   `Searched` stage artifact) and resumes a killed or cancelled
@@ -113,8 +113,7 @@ pub use checkpoint::{CheckpointSpec, DEFAULT_CHECKPOINT_EVERY};
 pub use columns::{ColumnCacheStats, NeuronColumnCache, DEFAULT_SHARDS};
 pub use config::AxTrainConfig;
 pub use engine::{
-    fingerprint_json, IslandEngine, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine,
-    SearchOutcome,
+    fingerprint_json, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine, SearchOutcome,
 };
 pub use error::FlowError;
 pub use eval::{thread_budget, CachedEvaluator, EvalCacheStats};

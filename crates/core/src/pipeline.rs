@@ -38,7 +38,7 @@ use pe_hw::{
 };
 use pe_mlp::{fixed_to_hardware, train_best_of_observed, DenseMlp, FixedMlp, QuantConfig};
 
-use crate::engine::{IslandEngine, NsgaEngine, SearchContext, SearchEngine, SearchOutcome};
+use crate::engine::{NsgaEngine, SearchContext, SearchEngine, SearchOutcome};
 use crate::error::FlowError;
 use crate::fitness::AreaObjective;
 use crate::flow::{DatasetStudy, StudyConfig};
@@ -267,9 +267,6 @@ pub struct Study {
     store_writer: Option<Arc<pe_store::StoreWriter>>,
     warm_start: bool,
     checkpoint_every: Option<usize>,
-    islands: Option<usize>,
-    migration_every: Option<usize>,
-    migrants: Option<usize>,
 }
 
 impl Study {
@@ -294,9 +291,6 @@ impl Study {
             store_writer: None,
             warm_start: false,
             checkpoint_every: None,
-            islands: None,
-            migration_every: None,
-            migrants: None,
         }
     }
 
@@ -466,42 +460,6 @@ impl Study {
         self
     }
 
-    /// Search with an island-model archipelago of `n` sub-populations
-    /// instead of one NSGA-II loop: the same evaluation budget (the
-    /// configured population splits across the islands, all running
-    /// the full generation count) with deterministic seeded ring
-    /// migration every [`migration_every`](Self::migration_every)
-    /// generations, merged through one final non-dominated sort — and
-    /// island legs scheduled concurrently over the worker budget (see
-    /// `crate::eval::run_ga_islands`). `0` or `1` keeps the
-    /// single-population [`NsgaEngine`] and its cache keys byte for
-    /// byte; ≥ 2 selects [`IslandEngine`], whose name and fingerprint
-    /// re-key the `Searched`/`Selected` stage caches. Results are
-    /// byte-identical at any worker budget. Overrides the island count
-    /// inside a [`config`](Self::config), if both are given.
-    pub fn islands(mut self, n: usize) -> Self {
-        self.islands = Some(n);
-        self
-    }
-
-    /// Migration cadence of an [`islands`](Self::islands) search, in
-    /// completed generations (`0` restores the
-    /// [`pe_nsga::DEFAULT_MIGRATION_EVERY`] default). Overrides the
-    /// cadence inside a [`config`](Self::config), if both are given.
-    pub fn migration_every(mut self, every: usize) -> Self {
-        self.migration_every = Some(every);
-        self
-    }
-
-    /// Elites each island emits per migration epoch of an
-    /// [`islands`](Self::islands) search (`0` restores the
-    /// [`pe_nsga::DEFAULT_MIGRANTS`] default). Overrides the count
-    /// inside a [`config`](Self::config), if both are given.
-    pub fn migrants(mut self, migrants: usize) -> Self {
-        self.migrants = Some(migrants);
-        self
-    }
-
     /// Validate the configuration and build the [`Pipeline`].
     ///
     /// # Errors
@@ -510,12 +468,14 @@ impl Study {
     /// GA population below 2, zero generations, non-positive SGD epoch
     /// scale, an accuracy budget outside `[0, 1]`, a weight width
     /// outside `2..=16` bits or a bias width outside `2..=24` bits
-    /// (what the genome can encode), an operating supply outside the
-    /// technology's range, a non-positive power budget, a power budget
-    /// combined with the FA-count area proxy (which carries no power
-    /// information), an invalid variation request (zero trials, a
-    /// negative spread, droop outside `[0, 1)`), both a design-store
-    /// path and a shared writer, or warm-start without a design store.
+    /// (what the genome can encode), an input or activation width
+    /// outside `1..=8` bits, a fitness subsample of zero rows, an
+    /// operating supply outside the technology's range, a non-positive
+    /// power budget, a power budget combined with the FA-count area
+    /// proxy (which carries no power information), an invalid
+    /// variation request (zero trials, a negative spread, droop outside
+    /// `[0, 1)`), both a design-store path and a shared writer, or
+    /// warm-start without a design store.
     /// [`FlowError::Store`] when the design-store file cannot be
     /// opened or is corrupt.
     pub fn finish(self) -> Result<Pipeline, FlowError> {
@@ -557,15 +517,6 @@ impl Study {
             if let Some(variation) = &mut config.variation {
                 variation.statistic = statistic;
             }
-        }
-        if let Some(islands) = self.islands {
-            config.islands = islands;
-        }
-        if let Some(every) = self.migration_every {
-            config.migration_every = every;
-        }
-        if let Some(migrants) = self.migrants {
-            config.migrants = migrants;
         }
 
         let invalid = |reason: String| Err(FlowError::InvalidConfig { reason });
@@ -626,30 +577,27 @@ impl Study {
                 config.ga.bias_bits
             ));
         }
+        // Inputs and hidden activations travel as `u8`: a zero width
+        // panics in `GenomeSpec::new`, and a width above 8 bits would
+        // saturate the quantized features or wrap the QReLU outputs.
+        if !(1..=8).contains(&config.ga.input_bits) {
+            return invalid(format!(
+                "input width must be within 1..=8 bits, got {}",
+                config.ga.input_bits
+            ));
+        }
+        if !(1..=8).contains(&config.ga.activation_bits) {
+            return invalid(format!(
+                "activation width must be within 1..=8 bits, got {}",
+                config.ga.activation_bits
+            ));
+        }
+        if config.ga.fitness_subsample == Some(0) {
+            return invalid("fitness subsample must keep at least one row".into());
+        }
         if let Some(variation) = &config.variation {
             if let Err(reason) = variation.validate() {
                 return invalid(format!("invalid variation config: {reason}"));
-            }
-        }
-        // ≥ 2 islands swaps in the island engine (0/1 keeps the
-        // single-population path and its cache keys untouched); zero
-        // cadence/migrants knobs resolve to the pe-nsga defaults here,
-        // so the engine fingerprint always names concrete values.
-        let island_topology = (config.islands >= 2).then(|| pe_nsga::IslandConfig {
-            nsga: config.ga.nsga.clone(),
-            islands: config.islands,
-            migration_every: match config.migration_every {
-                0 => pe_nsga::DEFAULT_MIGRATION_EVERY,
-                every => every,
-            },
-            migrants: match config.migrants {
-                0 => pe_nsga::DEFAULT_MIGRANTS,
-                migrants => migrants,
-            },
-        });
-        if let Some(topology) = &island_topology {
-            if let Err(reason) = topology.validate() {
-                return invalid(format!("invalid island topology: {reason}"));
             }
         }
         let store = match (self.design_store, self.store_writer) {
@@ -671,15 +619,9 @@ impl Study {
             crate::store::StoreSink::new(writer, self.dataset.spec().name, self.warm_start)
         });
 
-        let engine = self.engine.unwrap_or_else(|| match &island_topology {
-            Some(topology) => Arc::new(IslandEngine::new(
-                config.ga.clone(),
-                topology.islands,
-                topology.migration_every,
-                topology.migrants,
-            )) as Arc<dyn SearchEngine + Send + Sync>,
-            None => Arc::new(NsgaEngine::new(config.ga.clone())),
-        });
+        let engine = self
+            .engine
+            .unwrap_or_else(|| Arc::new(NsgaEngine::new(config.ga.clone())));
         Ok(Pipeline {
             dataset: self.dataset,
             config,
@@ -1491,31 +1433,62 @@ mod tests {
                 .finish(),
             Err(FlowError::InvalidConfig { .. })
         ));
+
+        let empty_subsample = StudyConfig {
+            ga: crate::AxTrainConfig {
+                fitness_subsample: Some(0),
+                ..crate::AxTrainConfig::default()
+            },
+            ..StudyConfig::default()
+        };
+        assert!(matches!(
+            Study::for_dataset(Dataset::Pendigits)
+                .config(empty_subsample)
+                .finish(),
+            Err(FlowError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn builder_rejects_widths_the_genome_cannot_encode() {
-        let with_widths = |weight_bits, bias_bits| StudyConfig {
-            ga: crate::AxTrainConfig {
-                weight_bits,
-                bias_bits,
-                ..crate::AxTrainConfig::default()
-            },
-            ..StudyConfig::quick(0)
-        };
-        for (weight_bits, bias_bits) in [(1, 12), (17, 12), (20, 12), (8, 1), (8, 25), (8, 30)] {
+        // Widths in bits: weight, bias, input, activation.
+        let with_widths =
+            |[weight_bits, bias_bits, input_bits, activation_bits]: [u32; 4]| StudyConfig {
+                ga: crate::AxTrainConfig {
+                    weight_bits,
+                    bias_bits,
+                    input_bits,
+                    activation_bits,
+                    ..crate::AxTrainConfig::default()
+                },
+                ..StudyConfig::quick(0)
+            };
+        for widths in [
+            [1, 12, 4, 8],
+            [17, 12, 4, 8],
+            [20, 12, 4, 8],
+            [8, 1, 4, 8],
+            [8, 25, 4, 8],
+            [8, 30, 4, 8],
+            [8, 12, 0, 8],
+            [8, 12, 9, 8],
+            [8, 12, 13, 8],
+            [8, 12, 4, 0],
+            [8, 12, 4, 9],
+            [8, 12, 4, 12],
+        ] {
             let result = Study::for_dataset(Dataset::BreastCancer)
-                .config(with_widths(weight_bits, bias_bits))
+                .config(with_widths(widths))
                 .finish();
             assert!(
                 matches!(result, Err(FlowError::InvalidConfig { .. })),
-                "weight_bits {weight_bits}, bias_bits {bias_bits}"
+                "widths {widths:?}"
             );
         }
         // The encodable extremes pass validation.
-        for (weight_bits, bias_bits) in [(2, 2), (16, 24)] {
+        for widths in [[2, 2, 1, 1], [16, 24, 8, 8]] {
             assert!(Study::for_dataset(Dataset::BreastCancer)
-                .config(with_widths(weight_bits, bias_bits))
+                .config(with_widths(widths))
                 .finish()
                 .is_ok());
         }

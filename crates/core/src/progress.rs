@@ -170,31 +170,6 @@ pub enum ProgressEvent {
         /// Chromosome evaluations captured by the checkpoint.
         evaluations: u64,
     },
-    /// An event from one island of an island-model search (see
-    /// [`Study::islands`](crate::Study::islands)), tagged with the
-    /// island that produced it. Island workers run concurrently, so
-    /// consumers aggregating counters must fold per-island streams
-    /// separately instead of diffing the interleaved sequence — the
-    /// wrapped [`EvalCache`](ProgressEvent::EvalCache) events carry
-    /// only the island's own genome-memo counters (problem-level
-    /// counters are shared across islands and reported untagged by the
-    /// coordinator).
-    Island {
-        /// 0-based island index.
-        island: usize,
-        /// The island-local event (`GaGeneration`, `EvalCache`,
-        /// `Checkpoint`, or `Migration`).
-        event: Box<ProgressEvent>,
-    },
-    /// One ring-migration epoch of an island-model search completed:
-    /// every island reached the barrier generation and exchanged
-    /// elites.
-    Migration {
-        /// The barrier generation (1-based completed generations).
-        generation: usize,
-        /// Elites each island emitted this epoch.
-        migrants: usize,
-    },
 }
 
 /// A shared, thread-safe progress observer (what

@@ -48,7 +48,6 @@ pub struct HwAwareTrainer {
     variation: Option<pe_hw::VariationConfig>,
     store: Option<crate::store::StoreSink>,
     checkpoint: Option<crate::checkpoint::CheckpointSpec>,
-    islands: Option<pe_nsga::IslandConfig>,
 }
 
 impl HwAwareTrainer {
@@ -61,7 +60,6 @@ impl HwAwareTrainer {
             variation: None,
             store: None,
             checkpoint: None,
-            islands: None,
         }
     }
 
@@ -111,25 +109,6 @@ impl HwAwareTrainer {
         checkpoint: Option<crate::checkpoint::CheckpointSpec>,
     ) -> Self {
         self.checkpoint = checkpoint;
-        self
-    }
-
-    /// Evolve an island archipelago instead of one population: the
-    /// configured topology (island count, migration cadence, migrant
-    /// batch — `topology.nsga` must equal this trainer's NSGA
-    /// configuration) splits the same evaluation budget over N
-    /// concurrently-evolving sub-populations with deterministic ring
-    /// migration (see [`pe_nsga::IslandModel`]). `None` (the default)
-    /// keeps the single-population loop bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// [`train`](Self::train) panics if the topology fails
-    /// [`pe_nsga::IslandConfig::validate`] or disagrees with the
-    /// trainer's NSGA configuration.
-    #[must_use]
-    pub fn with_islands(mut self, islands: Option<pe_nsga::IslandConfig>) -> Self {
-        self.islands = islands;
         self
     }
 
@@ -273,42 +252,24 @@ impl HwAwareTrainer {
         let eval_threads = self.eval_threads.unwrap_or_else(crate::eval::thread_budget);
         let mut history = Vec::with_capacity(self.config.nsga.generations);
         let started = Instant::now();
-        let problem_stats = || {
-            let (cost_hits, cost_misses) = problem.cost_cache_stats();
-            Some(crate::eval::ProblemCacheStats {
-                columns: problem.column_cache_stats(),
-                cost_hits,
-                cost_misses,
-                store: problem.store_stats(),
-            })
-        };
-        let result = if let Some(topology) = &self.islands {
-            assert_eq!(
-                topology.nsga, self.config.nsga,
-                "island topology must carry the trainer's NSGA configuration"
-            );
-            crate::eval::run_ga_islands(
-                &pe_nsga::IslandModel::new(topology.clone()),
-                &problem,
-                seeds,
-                eval_threads,
-                ctl,
-                &mut history,
-                &problem_stats,
-                self.checkpoint.as_ref(),
-            )
-        } else {
-            crate::eval::run_ga_cached(
-                &Nsga2::new(self.config.nsga.clone()),
-                &problem,
-                seeds,
-                eval_threads,
-                ctl,
-                &mut history,
-                &problem_stats,
-                self.checkpoint.as_ref(),
-            )
-        };
+        let result = crate::eval::run_ga_cached(
+            &Nsga2::new(self.config.nsga.clone()),
+            &problem,
+            seeds,
+            eval_threads,
+            ctl,
+            &mut history,
+            &|| {
+                let (cost_hits, cost_misses) = problem.cost_cache_stats();
+                Some(crate::eval::ProblemCacheStats {
+                    columns: problem.column_cache_stats(),
+                    cost_hits,
+                    cost_misses,
+                    store: problem.store_stats(),
+                })
+            },
+            self.checkpoint.as_ref(),
+        );
         let ga_wall = started.elapsed();
         ctl.ensure_live(StageKind::Searched)?;
 

@@ -39,7 +39,6 @@
 
 pub mod algorithm;
 pub mod individual;
-pub mod island;
 pub mod operators;
 pub mod problem;
 pub mod sort;
@@ -49,10 +48,6 @@ pub use algorithm::{
     SearchCheckpoint,
 };
 pub use individual::Individual;
-pub use island::{
-    island_seed, IslandCheckpoint, IslandCheckpointSink, IslandConfig, IslandModel,
-    DEFAULT_MIGRANTS, DEFAULT_MIGRATION_EVERY,
-};
 pub use operators::{crossover, mutate, random_genome, CrossoverKind};
 pub use problem::{constrained_dominates, Evaluation, IntProblem};
 pub use sort::{assign_crowding, fast_non_dominated_sort};

@@ -6,9 +6,11 @@
 //! * `action` — `kill` (abort the process, leaving whatever bytes the
 //!   site managed to write) or `err` (surface an injected I/O error /
 //!   panic through the site's normal failure path).
-//! * `site` — a named instrumentation point: [`SITE_ATOMIC_WRITE`],
-//!   [`SITE_STORE_APPEND`], [`SITE_SEARCHED_GENERATION`],
-//!   [`SITE_EVAL_BATCH`], [`SITE_ISLAND_MIGRATION`].
+//! * `site` — one of the four instrumentation points:
+//!   [`SITE_ATOMIC_WRITE`], [`SITE_STORE_APPEND`],
+//!   [`SITE_SEARCHED_GENERATION`], [`SITE_EVAL_BATCH`]. Any other name
+//!   is a malformed rule, so a misspelt site cannot arm a rule that
+//!   never fires.
 //! * `trigger` — which arrival at the site fires the rule: a literal
 //!   1-based occurrence (`3`), or a seeded draw `s<seed>/<span>` that
 //!   picks one occurrence uniformly from `1..=span`. The draw is
@@ -46,9 +48,14 @@ pub const SITE_STORE_APPEND: &str = "store_append";
 pub const SITE_SEARCHED_GENERATION: &str = "searched_generation";
 /// Site name: one batch evaluation wave of the search stage.
 pub const SITE_EVAL_BATCH: &str = "eval_batch";
-/// Site name: an island-model migration barrier, right before the
-/// elite exchange and its epoch checkpoint.
-pub const SITE_ISLAND_MIGRATION: &str = "island_migration";
+
+/// Every instrumented site: the only names a rule may target.
+const SITES: [&str; 4] = [
+    SITE_ATOMIC_WRITE,
+    SITE_STORE_APPEND,
+    SITE_SEARCHED_GENERATION,
+    SITE_EVAL_BATCH,
+];
 
 /// One parsed `action@site:trigger` rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +78,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable description of the first malformed
-    /// rule.
+    /// rule: an unknown action or site, or a missing or bad trigger.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut rules = Vec::new();
         for part in text.split(',') {
@@ -90,8 +97,11 @@ impl FaultPlan {
             let (site, trigger) = rest
                 .split_once(':')
                 .ok_or_else(|| format!("fault rule `{part}`: expected action@site:trigger"))?;
-            if site.is_empty() {
-                return Err(format!("fault rule `{part}`: empty site"));
+            if !SITES.contains(&site) {
+                return Err(format!(
+                    "fault rule `{part}`: unknown site `{site}` (expected one of {})",
+                    SITES.join(", ")
+                ));
             }
             let occurrence = if let Some(seeded) = trigger.strip_prefix('s') {
                 let (seed, span) = seeded
@@ -247,6 +257,8 @@ mod tests {
             "kill@store_append:s5",
             "kill@store_append:s5/0",
             "kill@store_append:many",
+            "kill@searched_generaton:1",
+            "kill@island_migration:1",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted `{bad}`");
         }

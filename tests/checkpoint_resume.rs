@@ -127,63 +127,6 @@ proptest! {
     }
 }
 
-/// The island extension of the same crash-safety property: an
-/// archipelago's epoch checkpoints (the post-migration barrier
-/// snapshots [`printed_mlps::nsga::IslandModel::run`] flushes) resume
-/// to the uninterrupted merged result bit for bit, and the exchange a
-/// checkpoint already recorded is never replayed on resume.
-#[test]
-fn island_epoch_checkpoints_resume_bit_exactly() {
-    use printed_mlps::nsga::{IslandCheckpoint, IslandCheckpointSink, IslandConfig, IslandModel};
-
-    #[derive(Default)]
-    struct EpochCapture(RefCell<Vec<IslandCheckpoint>>);
-
-    impl IslandCheckpointSink for EpochCapture {
-        fn save(&self, checkpoint: &IslandCheckpoint) {
-            self.0.borrow_mut().push(checkpoint.clone());
-        }
-    }
-
-    let config = IslandConfig {
-        nsga: NsgaConfig {
-            population: 12,
-            generations: 7,
-            seed: 41,
-            ..NsgaConfig::default()
-        },
-        islands: 3,
-        migration_every: 2,
-        migrants: 1,
-    };
-    let problem = || {
-        CachedEvaluator::with_options(
-            Ridge {
-                bounds: vec![48; 5],
-            },
-            256,
-            1,
-        )
-    };
-    let model = IslandModel::new(config.clone());
-    let sink = EpochCapture::default();
-    let reference = model.run(&problem(), Vec::new(), None, Some(&sink), |_, _| true);
-    let checkpoints = sink.0.into_inner();
-    // One barrier per epoch target: generations 2, 4, 6 and the final 7.
-    assert_eq!(checkpoints.len(), config.epoch_targets().len());
-
-    for checkpoint in &checkpoints {
-        let json = serde_json::to_string(checkpoint).expect("island checkpoint serializes");
-        let restored: IslandCheckpoint =
-            serde_json::from_str(&json).expect("island checkpoint parses");
-        restored
-            .validate(&config, &[48; 5])
-            .expect("round-tripped island checkpoint is valid");
-        let resumed = model.run(&problem(), Vec::new(), Some(restored), None, |_, _| true);
-        assert_eq!(resumed, reference);
-    }
-}
-
 /// The counter invariant the pipeline's resume path relies on:
 /// a checkpoint after `g` completed generations accounts for the
 /// initial population plus `g` offspring waves.
