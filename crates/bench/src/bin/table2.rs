@@ -16,10 +16,14 @@ fn main() {
     let rows = table2::rows(&studies);
     println!("{}", table2::render(&rows));
     let (ga, gp) = table2::geomean_reductions(&rows);
+    let (pa, pp) = table2::paper_geomean_reductions(&rows);
+    let fmt = |v: Option<f64>| v.map_or("-".into(), |v| format!("{v:.1}x"));
     println!(
-        "Geomean reductions: area {}  power {}   (paper averages: 181x / 203x)",
-        ga.map_or("-".into(), |v| format!("{v:.1}x")),
-        gp.map_or("-".into(), |v| format!("{v:.1}x")),
+        "Geomean reductions: area {}  power {}   (paper geomean over the same rows: {} / {})",
+        fmt(ga),
+        fmt(gp),
+        fmt(pa),
+        fmt(pp),
     );
     for note in table2::notes(&studies, study_config(budget, 0).accuracy_loss_budget) {
         println!("{note}");

@@ -29,6 +29,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -37,7 +38,7 @@ use pe_datasets::Dataset;
 use pe_mlp::{AxLayer, AxMlp, AxNeuron, AxWeight, QReluCfg};
 use pe_nsga::NsgaConfig;
 use pe_store::{DesignRecord, DesignStore, StoreError, StoreWriter};
-use printed_axc::{AxTrainConfig, Selected, Study, StudyConfig};
+use printed_axc::{AxTrainConfig, ProgressEvent, StageKind, Study, StudyConfig};
 
 use crate::format::render_table;
 use crate::knobs::Knobs;
@@ -121,6 +122,9 @@ pub fn drill_config(seed: u64) -> StudyConfig {
 /// Generations in [`drill_config`] (the seeded kill spans derive from
 /// it).
 const DRILL_GENERATIONS: u64 = 12;
+
+/// The master seed of every search-drill study.
+const DRILL_SEED: u64 = 9;
 
 /// Records per store-append drill.
 const APPEND_COUNT: usize = 6;
@@ -243,15 +247,31 @@ fn find_suffix(dir: &Path, suffix: &str) -> Option<PathBuf> {
     None
 }
 
-/// Load the cached `Selected` artifact under `dir` and re-serialize it
-/// with the search wall-clock zeroed — the canonical form two runs of
-/// the same study must agree on byte for byte.
+/// Load the drill study's `Selected` artifact from the stage cache
+/// under `dir`, through a pipeline of the same configuration, and
+/// re-serialize it with the search wall-clock zeroed — the canonical
+/// form two runs of the same study must agree on byte for byte. Any
+/// stage the pipeline has to compute instead of load is an error, so
+/// a recompute cannot pass as a resume.
 fn zeroed_selected(dir: &Path) -> Result<String, String> {
-    let path =
-        find_suffix(dir, "-selected.json").ok_or_else(|| "no selected artifact".to_owned())?;
-    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
-    let mut selected: Selected = serde_json::from_str(&text)
-        .map_err(|e| format!("selected artifact does not parse: {e}"))?;
+    let recomputed: Arc<Mutex<Option<StageKind>>> = Arc::default();
+    let seen = Arc::clone(&recomputed);
+    let selected = Study::for_dataset(Dataset::BreastCancer)
+        .config(drill_config(DRILL_SEED))
+        .cache_dir(dir)
+        .progress(move |event| {
+            if let ProgressEvent::StageStarted { stage } = *event {
+                seen.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(stage);
+            }
+        })
+        .finish()
+        .and_then(|pipeline| pipeline.run());
+    if let Some(stage) = *recomputed.lock().unwrap_or_else(PoisonError::into_inner) {
+        return Err(format!("the cached study recomputed its {stage} stage"));
+    }
+    let mut selected = selected.map_err(|e| format!("the cached study does not load: {e}"))?;
     selected.searched.outcome.ga_wall = Duration::ZERO;
     serde_json::to_string(&selected).map_err(|e| e.to_string())
 }
@@ -281,7 +301,6 @@ fn study_envs(cache: &Path, seed: u64, fault: Option<&str>) -> Vec<(&'static str
 /// die, resume without the fault, compare artifacts against
 /// `baseline_json`.
 fn search_cycle(scratch: &Path, index: usize, fault: &str, baseline_json: &str) -> DrillCycle {
-    let seed = 9;
     let dir = scratch.join(format!("search-{index}"));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -294,7 +313,7 @@ fn search_cycle(scratch: &Path, index: usize, fault: &str, baseline_json: &str) 
         identical: false,
         detail: String::new(),
     };
-    let crash = match spawn_child("study", &study_envs(&dir, seed, Some(fault))) {
+    let crash = match spawn_child("study", &study_envs(&dir, DRILL_SEED, Some(fault))) {
         Ok(run) => run,
         Err(e) => {
             cycle.detail = format!("cannot spawn crash child: {e}");
@@ -308,7 +327,7 @@ fn search_cycle(scratch: &Path, index: usize, fault: &str, baseline_json: &str) 
     }
     cycle.resumed_from_generation = checkpoint_generation(&dir);
 
-    let resume = match spawn_child("study", &study_envs(&dir, seed, None)) {
+    let resume = match spawn_child("study", &study_envs(&dir, DRILL_SEED, None)) {
         Ok(run) => run,
         Err(e) => {
             cycle.detail = format!("cannot spawn resume child: {e}");
@@ -568,7 +587,7 @@ pub fn run(scratch: &Path) -> FaultDrillReport {
     std::fs::create_dir_all(scratch).expect("can create the drill scratch directory");
 
     let baseline_dir = scratch.join("baseline");
-    let baseline = spawn_child("study", &study_envs(&baseline_dir, 9, None))
+    let baseline = spawn_child("study", &study_envs(&baseline_dir, DRILL_SEED, None))
         .expect("can spawn the baseline child");
     assert!(
         baseline.success,
@@ -681,7 +700,7 @@ mod tests {
     #[test]
     fn drill_config_builds_a_valid_pipeline() {
         let pipeline = Study::for_dataset(Dataset::BreastCancer)
-            .config(drill_config(9))
+            .config(drill_config(DRILL_SEED))
             .finish()
             .expect("drill config is valid");
         assert_eq!(

@@ -129,7 +129,7 @@ pub use pipeline::{
     derive_seed, BaselineCosted, Budget, EngineFactory, FloatTrained, Pipeline, Prepared,
     RunManyOptions, Searched, Selected, Study, STAGE_CACHE_VERSION,
 };
-pub use progress::{CancelToken, ProgressEvent, RunControl, StageKind};
+pub use progress::{CancelToken, ProgressEvent, RunControl, StageCacheCause, StageKind};
 pub use robust::{mc_accuracy, RobustSummary};
 pub use store::{select_from_store, store_front, StoreSink};
 pub use train::{HwAwareTrainer, PlainGaProblem, TrainingOutcome};

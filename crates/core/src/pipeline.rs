@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use pe_datasets::{
     generate, quantize, stratified_split, Dataset, DatasetError, QuantizedData, TabularData,
@@ -43,7 +43,9 @@ use crate::error::FlowError;
 use crate::fitness::AreaObjective;
 use crate::flow::{DatasetStudy, StudyConfig};
 use crate::pareto::{select_within_budgets, DesignPoint};
-use crate::progress::{CancelToken, ProgressEvent, ProgressObserver, RunControl, StageKind};
+use crate::progress::{
+    CancelToken, ProgressEvent, ProgressObserver, RunControl, StageCacheCause, StageKind,
+};
 
 // ---------------------------------------------------------------- stages
 
@@ -432,9 +434,10 @@ impl Study {
     /// Cache stage artifacts as JSON under `dir` and resume from them
     /// on the next run (see [`Pipeline::searched`] and friends).
     ///
-    /// Each stage file is self-contained (it embeds its upstream
-    /// stages), so any single artifact resumes on its own at the cost
-    /// of redundant bytes across the five files. Cache entries are
+    /// Each stage file holds the stage's own payload plus a link to
+    /// its parent stage's file, so every stage is written once and
+    /// loading a stage walks the chain back to [`Prepared`]; a broken
+    /// link recomputes the stage. Cache entries are
     /// keyed by the full [`StudyConfig`] plus the engine's name and
     /// [`SearchEngine::cache_fingerprint`] — a custom engine whose
     /// fingerprint omits part of its configuration can alias entries;
@@ -849,8 +852,11 @@ impl Pipeline {
         // validates the config again regardless).
         let checkpoint = self.checkpoint_path().map(|path| {
             if let Some(parent) = path.parent() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("warning: cannot create {}: {e}", parent.display());
+                if std::fs::create_dir_all(parent).is_err() {
+                    ctl.emit(&ProgressEvent::StageCacheDegraded {
+                        stage: StageKind::Searched,
+                        cause: StageCacheCause::WriteFailed,
+                    });
                 }
             }
             crate::checkpoint::CheckpointSpec {
@@ -1037,17 +1043,30 @@ impl Pipeline {
         prepared.dataset == self.dataset && prepared.seed == self.config.seed
     }
 
+    /// Load `stage` from the cache if its file chain is usable and
+    /// `valid` accepts it; otherwise compute and store it. A file that
+    /// exists but cannot be used emits one
+    /// [`ProgressEvent::StageCacheDegraded`] before the recompute.
     fn cached<T, V, F>(&self, stage: StageKind, valid: V, compute: F) -> Result<T, FlowError>
     where
         T: Serialize + Deserialize,
         V: FnOnce(&T) -> bool,
         F: FnOnce() -> Result<T, FlowError>,
     {
-        if let Some(value) = self.load_stage::<T>(stage) {
-            if valid(&value) {
-                self.control().emit(&ProgressEvent::StageLoaded { stage });
-                return Ok(value);
+        let degraded = match self.load_stage::<T>(stage) {
+            Ok(Some(value)) => {
+                if valid(&value) {
+                    self.control().emit(&ProgressEvent::StageLoaded { stage });
+                    return Ok(value);
+                }
+                Some(StageCacheCause::NotOurs)
             }
+            Ok(None) => None,
+            Err(cause) => Some(cause),
+        };
+        if let Some(cause) = degraded {
+            self.control()
+                .emit(&ProgressEvent::StageCacheDegraded { stage, cause });
         }
         let value = compute()?;
         self.store_stage(stage, &value);
@@ -1133,40 +1152,103 @@ impl Pipeline {
         h ^ crate::engine::fingerprint_json(&cfg.accuracy_loss_budget).rotate_left(4)
     }
 
-    fn load_stage<T: Deserialize>(&self, stage: StageKind) -> Option<T> {
-        let path = self.stage_path(stage)?;
-        let text = std::fs::read_to_string(path).ok()?;
-        serde_json::from_str(&text).ok()
+    /// Load `stage` from its file and its parents' files: `Ok(None)`
+    /// when there is no cache directory or no file for `stage`.
+    fn load_stage<T: Deserialize>(&self, stage: StageKind) -> Result<Option<T>, StageCacheCause> {
+        let Some(tree) = self.load_tree(stage)? else {
+            return Ok(None);
+        };
+        serde_json::from_value(&tree)
+            .map(Some)
+            .map_err(|_| StageCacheCause::Malformed)
     }
 
-    /// Best-effort store: failures are reported to stderr but never
-    /// fail the pipeline (the in-memory artifact is the primary result).
+    /// `stage`'s whole JSON tree: its own file's payload with the
+    /// parent link replaced by the parent's tree, loaded the same way.
+    fn load_tree(&self, stage: StageKind) -> Result<Option<Value>, StageCacheCause> {
+        let Some(path) = self.stage_path(stage) else {
+            return Ok(None);
+        };
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) => {
+                return match e.kind() {
+                    std::io::ErrorKind::NotFound => Ok(None),
+                    std::io::ErrorKind::InvalidData => Err(StageCacheCause::Malformed),
+                    _ => Err(StageCacheCause::Unreadable),
+                }
+            }
+        };
+        let mut tree = serde_json::parse_value(&text).map_err(|_| StageCacheCause::Malformed)?;
+        let Some((parent, field)) = parent_link(stage) else {
+            return Ok(Some(tree));
+        };
+        let Value::Map(entries) = &mut tree else {
+            return Err(StageCacheCause::Malformed);
+        };
+        let link = entries
+            .iter_mut()
+            .find(|(key, _)| key == PARENT_KEY)
+            .ok_or(StageCacheCause::Malformed)?;
+        if link.1 != self.parent_link_value(parent) {
+            return Err(StageCacheCause::BrokenParentLink);
+        }
+        let Ok(Some(parent_tree)) = self.load_tree(parent) else {
+            return Err(StageCacheCause::BrokenParentLink);
+        };
+        *link = (field.to_owned(), parent_tree);
+        Ok(Some(tree))
+    }
+
+    /// The value a stage file stores under [`PARENT_KEY`]: the parent
+    /// stage's cache key, as its file name spells it.
+    fn parent_link_value(&self, parent: StageKind) -> Value {
+        Value::Str(format!("{:016x}", self.cache_key(parent)))
+    }
+
+    /// Best-effort store: a failure emits a
+    /// [`ProgressEvent::StageCacheDegraded`] but never fails the
+    /// pipeline (the in-memory artifact is the primary result).
     ///
-    /// Stage files are compact JSON — each stage embeds its full
-    /// upstream chain (that's what makes a single file resumable on its
-    /// own), so pretty-printing would multiply already-redundant bytes.
-    /// Writes go through [`pe_store::atomic_write`], so a kill mid-write
-    /// can never leave a torn artifact for the next run to load (a torn
-    /// cache entry would fail to parse and silently recompute, but an
+    /// Each stage file holds the stage's own payload plus a parent
+    /// link: the field holding the previous stage is replaced by
+    /// `"parent"`, that stage's cache key. Loading walks the chain, so
+    /// every stage is written once. Files are compact JSON. Writes go
+    /// through [`pe_store::atomic_write`], so a kill mid-write can never
+    /// leave a torn artifact for the next run to load (a torn cache
+    /// entry would fail to parse and recompute, but an
     /// atomically-replaced one keeps its previous good contents).
     fn store_stage<T: Serialize>(&self, stage: StageKind, value: &T) {
         let Some(path) = self.stage_path(stage) else {
             return;
         };
-        if let Some(parent) = path.parent() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("warning: cannot create {}: {e}", parent.display());
-                return;
-            }
+        let written = self.stage_payload(stage, value).is_some_and(|tree| {
+            let json = serde_json::value_to_string(&tree);
+            path.parent()
+                .map_or(Ok(()), std::fs::create_dir_all)
+                .and_then(|()| pe_store::atomic_write(&path, json.as_bytes()))
+                .is_ok()
+        });
+        if !written {
+            self.control().emit(&ProgressEvent::StageCacheDegraded {
+                stage,
+                cause: StageCacheCause::WriteFailed,
+            });
         }
-        match serde_json::to_string(value) {
-            Ok(json) => {
-                if let Err(e) = pe_store::atomic_write(&path, json.as_bytes()) {
-                    eprintln!("warning: cannot write {}: {e}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: cannot serialize {stage} stage: {e}"),
+    }
+
+    /// `value`'s JSON tree with its parent stage's field replaced by
+    /// the parent link (`None` if the tree has no such field).
+    fn stage_payload<T: Serialize>(&self, stage: StageKind, value: &T) -> Option<Value> {
+        let mut tree = serde_json::to_value(value).ok()?;
+        if let Some((parent, field)) = parent_link(stage) {
+            let Value::Map(entries) = &mut tree else {
+                return None;
+            };
+            let slot = entries.iter_mut().find(|(key, _)| key == field)?;
+            *slot = (PARENT_KEY.to_owned(), self.parent_link_value(parent));
         }
+        Some(tree)
     }
 
     // ------------------------------------------------ multi-dataset runs
@@ -1349,10 +1431,29 @@ impl std::fmt::Debug for RunManyOptions {
 
 /// Version tag mixed into every stage-cache key. Bump whenever a
 /// stage-affecting algorithm changes (data generation, SGD, the GA,
-/// hardware costing), so stale artifacts from older code are never
-/// served as current results. Configuration changes are handled
-/// automatically; only *code* changes need a bump.
-pub const STAGE_CACHE_VERSION: u32 = 1;
+/// hardware costing) or the stage-file format does, so stale artifacts
+/// from older code are never served as current results. Configuration
+/// changes are handled automatically; only *code* changes need a bump.
+///
+/// Version 2: a stage file holds its own payload plus a `"parent"`
+/// link to the previous stage's file, instead of embedding the whole
+/// upstream chain.
+pub const STAGE_CACHE_VERSION: u32 = 2;
+
+/// The field a stage file stores its parent link under.
+const PARENT_KEY: &str = "parent";
+
+/// The stage `stage` is computed from, and the field of `stage`'s
+/// artifact that holds it.
+fn parent_link(stage: StageKind) -> Option<(StageKind, &'static str)> {
+    match stage {
+        StageKind::Prepared => None,
+        StageKind::FloatTrained => Some((StageKind::Prepared, "prepared")),
+        StageKind::BaselineCosted => Some((StageKind::FloatTrained, "float")),
+        StageKind::Searched => Some((StageKind::BaselineCosted, "costed")),
+        StageKind::Selected => Some((StageKind::Searched, "searched")),
+    }
+}
 
 // ---------------------------------------------------------------- seeding
 

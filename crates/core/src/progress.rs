@@ -57,6 +57,25 @@ impl fmt::Display for StageKind {
     }
 }
 
+/// Why the stage cache took a degraded path
+/// ([`ProgressEvent::StageCacheDegraded`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StageCacheCause {
+    /// The stage file exists but could not be read.
+    Unreadable,
+    /// The stage file is not UTF-8 JSON, or not a stage artifact of
+    /// the current format.
+    Malformed,
+    /// The stage's parent link names another parent than this
+    /// pipeline's, or the parent's own file is missing or unusable.
+    BrokenParentLink,
+    /// The loaded artifact belongs to another dataset, seed or engine.
+    NotOurs,
+    /// The stage artifact (or the search checkpoint's directory) could
+    /// not be written.
+    WriteFailed,
+}
+
 /// A cloneable cancellation flag shared between the caller and a
 /// running pipeline. Cancellation is cooperative: stages poll the token
 /// at epoch/generation granularity and return
@@ -102,6 +121,16 @@ pub enum ProgressEvent {
     StageLoaded {
         /// Which stage.
         stage: StageKind,
+    },
+    /// The stage cache took a degraded path for a stage: a cached file
+    /// existed but could not be used, so the stage is recomputed, or
+    /// the stage could not be written back. A plain miss, with no file
+    /// for the stage, emits nothing.
+    StageCacheDegraded {
+        /// Which stage.
+        stage: StageKind,
+        /// What went wrong.
+        cause: StageCacheCause,
     },
     /// One SGD epoch of the float-training stage completed.
     SgdEpoch {

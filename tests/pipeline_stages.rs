@@ -1,13 +1,14 @@
 //! The staged pipeline API end to end: stage artifacts round-trip
 //! through serde, cache to disk and resume without re-running the GA,
-//! parallel `run_many` reproduces sequential output byte-for-byte, and
-//! cancellation aborts mid-run.
+//! a corrupt or broken stage cache recomputes exactly the stages it
+//! cannot serve, parallel `run_many` reproduces sequential output
+//! byte-for-byte, and cancellation aborts mid-run.
 
 use std::sync::{Arc, Mutex};
 
 use printed_mlps::axc::{
     AxTrainConfig, CancelToken, FlowError, Pipeline, Prepared, ProgressEvent, RunManyOptions,
-    StageKind, Study, StudyConfig,
+    StageCacheCause, StageKind, Study, StudyConfig,
 };
 use printed_mlps::datasets::{Dataset, DatasetError};
 use printed_mlps::hw::TechLibrary;
@@ -193,11 +194,7 @@ fn a_hand_edited_prepared_cache_file_is_a_typed_error() {
     let dir = fresh_dir("edited-prepared");
     let (pipeline, _) = recording_pipeline(Dataset::BreastCancer, 3, Some(&dir));
     let original = pipeline.prepared().expect("prepared");
-    let path = std::fs::read_dir(&dir)
-        .expect("cache dir")
-        .map(|entry| entry.expect("entry").path())
-        .find(|path| path.to_string_lossy().ends_with("-prepared.json"))
-        .expect("a prepared stage file");
+    let path = stage_file(&dir, StageKind::Prepared);
     // Dataset and seed still match, so the pipeline loads the file.
     type Edit = fn(&mut Prepared);
     let edits: [(Edit, DatasetError); 2] = [
@@ -230,6 +227,248 @@ fn a_hand_edited_prepared_cache_file_is_a_typed_error() {
         assert_eq!(loaded_stages(&events), vec![StageKind::Prepared]);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The stage file of `stage` in a one-dataset cache directory.
+fn stage_file(dir: &std::path::Path, stage: StageKind) -> std::path::PathBuf {
+    let suffix = format!("-{stage}.json");
+    std::fs::read_dir(dir)
+        .expect("cache dir")
+        .map(|entry| entry.expect("entry").path())
+        .find(|path| path.to_string_lossy().ends_with(&suffix))
+        .unwrap_or_else(|| panic!("a {stage} stage file"))
+}
+
+fn truncate_half(path: &std::path::Path) {
+    let bytes = std::fs::read(path).expect("read");
+    std::fs::write(path, &bytes[..bytes.len() / 2]).expect("write");
+}
+
+/// A fresh directory tagged `tag` holding a copy of every file in
+/// `from`.
+fn copy_cache(from: &std::path::Path, tag: &str) -> std::path::PathBuf {
+    let dir = fresh_dir(tag);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("cache dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, dir.join(path.file_name().expect("name"))).expect("copy");
+    }
+    dir
+}
+
+/// The degraded-cache events a run must emit, in order.
+type Degraded = Vec<(StageKind, StageCacheCause)>;
+
+/// Check a run's degraded-cache events against `degraded`, and that it
+/// computed exactly the stages from `first` onward.
+fn assert_cache_trail(case: &str, events: &EventLog, degraded: &Degraded, first: StageKind) {
+    let events = events.lock().expect("unpoisoned");
+    let seen: Degraded = events
+        .iter()
+        .filter_map(|e| match *e {
+            ProgressEvent::StageCacheDegraded { stage, cause } => Some((stage, cause)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(&seen, degraded, "{case}");
+    let started: Vec<StageKind> = events
+        .iter()
+        .filter_map(|e| match *e {
+            ProgressEvent::StageStarted { stage } => Some(stage),
+            _ => None,
+        })
+        .collect();
+    let from = StageKind::ALL
+        .iter()
+        .position(|&s| s == first)
+        .expect("stage");
+    assert_eq!(started, StageKind::ALL[from..], "{case}");
+}
+
+#[test]
+fn a_corrupt_stage_cache_recomputes_from_the_first_broken_link() {
+    use StageCacheCause::{BrokenParentLink, Malformed};
+    use StageKind::{BaselineCosted, FloatTrained, Prepared, Searched, Selected};
+    let seed = 11;
+    let quick = |cache: Option<&std::path::Path>| {
+        let events: EventLog = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        let mut builder = Study::for_dataset(Dataset::BreastCancer)
+            .config(StudyConfig::quick(seed))
+            .tech(TechLibrary::egfet())
+            .progress(move |e| sink.lock().expect("unpoisoned").push(e.clone()));
+        if let Some(dir) = cache {
+            builder = builder.cache_dir(dir);
+        }
+        (builder.finish().expect("valid quick config"), events)
+    };
+    let expected = untimed(quick(None).0.run().expect("uncached run"));
+    let pristine = fresh_dir("corpus-pristine");
+    let (cached, _) = quick(Some(&pristine));
+    cached.run().expect("cold cached run");
+    // The version-1 layout: the whole upstream chain inside the file.
+    let v1_searched =
+        serde_json::to_string(&cached.searched().expect("cached searched")).expect("serialize");
+
+    type Corrupt = Box<dyn Fn(&std::path::Path)>;
+    // Each case: what breaks, the degraded events it must cause, and
+    // the first stage that has to be recomputed.
+    let cases: Vec<(&str, Corrupt, Degraded, StageKind)> = vec![
+        (
+            "truncated Selected file",
+            Box::new(|dir| truncate_half(&stage_file(dir, Selected))),
+            vec![(Selected, Malformed)],
+            Selected,
+        ),
+        (
+            "truncated Prepared file",
+            Box::new(|dir| truncate_half(&stage_file(dir, Prepared))),
+            vec![
+                (Selected, BrokenParentLink),
+                (Searched, BrokenParentLink),
+                (BaselineCosted, BrokenParentLink),
+                (FloatTrained, BrokenParentLink),
+                (Prepared, Malformed),
+            ],
+            Prepared,
+        ),
+        (
+            // A plain miss emits nothing for the missing stage itself.
+            "deleted FloatTrained file",
+            Box::new(|dir| std::fs::remove_file(stage_file(dir, FloatTrained)).expect("rm")),
+            vec![
+                (Selected, BrokenParentLink),
+                (Searched, BrokenParentLink),
+                (BaselineCosted, BrokenParentLink),
+            ],
+            FloatTrained,
+        ),
+        (
+            "rewritten parent key of the Searched file",
+            Box::new(|dir| {
+                let path = stage_file(dir, Searched);
+                let text = std::fs::read_to_string(&path).expect("read");
+                let link = "\"parent\":\"";
+                let at = text.find(link).expect("a parent link") + link.len();
+                let edited = format!("{}{}{}", &text[..at], "0".repeat(16), &text[at + 16..]);
+                assert_ne!(edited, text);
+                std::fs::write(&path, edited).expect("write");
+            }),
+            vec![(Selected, BrokenParentLink), (Searched, BrokenParentLink)],
+            Searched,
+        ),
+        (
+            "version-1 Searched file under its version-2 name",
+            Box::new(move |dir| {
+                std::fs::write(stage_file(dir, Searched), &v1_searched).expect("write");
+            }),
+            vec![(Selected, BrokenParentLink), (Searched, Malformed)],
+            Searched,
+        ),
+        (
+            "BaselineCosted file that is not a JSON object",
+            Box::new(|dir| {
+                std::fs::write(stage_file(dir, BaselineCosted), "[1,2,3]").expect("write");
+            }),
+            vec![
+                (Selected, BrokenParentLink),
+                (Searched, BrokenParentLink),
+                (BaselineCosted, Malformed),
+            ],
+            BaselineCosted,
+        ),
+    ];
+    for (case, corrupt, degraded, first) in cases {
+        let dir = copy_cache(&pristine, "corpus-case");
+        corrupt(&dir);
+        let (pipeline, events) = quick(Some(&dir));
+        let selected = pipeline.run().expect("a corrupt cache recomputes");
+        assert_eq!(untimed(selected), expected, "{case}");
+        assert_cache_trail(case, &events, &degraded, first);
+        // The recompute repaired the chain: the next run loads it whole.
+        let (again, again_events) = quick(Some(&dir));
+        assert_eq!(
+            untimed(again.run().expect("repaired run")),
+            expected,
+            "{case}"
+        );
+        assert_eq!(loaded_stages(&again_events), vec![Selected], "{case}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&pristine);
+}
+
+#[test]
+fn foreign_unreadable_and_unwritable_stage_files_are_reported() {
+    use StageCacheCause::{NotOurs, Unreadable, WriteFailed};
+    let seed = 13;
+    let pristine = fresh_dir("causes-pristine");
+    let (first, _) = recording_pipeline(Dataset::BreastCancer, seed, Some(&pristine));
+    let expected = untimed(first.run().expect("cold cached run"));
+
+    type Corrupt = fn(&std::path::Path);
+    let cases: [(&str, Corrupt, Degraded, StageKind); 3] = [
+        (
+            // The chain still links, but every stage's rebuilt value
+            // now carries another seed.
+            "Prepared file of another seed",
+            |dir| {
+                let path = stage_file(dir, StageKind::Prepared);
+                let text = std::fs::read_to_string(&path).expect("read");
+                let mut prepared: Prepared = serde_json::from_str(&text).expect("parse");
+                prepared.seed += 1;
+                std::fs::write(&path, serde_json::to_string(&prepared).expect("json"))
+                    .expect("write");
+            },
+            StageKind::ALL
+                .iter()
+                .rev()
+                .map(|&stage| (stage, NotOurs))
+                .collect(),
+            StageKind::Prepared,
+        ),
+        (
+            "Searched file of another engine",
+            |dir| {
+                let path = stage_file(dir, StageKind::Searched);
+                let text = std::fs::read_to_string(&path).expect("read");
+                let edited = text.replacen("\"engine\":\"nsga2-axc\"", "\"engine\":\"other\"", 1);
+                assert_ne!(edited, text);
+                std::fs::write(&path, edited).expect("write");
+            },
+            vec![
+                (StageKind::Selected, NotOurs),
+                (StageKind::Searched, NotOurs),
+            ],
+            StageKind::Searched,
+        ),
+        (
+            // A directory in the file's place can be neither read nor
+            // replaced.
+            "directory in place of the Selected file",
+            |dir| {
+                let path = stage_file(dir, StageKind::Selected);
+                std::fs::remove_file(&path).expect("rm");
+                std::fs::create_dir(&path).expect("mkdir");
+                std::fs::write(path.join("occupied"), "x").expect("write");
+            },
+            vec![
+                (StageKind::Selected, Unreadable),
+                (StageKind::Selected, WriteFailed),
+            ],
+            StageKind::Selected,
+        ),
+    ];
+    for (case, corrupt, degraded, first) in cases {
+        let dir = copy_cache(&pristine, "causes-case");
+        corrupt(&dir);
+        let (pipeline, events) = recording_pipeline(Dataset::BreastCancer, seed, Some(&dir));
+        let selected = pipeline.run().expect("a degraded cache still runs");
+        assert_eq!(untimed(selected), expected, "{case}");
+        assert_cache_trail(case, &events, &degraded, first);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&pristine);
 }
 
 #[test]
