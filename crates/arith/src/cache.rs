@@ -1,5 +1,5 @@
-//! A small bounded memoization cache shared by the evaluation hot
-//! paths.
+//! A small bounded memoization cache: `printed-axc`'s hidden-neuron
+//! column cache and `pe-hw`'s per-neuron circuit-cost memos use it.
 //!
 //! [`BoundedCache`] is a segmented (two-generation) LRU approximation:
 //! lookups promote entries into the *hot* generation, and when the hot
@@ -11,8 +11,8 @@
 //! its linked-list overhead.
 //!
 //! The cache only ever memoizes **pure** functions in this workspace
-//! (genome → fitness, neuron spec → gate counts), so eviction can never
-//! change a result — only how much work is re-done.
+//! (neuron → output column, neuron spec → circuit cost), so eviction
+//! can never change a result — only how much work is re-done.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -163,19 +163,6 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         }
         self.rotate_if_full();
         self.cold.remove(&key);
-        self.hot.insert(key, value);
-    }
-
-    /// Insert a key that a just-preceding [`get`](Self::get) reported
-    /// absent from both generations — skips the re-probes that
-    /// [`insert`](Self::insert) performs, so a memoized miss path
-    /// hashes the key once here instead of three times.
-    pub fn insert_missed(&mut self, key: K, value: V) {
-        debug_assert!(
-            !self.hot.contains_key(&key) && !self.cold.contains_key(&key),
-            "insert_missed requires a key absent from both generations"
-        );
-        self.rotate_if_full();
         self.hot.insert(key, value);
     }
 

@@ -32,9 +32,9 @@ pub struct WeightArith {
 /// Arithmetic description of one approximate neuron `θ_j^(l)`:
 /// everything the area estimate depends on.
 ///
-/// `Hash`/`Eq` make the spec directly usable as a memoization key: two
-/// neurons with the same weight signature (masks, signs, shifts), bias
-/// and input width cost exactly the same hardware.
+/// Two neurons with the same weight signature (masks, signs, shifts),
+/// bias and input width cost exactly the same hardware, so `Hash`/`Eq`
+/// make the spec usable as a cache key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NeuronArithSpec {
     /// Width of each input activation in bits (4 for first-layer inputs,
@@ -180,9 +180,9 @@ impl AdderAreaEstimator {
 
     /// The gate-count summary of one neuron, computed without
     /// materializing the summand list, the per-column
-    /// [`ColumnProfile`] or the [`AdderAreaReport`] — the memoized GA
-    /// hot path runs this once per *distinct* neuron, so it is written
-    /// to allocate exactly one height vector.
+    /// [`ColumnProfile`] or the [`AdderAreaReport`] — the GA's area
+    /// objective runs this for every neuron of every genome, so it is
+    /// written to allocate exactly one height vector.
     ///
     /// Identical by construction (and pinned by tests) to
     /// `NeuronGateCounts::from(&self.estimate(spec))`.
@@ -197,8 +197,8 @@ impl AdderAreaEstimator {
     }
 
     /// [`counts_of`](Self::counts_of) with a caller-provided height
-    /// scratch vector, so a memoizing wrapper that runs this once per
-    /// cache miss allocates nothing at all.
+    /// scratch vector, so a caller that reuses one buffer allocates
+    /// nothing at all.
     ///
     /// # Panics
     ///
@@ -306,7 +306,7 @@ impl Default for AdderAreaEstimator {
 /// The gate-count summary of one neuron's adder area — everything the
 /// GA's area objectives consume, without the per-column
 /// [`ColumnProfile`] (which makes [`AdderAreaReport`] too heavy to
-/// memoize by the million).
+/// build by the million).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NeuronGateCounts {
     /// Full adders (compression tree + final carry-propagate adder).
@@ -339,92 +339,6 @@ impl From<&AdderAreaReport> for NeuronGateCounts {
             stages: r.stages,
             accumulator_bits: r.accumulator_bits,
         }
-    }
-}
-
-/// A memoizing wrapper around [`AdderAreaEstimator`].
-///
-/// Sibling genomes in a GA population differ in a handful of genes, so
-/// almost all of their neurons are *identical* specs — this estimator
-/// keys a [`BoundedCache`](crate::BoundedCache) by the full
-/// [`NeuronArithSpec`] (weight signature + bit widths + bias) and skips
-/// the column-profile construction and compressor-tree reduction for
-/// every repeat. Estimation is a pure function of the spec, so the
-/// memoized counts are exactly the computed ones.
-///
-/// Clones share one cache (and its hit/miss counters) and the type is
-/// `Send + Sync`: a parallel batch evaluator can score genomes on many
-/// threads against one shared neuron cache.
-#[derive(Debug, Clone)]
-pub struct MemoAreaEstimator {
-    inner: AdderAreaEstimator,
-    cache: std::sync::Arc<std::sync::Mutex<MemoState>>,
-}
-
-/// Everything behind the memo lock: the bounded spec → counts map plus
-/// the height-vector scratch the miss path reuses (it is only ever
-/// touched while the cache lock is held, so sharing the mutex costs
-/// nothing and keeps the miss path allocation-free).
-#[derive(Debug)]
-struct MemoState {
-    cache: crate::BoundedCache<NeuronArithSpec, NeuronGateCounts>,
-    heights: Vec<u32>,
-}
-
-/// Per-generation default: large enough for every distinct neuron a
-/// paper-scale run encounters between rotations, small enough to stay
-/// in the tens of megabytes.
-pub const NEURON_CACHE_CAPACITY: usize = 1 << 15;
-
-impl MemoAreaEstimator {
-    /// Memoize `inner` with the default cache capacity.
-    #[must_use]
-    pub fn new(inner: AdderAreaEstimator) -> Self {
-        Self::with_capacity(inner, NEURON_CACHE_CAPACITY)
-    }
-
-    /// Memoize `inner` with an explicit per-generation cache capacity.
-    #[must_use]
-    pub fn with_capacity(inner: AdderAreaEstimator, capacity: usize) -> Self {
-        Self {
-            inner,
-            cache: std::sync::Arc::new(std::sync::Mutex::new(MemoState {
-                cache: crate::BoundedCache::new(capacity),
-                heights: Vec::new(),
-            })),
-        }
-    }
-
-    /// The underlying (uncached) estimator.
-    #[must_use]
-    pub fn inner(&self) -> &AdderAreaEstimator {
-        &self.inner
-    }
-
-    /// Gate counts of one neuron, memoized by its spec.
-    #[must_use]
-    pub fn counts(&self, spec: &NeuronArithSpec) -> NeuronGateCounts {
-        let mut state = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let state = &mut *state;
-        if let Some(counts) = state.cache.get(spec) {
-            return counts;
-        }
-        let counts = self.inner.counts_of_with(spec, &mut state.heights);
-        state.cache.insert_missed(spec.clone(), counts);
-        counts
-    }
-
-    /// Lifetime `(hits, misses)` of the shared neuron cache.
-    #[must_use]
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let state = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (state.cache.hits(), state.cache.misses())
     }
 }
 
@@ -559,49 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_counts_equal_direct_estimates() {
-        let est = AdderAreaEstimator::paper();
-        let memo = MemoAreaEstimator::new(est);
-        let specs = [
-            spec(vec![], 0),
-            spec(
-                vec![
-                    WeightArith {
-                        mask: 0b1011,
-                        shift: 1,
-                        negative: true,
-                    },
-                    WeightArith {
-                        mask: 0b1111,
-                        shift: 0,
-                        negative: false,
-                    },
-                ],
-                -7,
-            ),
-            spec(
-                vec![
-                    WeightArith {
-                        mask: 0b1111,
-                        shift: 3,
-                        negative: false
-                    };
-                    9
-                ],
-                42,
-            ),
-        ];
-        for s in &specs {
-            let direct = NeuronGateCounts::from(&est.estimate(s));
-            assert_eq!(memo.counts(s), direct); // cold
-            assert_eq!(memo.counts(s), direct); // hot
-        }
-        let (hits, misses) = memo.cache_stats();
-        assert_eq!(misses, specs.len() as u64);
-        assert_eq!(hits, specs.len() as u64);
-    }
-
-    #[test]
     fn counts_of_equals_the_full_estimate_on_random_specs() {
         // The lean hot path must agree with the reference estimate on
         // every field, for both reduction kinds, across a broad sweep
@@ -637,23 +508,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn memo_clones_share_one_cache() {
-        let memo = MemoAreaEstimator::new(AdderAreaEstimator::paper());
-        let clone = memo.clone();
-        let s = spec(
-            vec![WeightArith {
-                mask: 0b1111,
-                shift: 0,
-                negative: false,
-            }],
-            1,
-        );
-        let _ = memo.counts(&s);
-        let _ = clone.counts(&s);
-        assert_eq!(clone.cache_stats(), (1, 1));
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub use column::ColumnProfile;
 pub use csd::{csd_digits, CsdDigit};
 pub use error::ArithError;
 pub use estimator::{
-    AdderAreaEstimator, AdderAreaReport, MemoAreaEstimator, NeuronArithSpec, NeuronGateCounts,
-    WeightArith,
+    AdderAreaEstimator, AdderAreaReport, NeuronArithSpec, NeuronGateCounts, WeightArith,
 };
 pub use fixed::{
     clamp_to_bits, max_signed, max_unsigned, min_signed, signed_width, unsigned_width,

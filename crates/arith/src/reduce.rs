@@ -111,7 +111,7 @@ impl Reducer {
     /// [`reduce`](Self::reduce) directly on a mutable height vector,
     /// leaving the final two rows in `heights` and
     /// `final_profile` empty — the allocation-free core shared with the
-    /// memoized estimator hot path.
+    /// estimator's gate-count hot path.
     pub(crate) fn reduce_in_place(&self, heights: &mut Vec<u32>) -> ReductionStats {
         let mut stats = ReductionStats::default();
 

@@ -2,14 +2,11 @@
 //! DATE'24 paper.
 //!
 //! Each experiment is a plain function returning serializable rows, so
-//! it can be driven three ways:
+//! it can be driven two ways:
 //!
 //! * `cargo run -p pe-bench --release --bin <experiment>` — full-budget
-//!   reproduction, printing the paper-format table and writing JSON
-//!   next to it;
-//! * `cargo bench -p pe-bench --bench <experiment>` — a scaled-budget
-//!   run that prints the same table plus Criterion timings of the
-//!   underlying kernels;
+//!   reproduction (`PE_BUDGET=quick` scales it down), printing the
+//!   paper-format table and writing JSON next to it;
 //! * library calls from the integration tests.
 //!
 //! Experiment index (see DESIGN.md §4): [`table1`] baselines,

@@ -21,10 +21,12 @@ use crate::knobs::Knobs;
 /// How much compute an experiment run may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetPreset {
-    /// Seconds per dataset: for `cargo bench` smoke runs and CI.
+    /// Seconds per dataset: for smoke runs and CI.
     Quick,
-    /// A couple of minutes per dataset: the default for `--bin` runs;
-    /// Pareto fronts are close to saturated at this budget.
+    /// A couple of minutes per dataset, the default for `--bin` runs:
+    /// population 150 × 700 generations on a 2000-row fitness
+    /// subsample. Whether the Pareto fronts saturate at this budget is
+    /// not measured.
     Full,
 }
 
@@ -73,10 +75,11 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
 
 /// Accumulates the per-generation
 /// [`ProgressEvent::EvalCache`] streams of every study into one
-/// run-wide tally, so the bench bins can print how hard the genome
-/// memo, the neuron-column cache and the cost layer's gate-count memo
-/// worked — plus the design-store ingest counters when a store is
-/// attached. Robust to several GA runs
+/// run-wide tally, so the bench bins can print how much work the
+/// batch evaluator's within-wave deduplication saved, how hard the
+/// neuron-column cache worked and how many gate counts the area
+/// objective computed — plus the design-store ingest counters when a
+/// store is attached. Robust to several GA runs
 /// per dataset (each search's cumulative counters restart at zero; a
 /// decrease folds the finished run into the total).
 #[derive(Debug, Default)]
@@ -94,13 +97,12 @@ struct CacheTally {
     /// Shard count of the column cache (a configuration echo, not a
     /// cumulative counter — the latest reported value wins).
     column_shards: u64,
-    cost_hits: u64,
     cost_misses: u64,
     store_ingested: u64,
     store_deduplicated: u64,
     store_bytes: u64,
     /// Cumulative counters of the GA run currently streaming.
-    last: [u64; 10],
+    last: [u64; 9],
 }
 
 impl CacheTally {
@@ -109,13 +111,12 @@ impl CacheTally {
         self.genome_misses += self.last[1];
         self.column_hits += self.last[2];
         self.column_misses += self.last[3];
-        self.cost_hits += self.last[4];
-        self.cost_misses += self.last[5];
-        self.store_ingested += self.last[6];
-        self.store_deduplicated += self.last[7];
-        self.store_bytes += self.last[8];
-        self.column_contended += self.last[9];
-        self.last = [0; 10];
+        self.cost_misses += self.last[4];
+        self.store_ingested += self.last[5];
+        self.store_deduplicated += self.last[6];
+        self.store_bytes += self.last[7];
+        self.column_contended += self.last[8];
+        self.last = [0; 9];
     }
 }
 
@@ -139,7 +140,6 @@ impl EvalCacheSummary {
                 column_misses,
                 column_contended,
                 column_shards,
-                cost_hits,
                 cost_misses,
                 store_ingested,
                 store_deduplicated,
@@ -151,7 +151,6 @@ impl EvalCacheSummary {
                     misses,
                     column_hits,
                     column_misses,
-                    cost_hits,
                     cost_misses,
                     store_ingested,
                     store_deduplicated,
@@ -186,7 +185,6 @@ impl EvalCacheSummary {
             total.column_misses += t.column_misses;
             total.column_contended += t.column_contended;
             total.column_shards = total.column_shards.max(t.column_shards);
-            total.cost_hits += t.cost_hits;
             total.cost_misses += t.cost_misses;
             total.store_ingested += t.store_ingested;
             total.store_deduplicated += t.store_deduplicated;
@@ -201,18 +199,16 @@ impl EvalCacheSummary {
             }
         };
         let mut line = format!(
-            "eval caches: genome memo {} hits / {} misses ({:.1}% hit) | neuron columns {} hits / {} misses ({:.1}% hit, {} shards, {} contended probes) | cost-model memo {} hits / {} misses ({:.1}% hit)",
-            total.genome_hits,
+            "eval: {} genomes computed / {} within-wave duplicates ({:.1}% deduplicated) | neuron columns {} hits / {} misses ({:.1}% hit, {} shards, {} contended probes) | {} gate counts computed",
             total.genome_misses,
+            total.genome_hits,
             pct(total.genome_hits, total.genome_misses),
             total.column_hits,
             total.column_misses,
             pct(total.column_hits, total.column_misses),
             total.column_shards,
             total.column_contended,
-            total.cost_hits,
             total.cost_misses,
-            pct(total.cost_hits, total.cost_misses),
         );
         if total.store_ingested + total.store_deduplicated > 0 {
             line.push_str(&format!(
@@ -318,6 +314,9 @@ mod tests {
         summary.observe(Dataset::BreastCancer, &restart);
         summary.observe(Dataset::BreastCancer, &eval(5));
         let line = summary.render();
-        assert!(line.contains("genome memo 24 hits / 3 misses"), "{line}");
+        assert!(
+            line.contains("3 genomes computed / 24 within-wave duplicates"),
+            "{line}"
+        );
     }
 }

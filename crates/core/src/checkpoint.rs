@@ -15,7 +15,9 @@
 //!   [`ProgressEvent::Checkpoint`] per flush.
 //! * `load` (crate-internal) reads a checkpoint back, validating it
 //!   against the run's configuration and genome bounds; anything stale,
-//!   torn or foreign loads as `None` and the search starts fresh.
+//!   torn or foreign loads as `None`, is reported as a
+//!   [`ProgressEvent::StageCacheDegraded`], and the search starts
+//!   fresh.
 //!
 //! The cadence is pure durability policy: it is **not** part of any
 //! stage-cache key, and a resumed run reproduces the uninterrupted
@@ -26,7 +28,7 @@ use std::path::PathBuf;
 
 use pe_nsga::{CheckpointSink, NsgaConfig, SearchCheckpoint};
 
-use crate::progress::{ProgressEvent, RunControl};
+use crate::progress::{ProgressEvent, RunControl, StageCacheCause, StageKind};
 
 /// Default checkpoint cadence in completed generations (what
 /// [`Study::checkpoint_every`](crate::Study::checkpoint_every)
@@ -62,41 +64,50 @@ impl CheckpointSpec {
 /// Load and validate the checkpoint at `spec.path`.
 ///
 /// Returns `None` — and the caller starts a fresh search — when the
-/// file is missing, unparsable (torn writes cannot happen thanks to
-/// [`pe_store::atomic_write`], but hand-edited or foreign files can),
-/// or fails [`SearchCheckpoint::validate`] against this run's
-/// configuration and bounds. An invalid-but-present file is reported
-/// to stderr so silently ignored checkpoints are diagnosable.
+/// file is missing, unreadable, unparsable (torn writes cannot happen
+/// thanks to [`pe_store::atomic_write`], but hand-edited or foreign
+/// files can), or fails [`SearchCheckpoint::validate`] against this
+/// run's configuration and bounds. A file that exists but is not used
+/// is reported through `ctl` as a
+/// [`ProgressEvent::StageCacheDegraded`] for the `Searched` stage; a
+/// missing file emits nothing.
 #[must_use]
 pub(crate) fn load(
     spec: &CheckpointSpec,
     config: &NsgaConfig,
     bounds: &[u32],
+    ctl: &RunControl<'_>,
 ) -> Option<SearchCheckpoint> {
-    let text = std::fs::read_to_string(&spec.path).ok()?;
-    let Ok(checkpoint) = serde_json::from_str::<SearchCheckpoint>(&text) else {
-        eprintln!(
-            "warning: ignoring unreadable search checkpoint {}",
-            spec.path.display()
-        );
-        return None;
+    let parsed = match std::fs::read_to_string(&spec.path) {
+        Ok(text) => serde_json::from_str::<SearchCheckpoint>(&text)
+            .map_err(|_| StageCacheCause::Malformed)
+            .and_then(|checkpoint| match checkpoint.validate(config, bounds) {
+                Ok(()) => Ok(checkpoint),
+                Err(_) => Err(StageCacheCause::NotOurs),
+            }),
+        Err(e) => match e.kind() {
+            std::io::ErrorKind::NotFound => return None,
+            std::io::ErrorKind::InvalidData => Err(StageCacheCause::Malformed),
+            _ => Err(StageCacheCause::Unreadable),
+        },
     };
-    match checkpoint.validate(config, bounds) {
-        Ok(()) => Some(checkpoint),
-        Err(reason) => {
-            eprintln!(
-                "warning: ignoring stale search checkpoint {}: {reason}",
-                spec.path.display()
-            );
-            None
-        }
-    }
+    parsed.map_err(|cause| degraded(ctl, cause)).ok()
+}
+
+/// Report a checkpoint the search could not use or write.
+fn degraded(ctl: &RunControl<'_>, cause: StageCacheCause) {
+    ctl.emit(&ProgressEvent::StageCacheDegraded {
+        stage: StageKind::Searched,
+        cause,
+    });
 }
 
 /// The pipeline's [`CheckpointSink`]: snapshots go to disk through
 /// [`pe_store::atomic_write`] and each flush is reported as a
-/// [`ProgressEvent::Checkpoint`]. Write failures are warnings — a full
-/// disk degrades durability, it does not kill the search.
+/// [`ProgressEvent::Checkpoint`]. A failed write is reported as a
+/// [`ProgressEvent::StageCacheDegraded`] with
+/// [`StageCacheCause::WriteFailed`] — a full disk degrades durability,
+/// it does not kill the search.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FileSink<'a> {
     path: &'a std::path::Path,
@@ -111,22 +122,17 @@ impl<'a> FileSink<'a> {
 
 impl CheckpointSink for FileSink<'_> {
     fn save(&self, checkpoint: &SearchCheckpoint) {
-        match serde_json::to_string(checkpoint) {
-            Ok(json) => {
-                if let Err(e) = pe_store::atomic_write(self.path, json.as_bytes()) {
-                    eprintln!(
-                        "warning: cannot write checkpoint {}: {e}",
-                        self.path.display()
-                    );
-                    return;
-                }
-                self.ctl.emit(&ProgressEvent::Checkpoint {
-                    generation: checkpoint.generation,
-                    evaluations: checkpoint.evaluations,
-                });
-            }
-            Err(e) => eprintln!("warning: cannot serialize checkpoint: {e}"),
+        let written = serde_json::to_string(checkpoint)
+            .ok()
+            .is_some_and(|json| pe_store::atomic_write(self.path, json.as_bytes()).is_ok());
+        if !written {
+            degraded(self.ctl, StageCacheCause::WriteFailed);
+            return;
         }
+        self.ctl.emit(&ProgressEvent::Checkpoint {
+            generation: checkpoint.generation,
+            evaluations: checkpoint.evaluations,
+        });
     }
 }
 
@@ -182,7 +188,7 @@ mod tests {
         let uninterrupted = nsga.run_checkpointed(&Sphere, Vec::new(), None, None, |_| true);
         let _ = nsga.run_checkpointed(&Sphere, Vec::new(), None, Some(plan), |_| true);
 
-        let loaded = load(&spec, &config(), Sphere.bounds()).expect("checkpoint loads");
+        let loaded = load(&spec, &config(), Sphere.bounds(), &ctl).expect("checkpoint loads");
         assert_eq!(loaded.generation, 6);
         // Resuming from the final flush reproduces the full run.
         let resumed = nsga.run_checkpointed(&Sphere, Vec::new(), Some(loaded), None, |_| true);
@@ -193,19 +199,50 @@ mod tests {
 
     #[test]
     fn load_rejects_missing_torn_and_foreign_checkpoints() {
+        use std::sync::Mutex;
+        let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
+        let observer = |e: &ProgressEvent| events.lock().expect("unpoisoned").push(e.clone());
+        let ctl = RunControl::new(Some(&observer), None);
+        // The degraded causes reported since the last call.
+        let drain = || -> Vec<StageCacheCause> {
+            std::mem::take(&mut *events.lock().expect("unpoisoned"))
+                .into_iter()
+                .filter_map(|e| match e {
+                    ProgressEvent::StageCacheDegraded {
+                        stage: StageKind::Searched,
+                        cause,
+                    } => Some(cause),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        // A missing checkpoint is an ordinary fresh start: no event.
         let missing = CheckpointSpec {
             path: scratch("missing"),
             every: 2,
         };
-        assert!(load(&missing, &config(), Sphere.bounds()).is_none());
+        assert!(load(&missing, &config(), Sphere.bounds(), &ctl).is_none());
+        assert!(drain().is_empty());
 
         let torn = CheckpointSpec {
             path: scratch("torn"),
             every: 2,
         };
         std::fs::write(&torn.path, "{\"generation\": 3, \"trunc").expect("write");
-        assert!(load(&torn, &config(), Sphere.bounds()).is_none());
+        assert!(load(&torn, &config(), Sphere.bounds(), &ctl).is_none());
+        assert_eq!(drain(), [StageCacheCause::Malformed]);
         let _ = std::fs::remove_file(&torn.path);
+
+        // A directory where the file should be cannot be read.
+        let unreadable = CheckpointSpec {
+            path: scratch("unreadable"),
+            every: 2,
+        };
+        std::fs::create_dir(&unreadable.path).expect("mkdir");
+        assert!(load(&unreadable, &config(), Sphere.bounds(), &ctl).is_none());
+        assert_eq!(drain(), [StageCacheCause::Unreadable]);
+        let _ = std::fs::remove_dir(&unreadable.path);
 
         // A valid checkpoint from a *different* configuration must not
         // resume this one.
@@ -214,8 +251,7 @@ mod tests {
             path: path.clone(),
             every: 1,
         };
-        let ctl = RunControl::NONE;
-        let sink = FileSink::new(&spec.path, &ctl);
+        let sink = FileSink::new(&spec.path, &RunControl::NONE);
         let nsga = Nsga2::new(config());
         let _ = nsga.run_checkpointed(
             &Sphere,
@@ -231,9 +267,16 @@ mod tests {
             seed: 999,
             ..config()
         };
-        assert!(load(&spec, &other, Sphere.bounds()).is_none());
-        assert!(load(&spec, &config(), Sphere.bounds()).is_some());
+        assert!(load(&spec, &other, Sphere.bounds(), &ctl).is_none());
+        assert_eq!(drain(), [StageCacheCause::NotOurs]);
+        let valid = load(&spec, &config(), Sphere.bounds(), &ctl).expect("checkpoint loads");
+        assert!(drain().is_empty());
         let _ = std::fs::remove_file(&path);
+
+        // A checkpoint that cannot be written is reported, not flushed.
+        let unwritable = scratch("no-such-dir").join("checkpoint.json");
+        FileSink::new(&unwritable, &ctl).save(&valid);
+        assert_eq!(drain(), [StageCacheCause::WriteFailed]);
     }
 
     #[test]

@@ -41,10 +41,8 @@
 //!
 //! Output (argmax) layers are deliberately **not** cached: their
 //! accumulators depend on every hidden column at once, so any upstream
-//! mutation would invalidate them wholesale, and exact genome repeats
-//! are already absorbed by the genome memo in
-//! [`crate::eval::CachedEvaluator`]; the fitness walk recomputes them
-//! into scratch on every evaluation.
+//! mutation would invalidate them wholesale; the fitness walk
+//! recomputes them into scratch on every evaluation.
 //!
 //! Caching is an optimization, never a semantic: every value is a pure
 //! function of its full key, so any mix of hits, misses, evictions,

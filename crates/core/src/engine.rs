@@ -279,7 +279,7 @@ impl SearchEngine for PlainGaEngine {
         );
         let mut history = Vec::with_capacity(self.nsga.generations);
         let started = Instant::now();
-        let result = crate::eval::run_ga_cached(
+        let result = crate::eval::run_ga(
             &Nsga2::new(self.nsga.clone()),
             &problem,
             Vec::new(),

@@ -1,5 +1,5 @@
-//! The shared evaluation core: parallel, memoized batch evaluation of
-//! GA populations.
+//! The shared evaluation core: parallel batch evaluation of GA
+//! populations.
 //!
 //! Virtually all of a study's wall-clock time is spent inside
 //! [`IntProblem::evaluate`] — full-dataset [`pe_mlp::AxMlp`] inference
@@ -7,13 +7,12 @@
 //! thousands of times per run. This module turns that hot path into a
 //! reusable substrate:
 //!
-//! * [`CachedEvaluator`] wraps any [`IntProblem`] and overrides
+//! * [`BatchEvaluator`] wraps any [`IntProblem`] and overrides
 //!   [`IntProblem::evaluate_batch`] so each NSGA-II wave
-//!   1. is looked up in a bounded genome-keyed memo
-//!      ([`pe_arith::BoundedCache`]) — elitist (μ+λ) selection and
-//!      low mutation rates re-submit many identical genomes across
-//!      generations, and duplicates *within* a wave are computed once;
-//!   2. fans the remaining misses out over a fixed-size
+//!   1. is deduplicated — elitist (μ+λ) selection and low mutation
+//!      rates put identical genomes into one wave, and each distinct
+//!      genome is computed once;
+//!   2. fans the distinct genomes out over a fixed-size
 //!      `std::thread::scope` worker pool (no work stealing: workers pop
 //!      indices from one atomic counter, results land in preallocated
 //!      order-indexed slots), so
@@ -28,12 +27,15 @@
 //!
 //! Correctness rests on one contract: `evaluate` must be a pure,
 //! deterministic function of the genes (see [`IntProblem::evaluate`]).
-//! Under that contract neither caching nor parallelism can change any
-//! result — only how much work is re-done — which is what keeps
-//! 1-thread and 32-thread runs byte-identical.
+//! Under that contract neither deduplication nor parallelism can change
+//! any result — only how much work is re-done — which is what keeps
+//! 1-thread and 32-thread runs byte-identical. Genomes repeated
+//! *across* waves are evaluated again: both fitness objectives are
+//! cheap pure functions, and a genome memo cost more than it saved.
 //!
-//! Cache effectiveness is observable: [`CachedEvaluator::stats`]
-//! snapshots hit/miss counters, and the GA engines forward them as
+//! The work done is observable: [`BatchEvaluator::stats`] snapshots
+//! the duplicate and computed-genome counters, and the GA engines
+//! forward them as
 //! [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache) once
 //! per generation.
 
@@ -42,37 +44,31 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pe_arith::cache::FxBuildHasher;
-use pe_arith::BoundedCache;
 use pe_nsga::{Evaluation, IntProblem};
 
 /// Default worker-thread budget for parallel evaluation: one worker per
 /// available core, always at least 1.
 ///
-/// Both [`Pipeline::run_many`](crate::Pipeline::run_many) and
-/// [`CachedEvaluator::new`] resolve their defaults through this single
-/// helper, so every pool in the flow sizes itself the same way.
+/// [`Pipeline::run_many`](crate::Pipeline::run_many) and the search
+/// stage's [`BatchEvaluator`] resolve their defaults through this
+/// single helper, so every pool in the flow sizes itself the same way.
 #[must_use]
 pub fn thread_budget() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Default bound on memoized genomes per cache generation (a paper-size
-/// genome is a few hundred `u32`s, so a full cache stays tens of MB).
-pub const GENOME_CACHE_CAPACITY: usize = 1 << 14;
-
-/// Snapshot of a [`CachedEvaluator`]'s cache counters.
+/// Snapshot of a [`BatchEvaluator`]'s counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalCacheStats {
-    /// Genome evaluations served from the memo (lifetime).
+    /// Requested evaluations served by a duplicate earlier in the same
+    /// wave (lifetime).
     pub hits: u64,
     /// Genome evaluations actually computed by the inner problem
     /// (lifetime).
     pub misses: u64,
-    /// Genomes currently resident in the memo.
-    pub entries: usize,
 }
 
-/// A memoizing, batch-parallel wrapper around any [`IntProblem`].
+/// A deduplicating, batch-parallel wrapper around any [`IntProblem`].
 ///
 /// `evaluate` and `evaluate_batch` return exactly what the inner
 /// problem would return (the inner `evaluate` must be pure and
@@ -86,7 +82,7 @@ pub struct EvalCacheStats {
 ///
 /// ```
 /// use pe_nsga::{Evaluation, IntProblem};
-/// use printed_axc::eval::CachedEvaluator;
+/// use printed_axc::eval::BatchEvaluator;
 ///
 /// struct Square;
 /// impl IntProblem for Square {
@@ -100,91 +96,61 @@ pub struct EvalCacheStats {
 /// }
 ///
 /// let problem = Square;
-/// let evaluator = CachedEvaluator::new(&problem);
+/// let evaluator = BatchEvaluator::with_threads(&problem, 2);
 /// let batch = evaluator.evaluate_batch(&[vec![3], vec![4], vec![3]]);
 /// assert_eq!(batch[0], problem.evaluate(&[3]));
 /// assert_eq!(batch[0], batch[2]);
 /// assert_eq!(evaluator.stats().misses, 2); // the duplicate was free
 /// ```
-pub struct CachedEvaluator<P> {
+#[derive(Debug)]
+pub struct BatchEvaluator<P> {
     inner: P,
-    cache: Mutex<BoundedCache<Vec<u32>, Evaluation>>,
-    /// Genome evaluations served from the memo (including intra-batch
-    /// duplicates). Tracked here rather than via the cache's own
-    /// counters, which also see the wrapper's bookkeeping lookups.
+    /// Requested evaluations served by a within-wave duplicate.
     hits: AtomicU64,
     /// Genome evaluations computed by the inner problem.
     misses: AtomicU64,
     threads: usize,
 }
 
-impl<P: IntProblem + Sync> CachedEvaluator<P> {
-    /// Wrap `inner` with the default cache capacity and the
-    /// [`thread_budget`] worker count.
-    pub fn new(inner: P) -> Self {
-        Self::with_options(inner, GENOME_CACHE_CAPACITY, thread_budget())
-    }
-
-    /// Wrap `inner` with an explicit memo capacity (per cache
-    /// generation) and worker count (`threads <= 1` evaluates inline,
-    /// spawning nothing).
-    pub fn with_options(inner: P, capacity: usize, threads: usize) -> Self {
+impl<P: IntProblem + Sync> BatchEvaluator<P> {
+    /// Wrap `inner` with a worker count (`threads <= 1` evaluates
+    /// inline, spawning nothing).
+    pub fn with_threads(inner: P, threads: usize) -> Self {
         Self {
             inner,
-            cache: Mutex::new(BoundedCache::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             threads: threads.max(1),
         }
     }
 
-    /// The wrapped problem.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// The worker count batches fan out over.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Snapshot the cache counters.
+    /// Snapshot the counters.
     pub fn stats(&self) -> EvalCacheStats {
-        let entries = self.lock_cache().len();
         EvalCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries,
         }
     }
 
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, BoundedCache<Vec<u32>, Evaluation>> {
-        self.cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Evaluate the deduplicated cache misses of a batch, in parallel
-    /// when both the miss count and the thread budget allow it.
-    /// `miss_rows[k]` is the batch index of the `k`-th unique miss;
-    /// returns the evaluations in miss order.
-    fn compute_misses(&self, genomes: &[Vec<u32>], miss_rows: &[usize]) -> Vec<Evaluation> {
-        let workers = self.threads.min(miss_rows.len());
+    /// Evaluate the distinct genomes of a batch, in parallel when both
+    /// their count and the thread budget allow it. `rows[k]` is the
+    /// batch index of the `k`-th distinct genome; returns the
+    /// evaluations in that order.
+    fn compute(&self, genomes: &[Vec<u32>], rows: &[usize]) -> Vec<Evaluation> {
+        let workers = self.threads.min(rows.len());
         if workers <= 1 {
-            return miss_rows
+            return rows
                 .iter()
                 .map(|&i| self.inner.evaluate(&genomes[i]))
                 .collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Evaluation>>> =
-            miss_rows.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<Evaluation>>> = rows.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let k = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&i) = miss_rows.get(k) else {
+                    let Some(&i) = rows.get(k) else {
                         break;
                     };
                     let e = self.inner.evaluate(&genomes[i]);
@@ -199,26 +165,20 @@ impl<P: IntProblem + Sync> CachedEvaluator<P> {
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every miss slot is filled before the scope ends")
+                    .expect("every slot is filled before the scope ends")
             })
             .collect()
     }
 }
 
-impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
+impl<P: IntProblem + Sync> IntProblem for BatchEvaluator<P> {
     fn bounds(&self) -> &[u32] {
         self.inner.bounds()
     }
 
     fn evaluate(&self, genes: &[u32]) -> Evaluation {
-        if let Some(e) = self.lock_cache().get(genes) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return e;
-        }
-        let e = self.inner.evaluate(genes);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.lock_cache().insert(genes.to_vec(), e.clone());
-        e
+        self.inner.evaluate(genes)
     }
 
     fn evaluate_batch(&self, genomes: &[Vec<u32>]) -> Vec<Evaluation> {
@@ -231,56 +191,31 @@ impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
             }
             None => {}
         }
-        let mut results: Vec<Option<Evaluation>> = vec![None; genomes.len()];
+        // `first[i]` is the index into `rows`/`computed` of genome
+        // `i`'s first occurrence in the wave.
+        let mut rows: Vec<usize> = Vec::new();
+        let mut index_of: HashMap<&[u32], usize, FxBuildHasher> = HashMap::default();
+        let first: Vec<usize> = genomes
+            .iter()
+            .enumerate()
+            .map(|(i, genome)| {
+                *index_of.entry(genome.as_slice()).or_insert_with(|| {
+                    rows.push(i);
+                    rows.len() - 1
+                })
+            })
+            .collect();
 
-        // Phase 1 — one cache pass: resolve hits, deduplicate misses.
-        // `miss_of[genome]` is the index into `miss_rows`/`computed`
-        // for every genome the inner problem has to score.
-        let mut miss_rows: Vec<usize> = Vec::new();
-        let mut miss_of: HashMap<&[u32], usize, FxBuildHasher> = HashMap::default();
-        {
-            let mut cache = self.lock_cache();
-            for (i, genome) in genomes.iter().enumerate() {
-                if let Some(e) = cache.get(genome.as_slice()) {
-                    results[i] = Some(e);
-                } else if !miss_of.contains_key(genome.as_slice()) {
-                    miss_of.insert(genome.as_slice(), miss_rows.len());
-                    miss_rows.push(i);
-                }
-            }
-        }
-
-        // Phase 2 — compute the unique misses (parallel, input-ordered).
-        let computed = self.compute_misses(genomes, &miss_rows);
-        self.misses
-            .fetch_add(miss_rows.len() as u64, Ordering::Relaxed);
+        // Compute the distinct genomes (parallel, input-ordered).
+        let computed = self.compute(genomes, &rows);
+        self.misses.fetch_add(rows.len() as u64, Ordering::Relaxed);
         self.hits
-            .fetch_add((genomes.len() - miss_rows.len()) as u64, Ordering::Relaxed);
-
-        // Phase 3 — publish to the cache and fill the remaining rows
-        // (unique misses and their intra-batch duplicates) straight
-        // from the computed list, so even immediate eviction from a
-        // tiny cache cannot lose a result.
-        {
-            let mut cache = self.lock_cache();
-            for (&i, e) in miss_rows.iter().zip(&computed) {
-                cache.insert(genomes[i].clone(), e.clone());
-            }
-        }
-        for (i, slot) in results.iter_mut().enumerate() {
-            if slot.is_none() {
-                let k = miss_of[genomes[i].as_slice()];
-                *slot = Some(computed[k].clone());
-            }
-        }
-        results
-            .into_iter()
-            .map(|e| e.expect("every batch row resolves to an evaluation"))
-            .collect()
+            .fetch_add((genomes.len() - rows.len()) as u64, Ordering::Relaxed);
+        first.into_iter().map(|k| computed[k].clone()).collect()
     }
 }
 
-/// Run an NSGA-II search through a [`CachedEvaluator`] with the shared
+/// Run an NSGA-II search through a [`BatchEvaluator`] with the shared
 /// progress protocol: per-generation stats are recorded into `history`
 /// and a [`ProgressEvent::GaGeneration`] followed by a
 /// [`ProgressEvent::EvalCache`] snapshot is emitted per generation;
@@ -288,8 +223,8 @@ impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
 /// implementation behind [`HwAwareTrainer`](crate::HwAwareTrainer) and
 /// [`PlainGaEngine`](crate::PlainGaEngine).
 ///
-/// `problem_stats` snapshots the problem's own caches — the
-/// neuron-column cache and the cost layer's gate-count memo — for the
+/// `problem_stats` snapshots the problem's own counters — the
+/// neuron-column cache and the gate-count computations — for the
 /// [`ProgressEvent::EvalCache`] event (`None` for problems without
 /// them, e.g. the plain GA — those counters report zero).
 ///
@@ -303,7 +238,7 @@ impl<P: IntProblem + Sync> IntProblem for CachedEvaluator<P> {
 // Internal plumbing shared by exactly two engines; a parameter struct
 // would only move the argument list one level up.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_ga_cached<P: IntProblem + Sync>(
+pub(crate) fn run_ga<P: IntProblem + Sync>(
     nsga: &pe_nsga::Nsga2,
     problem: &P,
     seeds: Vec<Vec<u32>>,
@@ -315,11 +250,11 @@ pub(crate) fn run_ga_cached<P: IntProblem + Sync>(
 ) -> pe_nsga::NsgaResult {
     use crate::progress::ProgressEvent;
     let generations = nsga.config().generations;
-    let evaluator = CachedEvaluator::with_options(problem, GENOME_CACHE_CAPACITY, eval_threads);
+    let evaluator = BatchEvaluator::with_threads(problem, eval_threads);
 
     let checkpoint = checkpoint.filter(|spec| spec.is_active());
-    let resume =
-        checkpoint.and_then(|spec| crate::checkpoint::load(spec, nsga.config(), problem.bounds()));
+    let resume = checkpoint
+        .and_then(|spec| crate::checkpoint::load(spec, nsga.config(), problem.bounds(), ctl));
     if let Some(cp) = &resume {
         // The observer below only sees the *new* generations; the
         // already-run prefix comes straight from the snapshot so the
@@ -357,13 +292,13 @@ pub(crate) fn run_ga_cached<P: IntProblem + Sync>(
         ctl.emit(&ProgressEvent::EvalCache {
             hits: cache.hits,
             misses: cache.misses,
-            entries: cache.entries,
+            entries: 0,
             column_hits: columns.hits,
             column_misses: columns.misses,
             column_entries: columns.entries,
             column_contended: columns.contended,
             column_shards: columns.shards,
-            cost_hits: problem.cost_hits,
+            cost_hits: 0,
             cost_misses: problem.cost_misses,
             store_ingested: problem.store.ingested,
             store_deduplicated: problem.store.deduplicated,
@@ -373,26 +308,16 @@ pub(crate) fn run_ga_cached<P: IntProblem + Sync>(
     })
 }
 
-/// Snapshot of an [`IntProblem`]'s internal caches for the
+/// Snapshot of an [`IntProblem`]'s internal counters for the
 /// [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache)
-/// stream: the columnar engine's neuron-column cache, the cost layer's
-/// per-neuron gate-count memo, and the design-store sink counters
-/// (all-zero when no store is attached).
+/// stream: the columnar engine's neuron-column cache, the gate-count
+/// computations of the area objective, and the design-store sink
+/// counters (all-zero when no store is attached).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ProblemCacheStats {
     pub(crate) columns: crate::columns::ColumnCacheStats,
-    pub(crate) cost_hits: u64,
     pub(crate) cost_misses: u64,
     pub(crate) store: pe_store::StoreStats,
-}
-
-impl<P: std::fmt::Debug> std::fmt::Debug for CachedEvaluator<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedEvaluator")
-            .field("inner", &self.inner)
-            .field("threads", &self.threads)
-            .finish_non_exhaustive()
-    }
 }
 
 #[cfg(test)]
@@ -437,13 +362,13 @@ mod tests {
         let pop = genomes(50, 32);
         let expected: Vec<Evaluation> = pop.iter().map(|g| problem.evaluate(g)).collect();
         for threads in [1, 4] {
-            let evaluator = CachedEvaluator::with_options(&problem, 64, threads);
+            let evaluator = BatchEvaluator::with_threads(&problem, threads);
             assert_eq!(
                 evaluator.evaluate_batch(&pop),
                 expected,
                 "{threads} threads"
             );
-            // Warm pass: all hits, identical output.
+            // A repeated wave recomputes, with identical output.
             assert_eq!(evaluator.evaluate_batch(&pop), expected);
         }
     }
@@ -454,44 +379,11 @@ mod tests {
         // modulo 2 forces heavy duplication across 40 genomes.
         let pop = genomes(40, 2);
         let unique: std::collections::HashSet<&[u32]> = pop.iter().map(Vec::as_slice).collect();
-        let evaluator = CachedEvaluator::with_options(&problem, 64, 4);
+        let evaluator = BatchEvaluator::with_threads(&problem, 4);
         let _ = evaluator.evaluate_batch(&pop);
         let stats = evaluator.stats();
         assert_eq!(stats.misses, unique.len() as u64);
         assert_eq!(stats.hits + stats.misses, pop.len() as u64);
-        assert_eq!(stats.entries, unique.len());
-    }
-
-    #[test]
-    fn single_evaluate_is_cached_too() {
-        let problem = Poly { bounds: vec![9; 4] };
-        let evaluator = CachedEvaluator::with_options(&problem, 16, 1);
-        let g = vec![1, 2, 3, 4];
-        let a = evaluator.evaluate(&g);
-        let b = evaluator.evaluate(&g);
-        assert_eq!(a, b);
-        assert_eq!(a, problem.evaluate(&g));
-        assert_eq!(
-            evaluator.stats(),
-            EvalCacheStats {
-                hits: 1,
-                misses: 1,
-                entries: 1
-            }
-        );
-    }
-
-    #[test]
-    fn eviction_never_changes_results() {
-        let problem = Poly {
-            bounds: vec![64; 4],
-        };
-        // Capacity 2 per generation: almost everything gets evicted.
-        let evaluator = CachedEvaluator::with_options(&problem, 2, 2);
-        let pop = genomes(30, 64);
-        let expected: Vec<Evaluation> = pop.iter().map(|g| problem.evaluate(g)).collect();
-        assert_eq!(evaluator.evaluate_batch(&pop), expected);
-        assert_eq!(evaluator.evaluate_batch(&pop), expected);
     }
 
     #[test]

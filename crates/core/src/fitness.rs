@@ -7,9 +7,10 @@
 //! constrained domination rather than a penalty term, so infeasible
 //! chromosomes are still ordered by how close to feasibility they are.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pe_arith::{AdderAreaEstimator, MemoAreaEstimator};
+use pe_arith::{AdderAreaEstimator, NeuronArithSpec, NeuronGateCounts};
 use pe_hw::variation::{RobustStat, VariationConfig, VariationModel};
 use pe_hw::{argmax_gate_counts, qrelu_gate_counts, CostScenario};
 use pe_mlp::columnar::{self, ColumnMatrix, QuantMatrix};
@@ -64,8 +65,8 @@ impl Default for AreaObjective {
 /// are scored on (training error, estimated area).
 ///
 /// Scoring is a pure function of the genes, so the problem composes
-/// with [`crate::eval::CachedEvaluator`] for memoized, batch-parallel
-/// evaluation.
+/// with [`crate::eval::BatchEvaluator`] for deduplicated,
+/// batch-parallel evaluation.
 ///
 /// Internally the accuracy objective runs on the **columnar engine**:
 /// the dataset is transposed once into a [`ColumnMatrix`], every
@@ -75,8 +76,10 @@ impl Default for AreaObjective {
 /// [`NeuronColumnCache`] shared across clones and threads — sibling
 /// genomes only pay for the hidden neurons mutation actually touched.
 /// The output layer is recomputed per genome (see
-/// [`crate::columns`]). Per-neuron gate counts are likewise memoized by
-/// weight signature ([`MemoAreaEstimator`]). The columnar path is
+/// [`crate::columns`]). Per-neuron gate counts are computed directly
+/// ([`AdderAreaEstimator::counts_of_with`]): a column-height pass and a
+/// compressor-tree reduction cost less than hashing the neuron spec
+/// into a memo would. The columnar path is
 /// bit-exact with the per-row oracle ([`score_with`](Self::score_with),
 /// i.e. [`pe_mlp::AxMlp::predict_with`] per sample), which the parity
 /// test-suite proves.
@@ -87,7 +90,9 @@ pub struct AxTrainProblem {
     /// The transposed dataset the columnar kernels stream over.
     columns: ColumnMatrix,
     labels: Vec<usize>,
-    estimator: MemoAreaEstimator,
+    estimator: AdderAreaEstimator,
+    /// Gate-count computations so far (shared by clones).
+    gate_counts: Arc<AtomicU64>,
     /// Population-level neuron-column memo (shared by clones).
     col_cache: Arc<NeuronColumnCache>,
     objective: AreaObjective,
@@ -162,7 +167,8 @@ impl AxTrainProblem {
             rows,
             columns,
             labels,
-            estimator: MemoAreaEstimator::new(AdderAreaEstimator::paper()),
+            estimator: AdderAreaEstimator::paper(),
+            gate_counts: Arc::default(),
             col_cache,
             objective: AreaObjective::GateEquivalents,
             scenario,
@@ -239,9 +245,9 @@ impl AxTrainProblem {
         self
     }
 
-    /// Attach a design-store sink: every *unique* design this problem
-    /// evaluates (the genome memo upstream already deduplicates
-    /// repeats) is recorded with its nominal training accuracy, the
+    /// Attach a design-store sink: every design this problem evaluates
+    /// is offered to the store, which keeps one record per unique
+    /// design, with its nominal training accuracy, the
     /// robust statistic when the search runs under
     /// [`with_variation`](Self::with_variation), and its area
     /// objective. Ingest is a pure side effect — evaluations, RNG
@@ -335,7 +341,7 @@ impl AxTrainProblem {
                 .arith_specs()
                 .iter()
                 .flatten()
-                .map(|n| self.estimator.counts(n).fa_equivalent())
+                .map(|n| self.gate_counts_of(n).fa_equivalent())
                 .sum(),
             AreaObjective::GateEquivalents => self.gate_equivalents(mlp),
         }
@@ -349,13 +355,27 @@ impl AxTrainProblem {
         self.col_cache.stats()
     }
 
-    /// Lifetime `(hits, misses)` of the per-neuron gate-count memo —
-    /// the fast cost layer's memoization — surfaced per GA generation
-    /// as the `cost_*` counters of
+    /// Per-neuron gate-count computations so far, over this problem
+    /// and its clones — surfaced per GA generation as the
+    /// `cost_misses` counter of
     /// [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache).
     #[must_use]
-    pub fn cost_cache_stats(&self) -> (u64, u64) {
-        self.estimator.cache_stats()
+    pub fn gate_count_computations(&self) -> u64 {
+        self.gate_counts.load(Ordering::Relaxed)
+    }
+
+    /// Gate counts of one neuron, against a per-thread height buffer so
+    /// the area objective allocates nothing per neuron.
+    fn gate_counts_of(&self, spec: &NeuronArithSpec) -> NeuronGateCounts {
+        thread_local! {
+            static HEIGHTS: std::cell::RefCell<Vec<u32>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        self.gate_counts.fetch_add(1, Ordering::Relaxed);
+        HEIGHTS.with(|heights| {
+            self.estimator
+                .counts_of_with(spec, &mut heights.borrow_mut())
+        })
     }
 
     /// The attached sink's ingest counters (all zero without a sink) —
@@ -581,8 +601,7 @@ impl AxTrainProblem {
                     // Output (argmax) layer: computed directly into
                     // scratch, uncached — its accumulators depend on
                     // *every* hidden column, so any upstream mutation
-                    // would invalidate them anyway, and exact repeats
-                    // are already absorbed by the genome memo upstream.
+                    // would invalidate them anyway.
                     // The whole layer stays at i32 width (accumulate,
                     // argmax) whenever every neuron provably fits —
                     // bit-exact, and twice the SIMD lanes.
@@ -721,9 +740,9 @@ impl AxTrainProblem {
         let tech = &self.scenario.tech;
         let mut ge = 0.0f64;
         let last = mlp.layers.len().saturating_sub(1);
-        // One reused spec buffer: the memo probe below is borrowed, so
-        // the warm path allocates nothing per neuron.
-        let mut spec = pe_arith::NeuronArithSpec {
+        // One reused spec buffer, so the walk allocates nothing per
+        // neuron.
+        let mut spec = NeuronArithSpec {
             input_bits: 0,
             weights: Vec::new(),
             bias: 0,
@@ -738,12 +757,7 @@ impl AxTrainProblem {
             for n in &layer.neurons {
                 n.to_arith_spec_into(layer.input_bits, &mut spec);
                 spec.bias -= i64::from(bias_shift);
-                // Pruned weights are wired out of the hardware, so the
-                // estimate ignores them — dropping them here makes the
-                // memo key canonical: drifting a don't-care gene of a
-                // masked-out weight no longer misses the cost cache.
-                spec.weights.retain(|w| w.mask != 0);
-                let counts = self.estimator.counts(&spec);
+                let counts = self.gate_counts_of(&spec);
                 // The single pe-arith → pe-hw gate-count conversion.
                 ge += tech.ge_total(&pe_hw::CellCounts::from(&counts));
                 max_width = max_width.max(counts.accumulator_bits);
@@ -878,19 +892,6 @@ impl IntProblem for AxTrainProblem {
                 std::cell::RefCell::new(ColumnarEvalScratch::default());
         }
         SCRATCH.with(|scratch| self.evaluate_with(genes, &mut scratch.borrow_mut()))
-    }
-
-    /// Native batch path: one scratch for the whole wave, every genome
-    /// scored through the shared neuron-column cache (so intra-wave
-    /// siblings reuse each other's columns immediately). Results are in
-    /// input order and identical to per-genome
-    /// [`evaluate`](IntProblem::evaluate) calls.
-    fn evaluate_batch(&self, genomes: &[Vec<u32>]) -> Vec<Evaluation> {
-        let mut scratch = ColumnarEvalScratch::default();
-        genomes
-            .iter()
-            .map(|genes| self.evaluate_with(genes, &mut scratch))
-            .collect()
     }
 }
 

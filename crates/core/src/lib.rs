@@ -35,11 +35,11 @@
 //!   search stage runs; implemented here by [`NsgaEngine`] /
 //!   [`PlainGaEngine`] and by the three prior-work methods in
 //!   `pe-baselines`.
-//! * [`eval`] — the shared evaluation core: [`CachedEvaluator`] wraps
-//!   any `IntProblem` with a bounded genome memo and a deterministic
-//!   thread-pool batch path (results in input order, byte-identical to
-//!   serial), and [`thread_budget`] is the default worker count (one
-//!   per core) every pool falls back to. This crate reads no
+//! * [`eval`] — the shared evaluation core: [`BatchEvaluator`] wraps
+//!   any `IntProblem` with within-wave deduplication and a
+//!   deterministic thread-pool batch path (results in input order,
+//!   byte-identical to serial), and [`thread_budget`] is the default
+//!   worker count (one per core) every pool falls back to. This crate reads no
 //!   environment variables: worker budgets, checkpoint cadences and
 //!   shard counts are explicit parameters chosen by the caller.
 //! * [`checkpoint`] — crash-safe search checkpointing: the pipeline
@@ -116,7 +116,7 @@ pub use engine::{
     fingerprint_json, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine, SearchOutcome,
 };
 pub use error::FlowError;
-pub use eval::{thread_budget, CachedEvaluator, EvalCacheStats};
+pub use eval::{thread_budget, BatchEvaluator, EvalCacheStats};
 pub use fitness::{AreaObjective, AxTrainProblem};
 pub use flow::{DatasetStudy, StudyConfig};
 pub use genome::{GenomeSpec, LayerGenomeSpec};

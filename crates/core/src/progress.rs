@@ -150,21 +150,22 @@ pub enum ProgressEvent {
         /// Chromosome evaluations so far.
         evaluations: u64,
     },
-    /// Cumulative cache counters of the search stage's evaluation
-    /// caches — the genome memo ([`crate::eval::CachedEvaluator`]), the
+    /// Cumulative counters of the search stage's evaluation layers —
+    /// the batch evaluator ([`crate::eval::BatchEvaluator`]), the
     /// neuron-column cache behind the columnar fitness engine
-    /// ([`crate::columns::NeuronColumnCache`]), and the cost layer's
-    /// per-neuron gate-count memo (the fast cost model's
-    /// memoization) — emitted once per GA generation right after its
+    /// ([`crate::columns::NeuronColumnCache`]), and the area
+    /// objective's per-neuron gate counts — emitted once per GA
+    /// generation right after its
     /// [`GaGeneration`](ProgressEvent::GaGeneration) event. Engines
-    /// whose problems have no column or cost cache (e.g. the plain GA)
-    /// report those counters as zero.
+    /// whose problems have no column cache or gate counts (e.g. the
+    /// plain GA) report those counters as zero.
     EvalCache {
-        /// Genome evaluations served from the memo so far.
+        /// Requested genome evaluations served by a duplicate earlier
+        /// in the same wave, so far.
         hits: u64,
         /// Genome evaluations the inner problem actually computed.
         misses: u64,
-        /// Genomes currently resident in the memo.
+        /// Always 0: no genome memo is kept across waves.
         entries: usize,
         /// Neuron columns served from the column cache so far.
         column_hits: u64,
@@ -177,9 +178,9 @@ pub enum ProgressEvent {
         column_contended: u64,
         /// Shards the column cache is split across.
         column_shards: usize,
-        /// Neuron gate-count lookups served from the cost-model memo.
+        /// Always 0: gate counts are computed, not memoized.
         cost_hits: u64,
-        /// Neuron gate-count computations the cost model ran.
+        /// Neuron gate-count computations the area objective ran.
         cost_misses: u64,
         /// Unique designs this search has inserted into its design
         /// store (zero when no store is attached).

@@ -6,14 +6,14 @@
 //! to the search flow:
 //!
 //! * [`StoreSink`] — the hook the GA's fitness path calls once per
-//!   *unique* design (the [`CachedEvaluator`](crate::eval::CachedEvaluator)
-//!   already deduplicates genomes, so ingest overhead is bounded by
-//!   the number of distinct designs, not evaluations). The sink is a
-//!   pure side channel: it never touches the GA's RNG streams or
-//!   results, so a store-enabled run produces byte-identical fronts
-//!   and artifacts. It also captures — once, at creation, before the
-//!   run it belongs to writes anything — the stored front of its
-//!   dataset as warm-start candidates.
+//!   evaluated design (the [`BatchEvaluator`](crate::eval::BatchEvaluator)
+//!   deduplicates genomes within a wave; the store deduplicates the
+//!   rest, so the file grows with distinct designs, not evaluations).
+//!   The sink is a pure side channel: it never touches the GA's RNG
+//!   streams or results, so a store-enabled run produces
+//!   byte-identical fronts and artifacts. It also captures — once, at
+//!   creation, before the run it belongs to writes anything — the
+//!   stored front of its dataset as warm-start candidates.
 //! * [`store_front`] / [`select_from_store`] — scenario queries that
 //!   reuse the pipeline's own Pareto machinery
 //!   ([`true_pareto_front`], [`select_within_budgets`]) over stored

@@ -245,14 +245,13 @@ impl HwAwareTrainer {
         }
         let seeds = seeds;
 
-        // The evaluation core: every NSGA-II wave is deduplicated
-        // against a genome memo and fanned out over the worker budget;
-        // results come back in input order, so the run is
-        // byte-identical to a serial, uncached one.
+        // The evaluation core: every NSGA-II wave is deduplicated and
+        // fanned out over the worker budget; results come back in input
+        // order, so the run is byte-identical to a serial one.
         let eval_threads = self.eval_threads.unwrap_or_else(crate::eval::thread_budget);
         let mut history = Vec::with_capacity(self.config.nsga.generations);
         let started = Instant::now();
-        let result = crate::eval::run_ga_cached(
+        let result = crate::eval::run_ga(
             &Nsga2::new(self.config.nsga.clone()),
             &problem,
             seeds,
@@ -260,11 +259,9 @@ impl HwAwareTrainer {
             ctl,
             &mut history,
             &|| {
-                let (cost_hits, cost_misses) = problem.cost_cache_stats();
                 Some(crate::eval::ProblemCacheStats {
                     columns: problem.column_cache_stats(),
-                    cost_hits,
-                    cost_misses,
+                    cost_misses: problem.gate_count_computations(),
                     store: problem.store_stats(),
                 })
             },

@@ -1,14 +1,14 @@
-//! Properties of the evaluation core: a parallel, memoized
-//! [`CachedEvaluator`] must be observationally identical to a plain
-//! serial `IntProblem::evaluate` loop, and cache hits must never change
-//! NSGA-II's reported `evaluations` semantics.
+//! Properties of the evaluation core: a parallel, deduplicating
+//! [`BatchEvaluator`] must be observationally identical to a plain
+//! serial `IntProblem::evaluate` loop, and deduplication must never
+//! change NSGA-II's reported `evaluations` semantics.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pe_nsga::{random_genome, Evaluation, IntProblem, Nsga2, NsgaConfig};
-use printed_axc::eval::CachedEvaluator;
+use printed_axc::eval::BatchEvaluator;
 
 /// A cheap, deterministic two-objective problem with a constraint —
 /// structurally the same shape as the GA fitness (feasible/infeasible
@@ -68,9 +68,10 @@ fn random_population(problem: &Surrogate, size: usize, seed: u64) -> Vec<Vec<u32
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The parallel, cached evaluator agrees with a plain serial
-    /// `evaluate` loop on every genome of a random population — cold
-    /// cache, warm cache, any thread count, any (even tiny) capacity.
+    /// The parallel evaluator agrees with a plain serial `evaluate`
+    /// loop on every genome of a random population, at any thread
+    /// count, and computes each distinct genome of a batch exactly
+    /// once.
     #[test]
     fn cached_parallel_evaluator_matches_serial_loop(
         seed in any::<u64>(),
@@ -78,39 +79,36 @@ proptest! {
         bound in 2u32..40,
         size in 1usize..60,
         threads in 1usize..6,
-        capacity in 1usize..64,
     ) {
         let problem = Surrogate::new(genes, bound);
         let pop = random_population(&problem, size, seed);
         let serial: Vec<Evaluation> = pop.iter().map(|g| problem.evaluate(g)).collect();
-
-        let evaluator = CachedEvaluator::with_options(&problem, capacity, threads);
-        prop_assert_eq!(evaluator.evaluate_batch(&pop), serial.clone()); // cold
-        prop_assert_eq!(evaluator.evaluate_batch(&pop), serial.clone()); // warm
-        // Single-genome path agrees too.
-        prop_assert_eq!(evaluator.evaluate(&pop[0]), serial[0].clone());
-        // Accounting: hits + misses covers every requested evaluation
-        // (a tiny capacity may evict and recompute, but never miscount).
-        let stats = evaluator.stats();
-        prop_assert_eq!(stats.hits + stats.misses, 2 * size as u64 + 1);
-
-        // With ample capacity, the inner problem computes each unique
-        // genome exactly once across both passes.
         let unique: std::collections::HashSet<&[u32]> =
             pop.iter().map(Vec::as_slice).collect();
-        let roomy = CachedEvaluator::with_options(&problem, size.max(1) * 2, threads);
-        prop_assert_eq!(roomy.evaluate_batch(&pop), serial.clone());
-        prop_assert_eq!(roomy.evaluate_batch(&pop), serial);
-        let stats = roomy.stats();
+
+        let evaluator = BatchEvaluator::with_threads(&problem, threads);
+        prop_assert_eq!(evaluator.evaluate_batch(&pop), serial.clone());
+        let stats = evaluator.stats();
         prop_assert_eq!(stats.misses, unique.len() as u64);
+        prop_assert_eq!(stats.hits + stats.misses, size as u64);
+        // A repeated batch is computed again, with the same results
+        // and the same accounting.
+        prop_assert_eq!(evaluator.evaluate_batch(&pop), serial.clone());
+        let stats = evaluator.stats();
+        prop_assert_eq!(stats.misses, 2 * unique.len() as u64);
         prop_assert_eq!(stats.hits + stats.misses, 2 * size as u64);
+        // Single-genome path agrees too.
+        prop_assert_eq!(evaluator.evaluate(&pop[0]), serial[0].clone());
+        // The single-threaded evaluator returns the same results.
+        let inline = BatchEvaluator::with_threads(&problem, 1);
+        prop_assert_eq!(inline.evaluate_batch(&pop), serial);
     }
 
     /// NSGA-II runs identically — same fronts, same populations, and
     /// the same `evaluations` count — whether the problem is raw or
-    /// wrapped in a parallel `CachedEvaluator`: the count reports
+    /// wrapped in a parallel `BatchEvaluator`: the count reports
     /// requested candidate evaluations, never the (smaller) number of
-    /// inner computations after cache hits.
+    /// inner computations after deduplication.
     #[test]
     fn nsga_semantics_survive_caching(
         seed in any::<u64>(),
@@ -124,16 +122,15 @@ proptest! {
             ..NsgaConfig::default()
         };
         let plain = Nsga2::new(cfg.clone()).run(&problem);
-        let evaluator = CachedEvaluator::with_options(&problem, 1 << 10, threads);
+        let evaluator = BatchEvaluator::with_threads(&problem, threads);
         let cached = Nsga2::new(cfg).run(&evaluator);
 
         prop_assert_eq!(&cached.population, &plain.population);
         prop_assert_eq!(&cached.pareto_front, &plain.pareto_front);
         prop_assert_eq!(cached.evaluations, plain.evaluations);
         prop_assert_eq!(plain.evaluations, 12 + 8 * 12);
-        // The memo did real work: the inner problem computed fewer
-        // evaluations than were requested (elitism re-submits genomes),
-        // and the ledger still adds up.
+        // The ledger adds up: every requested evaluation was either
+        // computed or served by a duplicate in its wave.
         let stats = evaluator.stats();
         prop_assert_eq!(stats.hits + stats.misses, cached.evaluations);
         prop_assert!(stats.misses <= cached.evaluations);

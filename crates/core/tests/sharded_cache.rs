@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use pe_mlp::{QReluCfg, QuantMatrix};
 use pe_nsga::{random_genome, Evaluation, IntProblem, Nsga2, NsgaConfig};
-use printed_axc::eval::CachedEvaluator;
+use printed_axc::eval::BatchEvaluator;
 use printed_axc::{AxTrainProblem, GenomeSpec, LayerGenomeSpec};
 
 /// Every shard count under test (the clamp rounds up to powers of two,
@@ -112,7 +112,7 @@ proptest! {
         let expected: Vec<Evaluation> = pop.iter().map(|g| serial.evaluate(g)).collect();
         for shards in SHARD_COUNTS {
             let sharded = problem(shards);
-            let evaluator = CachedEvaluator::with_options(&sharded, 64, threads);
+            let evaluator = BatchEvaluator::with_threads(&sharded, threads);
             prop_assert_eq!(evaluator.evaluate_batch(&pop), expected.clone()); // cold
             prop_assert_eq!(evaluator.evaluate_batch(&pop), expected.clone()); // warm
         }

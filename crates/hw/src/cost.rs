@@ -27,10 +27,10 @@
 //!
 //! The GA fitness and anything run millions of times should use the
 //! fast model (or, inside `printed-axc`, the per-neuron
-//! `MemoAreaEstimator` it is built on); reported artifacts (Tables
-//! I/II, Figs. 4/5) cost through the exact model. Because the parity
-//! suite proves the two identical, this split is an implementation
-//! detail, not a semantic one.
+//! `AdderAreaEstimator::counts_of_with` it is built on); reported
+//! artifacts (Tables I/II, Figs. 4/5) cost through the exact model.
+//! Because the parity suite proves the two identical, this split is an
+//! implementation detail, not a semantic one.
 //!
 //! # Example
 //!

@@ -46,8 +46,8 @@ impl AxWeight {
 
 /// One approximate neuron: weights plus an integer bias.
 ///
-/// Hashable so evaluation layers can memoize per-neuron results (gate
-/// counts, output columns) by the decoded spec.
+/// Hashable so evaluation layers can memoize per-neuron results (output
+/// columns) by the decoded spec.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AxNeuron {
     /// Per-input approximate weights.
@@ -95,9 +95,8 @@ impl AxNeuron {
     }
 
     /// [`to_arith_spec`](Self::to_arith_spec) into a reused spec buffer
-    /// — the GA's area objective probes a per-neuron memo with a spec
-    /// per neuron per genome, and reusing one buffer keeps that probe
-    /// allocation-free.
+    /// — the GA's area objective costs a spec per neuron per genome, and
+    /// reusing one buffer keeps that walk allocation-free.
     pub fn to_arith_spec_into(&self, input_bits: u32, spec: &mut NeuronArithSpec) {
         spec.input_bits = input_bits;
         spec.bias = i64::from(self.bias);

@@ -8,7 +8,7 @@ use std::cell::RefCell;
 
 use proptest::prelude::*;
 
-use printed_mlps::axc::CachedEvaluator;
+use printed_mlps::axc::BatchEvaluator;
 use printed_mlps::nsga::{
     CheckpointPlan, CheckpointSink, Evaluation, IntProblem, Nsga2, NsgaConfig, NsgaResult,
     SearchCheckpoint,
@@ -53,11 +53,10 @@ impl CheckpointSink for Capture {
 /// One full run at the given worker count, capturing a checkpoint
 /// after every generation (`every == 1` maximizes resume coverage).
 fn run_capturing(cfg: &NsgaConfig, threads: usize) -> (NsgaResult, Vec<SearchCheckpoint>) {
-    let problem = CachedEvaluator::with_options(
+    let problem = BatchEvaluator::with_threads(
         Ridge {
             bounds: vec![48; 5],
         },
-        256,
         threads,
     );
     let sink = Capture::default();
@@ -73,11 +72,10 @@ fn run_capturing(cfg: &NsgaConfig, threads: usize) -> (NsgaResult, Vec<SearchChe
 /// Resume from `checkpoint` (after a persistence round-trip through
 /// JSON, like the pipeline's on-disk file) at the given worker count.
 fn resume(cfg: &NsgaConfig, checkpoint: &SearchCheckpoint, threads: usize) -> NsgaResult {
-    let problem = CachedEvaluator::with_options(
+    let problem = BatchEvaluator::with_threads(
         Ridge {
             bounds: vec![48; 5],
         },
-        256,
         threads,
     );
     let json = serde_json::to_string(checkpoint).expect("checkpoint serializes");
