@@ -1,5 +1,5 @@
 //! A small bounded memoization cache: `printed-axc`'s hidden-neuron
-//! column cache and `pe-hw`'s per-neuron circuit-cost memos use it.
+//! column cache uses it.
 //!
 //! [`BoundedCache`] is a segmented (two-generation) LRU approximation:
 //! lookups promote entries into the *hot* generation, and when the hot
@@ -11,8 +11,8 @@
 //! its linked-list overhead.
 //!
 //! The cache only ever memoizes **pure** functions in this workspace
-//! (neuron → output column, neuron spec → circuit cost), so eviction
-//! can never change a result — only how much work is re-done.
+//! (neuron → output column), so eviction can never change a result —
+//! only how much work is re-done.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -108,14 +108,12 @@ pub fn fx_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     hasher.finish()
 }
 
-/// A bounded map with segmented-LRU eviction and hit/miss counters.
+/// A bounded map with segmented-LRU eviction.
 #[derive(Debug, Clone)]
 pub struct BoundedCache<K, V> {
     hot: HashMap<K, V, FxBuildHasher>,
     cold: HashMap<K, V, FxBuildHasher>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
@@ -127,30 +125,24 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
             hot: HashMap::default(),
             cold: HashMap::default(),
             capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
         }
     }
 
     /// Look up a key, promoting a cold entry into the hot generation.
-    /// Counts one hit or miss.
     pub fn get<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
         if let Some(v) = self.hot.get(key) {
-            self.hits += 1;
             return Some(v.clone());
         }
         if let Some((k, v)) = self.cold.remove_entry(key) {
-            self.hits += 1;
             let out = v.clone();
             self.rotate_if_full();
             self.hot.insert(k, v);
             return Some(out);
         }
-        self.misses += 1;
         None
     }
 
@@ -183,18 +175,6 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
     pub fn is_empty(&self) -> bool {
         self.hot.is_empty() && self.cold.is_empty()
     }
-
-    /// Lifetime hit count (lookups served from either generation).
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -207,8 +187,6 @@ mod tests {
         assert!(c.get(&1).is_none());
         c.insert(1, 10);
         assert_eq!(c.get(&1), Some(10));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
         assert_eq!(c.len(), 1);
     }
 

@@ -146,7 +146,7 @@ impl SearchEngine for Tcad23Engine {
             &ctx.train.labels,
             ctx.classes,
             &self.config,
-            ctx.elaborator,
+            ctx.cost,
             &self.vdd,
         );
         let wall = started.elapsed();

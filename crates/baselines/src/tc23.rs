@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use pe_hw::{
-    Elaborator, ExactNeuronSpec, HardwareReport, LayerActivation, LayerSpec, MlpHardwareSpec,
+    ExactCostModel, ExactNeuronSpec, HardwareReport, LayerActivation, LayerSpec, MlpHardwareSpec,
     NeuronSpec,
 };
 use pe_mlp::{FixedMlp, QuantMatrix};
@@ -118,18 +118,16 @@ impl Tc23Design {
     }
 
     /// Lower to the bespoke hardware description (with per-neuron
-    /// truncation) and cost it at the elaborator's nominal supply.
-    /// Equal by construction to costing
-    /// [`hardware_spec`](Self::hardware_spec) through any
-    /// [`pe_hw::CostModel`] at the nominal scenario.
+    /// truncation) and cost it through `model` at its technology's
+    /// nominal supply.
     #[must_use]
-    pub fn hardware_report(&self, elaborator: &Elaborator, name: &str) -> HardwareReport {
-        elaborator.elaborate(&self.hardware_spec(name)).report
+    pub fn hardware_report(&self, model: &ExactCostModel, name: &str) -> HardwareReport {
+        model.costed(&self.hardware_spec(name)).report
     }
 
     /// Lower to the bespoke hardware description (with per-neuron
-    /// truncation and explicit CSD multipliers), ready for any
-    /// [`pe_hw::CostModel`].
+    /// truncation and explicit CSD multipliers), ready for the
+    /// [`ExactCostModel`].
     #[must_use]
     pub fn hardware_spec(&self, name: &str) -> MlpHardwareSpec {
         let mut input_bits = self.mlp.input_bits;
@@ -269,7 +267,7 @@ pub fn approximate_tc23(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_hw::TechLibrary;
+    use pe_hw::CostScenario;
     use pe_mlp::FixedLayer;
 
     fn threshold_baseline() -> (FixedMlp, QuantMatrix, Vec<usize>) {
@@ -311,12 +309,10 @@ mod tests {
     #[test]
     fn approximated_circuit_is_smaller_than_exact() {
         let (mlp, rows, labels) = threshold_baseline();
-        let elab = Elaborator::new(TechLibrary::egfet());
-        let exact_report = elab
-            .elaborate(&pe_mlp::fixed_to_hardware(&mlp, "exact"))
-            .report;
+        let model = ExactCostModel::new(CostScenario::default());
+        let exact_report = model.report(&pe_mlp::fixed_to_hardware(&mlp, "exact"));
         let design = approximate_tc23(&mlp, &rows, &labels, &Tc23Config::default());
-        let approx_report = design.hardware_report(&elab, "tc23");
+        let approx_report = design.hardware_report(&model, "tc23");
         assert!(
             approx_report.area_cm2 < exact_report.area_cm2,
             "approx {} vs exact {}",

@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pe_hw::{Elaborator, HardwareReport, VddModel};
+use pe_hw::{ExactCostModel, HardwareReport, VddModel};
 use pe_mlp::{FixedMlp, QuantMatrix};
 
 use crate::cheap_weights::{cheap_values, nearest};
@@ -63,12 +63,12 @@ impl Tcad23Design {
     #[must_use]
     pub fn hardware_report(
         &self,
-        elaborator: &Elaborator,
+        model: &ExactCostModel,
         vdd_model: &VddModel,
         name: &str,
     ) -> HardwareReport {
         self.design
-            .hardware_report(elaborator, name)
+            .hardware_report(model, name)
             .at_vdd(vdd_model, self.vdd)
     }
 
@@ -107,7 +107,7 @@ pub fn approximate_tcad23(
     labels: &[usize],
     classes: usize,
     config: &Tcad23Config,
-    elaborator: &Elaborator,
+    model: &ExactCostModel,
     vdd_model: &VddModel,
 ) -> Tcad23Design {
     // Structural part: reuse the TC'23 search but with the milder digit
@@ -133,7 +133,7 @@ pub fn approximate_tcad23(
     design.tuning_accuracy = design.accuracy(rows, labels);
 
     // VOS part: delay at the reduced voltage decides the error rate.
-    let report = design.hardware_report(elaborator, "tcad23_probe");
+    let report = design.hardware_report(model, "tcad23_probe");
     let scaled = report.at_vdd(vdd_model, config.vos_vdd);
     let err = timing_error_rate(scaled.delay_ms, config.period_ms);
 
@@ -151,7 +151,7 @@ pub fn approximate_tcad23(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_hw::TechLibrary;
+    use pe_hw::CostScenario;
     use pe_mlp::FixedLayer;
 
     fn setup() -> (FixedMlp, QuantMatrix, Vec<usize>) {
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn vos_design_reduces_power_beyond_structure() {
         let (mlp, rows, labels) = setup();
-        let elab = Elaborator::new(TechLibrary::egfet());
+        let model = ExactCostModel::new(CostScenario::default());
         let vdd = VddModel::egfet();
         let design = approximate_tcad23(
             &mlp,
@@ -179,11 +179,11 @@ mod tests {
             &labels,
             2,
             &Tcad23Config::default(),
-            &elab,
+            &model,
             &vdd,
         );
-        let at_vos = design.hardware_report(&elab, &vdd, "t");
-        let at_nominal = design.design.hardware_report(&elab, "t");
+        let at_vos = design.hardware_report(&model, &vdd, "t");
+        let at_nominal = design.design.hardware_report(&model, "t");
         assert!(at_vos.power_mw < at_nominal.power_mw);
         assert!((at_vos.vdd - 0.75).abs() < 1e-12);
     }
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn weights_respect_the_digit_budget() {
         let (mlp, rows, labels) = setup();
-        let elab = Elaborator::new(TechLibrary::egfet());
+        let model = ExactCostModel::new(CostScenario::default());
         let vdd = VddModel::egfet();
         let design = approximate_tcad23(
             &mlp,
@@ -223,7 +223,7 @@ mod tests {
             &labels,
             2,
             &Tcad23Config::default(),
-            &elab,
+            &model,
             &vdd,
         );
         for layer in &design.design.mlp.layers {

@@ -2,10 +2,8 @@
 //! designs, emitting `BENCH_cost.json`.
 //!
 //! Usage: `cargo run -p pe-bench --release --bin cost_sweep` (set
-//! `PE_BUDGET=quick` for a fast pass). Every point is costed through
-//! the fast analytic model and cross-checked against the exact
-//! netlist model, so the sweep doubles as an end-to-end cost-layer
-//! parity check on real, GA-trained designs.
+//! `PE_BUDGET=quick` for a fast pass). Every point is costed once,
+//! through the cost model of its (technology, supply) scenario.
 //!
 //! With `PE_STORE=<path>` pointing at a saved design store, the sweep
 //! re-costs each dataset's stored selected design instead of

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use pe_baselines::{approximate_tc23, Tc23Config};
-use pe_hw::{Elaborator, Feasibility, FeasibilityZones, TechLibrary, VddModel};
+use pe_hw::{CostScenario, ExactCostModel, Feasibility, FeasibilityZones, TechLibrary, VddModel};
 use printed_axc::DatasetStudy;
 
 use crate::format::render_table;
@@ -58,8 +58,7 @@ fn point(area: f64, power: f64, zones: &FeasibilityZones) -> Fig5Point {
 pub fn row(study: &DatasetStudy) -> Fig5Row {
     let spec = study.dataset.spec();
     let zones = FeasibilityZones::paper();
-    let tech = TechLibrary::egfet();
-    let elab = Elaborator::new(tech);
+    let model = ExactCostModel::new(CostScenario::nominal(TechLibrary::egfet()));
     let vdd = VddModel::egfet();
 
     let tc = approximate_tc23(
@@ -68,7 +67,7 @@ pub fn row(study: &DatasetStudy) -> Fig5Row {
         &study.train.labels,
         &Tc23Config::default(),
     );
-    let tc_report = tc.hardware_report(&elab, "tc23_fig5");
+    let tc_report = tc.hardware_report(&model, "tc23_fig5");
 
     let ours = study.selected.as_ref().map(|d| {
         let low = d.report.at_vdd(&vdd, 0.6);

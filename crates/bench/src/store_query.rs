@@ -148,7 +148,7 @@ pub fn run(knobs: &Knobs, budget: BudgetPreset, seed: u64) -> StoreBenchReport {
         let dataset = sel.searched.costed.float.prepared.dataset.spec().name;
         let baseline = sel.searched.costed.baseline_test_accuracy;
         for scenario in scenario_grid() {
-            let model = pe_hw::FastCostModel::new(scenario.clone());
+            let model = pe_hw::ExactCostModel::new(scenario.clone());
             let front_size = store_front(&store, dataset, &model).len();
             let start = Instant::now();
             let picked = select_from_store(

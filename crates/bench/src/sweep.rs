@@ -5,10 +5,8 @@
 //! study's exact baseline and selected approximate design under the
 //! cross product of the built-in technology libraries and a supply
 //! grid, classifying each point against the printed power sources of
-//! Fig. 5. Every point is costed through **both** models — the
-//! analytic [`FastCostModel`] produces the number, the
-//! [`ExactCostModel`] confirms it — so the sweep doubles as a live
-//! end-to-end parity check on real, GA-trained designs.
+//! Fig. 5. Every point is costed once, through the [`ExactCostModel`]
+//! of its scenario.
 //!
 //! The designs to re-cost come either from live studies
 //! ([`designs_of_studies`]) or from a saved design store
@@ -19,8 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use pe_hw::{
-    CostScenario, ExactCostModel, FastCostModel, Feasibility, FeasibilityZones, MlpHardwareSpec,
-    TechLibrary,
+    CostScenario, ExactCostModel, Feasibility, FeasibilityZones, MlpHardwareSpec, TechLibrary,
 };
 use pe_mlp::{ax_to_hardware, fixed_to_hardware};
 use pe_store::DesignStore;
@@ -66,31 +63,6 @@ fn zone_name(f: Feasibility) -> String {
         Feasibility::NoAdequatePowerSupply => "No Adequate Power Supply".to_owned(),
         Feasibility::UnsustainableArea => "Unsustainable Area".to_owned(),
     }
-}
-
-/// Cost one spec at one scenario through both models, panicking on any
-/// fast/exact divergence (the sweep is also a live parity check).
-///
-/// The models are built once per technology by the caller — per-neuron
-/// costs are voltage-independent, so their memos stay warm across the
-/// whole supply grid and every design; only the final report is scaled
-/// to the scenario's supply here.
-fn cost_checked(
-    spec: &MlpHardwareSpec,
-    fast: &FastCostModel,
-    exact: &ExactCostModel,
-    scenario: &CostScenario,
-) -> pe_hw::HwCost {
-    let f = scenario.scale_report(fast.costed(spec).report);
-    let e = scenario.scale_report(exact.costed(spec).report);
-    assert_eq!(
-        f,
-        e,
-        "fast/exact cost divergence for {} under {}",
-        spec.name,
-        scenario.label()
-    );
-    pe_hw::HwCost::of(&f, &scenario.tech)
 }
 
 /// One design the sweep re-costs: its dataset code, its `"baseline"` /
@@ -163,11 +135,6 @@ pub fn designs_from_store(store: &DesignStore) -> Vec<SweepDesign> {
 
 /// Sweep every study's baseline and selected design across the built-in
 /// technologies and the supply grid.
-///
-/// # Panics
-///
-/// Panics if the fast and exact models ever disagree (they are proven
-/// equal; a panic here is a real regression).
 #[must_use]
 pub fn sweep(studies: &[DatasetStudy]) -> Vec<SweepPoint> {
     sweep_designs(&designs_of_studies(studies))
@@ -176,17 +143,11 @@ pub fn sweep(studies: &[DatasetStudy]) -> Vec<SweepPoint> {
 /// Sweep arbitrary designs across the built-in technologies and the
 /// supply grid (see [`sweep`]; store-driven runs feed
 /// [`designs_from_store`] here).
-///
-/// # Panics
-///
-/// Panics as [`sweep`] does.
 #[must_use]
 pub fn sweep_designs(designs: &[SweepDesign]) -> Vec<SweepPoint> {
     let zones = FeasibilityZones::paper();
     let mut points = Vec::new();
     for tech in TechLibrary::builtin() {
-        let fast = FastCostModel::new(CostScenario::nominal(tech.clone()));
-        let exact = ExactCostModel::new(CostScenario::nominal(tech.clone()));
         // Clamp the grid to the library's operating range (both
         // ends — a future library may run nominally below 1 V) and
         // drop the duplicates clamping can create, so no point is
@@ -197,9 +158,9 @@ pub fn sweep_designs(designs: &[SweepDesign]) -> Vec<SweepPoint> {
             .collect();
         supplies.dedup();
         for supply in supplies {
-            let scenario = CostScenario::nominal(tech.clone()).at_supply(supply);
+            let model = ExactCostModel::new(CostScenario::nominal(tech.clone()).at_supply(supply));
             for design in designs {
-                let cost = cost_checked(&design.spec, &fast, &exact, &scenario);
+                let cost = model.cost(&design.spec);
                 let feasibility = zones.classify(cost.area_cm2, cost.power_mw);
                 points.push(SweepPoint {
                     dataset: design.dataset.clone(),
@@ -225,7 +186,7 @@ pub fn sweep_designs(designs: &[SweepDesign]) -> Vec<SweepPoint> {
 #[must_use]
 pub fn render(points: &[SweepPoint]) -> String {
     render_table(
-        "Cost sweep: selected designs across technologies and supplies (fast = exact, checked)",
+        "Cost sweep: selected designs across technologies and supplies",
         &[
             "Dataset",
             "Design",

@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use pe_datasets::{Dataset, QuantizedData, TabularData};
-use pe_hw::{CostModel, CostScenario, Elaborator, TechLibrary};
+use pe_hw::{CostScenario, ExactCostModel, TechLibrary};
 use pe_mlp::{fixed_to_hardware, DenseMlp, FixedMlp};
 use pe_nsga::{Nsga2, NsgaConfig};
 
@@ -69,11 +69,7 @@ pub struct SearchContext<'a> {
     pub scenario: &'a CostScenario,
     /// The study's cost model at [`scenario`](Self::scenario) — the
     /// single costing interface all engines report through.
-    pub cost: &'a dyn CostModel,
-    /// A circuit elaborator over the scenario's technology (for
-    /// engines that need netlists or custom voltage loops, e.g. the
-    /// TCAD'23 voltage-over-scaling search).
-    pub elaborator: &'a Elaborator,
+    pub cost: &'a ExactCostModel,
     /// The reporting accuracy-loss budget (5% in the paper).
     pub loss_budget: f64,
     /// Worker budget for the engine's within-study batch evaluation
@@ -127,7 +123,6 @@ impl std::fmt::Debug for SearchContext<'_> {
         f.debug_struct("SearchContext")
             .field("dataset", &self.dataset)
             .field("scenario", &self.scenario.label())
-            .field("cost_model", &self.cost.name())
             .field("loss_budget", &self.loss_budget)
             .field("eval_threads", &self.eval_threads)
             .field("variation", &self.variation)

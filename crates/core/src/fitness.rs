@@ -274,7 +274,7 @@ impl AxTrainProblem {
 
     /// Estimated power in mW of `area_ge` gate equivalents at the
     /// scenario's operating supply — the per-cell GE→mW roll-up the
-    /// fast cost layer uses for the power constraint.
+    /// GA's power constraint uses.
     ///
     /// This is a *training-time* estimate: it excludes the netlist's
     /// two shared tie cells (≤ 0.66 GE for the whole design), so it

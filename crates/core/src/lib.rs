@@ -19,8 +19,8 @@
 //! * [`fitness`] — the two-objective evaluation with the 10% accuracy
 //!   feasibility bound (and, under a power-budgeted
 //!   [`pe_hw::CostScenario`], the power excess) as a
-//!   constrained-domination violation; the area/power models are the
-//!   fast side of `pe-hw`'s unified cost layer.
+//!   constrained-domination violation; the area/power models use the
+//!   column-height formulas `pe-hw`'s cost model prices reports with.
 //! * [`init`] — semi-random initial populations doped with ~10% nearly
 //!   non-approximate (baseline-derived) chromosomes.
 //! * [`train`] — the NSGA-II training loop ([`HwAwareTrainer`]) and the
@@ -126,8 +126,8 @@ pub use pareto::{
     DesignPoint,
 };
 pub use pipeline::{
-    derive_seed, BaselineCosted, Budget, EngineFactory, FloatTrained, Pipeline, Prepared,
-    RunManyOptions, Searched, Selected, Study, STAGE_CACHE_VERSION,
+    derive_seed, BaselineCosted, Budget, FloatTrained, Pipeline, Prepared, RunManyOptions,
+    Searched, Selected, Study, STAGE_CACHE_VERSION,
 };
 pub use progress::{CancelToken, ProgressEvent, RunControl, StageCacheCause, StageKind};
 pub use robust::{mc_accuracy, RobustSummary};

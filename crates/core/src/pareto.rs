@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pe_hw::{CostModel, HardwareReport};
+use pe_hw::{ExactCostModel, HardwareReport};
 use pe_mlp::{ax_to_hardware, AxMlp, FixedMlp};
 
 /// The network realization behind a [`DesignPoint`].
@@ -75,8 +75,8 @@ impl DesignPoint {
     }
 }
 
-/// Evaluate a set of candidate networks in hardware through a
-/// [`CostModel`] and keep the true Pareto front.
+/// Evaluate a set of candidate networks in hardware through the
+/// [`ExactCostModel`] and keep the true Pareto front.
 ///
 /// The model defines the costing conditions (technology, supply
 /// voltage): reports land at the model's scenario, so a 0.6 V study
@@ -85,18 +85,13 @@ impl DesignPoint {
 #[must_use]
 pub fn true_pareto_front(
     candidates: Vec<DesignCandidate>,
-    model: &dyn CostModel,
+    model: &ExactCostModel,
     name_prefix: &str,
 ) -> Vec<DesignPoint> {
     let mut points: Vec<DesignPoint> = candidates
         .into_iter()
         .enumerate()
         .map(|(i, c)| {
-            // Front members are sibling designs sharing most of their
-            // neurons, so the models' per-neuron memoization costs each
-            // distinct neuron once (and fast ≡ exact is
-            // property-tested, so which model backs this is a
-            // performance choice, not a semantic one).
             let spec = ax_to_hardware(&c.mlp, format!("{name_prefix}_p{i}"));
             let report = model.report(&spec);
             DesignPoint {

@@ -33,9 +33,7 @@ use serde::{Deserialize, Serialize, Value};
 use pe_datasets::{
     generate, quantize, stratified_split, Dataset, DatasetError, QuantizedData, TabularData,
 };
-use pe_hw::{
-    CostModel, CostScenario, ExactCostModel, HardwareReport, PowerSource, TechLibrary, VddModel,
-};
+use pe_hw::{CostScenario, ExactCostModel, HardwareReport, PowerSource, TechLibrary, VddModel};
 use pe_mlp::{fixed_to_hardware, train_best_of_observed, DenseMlp, FixedMlp, QuantConfig};
 
 use crate::engine::{NsgaEngine, SearchContext, SearchEngine, SearchOutcome};
@@ -154,7 +152,6 @@ impl BaselineCosted {
             float_test: &prepared.float_test,
             scenario: model.scenario(),
             cost: model,
-            elaborator: model.elaborator(),
             loss_budget,
             eval_threads: crate::eval::thread_budget(),
             // Nominal and storeless by default; `Pipeline::search`
@@ -681,8 +678,7 @@ impl Pipeline {
         &self.config.scenario
     }
 
-    /// The study's exact cost model at its scenario (fresh per call;
-    /// clones share no memo — stage code builds one per stage run).
+    /// The study's cost model at its scenario.
     fn cost_model(&self) -> ExactCostModel {
         ExactCostModel::new(self.config.scenario.clone())
     }
@@ -1349,13 +1345,10 @@ impl Pipeline {
         config.ga.nsga.seed = seed;
 
         let mut builder = Study::for_dataset(dataset)
-            .config(config.clone())
+            .config(config)
             .eval_threads(eval_threads);
         if let Some(dir) = &opts.cache_dir {
             builder = builder.cache_dir(dir);
-        }
-        if let Some(factory) = &opts.engine {
-            builder = builder.engine(factory(dataset, &config));
         }
         if let Some(progress) = &opts.progress {
             let progress = progress.clone();
@@ -1371,14 +1364,6 @@ impl Pipeline {
     }
 }
 
-/// Builds one engine per dataset inside [`Pipeline::run_many`]. The
-/// factory receives the dataset and its *derived-seed* study
-/// configuration, so engines with internal stochastic state (e.g. an
-/// [`NsgaEngine`] built from `config.ga`) stay decorrelated across
-/// datasets exactly like the default engine does.
-pub type EngineFactory =
-    Arc<dyn Fn(Dataset, &StudyConfig) -> Arc<dyn SearchEngine + Send + Sync> + Send + Sync>;
-
 /// Options for [`Pipeline::run_many`].
 #[derive(Default)]
 pub struct RunManyOptions {
@@ -1388,10 +1373,6 @@ pub struct RunManyOptions {
     pub threads: usize,
     /// Stage-cache directory shared by all datasets.
     pub cache_dir: Option<PathBuf>,
-    /// Engine override: a factory called once per dataset with the
-    /// derived-seed config (default: each pipeline's [`NsgaEngine`]
-    /// built from that config's `ga` section).
-    pub engine: Option<EngineFactory>,
     /// Progress observer; events are tagged with their dataset.
     #[allow(clippy::type_complexity)]
     pub progress: Option<Arc<dyn Fn(Dataset, &ProgressEvent) + Send + Sync>>,
@@ -1421,7 +1402,6 @@ impl std::fmt::Debug for RunManyOptions {
         f.debug_struct("RunManyOptions")
             .field("threads", &self.threads)
             .field("cache_dir", &self.cache_dir)
-            .field("engine", &self.engine.is_some())
             .field("progress", &self.progress.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("store", &self.store.as_ref().map(|w| w.path().to_owned()))

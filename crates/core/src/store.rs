@@ -2,8 +2,7 @@
 //! front-level query adapters.
 //!
 //! [`pe_store`] provides the persistence substrate (records, dedup,
-//! the on-disk format, scenario re-costing); this module connects it
-//! to the search flow:
+//! the on-disk format); this module connects it to the search flow:
 //!
 //! * [`StoreSink`] — the hook the GA's fitness path calls once per
 //!   evaluated design (the [`BatchEvaluator`](crate::eval::BatchEvaluator)
@@ -23,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pe_hw::{CostModel, CostScenario, FastCostModel};
+use pe_hw::{CostScenario, ExactCostModel};
 use pe_mlp::AxMlp;
 use pe_store::{fingerprint_of, DesignRecord, DesignStore, StoreStats, StoreWriter};
 
@@ -210,7 +209,7 @@ impl std::fmt::Debug for StoreSink {
 /// [`true_pareto_front`] over the records that carry a test accuracy
 /// (front members are annotated when their search finishes).
 #[must_use]
-pub fn store_front(store: &DesignStore, dataset: &str, model: &dyn CostModel) -> Vec<DesignPoint> {
+pub fn store_front(store: &DesignStore, dataset: &str, model: &ExactCostModel) -> Vec<DesignPoint> {
     let candidates: Vec<DesignCandidate> = store
         .dataset(dataset)
         .filter_map(|r| {
@@ -226,7 +225,7 @@ pub fn store_front(store: &DesignStore, dataset: &str, model: &dyn CostModel) ->
 }
 
 /// Answer "best design within these budgets under this scenario" from
-/// the store alone: [`store_front`] under a fast cost model for
+/// the store alone: [`store_front`] under the cost model for
 /// `scenario`, then the pipeline's own [`select_within_budgets`] rule.
 /// A pure read — microseconds against a populated store, no GA.
 #[must_use]
@@ -238,7 +237,7 @@ pub fn select_from_store(
     max_loss: f64,
     power_budget_mw: Option<f64>,
 ) -> Option<DesignPoint> {
-    let model = FastCostModel::new(scenario);
+    let model = ExactCostModel::new(scenario);
     let front = store_front(store, dataset, &model);
     select_within_budgets(&front, baseline_accuracy, max_loss, power_budget_mw).cloned()
 }
@@ -358,7 +357,7 @@ mod tests {
 
         let store = DesignStore::load(&path).expect("load");
         let scenario = CostScenario::default();
-        let model = FastCostModel::new(scenario.clone());
+        let model = ExactCostModel::new(scenario.clone());
         let front = store_front(&store, "demo", &model);
         assert_eq!(front.len(), 2, "only annotated designs reach the front");
         assert!(front[0].report.area_cm2 <= front[1].report.area_cm2);

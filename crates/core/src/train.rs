@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use pe_datasets::QuantizedData;
-use pe_hw::CostModel;
+use pe_hw::ExactCostModel;
 use pe_mlp::columnar::accuracy_columns;
 use pe_mlp::{AxMlp, FixedMlp, QReluCfg, QuantMatrix};
 use pe_nsga::{Evaluation, GenerationStats, IntProblem, Nsga2};
@@ -163,7 +163,7 @@ impl HwAwareTrainer {
         baseline_train_accuracy: f64,
         train: &QuantizedData,
         test: &QuantizedData,
-        cost: &dyn CostModel,
+        cost: &ExactCostModel,
         name: &str,
     ) -> TrainingOutcome {
         self.train_controlled(
@@ -197,7 +197,7 @@ impl HwAwareTrainer {
         baseline_train_accuracy: f64,
         train: &QuantizedData,
         test: &QuantizedData,
-        cost: &dyn CostModel,
+        cost: &ExactCostModel,
         name: &str,
         ctl: &RunControl<'_>,
     ) -> Result<TrainingOutcome, FlowError> {

@@ -7,13 +7,13 @@
 //! comparator tree as analytically-costed macros, registers the I/O,
 //! and rolls the cell content up through the [`TechLibrary`].
 
-use std::sync::{Arc, Mutex};
-
-use pe_arith::{BoundedCache, ReductionKind};
+use pe_arith::{ColumnProfile, ReductionKind, Summand};
 use serde::{Deserialize, Serialize};
 
 use crate::netlist::{MacroBlock, NetId, Netlist};
-use crate::neuron::{bind_approximate, bind_exact, elaborate_accumulation, NeuronAccumulation};
+use crate::neuron::{
+    bind_approximate, bind_exact, elaborate_accumulation, neuron_summands, NeuronAccumulation,
+};
 use crate::report::HardwareReport;
 use crate::spec::{LayerActivation, MlpHardwareSpec, NeuronSpec};
 use crate::tech::{Cell, CellCounts, TechLibrary};
@@ -48,17 +48,14 @@ pub struct ElaboratedMlp {
 
 /// Per-neuron cost: the neuron's gate content *without* tie cells
 /// (those are shared once per full netlist), plus flags recording
-/// whether the neuron needs them. Produced either by scratch-netlist
-/// elaboration ([`Elaborator::cost`]) or analytically
-/// ([`crate::cost::FastCostModel`]); the two are proven equal by the
-/// cost-model parity property suite.
+/// whether the neuron needs them.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct NeuronCost {
-    pub(crate) counts: CellCounts,
-    pub(crate) uses_tie_hi: bool,
-    pub(crate) uses_tie_lo: bool,
-    pub(crate) stages: u32,
-    pub(crate) accumulator_bits: u32,
+struct NeuronCost {
+    counts: CellCounts,
+    uses_tie_hi: bool,
+    uses_tie_lo: bool,
+    stages: u32,
+    accumulator_bits: u32,
 }
 
 /// A costed bespoke MLP without its netlist: what
@@ -74,22 +71,15 @@ pub struct CostedMlp {
     pub neuron_stats: Vec<NeuronStats>,
 }
 
-/// Per-elaborator bound on memoized neuron costs (per cache
-/// generation; an entry is ~100 bytes).
-const NEURON_COST_CACHE_CAPACITY: usize = 1 << 15;
-
 /// Elaborates [`MlpHardwareSpec`]s against a technology library.
 ///
 /// [`elaborate`](Self::elaborate) builds the full structural netlist;
 /// [`cost`](Self::cost) produces the identical [`HardwareReport`]
-/// without one, memoizing per-neuron gate counts keyed by the neuron's
-/// spec (weight signature + bit widths) so repeated neurons across
-/// sibling designs skip re-elaboration. Clones share the memo.
+/// without one, from each neuron's column heights.
 #[derive(Debug, Clone)]
 pub struct Elaborator {
     tech: TechLibrary,
     kind: ReductionKind,
-    neuron_memo: Arc<Mutex<BoundedCache<NeuronSpec, NeuronCost>>>,
 }
 
 impl Elaborator {
@@ -99,7 +89,6 @@ impl Elaborator {
         Self {
             tech,
             kind: ReductionKind::FaOnly,
-            neuron_memo: Arc::new(Mutex::new(BoundedCache::new(NEURON_COST_CACHE_CAPACITY))),
         }
     }
 
@@ -107,9 +96,6 @@ impl Elaborator {
     #[must_use]
     pub fn with_kind(mut self, kind: ReductionKind) -> Self {
         self.kind = kind;
-        // The memo is keyed by neuron spec only — detach from any
-        // shared cache populated under a different policy.
-        self.neuron_memo = Arc::new(Mutex::new(BoundedCache::new(NEURON_COST_CACHE_CAPACITY)));
         self
     }
 
@@ -216,12 +202,11 @@ impl Elaborator {
     /// Cost a bespoke MLP without building its netlist.
     ///
     /// The report is byte-identical to [`elaborate`](Self::elaborate)'s
-    /// (same cell counts, same critical depth — the aggregation mirrors
-    /// the elaboration step for step, including the netlist-wide
-    /// sharing of tie cells), but each distinct neuron is elaborated
-    /// into a scratch netlist **once** and memoized, so the GA flow's
-    /// hardware analysis of sibling designs — which share almost all of
-    /// their neurons — skips nearly all of the work.
+    /// (same cell counts, same critical depth): the walk mirrors the
+    /// elaboration step for step — each neuron priced from its column
+    /// heights, the QReLU/argmax macros through the formulas the
+    /// netlist instantiates, one tie cell of each polarity shared
+    /// across the whole circuit.
     ///
     /// # Panics
     ///
@@ -229,123 +214,195 @@ impl Elaborator {
     /// inconsistent specs.
     #[must_use]
     pub fn cost(&self, spec: &MlpHardwareSpec) -> CostedMlp {
-        cost_with(spec, &self.tech, &mut |neuron| self.neuron_cost(neuron))
-    }
+        let mut counts = CellCounts::new();
+        let mut neuron_stats = Vec::new();
+        let mut critical_fa_depth = 0u32;
+        let mut uses_tie_hi = false;
+        let mut uses_tie_lo = false;
+        let mut fan_in = spec.inputs;
 
-    /// Per-neuron elaboration cost, memoized by the neuron's spec.
-    fn neuron_cost(&self, neuron: &NeuronSpec) -> NeuronCost {
-        {
-            let mut memo = self
-                .neuron_memo
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(cost) = memo.get(neuron) {
-                return cost;
+        for (li, layer) in spec.layers.iter().enumerate() {
+            let mut layer_depth = 0u32;
+            let mut max_width = 1u32;
+            for (ni, neuron) in layer.neurons.iter().enumerate() {
+                assert_eq!(
+                    neuron.fan_in(),
+                    fan_in,
+                    "layer {li} neuron {ni}: fan-in mismatch"
+                );
+                let cost = analytic_neuron_cost(neuron, self.kind);
+                counts.merge(&cost.counts);
+                uses_tie_hi |= cost.uses_tie_hi;
+                uses_tie_lo |= cost.uses_tie_lo;
+                layer_depth = layer_depth.max(cost.stages + cost.accumulator_bits + 1);
+                max_width = max_width.max(cost.accumulator_bits);
+                neuron_stats.push(NeuronStats {
+                    layer: li,
+                    neuron: ni,
+                    full_adders: cost.counts.get(Cell::Fa),
+                    stages: cost.stages,
+                    accumulator_bits: cost.accumulator_bits,
+                });
+                if let LayerActivation::QRelu { out_bits, shift } = layer.activation {
+                    counts.merge(&qrelu_gate_counts(cost.accumulator_bits, out_bits, shift));
+                }
+            }
+            critical_fa_depth += layer_depth;
+            match layer.activation {
+                LayerActivation::QRelu { .. } => fan_in = layer.neurons.len(),
+                LayerActivation::Argmax => {
+                    counts.merge(&argmax_gate_counts(layer.neurons.len(), max_width));
+                    fan_in = 0;
+                }
             }
         }
-        // Elaborate into a scratch netlist — exactly the gates the full
-        // elaboration would add for this neuron.
-        let mut scratch = Netlist::new();
-        let inputs: Vec<Vec<NetId>> = (0..neuron.fan_in())
-            .map(|_| scratch.nets(neuron.input_bits() as usize))
-            .collect();
-        let bound = match neuron {
-            NeuronSpec::Exact(e) => bind_exact(e, &inputs),
-            NeuronSpec::Approximate(a) => bind_approximate(a, &inputs),
-        };
-        let acc = elaborate_accumulation(&mut scratch, &bound, self.kind);
-        let mut counts = scratch.cell_counts();
-        let uses_tie_hi = counts.get(Cell::TieHi) > 0;
-        let uses_tie_lo = counts.get(Cell::TieLo) > 0;
-        counts.tie_hi = 0;
-        counts.tie_lo = 0;
-        let cost = NeuronCost {
-            counts,
-            uses_tie_hi,
-            uses_tie_lo,
-            stages: acc.stages,
-            accumulator_bits: acc.accumulator_bits,
-        };
-        self.neuron_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(neuron.clone(), cost);
-        cost
+
+        // The full netlist shares one tie cell of each polarity.
+        if uses_tie_hi {
+            counts.add(Cell::TieHi, 1);
+        }
+        if uses_tie_lo {
+            counts.add(Cell::TieLo, 1);
+        }
+        let report =
+            HardwareReport::at_nominal(spec.name.clone(), &self.tech, counts, critical_fa_depth);
+        CostedMlp {
+            report,
+            neuron_stats,
+        }
     }
 }
 
-/// The netlist-free cost aggregation shared by [`Elaborator::cost`] and
-/// the analytic [`crate::cost::FastCostModel`]: walk the spec layer by
-/// layer, merge each neuron's gate content (from `neuron_cost` — either
-/// scratch-elaborated or analytic), charge the QReLU/argmax macros
-/// through the same formulas the netlist instantiates, share one tie
-/// cell of each polarity across the whole netlist, and accumulate the
-/// critical FA depth. Mirrors [`Elaborator::elaborate`] step for step,
-/// which is what makes the two costing paths provably equal.
+/// Analytic per-neuron cost: mirrors
+/// [`elaborate_accumulation`](crate::neuron::elaborate_accumulation) +
+/// [`TreeBuilder::reduce`](crate::adder_tree::TreeBuilder::reduce) over
+/// column *heights* instead of net queues — same stage policy, same
+/// final carry-propagate walk, same tie-cell usage — so the counts are
+/// equal to elaboration's by construction (and by property test).
 ///
 /// # Panics
 ///
-/// Panics on structurally inconsistent specs, as
-/// [`Elaborator::elaborate`] does.
-pub(crate) fn cost_with(
-    spec: &MlpHardwareSpec,
-    tech: &TechLibrary,
-    neuron_cost: &mut dyn FnMut(&NeuronSpec) -> NeuronCost,
-) -> CostedMlp {
+/// Panics on malformed neuron specs, exactly like elaboration.
+fn analytic_neuron_cost(neuron: &NeuronSpec, kind: ReductionKind) -> NeuronCost {
+    let summands = neuron_summands(neuron);
+    let acc_bits = ColumnProfile::accumulator_width(&summands);
+    let modulus_mask = (1u64 << acc_bits) - 1;
+    let well_formed = "neuron spec must be well-formed";
+
+    // Column heights plus the folded constant (two's-complement
+    // negation corrections + bias), exactly as the elaborator places
+    // variable bits and tie-high cells.
+    let mut heights = vec![0u32; acc_bits as usize];
     let mut counts = CellCounts::new();
-    let mut neuron_stats = Vec::new();
-    let mut critical_fa_depth = 0u32;
+    let mut folded_constant: u64 = 0;
+    for summand in &summands {
+        match summand {
+            Summand::MaskedInput {
+                mask,
+                shift,
+                negative,
+                ..
+            } => {
+                summand.validate().expect(well_formed);
+                let mut m = *mask;
+                while m != 0 {
+                    let pos = m.trailing_zeros() + shift;
+                    assert!(pos < acc_bits, "{well_formed}");
+                    heights[pos as usize] += 1;
+                    m &= m - 1;
+                }
+                if *negative {
+                    counts.add(Cell::Not, mask.count_ones());
+                }
+                if let Some(k) = summand.negation_constant(acc_bits).expect(well_formed) {
+                    folded_constant = folded_constant.wrapping_add(k) & modulus_mask;
+                }
+            }
+            Summand::Constant(c) => {
+                let pattern = pe_arith::fixed::to_twos_complement(*c, acc_bits).expect(well_formed);
+                folded_constant = folded_constant.wrapping_add(pattern) & modulus_mask;
+            }
+        }
+    }
     let mut uses_tie_hi = false;
+    for b in 0..acc_bits {
+        if folded_constant >> b & 1 == 1 {
+            heights[b as usize] += 1;
+            uses_tie_hi = true;
+        }
+    }
+
+    // Stage-by-stage 3:2 reduction, mirroring `TreeBuilder::reduce`:
+    // FA sums stay in place, carries move one column left, a leftover
+    // pair in a still-too-tall column feeds an HA under FaHa, and
+    // trailing empty columns are trimmed between stages.
+    let mut stages = 0u32;
+    while heights.iter().any(|&h| h > 2) {
+        stages += 1;
+        let mut next = vec![0u32; heights.len() + 1];
+        for (ci, &h) in heights.iter().enumerate() {
+            let fas = h / 3;
+            counts.add(Cell::Fa, fas);
+            let mut rem = h % 3;
+            let mut kept = fas;
+            if kind == ReductionKind::FaHa && rem == 2 && h > 2 {
+                counts.add(Cell::Ha, 1);
+                kept += 1;
+                next[ci + 1] += 1;
+                rem = 0;
+            }
+            next[ci] += kept + rem;
+            next[ci + 1] += fas;
+        }
+        while next.last() == Some(&0) {
+            next.pop();
+        }
+        heights = next;
+    }
+
+    // Final carry-propagate walk, mirroring the TreeBuilder's CPA: the
+    // FA-only policy ties the missing third input low (one shared
+    // tie-low cell), and empty columns yield constant-zero sum bits.
     let mut uses_tie_lo = false;
-    let mut fan_in = spec.inputs;
-
-    for (li, layer) in spec.layers.iter().enumerate() {
-        let mut layer_depth = 0u32;
-        let mut max_width = 1u32;
-        for (ni, neuron) in layer.neurons.iter().enumerate() {
-            assert_eq!(
-                neuron.fan_in(),
-                fan_in,
-                "layer {li} neuron {ni}: fan-in mismatch"
-            );
-            let cost = neuron_cost(neuron);
-            counts.merge(&cost.counts);
-            uses_tie_hi |= cost.uses_tie_hi;
-            uses_tie_lo |= cost.uses_tie_lo;
-            layer_depth = layer_depth.max(cost.stages + cost.accumulator_bits + 1);
-            max_width = max_width.max(cost.accumulator_bits);
-            neuron_stats.push(NeuronStats {
-                layer: li,
-                neuron: ni,
-                full_adders: cost.counts.get(Cell::Fa),
-                stages: cost.stages,
-                accumulator_bits: cost.accumulator_bits,
-            });
-            if let LayerActivation::QRelu { out_bits, shift } = layer.activation {
-                counts.merge(&qrelu_gate_counts(cost.accumulator_bits, out_bits, shift));
+    let mut carry = false;
+    let mut sum_len = 0u32;
+    for &h in &heights {
+        match (h, carry) {
+            (0, false) => uses_tie_lo = true,
+            (0, true) => carry = false,
+            (1, false) => {}
+            (1, true) | (2, false) => {
+                if kind == ReductionKind::FaHa {
+                    counts.add(Cell::Ha, 1);
+                } else {
+                    counts.add(Cell::Fa, 1);
+                    uses_tie_lo = true;
+                }
+                carry = true;
             }
-        }
-        critical_fa_depth += layer_depth;
-        match layer.activation {
-            LayerActivation::QRelu { .. } => fan_in = layer.neurons.len(),
-            LayerActivation::Argmax => {
-                counts.merge(&argmax_gate_counts(layer.neurons.len(), max_width));
-                fan_in = 0;
+            (2, true) => {
+                counts.add(Cell::Fa, 1);
+                carry = true;
             }
+            _ => unreachable!("columns are at most 2 high after reduction"),
         }
+        sum_len += 1;
+    }
+    if carry {
+        sum_len += 1;
+    }
+    // Sum bits are truncated to the accumulator width and padded with
+    // constant zeros when the tree came up short.
+    if sum_len < acc_bits {
+        uses_tie_lo = true;
     }
 
-    // The full netlist shares one tie cell of each polarity.
-    if uses_tie_hi {
-        counts.add(Cell::TieHi, 1);
-    }
-    if uses_tie_lo {
-        counts.add(Cell::TieLo, 1);
-    }
-    let report = HardwareReport::at_nominal(spec.name.clone(), tech, counts, critical_fa_depth);
-    CostedMlp {
-        report,
-        neuron_stats,
+    NeuronCost {
+        counts,
+        uses_tie_hi,
+        uses_tie_lo,
+        stages,
+        accumulator_bits: acc_bits,
     }
 }
 
@@ -601,9 +658,9 @@ mod tests {
 
     #[test]
     fn memoized_cost_equals_full_elaboration() {
-        // The load-bearing invariant of the fast costing path: for both
-        // neuron flavours (and under both compressor policies), the
-        // netlist-free memoized roll-up reproduces the exact
+        // The load-bearing invariant of the netlist-free costing path:
+        // for both neuron flavours (and under both compressor
+        // policies), the column-height roll-up reproduces the exact
         // `Netlist::cell_counts` report, including the shared tie
         // cells and the critical depth.
         for kind in [ReductionKind::FaOnly, ReductionKind::FaHa] {
@@ -614,26 +671,8 @@ mod tests {
                 assert_eq!(fast.report, full.report, "{kind:?} {}", spec.name);
                 assert_eq!(fast.report.cells, full.netlist.cell_counts());
                 assert_eq!(fast.neuron_stats, full.neuron_stats);
-                // A second, memo-warm pass returns the same thing.
-                assert_eq!(elab.cost(&spec).report, full.report);
             }
         }
-    }
-
-    #[test]
-    fn cost_memo_is_shared_across_clones_and_reset_by_with_kind() {
-        let elab = Elaborator::new(TechLibrary::egfet());
-        let spec = tiny_approx_spec();
-        let expected = elab.elaborate(&spec).report;
-        let _ = elab.cost(&spec);
-        // A clone shares the warm memo and still reports identically.
-        assert_eq!(elab.clone().cost(&spec).report, expected);
-        // Switching the compressor policy detaches the memo: costs
-        // reflect the new policy, not stale FA-only entries.
-        let faha = elab.clone().with_kind(ReductionKind::FaHa);
-        let faha_full = faha.elaborate(&spec).report;
-        assert_eq!(faha.cost(&spec).report, faha_full);
-        assert_ne!(faha_full.cells, expected.cells);
     }
 
     #[test]

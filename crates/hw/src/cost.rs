@@ -1,12 +1,5 @@
-//! The unified hardware cost layer: one [`CostModel`] trait from GA
-//! fitness to netlist.
-//!
-//! Historically this workspace had three divergent costing paths — the
-//! GA's analytic gate-equivalent objective, [`Elaborator::cost`]'s
-//! memoized netlist-free roll-up, and full
-//! [`Elaborator::elaborate`]/`Netlist::cell_counts` — whose equality
-//! was maintained by hand-written pairwise tests. This module turns
-//! that maintenance burden into a trait contract:
+//! The hardware cost layer: the conditions a circuit is costed under,
+//! and the one [`ExactCostModel`] every reported design is priced by.
 //!
 //! * [`CostScenario`] names the *conditions* a circuit is costed under:
 //!   a [`TechLibrary`], a [`VddModel`], an operating supply voltage and
@@ -15,29 +8,23 @@
 //!   pipeline stage artifacts and sweep configurations.
 //! * [`HwCost`] is the *answer*: gate equivalents, cm², mW and ms at
 //!   the scenario's supply.
-//! * [`CostModel`] maps an [`MlpHardwareSpec`] to a [`HardwareReport`] /
-//!   [`HwCost`] under a scenario. Two interchangeable implementations
-//!   exist, **proven equal** on randomized specs by the
-//!   `cost_model_parity` property suite:
-//!   [`FastCostModel`] — fully analytic, no netlist, per-neuron memo —
-//!   and [`ExactCostModel`] — scratch-netlist elaboration via
-//!   [`Elaborator::cost`], itself proven equal to full elaboration.
+//! * [`ExactCostModel`] maps an [`MlpHardwareSpec`] to a
+//!   [`HardwareReport`] / [`HwCost`] under a scenario. It prices each
+//!   neuron from its column heights through [`Elaborator::cost`],
+//!   whose reports the `cost_model_parity` property suite proves equal
+//!   to full [`Elaborator::elaborate`] + `Netlist::cell_counts`.
 //!
-//! # Which model to use where
-//!
-//! The GA fitness and anything run millions of times should use the
-//! fast model (or, inside `printed-axc`, the per-neuron
-//! `AdderAreaEstimator::counts_of_with` it is built on); reported
-//! artifacts (Tables I/II, Figs. 4/5) cost through the exact model.
-//! Because the parity suite proves the two identical, this split is an
-//! implementation detail, not a semantic one.
+//! The GA fitness, which runs millions of times, prices neurons with
+//! the same column-height family inside `printed-axc`
+//! (`AdderAreaEstimator::counts_of_with`); every reported artifact
+//! (Tables I/II, Figs. 4/5) costs through this model.
 //!
 //! # Example
 //!
 //! ```
-//! use pe_hw::cost::{CostModel, CostScenario, ExactCostModel, FastCostModel};
+//! use pe_hw::cost::{CostScenario, ExactCostModel};
 //! use pe_hw::spec::{ExactNeuronSpec, LayerActivation, LayerSpec, MlpHardwareSpec, NeuronSpec};
-//! use pe_hw::{PowerSource, TechLibrary};
+//! use pe_hw::{Elaborator, PowerSource, TechLibrary};
 //!
 //! let spec = MlpHardwareSpec {
 //!     name: "demo".into(),
@@ -59,28 +46,25 @@
 //! let scenario = CostScenario::nominal(TechLibrary::egfet())
 //!     .at_supply(0.6)
 //!     .powered_by(PowerSource::Harvester);
-//! let fast = FastCostModel::new(scenario.clone());
-//! let exact = ExactCostModel::new(scenario);
+//! let model = ExactCostModel::new(scenario);
 //!
-//! // The two models agree exactly — the parity suite proves this on
-//! // randomized specs; here is one instance.
-//! assert_eq!(fast.report(&spec), exact.report(&spec));
-//! let cost = fast.cost(&spec);
+//! // At the nominal supply the model's report is the netlist's; the
+//! // parity suite proves this on randomized specs.
+//! let full = Elaborator::new(TechLibrary::egfet()).elaborate(&spec).report;
+//! assert_eq!(model.costed(&spec).report, full);
+//! let cost = model.cost(&spec);
 //! assert!(cost.area_ge > 0.0 && cost.power_mw > 0.0);
-//! assert!(fast.scenario().within_power_budget(cost.power_mw));
+//! assert!(model.scenario().within_power_budget(cost.power_mw));
 //! ```
 
-use std::sync::{Arc, Mutex};
-
-use pe_arith::{BoundedCache, ColumnProfile, ReductionKind, Summand};
+use pe_arith::ReductionKind;
 use serde::{Deserialize, Serialize};
 
-use crate::circuit::{cost_with, CostedMlp, Elaborator, NeuronCost};
-use crate::neuron::neuron_summands;
+use crate::circuit::{CostedMlp, Elaborator};
 use crate::power_source::PowerSource;
 use crate::report::HardwareReport;
-use crate::spec::{MlpHardwareSpec, NeuronSpec};
-use crate::tech::{Cell, CellCounts, TechLibrary};
+use crate::spec::MlpHardwareSpec;
+use crate::tech::TechLibrary;
 use crate::vdd::VddModel;
 
 /// The conditions a circuit is costed under: technology, voltage
@@ -234,38 +218,9 @@ impl HwCost {
     }
 }
 
-/// Maps a bespoke-MLP hardware spec to its cost under a named
-/// [`CostScenario`] — the single costing interface from GA fitness to
-/// netlist-backed reporting.
-///
-/// Implementations must be pure functions of the spec and scenario.
-/// The two bundled implementations ([`FastCostModel`], exact-by-
-/// construction [`ExactCostModel`]) are proven equal on randomized
-/// specs; a custom model (say, wrapping a real EDA flow) only has to
-/// implement [`report`](Self::report).
-pub trait CostModel: Send + Sync {
-    /// Short stable identifier (used in logs and sweep artifacts).
-    fn name(&self) -> &'static str;
-
-    /// The scenario this model costs under.
-    fn scenario(&self) -> &CostScenario;
-
-    /// Full hardware report of `spec` at the scenario's supply.
-    fn report(&self, spec: &MlpHardwareSpec) -> HardwareReport;
-
-    /// Cost summary of `spec` at the scenario's supply.
-    fn cost(&self, spec: &MlpHardwareSpec) -> HwCost {
-        HwCost::of(&self.report(spec), &self.scenario().tech)
-    }
-}
-
-/// Per-model bound on memoized neuron costs (an entry is ~100 bytes).
-const NEURON_COST_CACHE_CAPACITY: usize = 1 << 15;
-
-/// The *exact* cost model: scratch-netlist elaboration per distinct
-/// neuron through [`Elaborator::cost`], which is proven equal to full
-/// [`Elaborator::elaborate`] + `Netlist::cell_counts`. Clones share
-/// the per-neuron memo.
+/// The cost model: prices a bespoke-MLP hardware spec under one
+/// [`CostScenario`] through [`Elaborator::cost`], whose reports equal
+/// full [`Elaborator::elaborate`] + `Netlist::cell_counts`.
 #[derive(Debug, Clone)]
 pub struct ExactCostModel {
     elaborator: Elaborator,
@@ -273,7 +228,7 @@ pub struct ExactCostModel {
 }
 
 impl ExactCostModel {
-    /// Exact model for `scenario` with the paper's FA-only reduction.
+    /// Model for `scenario` with the paper's FA-only reduction.
     #[must_use]
     pub fn new(scenario: CostScenario) -> Self {
         Self {
@@ -282,266 +237,45 @@ impl ExactCostModel {
         }
     }
 
-    /// Override the compressor policy (detaches the neuron memo).
+    /// Override the compressor policy.
     #[must_use]
     pub fn with_kind(mut self, kind: ReductionKind) -> Self {
         self.elaborator = self.elaborator.with_kind(kind);
         self
     }
 
-    /// The underlying elaborator (for consumers that additionally need
-    /// netlists or per-neuron statistics).
+    /// The scenario this model costs under.
     #[must_use]
-    pub fn elaborator(&self) -> &Elaborator {
-        &self.elaborator
+    pub fn scenario(&self) -> &CostScenario {
+        &self.scenario
     }
 
-    /// Cost with per-neuron statistics, at the nominal supply (what
-    /// [`Elaborator::cost`] produces; [`report`](CostModel::report)
-    /// additionally moves it to the scenario's operating point).
+    /// Cost with per-neuron statistics, at the technology's nominal
+    /// supply (what [`Elaborator::cost`] produces;
+    /// [`report`](Self::report) additionally moves it to the
+    /// scenario's operating point).
     #[must_use]
     pub fn costed(&self, spec: &MlpHardwareSpec) -> CostedMlp {
         self.elaborator.cost(spec)
     }
-}
 
-impl CostModel for ExactCostModel {
-    fn name(&self) -> &'static str {
-        "exact-netlist"
-    }
-
-    fn scenario(&self) -> &CostScenario {
-        &self.scenario
-    }
-
-    fn report(&self, spec: &MlpHardwareSpec) -> HardwareReport {
-        self.scenario
-            .scale_report(self.elaborator.cost(spec).report)
-    }
-}
-
-/// The *fast* cost model: fully analytic — column heights, the
-/// [`pe_arith`] reduction recurrence and the shared macro formulas —
-/// with no netlist, no net allocation, and a per-neuron memo shared
-/// across clones and threads. Equal to [`ExactCostModel`] on every
-/// spec (property-tested), at a fraction of the cost of even the
-/// memoized exact path on cold neurons.
-#[derive(Debug, Clone)]
-pub struct FastCostModel {
-    scenario: CostScenario,
-    kind: ReductionKind,
-    memo: Arc<Mutex<BoundedCache<NeuronSpec, NeuronCost>>>,
-}
-
-impl FastCostModel {
-    /// Fast model for `scenario` with the paper's FA-only reduction.
+    /// Full hardware report of `spec` at the scenario's supply.
     #[must_use]
-    pub fn new(scenario: CostScenario) -> Self {
-        Self {
-            scenario,
-            kind: ReductionKind::FaOnly,
-            memo: Arc::new(Mutex::new(BoundedCache::new(NEURON_COST_CACHE_CAPACITY))),
-        }
-    }
-
-    /// Override the compressor policy (detaches the neuron memo, which
-    /// is keyed by neuron spec only).
-    #[must_use]
-    pub fn with_kind(mut self, kind: ReductionKind) -> Self {
-        self.kind = kind;
-        self.memo = Arc::new(Mutex::new(BoundedCache::new(NEURON_COST_CACHE_CAPACITY)));
-        self
-    }
-
-    /// Cost with per-neuron statistics, at the nominal supply —
-    /// field-for-field equal to [`ExactCostModel::costed`].
-    #[must_use]
-    pub fn costed(&self, spec: &MlpHardwareSpec) -> CostedMlp {
-        cost_with(spec, &self.scenario.tech, &mut |neuron| {
-            self.neuron_cost(neuron)
-        })
-    }
-
-    /// Lifetime `(hits, misses)` of the shared neuron memo.
-    #[must_use]
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let memo = self
-            .memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (memo.hits(), memo.misses())
-    }
-
-    fn neuron_cost(&self, neuron: &NeuronSpec) -> NeuronCost {
-        {
-            let mut memo = self
-                .memo
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(cost) = memo.get(neuron) {
-                return cost;
-            }
-        }
-        let cost = analytic_neuron_cost(neuron, self.kind);
-        self.memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(neuron.clone(), cost);
-        cost
-    }
-}
-
-impl CostModel for FastCostModel {
-    fn name(&self) -> &'static str {
-        "fast-analytic"
-    }
-
-    fn scenario(&self) -> &CostScenario {
-        &self.scenario
-    }
-
-    fn report(&self, spec: &MlpHardwareSpec) -> HardwareReport {
+    pub fn report(&self, spec: &MlpHardwareSpec) -> HardwareReport {
         self.scenario.scale_report(self.costed(spec).report)
     }
-}
 
-/// Analytic per-neuron cost: mirrors
-/// [`elaborate_accumulation`](crate::neuron::elaborate_accumulation) +
-/// [`TreeBuilder::reduce`](crate::adder_tree::TreeBuilder::reduce) over
-/// column *heights* instead of net queues — same stage policy, same
-/// final carry-propagate walk, same tie-cell usage — so the counts are
-/// equal to scratch elaboration by construction (and by property test).
-///
-/// # Panics
-///
-/// Panics on malformed neuron specs, exactly like elaboration.
-pub(crate) fn analytic_neuron_cost(neuron: &NeuronSpec, kind: ReductionKind) -> NeuronCost {
-    let summands = neuron_summands(neuron);
-    let acc_bits = ColumnProfile::accumulator_width(&summands);
-    let modulus_mask = (1u64 << acc_bits) - 1;
-    let well_formed = "neuron spec must be well-formed";
-
-    // Column heights plus the folded constant (two's-complement
-    // negation corrections + bias), exactly as the elaborator places
-    // variable bits and tie-high cells.
-    let mut heights = vec![0u32; acc_bits as usize];
-    let mut counts = CellCounts::new();
-    let mut folded_constant: u64 = 0;
-    for summand in &summands {
-        match summand {
-            Summand::MaskedInput {
-                mask,
-                shift,
-                negative,
-                ..
-            } => {
-                summand.validate().expect(well_formed);
-                let mut m = *mask;
-                while m != 0 {
-                    let pos = m.trailing_zeros() + shift;
-                    assert!(pos < acc_bits, "{well_formed}");
-                    heights[pos as usize] += 1;
-                    m &= m - 1;
-                }
-                if *negative {
-                    counts.add(Cell::Not, mask.count_ones());
-                }
-                if let Some(k) = summand.negation_constant(acc_bits).expect(well_formed) {
-                    folded_constant = folded_constant.wrapping_add(k) & modulus_mask;
-                }
-            }
-            Summand::Constant(c) => {
-                let pattern = pe_arith::fixed::to_twos_complement(*c, acc_bits).expect(well_formed);
-                folded_constant = folded_constant.wrapping_add(pattern) & modulus_mask;
-            }
-        }
-    }
-    let mut uses_tie_hi = false;
-    for b in 0..acc_bits {
-        if folded_constant >> b & 1 == 1 {
-            heights[b as usize] += 1;
-            uses_tie_hi = true;
-        }
-    }
-
-    // Stage-by-stage 3:2 reduction, mirroring `TreeBuilder::reduce`:
-    // FA sums stay in place, carries move one column left, a leftover
-    // pair in a still-too-tall column feeds an HA under FaHa, and
-    // trailing empty columns are trimmed between stages.
-    let mut stages = 0u32;
-    while heights.iter().any(|&h| h > 2) {
-        stages += 1;
-        let mut next = vec![0u32; heights.len() + 1];
-        for (ci, &h) in heights.iter().enumerate() {
-            let fas = h / 3;
-            counts.add(Cell::Fa, fas);
-            let mut rem = h % 3;
-            let mut kept = fas;
-            if kind == ReductionKind::FaHa && rem == 2 && h > 2 {
-                counts.add(Cell::Ha, 1);
-                kept += 1;
-                next[ci + 1] += 1;
-                rem = 0;
-            }
-            next[ci] += kept + rem;
-            next[ci + 1] += fas;
-        }
-        while next.last() == Some(&0) {
-            next.pop();
-        }
-        heights = next;
-    }
-
-    // Final carry-propagate walk, mirroring the TreeBuilder's CPA: the
-    // FA-only policy ties the missing third input low (one shared
-    // tie-low cell), and empty columns yield constant-zero sum bits.
-    let mut uses_tie_lo = false;
-    let mut carry = false;
-    let mut sum_len = 0u32;
-    for &h in &heights {
-        match (h, carry) {
-            (0, false) => uses_tie_lo = true,
-            (0, true) => carry = false,
-            (1, false) => {}
-            (1, true) | (2, false) => {
-                if kind == ReductionKind::FaHa {
-                    counts.add(Cell::Ha, 1);
-                } else {
-                    counts.add(Cell::Fa, 1);
-                    uses_tie_lo = true;
-                }
-                carry = true;
-            }
-            (2, true) => {
-                counts.add(Cell::Fa, 1);
-                carry = true;
-            }
-            _ => unreachable!("columns are at most 2 high after reduction"),
-        }
-        sum_len += 1;
-    }
-    if carry {
-        sum_len += 1;
-    }
-    // Sum bits are truncated to the accumulator width and padded with
-    // constant zeros when the tree came up short.
-    if sum_len < acc_bits {
-        uses_tie_lo = true;
-    }
-
-    NeuronCost {
-        counts,
-        uses_tie_hi,
-        uses_tie_lo,
-        stages,
-        accumulator_bits: acc_bits,
+    /// Cost summary of `spec` at the scenario's supply.
+    #[must_use]
+    pub fn cost(&self, spec: &MlpHardwareSpec) -> HwCost {
+        HwCost::of(&self.report(spec), &self.scenario.tech)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ExactNeuronSpec, LayerActivation, LayerSpec};
+    use crate::spec::{ExactNeuronSpec, LayerActivation, LayerSpec, NeuronSpec};
     use pe_arith::{NeuronArithSpec, WeightArith};
 
     fn two_layer_spec() -> MlpHardwareSpec {
@@ -598,33 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_equals_exact_on_a_mixed_network() {
-        for kind in [ReductionKind::FaOnly, ReductionKind::FaHa] {
-            let scenario = CostScenario::default();
-            let fast = FastCostModel::new(scenario.clone()).with_kind(kind);
-            let exact = ExactCostModel::new(scenario).with_kind(kind);
-            let spec = two_layer_spec();
-            assert_eq!(fast.report(&spec), exact.report(&spec), "{kind:?}");
-            assert_eq!(
-                fast.costed(&spec).neuron_stats,
-                exact.costed(&spec).neuron_stats,
-                "{kind:?}"
-            );
-            // Warm-memo pass returns the same thing.
-            assert_eq!(fast.report(&spec), exact.report(&spec), "{kind:?}");
-            assert_eq!(fast.cost(&spec), exact.cost(&spec), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn fast_model_matches_full_elaboration_cells() {
-        let spec = two_layer_spec();
-        let fast = FastCostModel::new(CostScenario::default());
-        let full = Elaborator::new(TechLibrary::egfet()).elaborate(&spec);
-        assert_eq!(fast.costed(&spec).report.cells, full.netlist.cell_counts());
-    }
-
-    #[test]
     fn nominal_scenario_report_is_bit_identical_to_elaborator() {
         // The default scenario must not rescale anything: the refactor
         // guarantee behind byte-identical table artifacts.
@@ -637,8 +344,8 @@ mod tests {
     #[test]
     fn scenarios_scale_like_the_vdd_model() {
         let spec = two_layer_spec();
-        let nominal = FastCostModel::new(CostScenario::default());
-        let low = FastCostModel::new(CostScenario::default().at_supply(0.6));
+        let nominal = ExactCostModel::new(CostScenario::default());
+        let low = ExactCostModel::new(CostScenario::default().at_supply(0.6));
         let (n, l) = (nominal.cost(&spec), low.cost(&spec));
         assert_eq!(n.area_cm2, l.area_cm2, "area is voltage-independent");
         assert_eq!(n.area_ge, l.area_ge);
@@ -649,8 +356,8 @@ mod tests {
     #[test]
     fn second_technology_moves_the_cost_surface() {
         let spec = two_layer_spec();
-        let hp = FastCostModel::new(CostScenario::default());
-        let lp = FastCostModel::new(CostScenario::nominal(TechLibrary::egfet_lowpower()));
+        let hp = ExactCostModel::new(CostScenario::default());
+        let lp = ExactCostModel::new(CostScenario::nominal(TechLibrary::egfet_lowpower()));
         let (h, l) = (hp.cost(&spec), lp.cost(&spec));
         assert_eq!(h.area_ge, l.area_ge, "same logic content");
         assert!(l.area_cm2 > h.area_cm2, "LP corner is bigger");

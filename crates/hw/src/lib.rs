@@ -13,11 +13,12 @@
 //!   accumulation into full/half adders, *guaranteed* to instantiate the
 //!   same FA counts the fast [`pe_arith::AdderAreaEstimator`] predicts.
 //! * [`circuit`] — whole-MLP elaboration to a [`HardwareReport`]
-//!   (area cm², power mW, delay ms).
-//! * [`cost`] — the unified [`CostModel`] layer: one trait mapping a
-//!   spec to a [`HwCost`] under a named [`CostScenario`] (technology +
-//!   Vdd + power budget), with interchangeable fast-analytic and
-//!   exact-netlist implementations proven equal by property test.
+//!   (area cm², power mW, delay ms), with or without building the
+//!   netlist.
+//! * [`cost`] — the [`ExactCostModel`]: it maps a spec to a [`HwCost`]
+//!   under a named [`CostScenario`] (technology + Vdd + power budget),
+//!   pricing each neuron from its column heights, with reports proven
+//!   equal to full elaboration by property test.
 //! * [`vdd`] — supply-voltage scaling (1 V → 0.6 V operation, §V-C).
 //! * [`variation`] — the Monte-Carlo process-variation model
 //!   ([`VariationModel`]) with a deterministic keyed sampler, and the
@@ -71,7 +72,7 @@ pub mod verilog;
 pub use circuit::{
     argmax_gate_counts, qrelu_gate_counts, CostedMlp, ElaboratedMlp, Elaborator, NeuronStats,
 };
-pub use cost::{CostModel, CostScenario, ExactCostModel, FastCostModel, HwCost};
+pub use cost::{CostScenario, ExactCostModel, HwCost};
 pub use netlist::{Instance, MacroBlock, NetId, Netlist, Port};
 pub use power_source::{Feasibility, FeasibilityZones, PowerSource};
 pub use report::HardwareReport;

@@ -172,9 +172,10 @@ fn exact_bias_summand(spec: &ExactNeuronSpec) -> Option<Summand> {
 
 /// The full summand list of a neuron's accumulation, without binding
 /// to nets — exactly the summands [`bind_exact`] / [`bind_approximate`]
-/// would bind, in the same order. This is what the analytic
-/// [`FastCostModel`](crate::cost::FastCostModel) costs, so fast and
-/// exact models lower every neuron identically by construction.
+/// would bind, in the same order. This is what
+/// [`Elaborator::cost`](crate::circuit::Elaborator::cost) prices from
+/// column heights, so costing and elaboration lower every neuron
+/// identically by construction.
 #[must_use]
 pub fn neuron_summands(neuron: &NeuronSpec) -> Vec<Summand> {
     match neuron {

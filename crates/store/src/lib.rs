@@ -9,7 +9,7 @@
 //!   full-dataset inference;
 //! * its **cost** is scenario-dependent but cheap — an analytic
 //!   function of the [`CostScenario`](pe_hw::CostScenario) via
-//!   [`FastCostModel`](pe_hw::FastCostModel).
+//!   [`ExactCostModel`](pe_hw::ExactCostModel).
 //!
 //! This crate persists the expensive half so the cheap half can be
 //! re-asked forever. Every unique design a search encounters becomes a
@@ -18,20 +18,18 @@
 //! deduplicated by [`fingerprint_of`] and appended as one
 //! `serde_json` line to an on-disk store file. Afterwards,
 //! "what is the best design under technology × Vdd × power budget X?"
-//! is a [`ScenarioQuery`] over the loaded [`DesignStore`]: a pure read
-//! that re-costs stored designs in microseconds instead of re-running
-//! a CPU-hours GA.
+//! is a pure read over the loaded [`DesignStore`] that re-costs stored
+//! designs in microseconds instead of re-running a CPU-hours GA.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`record`] — the [`DesignRecord`] unit of storage, the
 //!   [`fingerprint_of`] dedup key and the gate-count helpers.
 //! * [`store`] — the append-only [`StoreWriter`] (ingest side, safe to
 //!   share across threads) and the read-only [`DesignStore`] snapshot
-//!   (query side). Corrupt or truncated files load as a clean
-//!   [`StoreError`], never a panic.
-//! * [`query`] — [`ScenarioQuery`]: re-cost stored designs under an
-//!   arbitrary scenario through the memoized fast cost model.
+//!   (query side). Corrupt or truncated files, and networks the cost
+//!   model cannot price, load as a clean [`StoreError`], never a
+//!   panic.
 //!
 //! Two durability helpers ride along: [`io`] provides the
 //! [`atomic_write`] temp-file/fsync/rename helper every crash-safe
@@ -53,12 +51,10 @@
 
 pub mod fault;
 pub mod io;
-pub mod query;
 pub mod record;
 pub mod store;
 
 pub use fault::{FaultAction, FaultPlan};
 pub use io::atomic_write;
-pub use query::{CostedRecord, ScenarioQuery};
 pub use record::{counts_of_spec, fingerprint_of, DesignRecord};
 pub use store::{DesignStore, IngestOutcome, SalvageReport, StoreError, StoreStats, StoreWriter};

@@ -5,9 +5,9 @@
 //! depend on the costing scenario: the quantized approximate network
 //! itself, its cached accuracies, and the per-neuron
 //! [`NeuronGateCounts`] its hardware elaborates to. Scenario-dependent
-//! cost ([`pe_hw::HwCost`]) is deliberately absent — the
-//! [`query`](crate::query) layer recomputes it in microseconds for
-//! whatever technology / supply / power budget the caller asks about.
+//! cost ([`pe_hw::HwCost`]) is deliberately absent — the cost model
+//! recomputes it in microseconds for whatever technology / supply /
+//! power budget the caller asks about.
 
 use std::hash::{Hash, Hasher};
 

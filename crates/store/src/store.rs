@@ -13,8 +13,9 @@
 //! regardless of how its information arrived.
 //!
 //! Corrupt input — a truncated final line after a crash, edited bytes,
-//! a fingerprint that no longer matches its network — surfaces as a
-//! [`StoreError`], never a panic.
+//! a fingerprint that no longer matches its network, a network the
+//! cost model cannot price — surfaces as a [`StoreError`], never a
+//! panic.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -24,6 +25,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+
+use pe_arith::Summand;
 
 use crate::fault::{self, FaultAction, SITE_STORE_APPEND};
 use crate::record::{fingerprint_of, DesignRecord};
@@ -40,7 +43,8 @@ pub enum StoreError {
         reason: String,
     },
     /// A line of the store file is not a valid record (truncated
-    /// write, edited bytes, or a fingerprint/network mismatch).
+    /// write, edited bytes, a fingerprint/network mismatch, or a
+    /// network the cost model cannot price).
     Corrupt {
         /// The store file involved.
         path: PathBuf,
@@ -235,8 +239,7 @@ fn salvage_trailing(path: &Path) -> Result<SalvageReport, StoreError> {
         match parsed {
             Some("") => {} // blank lines are ignored by the loader
             Some(line)
-                if serde_json::from_str::<DesignRecord>(line)
-                    .is_ok_and(|r| r.fingerprint == fingerprint_of(&r.mlp)) =>
+                if serde_json::from_str::<DesignRecord>(line).is_ok_and(|r| verify(&r).is_ok()) =>
             {
                 if let Some((_, bad_line)) = truncate_at {
                     return Err(StoreError::Corrupt {
@@ -283,10 +286,52 @@ fn salvage_trailing(path: &Path) -> Result<SalvageReport, StoreError> {
     })
 }
 
-/// Parse every line of a store file into records, verifying each
-/// record's fingerprint against its network. `missing_ok` treats an
-/// absent file as empty (the writer's create-on-open case); readers
-/// keep it strict.
+/// Why a parsed record cannot be loaded, if it cannot: its fingerprint
+/// does not match its network, or the cost model would panic on the
+/// network — a live weight that does not fit its layer's input width,
+/// a layer whose fan-in differs from the previous layer's width, or a
+/// layer after the argmax output layer.
+fn verify(record: &DesignRecord) -> Result<(), String> {
+    if record.fingerprint != fingerprint_of(&record.mlp) {
+        return Err("fingerprint does not match the stored network".into());
+    }
+    let layers = &record.mlp.layers;
+    let mut width = layers
+        .first()
+        .and_then(|layer| layer.neurons.first())
+        .map_or(0, |neuron| neuron.weights.len());
+    for (li, layer) in layers.iter().enumerate() {
+        if li > 0 && layers[li - 1].qrelu.is_none() {
+            return Err(format!("layer {li} follows the argmax output layer"));
+        }
+        for (ni, neuron) in layer.neurons.iter().enumerate() {
+            if neuron.weights.len() != width {
+                return Err(format!(
+                    "layer {li} neuron {ni} has fan-in {}, but its layer's inputs are {width} wide",
+                    neuron.weights.len()
+                ));
+            }
+            // The summands `to_arith_spec(..).summands()` lowers to, built
+            // in place: allocating them made this check ~6x slower.
+            for weight in neuron.weights.iter().filter(|w| w.mask != 0) {
+                Summand::MaskedInput {
+                    input_bits: layer.input_bits,
+                    mask: u64::from(weight.mask),
+                    shift: u32::from(weight.shift),
+                    negative: weight.negative,
+                }
+                .validate()
+                .map_err(|err| format!("layer {li} neuron {ni}: {err}"))?;
+            }
+        }
+        width = layer.neurons.len();
+    }
+    Ok(())
+}
+
+/// Parse every line of a store file into records, [`verify`]ing each.
+/// `missing_ok` treats an absent file as empty (the writer's
+/// create-on-open case); readers keep it strict.
 fn load_lines(path: &Path, missing_ok: bool) -> Result<Vec<DesignRecord>, StoreError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -304,13 +349,11 @@ fn load_lines(path: &Path, missing_ok: bool) -> Result<Vec<DesignRecord>, StoreE
                 line: at + 1,
                 reason: err.to_string(),
             })?;
-        if record.fingerprint != fingerprint_of(&record.mlp) {
-            return Err(StoreError::Corrupt {
-                path: path.to_path_buf(),
-                line: at + 1,
-                reason: "fingerprint does not match the stored network".into(),
-            });
-        }
+        verify(&record).map_err(|reason| StoreError::Corrupt {
+            path: path.to_path_buf(),
+            line: at + 1,
+            reason,
+        })?;
         records.push(record);
     }
     Ok(records)
@@ -762,6 +805,64 @@ mod tests {
         let err = DesignStore::load(&path).expect_err("bad fingerprint must not load");
         assert!(matches!(err, StoreError::Corrupt { line: 2, .. }), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn networks_the_cost_model_cannot_price_are_a_clean_error() {
+        let layer = |width: usize, fan_in: usize, qrelu: Option<QReluCfg>| AxLayer {
+            input_bits: 4,
+            neurons: vec![
+                AxNeuron {
+                    weights: vec![
+                        AxWeight {
+                            mask: 0b1011,
+                            shift: 2,
+                            negative: false,
+                        };
+                        fan_in
+                    ],
+                    bias: 0,
+                };
+                width
+            ],
+            qrelu,
+        };
+        let hidden = Some(QReluCfg {
+            out_bits: 4,
+            shift: 1,
+        });
+        // An 8-bit mask on a 4-bit layer.
+        let mut wide_mask = AxMlp {
+            layers: vec![layer(2, 2, None)],
+        };
+        wide_mask.layers[0].neurons[0].weights[0].mask = 0xFF;
+        // A fan-in-3 neuron after a 2-neuron layer.
+        let fan_in = AxMlp {
+            layers: vec![layer(2, 2, hidden), layer(2, 3, None)],
+        };
+        // A layer after the argmax output layer.
+        let after_argmax = AxMlp {
+            layers: vec![layer(2, 2, None), layer(2, 2, None)],
+        };
+        for (mlp, why) in [
+            (wide_mask, "mask"),
+            (fan_in, "fan-in"),
+            (after_argmax, "argmax"),
+        ] {
+            let mut bad = record(1);
+            bad.fingerprint = fingerprint_of(&mlp);
+            bad.mlp = mlp;
+            let text: String = [record(2), bad]
+                .iter()
+                .map(|r| serde_json::to_string(r).expect("serialize") + "\n")
+                .collect();
+            let path = scratch_path("unpriceable");
+            std::fs::write(&path, text).expect("write");
+            let err = DesignStore::load(&path).expect_err("unpriceable network must not load");
+            assert!(matches!(err, StoreError::Corrupt { line: 2, .. }), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use printed_mlps::baselines::{
     approximate_tc23, approximate_tcad23, ScConfig, ScMlp, Tc23Config, Tcad23Config,
 };
 use printed_mlps::datasets::{generate, quantize, stratified_split, Dataset};
-use printed_mlps::hw::{Elaborator, TechLibrary, VddModel};
+use printed_mlps::hw::{CostScenario, ExactCostModel, TechLibrary, VddModel};
 use printed_mlps::mlp::train::train_best_of;
 use printed_mlps::mlp::{fixed_to_hardware, FixedMlp, QuantConfig, Topology};
 
@@ -52,10 +52,8 @@ fn setup(dataset: Dataset) -> Setup {
 #[test]
 fn tc23_trades_bounded_accuracy_for_area() {
     let s = setup(Dataset::BreastCancer);
-    let elab = Elaborator::new(TechLibrary::egfet());
-    let exact = elab
-        .elaborate(&fixed_to_hardware(&s.baseline, "exact"))
-        .report;
+    let model = ExactCostModel::new(CostScenario::nominal(TechLibrary::egfet()));
+    let exact = model.report(&fixed_to_hardware(&s.baseline, "exact"));
     let base_acc = s.baseline.accuracy(&s.train_q.features, &s.train_q.labels);
 
     let design = approximate_tc23(
@@ -64,7 +62,7 @@ fn tc23_trades_bounded_accuracy_for_area() {
         &s.train_q.labels,
         &Tc23Config::default(),
     );
-    let report = design.hardware_report(&elab, "tc23");
+    let report = design.hardware_report(&model, "tc23");
 
     assert!(report.area_cm2 < exact.area_cm2, "no area saving");
     assert!(
@@ -79,7 +77,7 @@ fn tc23_trades_bounded_accuracy_for_area() {
 #[test]
 fn tcad23_saves_power_via_voltage() {
     let s = setup(Dataset::BreastCancer);
-    let elab = Elaborator::new(TechLibrary::egfet());
+    let model = ExactCostModel::new(CostScenario::nominal(TechLibrary::egfet()));
     let vdd = VddModel::egfet();
     let design = approximate_tcad23(
         &s.baseline,
@@ -87,11 +85,11 @@ fn tcad23_saves_power_via_voltage() {
         &s.train_q.labels,
         2,
         &Tcad23Config::default(),
-        &elab,
+        &model,
         &vdd,
     );
-    let at_vos = design.hardware_report(&elab, &vdd, "tcad");
-    let at_1v = design.design.hardware_report(&elab, "tcad_1v");
+    let at_vos = design.hardware_report(&model, &vdd, "tcad");
+    let at_1v = design.design.hardware_report(&model, "tcad_1v");
     assert!(
         at_vos.power_mw < at_1v.power_mw * 0.6,
         "VOS must cut power substantially"
@@ -105,10 +103,8 @@ fn sc_mlp_is_small_but_less_accurate_on_hard_data() {
     // XNOR/MUX datapath stays far below the exact multiplier datapath.
     let s = setup(Dataset::WhiteWine);
     let tech = TechLibrary::egfet();
-    let elab = Elaborator::new(tech.clone());
-    let exact = elab
-        .elaborate(&fixed_to_hardware(&s.baseline, "exact"))
-        .report;
+    let model = ExactCostModel::new(CostScenario::nominal(tech.clone()));
+    let exact = model.report(&fixed_to_hardware(&s.baseline, "exact"));
 
     let sc = ScMlp::from_dense(&s.float_mlp, &s.train_rows_f, &ScConfig::default());
     let report = sc.hardware_report(&tech, "sc");

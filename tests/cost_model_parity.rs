@@ -1,16 +1,14 @@
-//! The contract of the unified cost layer: the *fast* analytic
-//! [`FastCostModel`] and the *exact* netlist-backed [`ExactCostModel`]
-//! produce identical hardware reports — cell counts, area, power,
+//! The contract of the cost layer: the [`ExactCostModel`], which
+//! prices each neuron from its column heights, produces the hardware
+//! report of full netlist elaboration — cell counts, area, power,
 //! delay, per-neuron statistics — for arbitrary bespoke-MLP specs,
 //! mixing both neuron flavours, under both compressor policies and at
-//! scaled supplies. The exact model is itself pinned against full
-//! netlist elaboration, closing the chain GA-objective → analytic cost
-//! → netlist.
+//! scaled supplies.
 
 use proptest::prelude::*;
 
 use printed_mlps::arith::{NeuronArithSpec, ReductionKind, WeightArith};
-use printed_mlps::hw::cost::{CostModel, CostScenario, ExactCostModel, FastCostModel};
+use printed_mlps::hw::cost::{CostScenario, ExactCostModel};
 use printed_mlps::hw::spec::{
     ExactNeuronSpec, LayerActivation, LayerSpec, MlpHardwareSpec, NeuronSpec,
 };
@@ -112,50 +110,37 @@ fn network_strategy() -> impl Strategy<Value = MlpHardwareSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// fast ≡ exact: full report equality (cells included) plus
-    /// per-neuron statistics, under both compressor policies.
+    /// The model is the full elaboration: report equality (cells
+    /// included) plus per-neuron statistics, under both compressor
+    /// policies.
     #[test]
-    fn fast_model_equals_exact_model(spec in network_strategy()) {
+    fn exact_model_equals_full_elaboration(spec in network_strategy()) {
         for kind in [ReductionKind::FaOnly, ReductionKind::FaHa] {
-            let scenario = CostScenario::default();
-            let fast = FastCostModel::new(scenario.clone()).with_kind(kind);
-            let exact = ExactCostModel::new(scenario).with_kind(kind);
-            let f = fast.costed(&spec);
-            let e = exact.costed(&spec);
-            prop_assert_eq!(&f.report, &e.report, "{:?}", kind);
-            prop_assert_eq!(&f.report.cells, &e.report.cells, "{:?}", kind);
-            prop_assert_eq!(&f.neuron_stats, &e.neuron_stats, "{:?}", kind);
-            prop_assert_eq!(fast.cost(&spec), exact.cost(&spec), "{:?}", kind);
+            let model = ExactCostModel::new(CostScenario::default()).with_kind(kind);
+            let full = Elaborator::new(TechLibrary::egfet()).with_kind(kind).elaborate(&spec);
+            let costed = model.costed(&spec);
+            prop_assert_eq!(&model.report(&spec), &full.report, "{:?}", kind);
+            prop_assert_eq!(&costed.report.cells, &full.netlist.cell_counts(), "{:?}", kind);
+            prop_assert_eq!(&costed.neuron_stats, &full.neuron_stats, "{:?}", kind);
         }
     }
 
-    /// The exact model is itself the full elaboration: the chain
-    /// fast ≡ exact ≡ netlist closes on the same random specs.
-    #[test]
-    fn exact_model_equals_full_elaboration(spec in network_strategy()) {
-        let exact = ExactCostModel::new(CostScenario::default());
-        let full = Elaborator::new(TechLibrary::egfet()).elaborate(&spec);
-        prop_assert_eq!(&exact.report(&spec), &full.report);
-        prop_assert_eq!(&exact.costed(&spec).report.cells, &full.netlist.cell_counts());
-    }
-
     /// Parity survives scenario scaling: at a sub-nominal supply and on
-    /// the second technology both models still agree exactly (they
-    /// share the same rescale), and the physics is sane.
+    /// the second technology the model's report is the full
+    /// elaboration's moved to that supply, and the physics is sane.
     #[test]
     fn parity_holds_under_scaled_scenarios(spec in network_strategy()) {
         for tech in TechLibrary::builtin() {
             let scenario = CostScenario::nominal(tech).at_supply(0.6);
-            let fast = FastCostModel::new(scenario.clone());
-            let exact = ExactCostModel::new(scenario.clone());
-            let f = fast.report(&spec);
-            prop_assert_eq!(&f, &exact.report(&spec), "{}", scenario.label());
-            prop_assert_eq!(f.vdd, 0.6);
-            let nominal = FastCostModel::new(CostScenario::nominal(scenario.tech.clone()));
+            let scaled = ExactCostModel::new(scenario.clone()).report(&spec);
+            let full = Elaborator::new(scenario.tech.clone()).elaborate(&spec).report;
+            prop_assert_eq!(&scaled, &full.at_vdd(&scenario.vdd, 0.6), "{}", scenario.label());
+            prop_assert_eq!(scaled.vdd, 0.6);
+            let nominal = ExactCostModel::new(CostScenario::nominal(scenario.tech.clone()));
             let n = nominal.report(&spec);
-            prop_assert_eq!(n.area_cm2, f.area_cm2);
-            prop_assert!(f.power_mw <= n.power_mw);
-            prop_assert!(f.delay_ms >= n.delay_ms);
+            prop_assert_eq!(n.area_cm2, scaled.area_cm2);
+            prop_assert!(scaled.power_mw <= n.power_mw);
+            prop_assert!(scaled.delay_ms >= n.delay_ms);
         }
     }
 }

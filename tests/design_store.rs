@@ -11,7 +11,7 @@ use printed_mlps::axc::{
     select_from_store, AxTrainConfig, FlowError, Pipeline, Selected, StoreSink, Study, StudyConfig,
 };
 use printed_mlps::datasets::Dataset;
-use printed_mlps::hw::{CostScenario, FastCostModel};
+use printed_mlps::hw::{CostScenario, ExactCostModel};
 use printed_mlps::mlp::{ax_to_hardware, AxLayer, AxMlp, AxNeuron, AxWeight};
 use printed_mlps::nsga::NsgaConfig;
 use printed_mlps::store::{counts_of_spec, DesignStore, StoreWriter};
@@ -176,7 +176,7 @@ fn recosting_a_stored_design_is_bit_equal_to_live_costing() {
         CostScenario::default(),
         CostScenario::default().at_supply(0.8),
     ] {
-        let model = FastCostModel::new(scenario);
+        let model = ExactCostModel::new(scenario);
         let stored = model.costed(&record.hardware_spec("recost")).report;
         let live = model.costed(&live_spec).report;
         assert_eq!(stored, live, "stored/live cost reports must be bit-equal");
