@@ -53,7 +53,6 @@ pub mod fixed;
 pub mod reduce;
 pub mod summand;
 
-pub use cache::BoundedCache;
 pub use column::ColumnProfile;
 pub use csd::{csd_digits, CsdDigit};
 pub use error::ArithError;

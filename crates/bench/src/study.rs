@@ -76,10 +76,9 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
 /// Accumulates the per-generation
 /// [`ProgressEvent::EvalCache`] streams of every study into one
 /// run-wide tally, so the bench bins can print how much work the
-/// batch evaluator's within-wave deduplication saved, how hard the
-/// neuron-column cache worked and how many gate counts the area
-/// objective computed — plus the design-store ingest counters when a
-/// store is attached. Robust to several GA runs
+/// batch evaluator's within-wave deduplication saved and how many gate
+/// counts the area objective computed — plus the design-store ingest
+/// counters when a store is attached. Robust to several GA runs
 /// per dataset (each search's cumulative counters restart at zero; a
 /// decrease folds the finished run into the total).
 #[derive(Debug, Default)]
@@ -91,32 +90,23 @@ pub struct EvalCacheSummary {
 struct CacheTally {
     genome_hits: u64,
     genome_misses: u64,
-    column_hits: u64,
-    column_misses: u64,
-    column_contended: u64,
-    /// Shard count of the column cache (a configuration echo, not a
-    /// cumulative counter — the latest reported value wins).
-    column_shards: u64,
     cost_misses: u64,
     store_ingested: u64,
     store_deduplicated: u64,
     store_bytes: u64,
     /// Cumulative counters of the GA run currently streaming.
-    last: [u64; 9],
+    last: [u64; 6],
 }
 
 impl CacheTally {
     fn fold_last(&mut self) {
         self.genome_hits += self.last[0];
         self.genome_misses += self.last[1];
-        self.column_hits += self.last[2];
-        self.column_misses += self.last[3];
-        self.cost_misses += self.last[4];
-        self.store_ingested += self.last[5];
-        self.store_deduplicated += self.last[6];
-        self.store_bytes += self.last[7];
-        self.column_contended += self.last[8];
-        self.last = [0; 9];
+        self.cost_misses += self.last[2];
+        self.store_ingested += self.last[3];
+        self.store_deduplicated += self.last[4];
+        self.store_bytes += self.last[5];
+        self.last = [0; 6];
     }
 }
 
@@ -136,39 +126,27 @@ impl EvalCacheSummary {
             ProgressEvent::EvalCache {
                 hits,
                 misses,
-                column_hits,
-                column_misses,
-                column_contended,
-                column_shards,
                 cost_misses,
                 store_ingested,
                 store_deduplicated,
                 store_bytes,
                 ..
-            } => (
-                [
-                    hits,
-                    misses,
-                    column_hits,
-                    column_misses,
-                    cost_misses,
-                    store_ingested,
-                    store_deduplicated,
-                    store_bytes,
-                    column_contended,
-                ],
-                column_shards as u64,
-            ),
+            } => [
+                hits,
+                misses,
+                cost_misses,
+                store_ingested,
+                store_deduplicated,
+                store_bytes,
+            ],
             _ => return,
         };
-        let (current, shards) = current;
         let mut tallies = self.tallies.lock().unwrap_or_else(|e| e.into_inner());
         let tally = tallies.entry(dataset).or_default();
         if current.iter().zip(&tally.last).any(|(c, l)| c < l) {
             tally.fold_last(); // backstop: counters restarted unannounced
         }
         tally.last = current;
-        tally.column_shards = tally.column_shards.max(shards);
     }
 
     /// One summary line over every dataset seen so far.
@@ -181,10 +159,6 @@ impl EvalCacheSummary {
             t.fold_last();
             total.genome_hits += t.genome_hits;
             total.genome_misses += t.genome_misses;
-            total.column_hits += t.column_hits;
-            total.column_misses += t.column_misses;
-            total.column_contended += t.column_contended;
-            total.column_shards = total.column_shards.max(t.column_shards);
             total.cost_misses += t.cost_misses;
             total.store_ingested += t.store_ingested;
             total.store_deduplicated += t.store_deduplicated;
@@ -199,15 +173,10 @@ impl EvalCacheSummary {
             }
         };
         let mut line = format!(
-            "eval: {} genomes computed / {} within-wave duplicates ({:.1}% deduplicated) | neuron columns {} hits / {} misses ({:.1}% hit, {} shards, {} contended probes) | {} gate counts computed",
+            "eval: {} genomes computed / {} within-wave duplicates ({:.1}% deduplicated) | {} gate counts computed",
             total.genome_misses,
             total.genome_hits,
             pct(total.genome_hits, total.genome_misses),
-            total.column_hits,
-            total.column_misses,
-            pct(total.column_hits, total.column_misses),
-            total.column_shards,
-            total.column_contended,
             total.cost_misses,
         );
         if total.store_ingested + total.store_deduplicated > 0 {
@@ -294,7 +263,7 @@ mod tests {
             column_contended: 0,
             column_shards: 0,
             cost_hits: 0,
-            cost_misses: 0,
+            cost_misses: 2,
             store_ingested: 0,
             store_deduplicated: 0,
             store_bytes: 0,
@@ -314,9 +283,9 @@ mod tests {
         summary.observe(Dataset::BreastCancer, &restart);
         summary.observe(Dataset::BreastCancer, &eval(5));
         let line = summary.render();
-        assert!(
-            line.contains("3 genomes computed / 24 within-wave duplicates"),
-            "{line}"
+        assert_eq!(
+            line,
+            "eval: 3 genomes computed / 24 within-wave duplicates (88.9% deduplicated) | 6 gate counts computed"
         );
     }
 }

@@ -224,7 +224,7 @@ impl<P: IntProblem + Sync> IntProblem for BatchEvaluator<P> {
 /// [`PlainGaEngine`](crate::PlainGaEngine).
 ///
 /// `problem_stats` snapshots the problem's own counters — the
-/// neuron-column cache and the gate-count computations — for the
+/// gate-count computations and the design-store ingest — for the
 /// [`ProgressEvent::EvalCache`] event (`None` for problems without
 /// them, e.g. the plain GA — those counters report zero).
 ///
@@ -288,16 +288,15 @@ pub(crate) fn run_ga<P: IntProblem + Sync>(
         });
         let cache = evaluator.stats();
         let problem = problem_stats().unwrap_or_default();
-        let columns = problem.columns;
         ctl.emit(&ProgressEvent::EvalCache {
             hits: cache.hits,
             misses: cache.misses,
             entries: 0,
-            column_hits: columns.hits,
-            column_misses: columns.misses,
-            column_entries: columns.entries,
-            column_contended: columns.contended,
-            column_shards: columns.shards,
+            column_hits: 0,
+            column_misses: 0,
+            column_entries: 0,
+            column_contended: 0,
+            column_shards: 0,
             cost_hits: 0,
             cost_misses: problem.cost_misses,
             store_ingested: problem.store.ingested,
@@ -310,12 +309,10 @@ pub(crate) fn run_ga<P: IntProblem + Sync>(
 
 /// Snapshot of an [`IntProblem`]'s internal counters for the
 /// [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache)
-/// stream: the columnar engine's neuron-column cache, the gate-count
-/// computations of the area objective, and the design-store sink
-/// counters (all-zero when no store is attached).
+/// stream: the gate-count computations of the area objective and the
+/// design-store sink counters (all-zero when no store is attached).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ProblemCacheStats {
-    pub(crate) columns: crate::columns::ColumnCacheStats,
     pub(crate) cost_misses: u64,
     pub(crate) store: pe_store::StoreStats,
 }

@@ -13,30 +13,12 @@ use std::sync::Arc;
 use pe_arith::{AdderAreaEstimator, NeuronArithSpec, NeuronGateCounts};
 use pe_hw::variation::{RobustStat, VariationConfig, VariationModel};
 use pe_hw::{argmax_gate_counts, qrelu_gate_counts, CostScenario};
-use pe_mlp::columnar::{self, ColumnMatrix, QuantMatrix};
+use pe_mlp::columnar::{self, ColumnMatrix, ColumnarScratch, QuantMatrix};
 use pe_mlp::InferenceScratch;
 use pe_nsga::{Evaluation, IntProblem};
 use serde::{Deserialize, Serialize};
 
-use crate::columns::{ColumnCacheStats, NeuronColumnCache, DEFAULT_SHARDS, ROOT_SIGNATURE};
 use crate::genome::GenomeSpec;
-
-/// Evaluate `$body` with `$inputs` bound to the current layer's input
-/// columns: the dataset's (`$data`) for the first layer, the previous
-/// hidden layer's cached activations (`$act`) after that. The column
-/// kernels are generic over the column type, so each branch runs them
-/// straight on its own storage — no per-layer reference vector.
-macro_rules! with_inputs {
-    ($first:expr, $data:expr, $act:expr, |$inputs:ident| $body:expr) => {
-        if $first {
-            let $inputs = &$data[..];
-            $body
-        } else {
-            let $inputs = &$act[..];
-            $body
-        }
-    };
-}
 
 /// Which area model the GA minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,19 +51,19 @@ impl Default for AreaObjective {
 /// batch-parallel evaluation.
 ///
 /// Internally the accuracy objective runs on the **columnar engine**:
-/// the dataset is transposed once into a [`ColumnMatrix`], every
-/// neuron is one branch-free pass per weight of the platform's
-/// analytic column kernel ([`pe_mlp::columnar`]), and hidden-neuron
-/// output columns are memoized in a population-level
-/// [`NeuronColumnCache`] shared across clones and threads — sibling
-/// genomes only pay for the hidden neurons mutation actually touched.
-/// The output layer is recomputed per genome (see
-/// [`crate::columns`]). Per-neuron gate counts are computed directly
-/// ([`AdderAreaEstimator::counts_of_with`]): a column-height pass and a
-/// compressor-tree reduction cost less than hashing the neuron spec
-/// into a memo would. The columnar path is
-/// bit-exact with the per-row oracle ([`score_with`](Self::score_with),
-/// i.e. [`pe_mlp::AxMlp::predict_with`] per sample), which the parity
+/// the dataset is transposed once into a [`ColumnMatrix`], and every
+/// genome runs [`columnar::hits_columns`], one branch-free pass per
+/// weight of the platform's analytic column kernel, against a
+/// per-thread [`ColumnarScratch`]. Nothing is memoized: every hidden
+/// column is recomputed into scratch, because a shared column cache
+/// saved no time and held most of a study's memory (the README's
+/// "Performance architecture" has the numbers). Per-neuron gate counts
+/// are computed directly
+/// ([`AdderAreaEstimator::counts_of_with`]) for the same reason. Once
+/// its scratch has grown, an evaluation allocates only the objectives
+/// vector it returns. The columnar path is bit-exact with the per-row
+/// oracle ([`score_with`](Self::score_with), i.e.
+/// [`pe_mlp::AxMlp::predict_with`] per sample), which the parity
 /// test-suite proves.
 #[derive(Debug, Clone)]
 pub struct AxTrainProblem {
@@ -93,8 +75,6 @@ pub struct AxTrainProblem {
     estimator: AdderAreaEstimator,
     /// Gate-count computations so far (shared by clones).
     gate_counts: Arc<AtomicU64>,
-    /// Population-level neuron-column memo (shared by clones).
-    col_cache: Arc<NeuronColumnCache>,
     objective: AreaObjective,
     /// The cost scenario the GA optimizes under: technology (GE
     /// weights and per-GE power), operating supply, and the optional
@@ -117,20 +97,15 @@ pub struct AxTrainProblem {
     sink: Option<crate::store::StoreSink>,
 }
 
-/// Precomputed Monte-Carlo state of a variation-aware problem: the
-/// trial-major extended dataset (transposed once) plus the per-trial
-/// seeds. Built by [`AxTrainProblem::with_variation`].
+/// Precomputed Monte-Carlo state of a variation-aware problem: each
+/// trial's seed and input-perturbed dataset (transposed once). Built by
+/// [`AxTrainProblem::with_variation`].
 #[derive(Debug, Clone)]
 struct RobustContext {
     model: VariationModel,
     statistic: RobustStat,
-    /// `trial_seed(master, t)` for `t = 0..M`.
-    trial_seeds: Vec<u64>,
-    /// The extended dataset columns: trial `t`'s segment is
-    /// `[t·n, (t+1)·n)` of every feature column.
-    columns: ColumnMatrix,
-    /// Samples per trial (= the nominal dataset's row count).
-    segment: usize,
+    /// `(trial_seed(master, t), trial t's columns)` for `t = 0..M`.
+    trials: Vec<(u64, ColumnMatrix)>,
 }
 
 impl AxTrainProblem {
@@ -139,8 +114,7 @@ impl AxTrainProblem {
     /// `rows`/`labels` are the (possibly subsampled) quantized training
     /// split; `baseline_accuracy` is the exact baseline's accuracy used
     /// for the feasibility bound. The dataset is transposed to the
-    /// columnar layout once, here, and a fresh neuron-column cache
-    /// (sized to the sample count) is attached.
+    /// columnar layout once, here.
     ///
     /// # Panics
     ///
@@ -159,7 +133,6 @@ impl AxTrainProblem {
         assert_eq!(rows.len(), labels.len());
         assert!(!rows.is_empty(), "fitness data must be non-empty");
         let columns = rows.columns();
-        let col_cache = Arc::new(NeuronColumnCache::for_samples(rows.len(), DEFAULT_SHARDS));
         let scenario = CostScenario::default();
         let power_per_ge_at_supply = power_per_ge_at_supply(&scenario);
         Self {
@@ -169,7 +142,6 @@ impl AxTrainProblem {
             labels,
             estimator: AdderAreaEstimator::paper(),
             gate_counts: Arc::default(),
-            col_cache,
             objective: AreaObjective::GateEquivalents,
             scenario,
             power_per_ge_at_supply,
@@ -211,13 +183,12 @@ impl AxTrainProblem {
     /// Optimize the robust accuracy statistic over Monte-Carlo
     /// variation trials instead of the nominal accuracy.
     ///
-    /// The M perturbed trials are appended as extra sample segments of
-    /// the columnar engine (one input-perturbed dataset copy per
-    /// trial, built here, transposed once), so a robust evaluation
-    /// costs ~M× a nominal one *in total* — per-trial hidden columns
-    /// are memoized in the shared [`NeuronColumnCache`] under device
-    /// slot `t + 1` exactly like nominal columns under slot `0`.
-    /// `master_seed` keys the deterministic per-trial samplers
+    /// Each of the M trials gets one input-perturbed copy of the
+    /// dataset, built here and transposed once, and a robust
+    /// evaluation runs the columnar forward pass once per trial with
+    /// the trial's per-device gain/offset draws applied to every
+    /// accumulator — ~M× a nominal evaluation. `master_seed` keys the
+    /// deterministic per-trial samplers
     /// ([`pe_hw::variation::trial_seed`]).
     ///
     /// With a zero-variance model every draw is an exact no-op and
@@ -232,15 +203,18 @@ impl AxTrainProblem {
     pub fn with_variation(mut self, config: &VariationConfig, master_seed: u64) -> Self {
         config.validate().expect("a valid variation config");
         let input_bits = self.spec.layers().first().map_or(4, |l| l.input_bits);
-        let trial_seeds = crate::robust::trial_seeds(master_seed, config.trials);
-        let extended =
-            crate::robust::extended_matrix(&self.rows, &config.model, &trial_seeds, input_bits);
+        let trials = crate::robust::trial_seeds(master_seed, config.trials)
+            .into_iter()
+            .map(|seed| {
+                let perturbed =
+                    crate::robust::extended_matrix(&self.rows, &config.model, &[seed], input_bits);
+                (seed, perturbed.columns())
+            })
+            .collect();
         self.robust = Some(RobustContext {
             model: config.model,
             statistic: config.statistic,
-            trial_seeds,
-            columns: extended.columns(),
-            segment: self.rows.len(),
+            trials,
         });
         self
     }
@@ -255,20 +229,6 @@ impl AxTrainProblem {
     #[must_use]
     pub fn with_sink(mut self, sink: Option<crate::store::StoreSink>) -> Self {
         self.sink = sink;
-        self
-    }
-
-    /// Replace the neuron-column cache with one split across an
-    /// explicit shard count (see
-    /// [`NeuronColumnCache::with_shards`]). A concurrency knob only —
-    /// any shard count yields byte-identical evaluations, which the
-    /// sharded-cache determinism test pins down. The default cache
-    /// uses [`DEFAULT_SHARDS`].
-    ///
-    /// Call before evaluations start: the fresh cache begins cold.
-    #[must_use]
-    pub fn with_column_shards(mut self, shards: usize) -> Self {
-        self.col_cache = Arc::new(NeuronColumnCache::for_samples(self.rows.len(), shards));
         self
     }
 
@@ -311,13 +271,13 @@ impl AxTrainProblem {
     /// Score a decoded network directly (shared by the GA and the
     /// ablation benches). Returns `(accuracy, estimated area)` in the
     /// units of the configured [`AreaObjective`]. Runs on the columnar
-    /// engine with the shared neuron-column cache — bit-exact with the
-    /// per-row oracle [`score_with`](Self::score_with). Under
+    /// engine — bit-exact with the per-row oracle
+    /// [`score_with`](Self::score_with). Under
     /// [`with_variation`](Self::with_variation) the accuracy is the
     /// configured robust statistic over the Monte-Carlo trials.
     #[must_use]
     pub fn score(&self, mlp: &pe_mlp::AxMlp) -> (f64, f64) {
-        let mut scratch = ColumnarEvalScratch::default();
+        let mut scratch = ColumnarScratch::new();
         (self.fitness_accuracy(mlp, &mut scratch), self.area_of(mlp))
     }
 
@@ -338,21 +298,13 @@ impl AxTrainProblem {
     fn area_of(&self, mlp: &pe_mlp::AxMlp) -> f64 {
         match self.objective {
             AreaObjective::FaCount => mlp
-                .arith_specs()
+                .layers
                 .iter()
-                .flatten()
-                .map(|n| self.gate_counts_of(n).fa_equivalent())
+                .flat_map(|l| l.neurons.iter().map(|n| (n, l.input_bits)))
+                .map(|(n, input_bits)| self.gate_counts_of(n, input_bits, 0).fa_equivalent())
                 .sum(),
             AreaObjective::GateEquivalents => self.gate_equivalents(mlp),
         }
-    }
-
-    /// Snapshot the shared neuron-column cache's counters (surfaced per
-    /// GA generation as
-    /// [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache)).
-    #[must_use]
-    pub fn column_cache_stats(&self) -> ColumnCacheStats {
-        self.col_cache.stats()
     }
 
     /// Per-neuron gate-count computations so far, over this problem
@@ -364,17 +316,34 @@ impl AxTrainProblem {
         self.gate_counts.load(Ordering::Relaxed)
     }
 
-    /// Gate counts of one neuron, against a per-thread height buffer so
-    /// the area objective allocates nothing per neuron.
-    fn gate_counts_of(&self, spec: &NeuronArithSpec) -> NeuronGateCounts {
+    /// Gate counts of one neuron on `input_bits`-wide inputs, its bias
+    /// lowered by `bias_shift`, against per-thread spec and height
+    /// buffers so the area objective allocates nothing per neuron.
+    fn gate_counts_of(
+        &self,
+        neuron: &pe_mlp::AxNeuron,
+        input_bits: u32,
+        bias_shift: i32,
+    ) -> NeuronGateCounts {
         thread_local! {
-            static HEIGHTS: std::cell::RefCell<Vec<u32>> =
-                const { std::cell::RefCell::new(Vec::new()) };
+            static BUFFERS: std::cell::RefCell<(NeuronArithSpec, Vec<u32>)> =
+                const {
+                    std::cell::RefCell::new((
+                        NeuronArithSpec {
+                            input_bits: 0,
+                            weights: Vec::new(),
+                            bias: 0,
+                        },
+                        Vec::new(),
+                    ))
+                };
         }
         self.gate_counts.fetch_add(1, Ordering::Relaxed);
-        HEIGHTS.with(|heights| {
-            self.estimator
-                .counts_of_with(spec, &mut heights.borrow_mut())
+        BUFFERS.with(|buffers| {
+            let (spec, heights) = &mut *buffers.borrow_mut();
+            neuron.to_arith_spec_into(input_bits, spec);
+            spec.bias -= i64::from(bias_shift);
+            self.estimator.counts_of_with(spec, heights)
         })
     }
 
@@ -393,266 +362,55 @@ impl AxTrainProblem {
     /// under [`with_variation`](Self::with_variation) — the robust
     /// statistic over the Monte-Carlo trials. With a zero-variance
     /// model the two are equal bit for bit.
-    fn fitness_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarEvalScratch) -> f64 {
+    fn fitness_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarScratch) -> f64 {
         match &self.robust {
             Some(robust) => self.robust_accuracy(mlp, robust, scratch),
-            None => self.columnar_accuracy(mlp, scratch),
+            None => self.accuracy_on(mlp, &self.columns, scratch, None),
         }
     }
 
-    /// The robust statistic over the per-trial accuracies of the
-    /// extended columns (one trial = one segment; see
-    /// [`with_variation`](Self::with_variation)).
+    /// Accuracy of `mlp` over `columns` (the dataset or one trial's
+    /// copy of it) on the columnar forward pass.
+    fn accuracy_on(
+        &self,
+        mlp: &pe_mlp::AxMlp,
+        columns: &ColumnMatrix,
+        scratch: &mut ColumnarScratch,
+        perturb: Option<columnar::Perturb<'_>>,
+    ) -> f64 {
+        let hits = columnar::hits_columns(mlp, columns, &self.labels, scratch, perturb);
+        hits as f64 / self.labels.len() as f64
+    }
+
+    /// The robust statistic over the per-trial accuracies: each trial
+    /// runs the forward pass over its perturbed dataset, with the
+    /// trial's per-device gain/offset draw applied to every accumulator
+    /// before its QReLU or argmax. The draw is keyed by the neuron's
+    /// layer and position, so duplicate neurons draw apart.
     fn robust_accuracy(
         &self,
         mlp: &pe_mlp::AxMlp,
         robust: &RobustContext,
-        scratch: &mut ColumnarEvalScratch,
+        scratch: &mut ColumnarScratch,
     ) -> f64 {
-        let n = robust.segment;
-        if n == 0 {
-            return 0.0; // the workspace-wide empty-data convention
-        }
-        let accs: Vec<f64> = (0..robust.trial_seeds.len())
-            .map(|t| self.trial_hits(mlp, robust, t, scratch) as f64 / n as f64)
+        let accs: Vec<f64> = robust
+            .trials
+            .iter()
+            .map(|(seed, columns)| {
+                let draw = |li: usize, ni: usize, acc: &mut [i64]| {
+                    let draw = robust
+                        .model
+                        .device_draw(*seed, li, ni, mlp.layers[li].input_bits);
+                    if !draw.is_identity() {
+                        for a in acc {
+                            *a = draw.apply(*a);
+                        }
+                    }
+                };
+                self.accuracy_on(mlp, columns, scratch, Some(&draw))
+            })
             .collect();
         robust.statistic.statistic(&accs)
-    }
-
-    /// One Monte-Carlo trial's hit count: the same cached layer walk
-    /// as [`columnar_accuracy`](Self::columnar_accuracy), but over
-    /// trial `t`'s segment of the extended columns, with the trial's
-    /// per-device gain/offset draws applied to every accumulator
-    /// pre-activation. Hidden columns are cached under device slot
-    /// `t + 1` *and* the neuron's position within its layer (the draw
-    /// is keyed by both), so they never alias nominal (slot `0`)
-    /// columns, duplicate specs at different positions never alias
-    /// each other, and population siblings still share everything
-    /// mutation didn't touch. The output layer stays at i64 width — the draw
-    /// adjustment is i64 arithmetic — and remains uncached like the
-    /// nominal path's.
-    fn trial_hits(
-        &self,
-        mlp: &pe_mlp::AxMlp,
-        robust: &RobustContext,
-        trial: usize,
-        scratch: &mut ColumnarEvalScratch,
-    ) -> usize {
-        let n = robust.segment;
-        let base = trial * n;
-        let tseed = robust.trial_seeds[trial];
-        let device = trial as u32 + 1;
-        let model = &robust.model;
-        let cache = &*self.col_cache;
-        let mut signature = ROOT_SIGNATURE;
-        let mut pending_signature: Option<(&[pe_mlp::AxNeuron], pe_mlp::QReluCfg)> = None;
-        let ColumnarEvalScratch {
-            acc,
-            narrow,
-            col,
-            out_accs,
-            best_value,
-            best_index,
-            act,
-            next_act,
-            ..
-        } = scratch;
-        act.clear();
-        // The trial's segment of every extended feature column, built
-        // once per trial; deeper layers pass their `Arc` column storage
-        // to the (generic) kernels directly.
-        let refs: Vec<&[u8]> = (0..robust.columns.width())
-            .map(|f| &robust.columns.col(f)[base..base + n])
-            .collect();
-        let mut first = true;
-        for (li, layer) in mlp.layers.iter().enumerate() {
-            match layer.qrelu {
-                Some(q) => {
-                    if let Some((prev, prev_q)) = pending_signature.take() {
-                        signature = cache.layer_signature(li - 1, signature, prev_q, prev);
-                    }
-                    next_act.clear();
-                    for (ni, neuron) in layer.neurons.iter().enumerate() {
-                        let draw = model.device_draw(tseed, li, ni, layer.input_bits);
-                        // The draw above depends on `ni`, so the cache
-                        // key must too: identical specs at different
-                        // positions are *different* perturbed columns.
-                        next_act.push(cache.hidden_column(
-                            li,
-                            signature,
-                            layer.input_bits,
-                            q,
-                            device,
-                            ni as u32,
-                            neuron,
-                            || {
-                                with_inputs!(first, refs, act, |inputs| {
-                                    columnar::accumulate_neuron_column(
-                                        neuron, inputs, n, acc, narrow,
-                                    );
-                                });
-                                apply_draw(&draw, acc);
-                                columnar::qrelu_column(q, acc, col);
-                                Arc::from(col.as_slice())
-                            },
-                        ));
-                    }
-                    pending_signature = Some((&layer.neurons, q));
-                    std::mem::swap(act, next_act);
-                    first = false;
-                }
-                None => {
-                    let count = layer.neurons.len();
-                    out_accs.resize(count, Vec::new());
-                    for (ni, (neuron, out)) in
-                        layer.neurons.iter().zip(out_accs.iter_mut()).enumerate()
-                    {
-                        with_inputs!(first, refs, act, |inputs| {
-                            columnar::accumulate_neuron_column(neuron, inputs, n, acc, narrow);
-                        });
-                        apply_draw(&model.device_draw(tseed, li, ni, layer.input_bits), acc);
-                        std::mem::swap(acc, out);
-                    }
-                    return argmax_hits(
-                        &out_accs[..count],
-                        &self.labels,
-                        best_index,
-                        best_value,
-                        scalar_only,
-                    );
-                }
-            }
-        }
-        // Trailing-QReLU topology: argmax over the final activations.
-        let preds = with_inputs!(first, refs, act, |inputs| {
-            columnar::argmax_columns(inputs, n)
-        });
-        count_hits(&preds, &self.labels)
-    }
-
-    /// Training accuracy of a decoded network on the columnar engine:
-    /// hidden neuron columns come from the shared [`NeuronColumnCache`]
-    /// when the population has already computed them, and misses run
-    /// the platform column kernel over the transposed dataset; the
-    /// output layer is recomputed into scratch. Bit-exact with the
-    /// per-row oracle.
-    fn columnar_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarEvalScratch) -> f64 {
-        let n = self.labels.len();
-        if n == 0 {
-            return 0.0; // the workspace-wide empty-data convention
-        }
-        let cache = &*self.col_cache;
-        let mut signature = ROOT_SIGNATURE;
-        // The previous *hidden* layer's neurons, not yet interned: the
-        // signature is only needed to key columns of a deeper hidden
-        // layer, so interning is deferred until one actually appears
-        // (the ubiquitous one-hidden-layer topology never pays for it).
-        let mut pending_signature: Option<(&[pe_mlp::AxNeuron], pe_mlp::QReluCfg)> = None;
-        let ColumnarEvalScratch {
-            acc,
-            narrow,
-            col,
-            out_accs,
-            out_narrow,
-            best_value,
-            best_narrow,
-            best_index,
-            act,
-            next_act,
-            ..
-        } = scratch;
-        act.clear();
-        // Layer 0's input columns, built once per evaluation into a
-        // small ref vector; deeper layers pass their `Arc` column
-        // storage to the (generic) kernels directly — no per-layer ref
-        // vector at all.
-        let mut refs: Vec<&[u8]> = Vec::with_capacity(self.columns.width());
-        self.columns.col_refs_into(&mut refs);
-        let mut first = true;
-        for (li, layer) in mlp.layers.iter().enumerate() {
-            match layer.qrelu {
-                Some(q) => {
-                    if let Some((prev, prev_q)) = pending_signature.take() {
-                        signature = cache.layer_signature(li - 1, signature, prev_q, prev);
-                    }
-                    next_act.clear();
-                    for neuron in &layer.neurons {
-                        next_act.push(cache.hidden_column(
-                            li,
-                            signature,
-                            layer.input_bits,
-                            q,
-                            0, // the nominal device…
-                            0, // …whose columns are position-independent
-                            neuron,
-                            || {
-                                with_inputs!(first, refs, act, |inputs| {
-                                    columnar::hidden_column(neuron, inputs, n, q, acc, narrow, col);
-                                });
-                                Arc::from(col.as_slice())
-                            },
-                        ));
-                    }
-                    pending_signature = Some((&layer.neurons, q));
-                    std::mem::swap(act, next_act);
-                    first = false;
-                }
-                None => {
-                    // Output (argmax) layer: computed directly into
-                    // scratch, uncached — its accumulators depend on
-                    // *every* hidden column, so any upstream mutation
-                    // would invalidate them anyway.
-                    // The whole layer stays at i32 width (accumulate,
-                    // argmax) whenever every neuron provably fits —
-                    // bit-exact, and twice the SIMD lanes.
-                    let count = layer.neurons.len();
-                    let hits = if layer.neurons.iter().all(columnar::fits_i32) {
-                        out_narrow.resize(count, Vec::new());
-                        for (neuron, out) in layer.neurons.iter().zip(out_narrow.iter_mut()) {
-                            with_inputs!(first, refs, act, |inputs| {
-                                columnar::accumulate_neuron_column_narrow(
-                                    neuron, inputs, n, narrow,
-                                );
-                            });
-                            std::mem::swap(narrow, out);
-                        }
-                        // Where the explicit SIMD kernel is built (and
-                        // AVX2 is present) each column pass runs
-                        // vectorized — same strictly-greater rule, same
-                        // column order, so bit-exact.
-                        argmax_hits(
-                            &out_narrow[..count],
-                            &self.labels,
-                            best_index,
-                            best_narrow,
-                            pe_mlp::simd::argmax_update_narrow,
-                        )
-                    } else {
-                        out_accs.resize(count, Vec::new());
-                        for (neuron, out) in layer.neurons.iter().zip(out_accs.iter_mut()) {
-                            with_inputs!(first, refs, act, |inputs| {
-                                columnar::accumulate_neuron_column(neuron, inputs, n, acc, narrow);
-                            });
-                            std::mem::swap(acc, out);
-                        }
-                        argmax_hits(
-                            &out_accs[..count],
-                            &self.labels,
-                            best_index,
-                            best_value,
-                            scalar_only,
-                        )
-                    };
-                    return hits as f64 / n as f64;
-                }
-            }
-        }
-        // A network whose last layer has a QReLU (unusual): argmax over
-        // the final activation columns, mirroring the row oracle.
-        let preds = with_inputs!(first, refs, act, |inputs| {
-            columnar::argmax_columns(inputs, n)
-        });
-        count_hits(&preds, &self.labels) as f64 / n as f64
     }
 
     /// Assemble the Eq. (3) [`Evaluation`] from a scored
@@ -697,27 +455,25 @@ impl AxTrainProblem {
     }
 
     /// Full evaluation (objectives + feasibility) against reusable
-    /// columnar scratch buffers. With a design-store sink attached the
-    /// scored design is recorded as a side effect — for robust
-    /// searches the record additionally carries the nominal accuracy
-    /// (one extra cached columnar pass per unique design).
-    fn evaluate_with(&self, genes: &[u32], scratch: &mut ColumnarEvalScratch) -> Evaluation {
-        // Decode in place into the scratch-owned network (taken out for
-        // the duration of the call so `scratch`'s buffers stay free to
-        // borrow), then hand the allocations back for the next genome.
-        let mut mlp = std::mem::take(&mut scratch.decoded);
-        self.spec.decode_into(genes, &mut mlp);
-        let accuracy = self.fitness_accuracy(&mlp, scratch);
-        let area = self.area_of(&mlp);
+    /// scratch buffers. With a design-store sink attached the scored
+    /// design is recorded as a side effect — for robust searches the
+    /// record additionally carries the nominal accuracy (one extra
+    /// columnar pass per unique design).
+    fn evaluate_with(&self, genes: &[u32], scratch: &mut EvalScratch) -> Evaluation {
+        let EvalScratch { columnar, decoded } = scratch;
+        self.spec.decode_into(genes, decoded);
+        let mlp = &*decoded;
+        let accuracy = self.fitness_accuracy(mlp, columnar);
+        let area = self.area_of(mlp);
         if let Some(sink) = &self.sink {
             let (nominal, robust) = if self.robust.is_some() {
-                (self.columnar_accuracy(&mlp, scratch), Some(accuracy))
+                let nominal = self.accuracy_on(mlp, &self.columns, columnar, None);
+                (nominal, Some(accuracy))
             } else {
                 (accuracy, None)
             };
-            sink.record_evaluation(&mlp, nominal, robust, area);
+            sink.record_evaluation(mlp, nominal, robust, area);
         }
-        scratch.decoded = mlp;
         self.evaluation_of(accuracy, area)
     }
 
@@ -740,13 +496,6 @@ impl AxTrainProblem {
         let tech = &self.scenario.tech;
         let mut ge = 0.0f64;
         let last = mlp.layers.len().saturating_sub(1);
-        // One reused spec buffer, so the walk allocates nothing per
-        // neuron.
-        let mut spec = NeuronArithSpec {
-            input_bits: 0,
-            weights: Vec::new(),
-            bias: 0,
-        };
         for (li, layer) in mlp.layers.iter().enumerate() {
             let bias_shift = if li == last {
                 layer.neurons.iter().map(|n| n.bias).min().unwrap_or(0)
@@ -755,9 +504,7 @@ impl AxTrainProblem {
             };
             let mut max_width = 1u32;
             for n in &layer.neurons {
-                n.to_arith_spec_into(layer.input_bits, &mut spec);
-                spec.bias -= i64::from(bias_shift);
-                let counts = self.gate_counts_of(&spec);
+                let counts = self.gate_counts_of(n, layer.input_bits, bias_shift);
                 // The single pe-arith → pe-hw gate-count conversion.
                 ge += tech.ge_total(&pe_hw::CellCounts::from(&counts));
                 max_width = max_width.max(counts.accumulator_bits);
@@ -793,89 +540,13 @@ fn has_constant_hidden_neuron(mlp: &pe_mlp::AxMlp) -> bool {
     })
 }
 
-/// Reusable buffers for the cached columnar scoring path (accumulator,
-/// activation and output columns). One per worker thread / per
-/// batch; grows to the dataset size once. `act`/`next_act` are the
-/// batch-scoped arena for the per-wave activation column sets: the
-/// `Arc` handles are cheap clones of cached columns, and keeping the
-/// two `Vec`s here means the layer walk stops allocating a fresh
-/// column-set vector per layer per genome.
+/// Per-thread evaluation buffers: the columnar forward pass's scratch
+/// and the decode-in-place network, both reused across genomes so a
+/// steady-state evaluation allocates nothing but its objectives.
 #[derive(Debug, Default)]
-struct ColumnarEvalScratch {
-    acc: Vec<i64>,
-    narrow: Vec<i32>,
-    col: Vec<u8>,
-    out_accs: Vec<Vec<i64>>,
-    out_narrow: Vec<Vec<i32>>,
-    best_value: Vec<i64>,
-    best_narrow: Vec<i32>,
-    best_index: Vec<u32>,
-    act: Vec<Arc<[u8]>>,
-    next_act: Vec<Arc<[u8]>>,
-    /// Decode-in-place network, reused across genomes so the decode
-    /// step allocates nothing in steady state.
+struct EvalScratch {
+    columnar: ColumnarScratch,
     decoded: pe_mlp::AxMlp,
-}
-
-/// Per-sample argmax over neuron-major accumulator columns, ties to
-/// the lowest index (the hardware comparator / row oracle), counting
-/// agreements with `labels`. Neuron-major sweep with a running best
-/// value/index pair per sample: every pass is a linear walk over
-/// contiguous columns. `vector_update` may run one column's pass
-/// itself (returning `true`); otherwise the scalar sweep serves.
-pub(crate) fn argmax_hits<T: Copy + PartialOrd>(
-    accs: &[Vec<T>],
-    labels: &[usize],
-    best_index: &mut Vec<u32>,
-    best_value: &mut Vec<T>,
-    vector_update: fn(u32, &[T], &mut [u32], &mut [T]) -> bool,
-) -> usize {
-    best_value.clear();
-    best_value.extend_from_slice(&accs[0]);
-    best_index.clear();
-    best_index.resize(labels.len(), 0);
-    for (j, acc) in accs.iter().enumerate().skip(1) {
-        let j = j as u32;
-        if vector_update(j, acc, best_index, best_value) {
-            continue;
-        }
-        for ((b, v), &x) in best_index
-            .iter_mut()
-            .zip(best_value.iter_mut())
-            .zip(acc.iter())
-        {
-            if x > *v {
-                *b = j;
-                *v = x;
-            }
-        }
-    }
-    best_index
-        .iter()
-        .zip(labels)
-        .filter(|&(&b, &l)| b as usize == l)
-        .count()
-}
-
-/// Predictions that agree with their labels.
-fn count_hits(preds: &[usize], labels: &[usize]) -> usize {
-    preds.iter().zip(labels).filter(|&(p, l)| p == l).count()
-}
-
-/// Apply one Monte-Carlo device's gain/offset draw to a whole
-/// accumulator column.
-fn apply_draw(draw: &pe_hw::variation::DeviceDraw, acc: &mut [i64]) {
-    if !draw.is_identity() {
-        for a in acc {
-            *a = draw.apply(*a);
-        }
-    }
-}
-
-/// No vectorized argmax pass: wide (`i64`) or activation (`u8`)
-/// columns.
-pub(crate) fn scalar_only<T>(_: u32, _: &[T], _: &mut [u32], _: &mut [T]) -> bool {
-    false
 }
 
 impl IntProblem for AxTrainProblem {
@@ -884,12 +555,12 @@ impl IntProblem for AxTrainProblem {
     }
 
     fn evaluate(&self, genes: &[u32]) -> Evaluation {
-        // One columnar scratch per worker thread, reused across every
-        // genome that thread scores — the per-column buffer
-        // allocations leave the hot loop entirely.
+        // One scratch per worker thread, reused across every genome
+        // that thread scores — the per-column buffer allocations leave
+        // the hot loop entirely.
         thread_local! {
-            static SCRATCH: std::cell::RefCell<ColumnarEvalScratch> =
-                std::cell::RefCell::new(ColumnarEvalScratch::default());
+            static SCRATCH: std::cell::RefCell<EvalScratch> =
+                std::cell::RefCell::new(EvalScratch::default());
         }
         SCRATCH.with(|scratch| self.evaluate_with(genes, &mut scratch.borrow_mut()))
     }
@@ -1060,7 +731,7 @@ mod tests {
     }
 
     /// A two-layer (hidden QReLU + argmax) problem over the same
-    /// threshold data, exercising the cached hidden-column path.
+    /// threshold data, exercising the hidden-column path.
     fn deep_problem() -> (AxTrainProblem, QuantMatrix, Vec<usize>) {
         let spec = GenomeSpec::new(
             vec![
@@ -1102,7 +773,7 @@ mod tests {
                 .with_variation(&config.with_statistic(pe_hw::RobustStat::P95), 42);
             assert_eq!(nominal.evaluate(&genes), p95.evaluate(&genes));
         }
-        // Deep topology too — the cached hidden-column path.
+        // Deep topology too — the hidden-column path.
         let (deep, _, _) = deep_problem();
         let genes = vec![1u32; deep.genome_spec().gene_count()];
         let (deep_robust, _, _) = deep_problem();
@@ -1138,7 +809,7 @@ mod tests {
         assert_eq!(
             1.0 - e.objectives[0],
             oracle.worst,
-            "cached worst-case accuracy must equal the uncached oracle"
+            "worst-case accuracy must equal the oracle's"
         );
         // Same check for the P95 statistic.
         let (p95_problem, _, _) = deep_problem();
@@ -1153,12 +824,10 @@ mod tests {
     #[test]
     fn duplicate_neurons_get_their_own_position_draws() {
         // Two identical hidden specs at different positions receive
-        // *different* per-device draws, so the cached robust path must
-        // not serve one position's perturbed column to another — the
-        // cache keys variation devices by neuron position. Regression
-        // for an aliasing bug the zero-variance parity tests cannot
-        // see (identity draws) and that only bites with duplicate
-        // specs inside one layer.
+        // *different* per-device draws, so the robust path must give
+        // each position its own perturbed column. The zero-variance
+        // parity tests cannot see this (identity draws), and it only
+        // bites with duplicate specs inside one layer.
         let model = pe_hw::VariationModel {
             threshold_sigma: 0.15,
             mobility_sigma: 0.10,
@@ -1192,7 +861,7 @@ mod tests {
         assert_eq!(
             1.0 - e.objectives[0],
             oracle.worst,
-            "cached robust path must match the oracle with duplicate neurons"
+            "robust path must match the oracle with duplicate neurons"
         );
     }
 

@@ -307,10 +307,7 @@ impl<'a> ResidentColumns<'a> {
     fn new(mlp: &AxMlp, rows: &QuantMatrix, labels: &'a [usize]) -> Self {
         assert_eq!(rows.len(), labels.len());
         let samples = rows.len();
-        let columns = rows.columns();
-        let mut acts = vec![(0..columns.width())
-            .map(|f| columns.col(f).to_vec())
-            .collect::<Vec<_>>()];
+        let mut acts = vec![rows.columns().cols().to_vec()];
         let mut outputs = None;
         let (mut acc, mut narrow) = (Vec::new(), Vec::new());
         for layer in &mlp.layers {
@@ -423,7 +420,7 @@ impl<'a> ResidentColumns<'a> {
     /// Rows whose argmax (ties to the lowest index) matches the label.
     fn hits(&mut self) -> usize {
         match &self.outputs {
-            Some(outputs) => argmax_label_hits(
+            Some(outputs) => columnar::argmax_hits(
                 outputs,
                 self.labels,
                 &mut self.best_index,
@@ -431,7 +428,7 @@ impl<'a> ResidentColumns<'a> {
             ),
             None => {
                 let last = self.acts.last().expect("the rows are resident");
-                argmax_label_hits(last, self.labels, &mut self.best_index, &mut self.best_act)
+                columnar::argmax_hits(last, self.labels, &mut self.best_index, &mut self.best_act)
             }
         }
     }
@@ -467,27 +464,6 @@ fn output_layer(
     for (neuron, col) in layer.neurons.iter().zip(out.iter_mut()) {
         columnar::accumulate_neuron_column(neuron, inputs, samples, col, narrow);
     }
-}
-
-/// [`argmax_hits`](crate::fitness::argmax_hits) that also covers an
-/// empty column set, where the row oracle predicts class 0 for every
-/// row.
-fn argmax_label_hits<T: Copy + PartialOrd>(
-    columns: &[Vec<T>],
-    labels: &[usize],
-    best_index: &mut Vec<u32>,
-    best_value: &mut Vec<T>,
-) -> usize {
-    if columns.is_empty() {
-        return labels.iter().filter(|&&l| l == 0).count();
-    }
-    crate::fitness::argmax_hits(
-        columns,
-        labels,
-        best_index,
-        best_value,
-        crate::fitness::scalar_only,
-    )
 }
 
 /// Clear a handful of random mask bits in place (~2% of mask genes get

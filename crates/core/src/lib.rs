@@ -40,8 +40,8 @@
 //!   deterministic thread-pool batch path (results in input order,
 //!   byte-identical to serial), and [`thread_budget`] is the default
 //!   worker count (one per core) every pool falls back to. This crate reads no
-//!   environment variables: worker budgets, checkpoint cadences and
-//!   shard counts are explicit parameters chosen by the caller.
+//!   environment variables: worker budgets and checkpoint cadences
+//!   are explicit parameters chosen by the caller.
 //! * [`checkpoint`] — crash-safe search checkpointing: the pipeline
 //!   persists a generation-level GA snapshot (atomically, next to the
 //!   `Searched` stage artifact) and resumes a killed or cancelled
@@ -50,10 +50,6 @@
 //!   trial-major extended dataset behind the batched robust fitness
 //!   path and the uncached [`robust::mc_accuracy`] reference oracle
 //!   (the variation corner itself is [`pe_hw::VariationModel`]).
-//! * [`columns`] — the population-level [`NeuronColumnCache`] behind
-//!   the columnar fitness engine: hidden-neuron columns over the
-//!   fitness dataset, memoized across the population and threads
-//!   with interned layer signatures (bit-exact by construction).
 //! * [`store`] — design-store integration over `pe-store`: the
 //!   [`StoreSink`] eval hook that persists every unique design a
 //!   search encounters (a pure side channel — fronts and artifacts
@@ -93,7 +89,6 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod columns;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -110,7 +105,6 @@ pub mod store;
 pub mod train;
 
 pub use checkpoint::{CheckpointSpec, DEFAULT_CHECKPOINT_EVERY};
-pub use columns::{ColumnCacheStats, NeuronColumnCache, DEFAULT_SHARDS};
 pub use config::AxTrainConfig;
 pub use engine::{
     fingerprint_json, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine, SearchOutcome,

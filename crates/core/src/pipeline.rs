@@ -67,12 +67,7 @@ pub struct Prepared {
 /// Check that a float split fits `topology`: as many labels as rows,
 /// every row as wide as the inputs, every label one of the outputs.
 fn check_float_split(data: &TabularData, topology: &pe_mlp::Topology) -> Result<(), DatasetError> {
-    if data.features.len() != data.labels.len() {
-        return Err(DatasetError::LengthMismatch {
-            features: data.features.len(),
-            labels: data.labels.len(),
-        });
-    }
+    check_rows(data.features.len(), data.labels.len())?;
     let expected = topology.inputs();
     if let Some((row, found)) = data
         .features
@@ -87,15 +82,63 @@ fn check_float_split(data: &TabularData, topology: &pe_mlp::Topology) -> Result<
             found,
         });
     }
-    let classes = topology.outputs();
-    if let Some((row, &label)) = data.labels.iter().enumerate().find(|&(_, &l)| l >= classes) {
-        return Err(DatasetError::LabelOutOfRange {
+    check_labels(&data.labels, topology.outputs())
+}
+
+/// Check that a quantized split fits `topology`: a flat buffer of
+/// `width × rows` bytes, as many labels as rows, rows as wide as the
+/// inputs, every label one of the outputs.
+fn check_quant_split(
+    data: &QuantizedData,
+    topology: &pe_mlp::Topology,
+) -> Result<(), DatasetError> {
+    let features = &data.features;
+    let (bytes, width, rows) = (features.as_flat().len(), features.width(), features.len());
+    if width.checked_mul(rows) != Some(bytes) {
+        return Err(DatasetError::BufferSize { bytes, width, rows });
+    }
+    check_rows(rows, data.labels.len())?;
+    let expected = topology.inputs();
+    if width != expected {
+        return Err(DatasetError::RaggedRow {
+            row: 0,
+            expected,
+            found: width,
+        });
+    }
+    check_labels(&data.labels, topology.outputs())
+}
+
+/// Check that `prepared`'s quantized splits fit its dataset's topology
+/// and that the training split has samples: the baseline and the
+/// search read them, and a hand-edited stage-cache file can hold
+/// splits they would panic on or score wrongly.
+fn check_quantized_splits(prepared: &Prepared) -> Result<(), DatasetError> {
+    let topology = pe_mlp::Topology::new(prepared.dataset.spec().topology());
+    check_quant_split(&prepared.train, &topology)?;
+    if prepared.train.is_empty() {
+        return Err(DatasetError::NoSamples);
+    }
+    check_quant_split(&prepared.test, &topology)
+}
+
+fn check_rows(features: usize, labels: usize) -> Result<(), DatasetError> {
+    if features == labels {
+        Ok(())
+    } else {
+        Err(DatasetError::LengthMismatch { features, labels })
+    }
+}
+
+fn check_labels(labels: &[usize], classes: usize) -> Result<(), DatasetError> {
+    match labels.iter().enumerate().find(|&(_, &l)| l >= classes) {
+        Some((row, &label)) => Err(DatasetError::LabelOutOfRange {
             row,
             label,
             classes,
-        });
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Stage 2: the backprop-trained float MLP at the paper's topology.
@@ -474,8 +517,9 @@ impl Study {
     /// power budget, a power budget combined with the FA-count area
     /// proxy (which carries no power information), an invalid
     /// variation request (zero trials, a negative spread, droop outside
-    /// `[0, 1)`), both a design-store path and a shared writer, or
-    /// warm-start without a design store.
+    /// `[0, 1)`), a variation statistic without a variation (from the
+    /// builder or the config), both a design-store path and a shared
+    /// writer, or warm-start without a design store.
     /// [`FlowError::Store`] when the design-store file cannot be
     /// opened or is corrupt.
     pub fn finish(self) -> Result<Pipeline, FlowError> {
@@ -513,13 +557,13 @@ impl Study {
         if let Some(variation) = self.variation {
             config.variation = Some(variation);
         }
+        let invalid = |reason: String| Err(FlowError::InvalidConfig { reason });
         if let Some(statistic) = self.variation_statistic {
-            if let Some(variation) = &mut config.variation {
-                variation.statistic = statistic;
+            match &mut config.variation {
+                Some(variation) => variation.statistic = statistic,
+                None => return invalid("a variation statistic requires a variation".into()),
             }
         }
-
-        let invalid = |reason: String| Err(FlowError::InvalidConfig { reason });
         let scenario = &config.scenario;
         if !pe_hw::cost::supply_in_range(&scenario.tech, scenario.supply_v) {
             return invalid(format!(
@@ -788,10 +832,15 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Cancelled`].
+    /// [`FlowError::Dataset`] when the quantized splits do not fit the
+    /// topology (a flat buffer that is not `width × rows` bytes, rows of
+    /// the wrong width, more rows than labels or fewer, a label outside
+    /// the classes, no training samples) — a hand-edited stage-cache
+    /// file can hold such a split. [`FlowError::Cancelled`].
     pub fn cost_baseline(&self, float: FloatTrained) -> Result<BaselineCosted, FlowError> {
         let ctl = self.control();
         ctl.ensure_live(StageKind::BaselineCosted)?;
+        check_quantized_splits(&float.prepared)?;
         ctl.emit(&ProgressEvent::StageStarted {
             stage: StageKind::BaselineCosted,
         });
@@ -831,11 +880,14 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Whatever the engine returns ([`FlowError::Cancelled`],
+    /// [`FlowError::Dataset`] when the quantized splits do not fit the
+    /// topology, as in [`cost_baseline`](Self::cost_baseline); whatever
+    /// the engine returns ([`FlowError::Cancelled`],
     /// [`FlowError::Engine`]).
     pub fn search(&self, costed: BaselineCosted) -> Result<Searched, FlowError> {
         let ctl = self.control();
         ctl.ensure_live(StageKind::Searched)?;
+        check_quantized_splits(&costed.float.prepared)?;
         ctl.emit(&ProgressEvent::StageStarted {
             stage: StageKind::Searched,
         });
@@ -1892,6 +1944,36 @@ mod tests {
                 .finish(),
             Err(FlowError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn a_variation_statistic_needs_a_variation() {
+        let statistic = pe_hw::RobustStat::P95;
+        let result = Study::for_dataset(Dataset::BreastCancer)
+            .config(StudyConfig::quick(0))
+            .variation_statistic(statistic)
+            .finish();
+        assert_eq!(
+            result.err(),
+            Some(FlowError::InvalidConfig {
+                reason: "a variation statistic requires a variation".into()
+            })
+        );
+        // A variation carried by the config takes the statistic.
+        let config = StudyConfig {
+            variation: Some(pe_hw::VariationConfig::new(
+                pe_hw::VariationModel::printed_egfet(),
+                4,
+            )),
+            ..StudyConfig::quick(0)
+        };
+        let pipeline = Study::for_dataset(Dataset::BreastCancer)
+            .config(config)
+            .variation_statistic(statistic)
+            .finish()
+            .expect("valid");
+        let variation = pipeline.config().variation.as_ref().expect("a variation");
+        assert_eq!(variation.statistic, statistic);
     }
 
     #[test]

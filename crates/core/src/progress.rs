@@ -151,14 +151,12 @@ pub enum ProgressEvent {
         evaluations: u64,
     },
     /// Cumulative counters of the search stage's evaluation layers —
-    /// the batch evaluator ([`crate::eval::BatchEvaluator`]), the
-    /// neuron-column cache behind the columnar fitness engine
-    /// ([`crate::columns::NeuronColumnCache`]), and the area
-    /// objective's per-neuron gate counts — emitted once per GA
-    /// generation right after its
+    /// the batch evaluator ([`crate::eval::BatchEvaluator`]), the area
+    /// objective's per-neuron gate counts and the design-store ingest —
+    /// emitted once per GA generation right after its
     /// [`GaGeneration`](ProgressEvent::GaGeneration) event. Engines
-    /// whose problems have no column cache or gate counts (e.g. the
-    /// plain GA) report those counters as zero.
+    /// whose problems have no gate counts (e.g. the plain GA) report
+    /// them as zero.
     EvalCache {
         /// Requested genome evaluations served by a duplicate earlier
         /// in the same wave, so far.
@@ -167,16 +165,15 @@ pub enum ProgressEvent {
         misses: u64,
         /// Always 0: no genome memo is kept across waves.
         entries: usize,
-        /// Neuron columns served from the column cache so far.
+        /// Always 0: no neuron-column cache is kept.
         column_hits: u64,
-        /// Neuron columns actually computed by the columnar kernels.
+        /// Always 0: no neuron-column cache is kept.
         column_misses: u64,
-        /// Neuron columns currently resident in the column cache.
+        /// Always 0: no neuron-column cache is kept.
         column_entries: usize,
-        /// Column-cache probes that found their shard lock held by
-        /// another thread (lock contention, aggregated over shards).
+        /// Always 0: no neuron-column cache is kept.
         column_contended: u64,
-        /// Shards the column cache is split across.
+        /// Always 0: no neuron-column cache is kept.
         column_shards: usize,
         /// Always 0: gate counts are computed, not memoized.
         cost_hits: u64,

@@ -1,23 +1,22 @@
 //! Monte-Carlo robustness evaluation: shared helpers for the
-//! variation-aware fitness path and a standalone (uncached) reference
-//! oracle.
+//! variation-aware fitness path and a standalone reference oracle.
 //!
-//! The fast path lives inside [`crate::fitness::AxTrainProblem`]: the M
-//! perturbed trials are appended as extra sample segments of the
-//! existing columnar engine, so robustness costs ~M× *total*, not M×
-//! per-row, and perturbed hidden columns are memoized per trial in the
-//! population-level [`crate::columns::NeuronColumnCache`] (device slot
-//! `t + 1`). This module provides the pieces both sides agree on:
+//! The fast path lives inside [`crate::fitness::AxTrainProblem`]: each
+//! of the M trials gets its own perturbed copy of the dataset, and every
+//! evaluation runs `pe-mlp`'s columnar forward pass once per trial with
+//! the trial's per-device gain/offset draws applied to each accumulator.
+//! This module provides the pieces both sides agree on:
 //!
 //! * [`extended_matrix`] — the trial-major perturbed dataset (trial
 //!   `t`'s rows occupy segment `[t·n, (t+1)·n)`), built with
 //!   [`pe_hw::VariationModel`]'s stateless keyed sampler so the same
 //!   seeds always produce the same bytes.
-//! * [`mc_accuracy`] — an **uncached** Monte-Carlo oracle evaluating a
-//!   decoded network per trial with the per-device gain/offset draws
-//!   applied to every accumulator. The cached fitness path is tested
-//!   bit-equal against this oracle, and the `fig_robust` bench uses it
-//!   to measure how nominal and robust fronts degrade under variation.
+//! * [`mc_accuracy`] — an independent Monte-Carlo oracle evaluating a
+//!   decoded network per trial with its own layer walk, applying the
+//!   per-device gain/offset draws to every accumulator. The fitness
+//!   path is tested bit-equal against this oracle, and the
+//!   `fig_robust` bench uses it to measure how nominal and robust
+//!   fronts degrade under variation.
 
 use pe_hw::variation::{trial_seed, RobustStat, VariationModel};
 use pe_mlp::columnar::{self, ColumnMatrix, QuantMatrix};
@@ -66,8 +65,8 @@ pub struct RobustSummary {
     pub mean: f64,
 }
 
-/// Uncached Monte-Carlo accuracy of `mlp` on `rows`/`labels` under
-/// `model`: the reference oracle (see the module docs).
+/// Monte-Carlo accuracy of `mlp` on `rows`/`labels` under `model`: the
+/// reference oracle (see the module docs).
 ///
 /// Every trial perturbs the inputs, applies per-device gain/offset
 /// draws to each neuron's accumulator and re-runs the columnar
@@ -107,8 +106,8 @@ pub fn mc_accuracy(
     }
 }
 
-/// One trial's accuracy: a plain (allocation-per-layer, uncached)
-/// columnar forward over segment `[base, base + n)` of the extended
+/// One trial's accuracy: a plain (allocation-per-layer) columnar
+/// forward over segment `[base, base + n)` of the extended
 /// columns, with the trial's device draws applied pre-activation.
 fn trial_accuracy(
     mlp: &AxMlp,

@@ -260,7 +260,6 @@ impl HwAwareTrainer {
             &mut history,
             &|| {
                 Some(crate::eval::ProblemCacheStats {
-                    columns: problem.column_cache_stats(),
                     cost_misses: problem.gate_count_computations(),
                     store: problem.store_stats(),
                 })

@@ -1,7 +1,7 @@
 //! Parity properties of the columnar fitness engine: for random
-//! genomes × random [`QuantMatrix`] datasets, the cached columnar path
-//! behind [`AxTrainProblem`]'s `evaluate`/`evaluate_batch`/`score` must
-//! be **bit-exact** with the per-row reference oracle
+//! genomes × random [`QuantMatrix`] datasets, the columnar path behind
+//! [`AxTrainProblem`]'s `evaluate`/`evaluate_batch`/`score` must be
+//! **bit-exact** with the per-row reference oracle
 //! (`score_with`, i.e. one `predict_with` per sample), and an NSGA-II
 //! run on the columnar path must preserve fronts, populations and the
 //! `evaluations` count versus the serial row-oracle problem.
@@ -86,8 +86,8 @@ proptest! {
     /// Columnar ≡ per-row scoring, exactly: objectives, feasibility and
     /// violations of `evaluate`, `evaluate_batch` and `score` all match
     /// the row oracle bit for bit, for random genomes over random
-    /// datasets — including repeated evaluations that hit the neuron
-    /// column cache.
+    /// datasets — including repeated evaluations on warm per-thread
+    /// scratch.
     #[test]
     fn columnar_scoring_is_bit_exact_with_the_row_oracle(
         seed in any::<u64>(),
@@ -122,10 +122,10 @@ proptest! {
 
         let expected: Vec<Evaluation> = pop.iter().map(|g| oracle.evaluate(g)).collect();
         for (genes, want) in pop.iter().zip(&expected) {
-            prop_assert_eq!(&problem.evaluate(genes), want); // cold columns
-            prop_assert_eq!(&problem.evaluate(genes), want); // warm columns
+            prop_assert_eq!(&problem.evaluate(genes), want);
+            prop_assert_eq!(&problem.evaluate(genes), want); // again, on warm scratch
         }
-        // The native batch path agrees too (and reuses warm columns).
+        // The native batch path agrees too.
         prop_assert_eq!(problem.evaluate_batch(&pop), expected);
 
         // `score` (columnar) ≡ `score_with` (row oracle) ≡ the
@@ -140,15 +140,11 @@ proptest! {
             accuracy_columns(&mlp, &rows.columns(), &labels).to_bits(),
             acc_row.to_bits()
         );
-        // The cache did real work on the repeated lookups above.
-        let stats = problem.column_cache_stats();
-        prop_assert!(stats.hits > 0);
     }
 
-    /// An NSGA-II run whose fitness goes through the columnar cached
-    /// path reproduces the serial row-oracle run exactly: same final
-    /// population, same Pareto front, same `evaluations` count —
-    /// caching changes how much work is re-done, never the semantics.
+    /// An NSGA-II run whose fitness goes through the columnar path
+    /// reproduces the serial row-oracle run exactly: same final
+    /// population, same Pareto front, same `evaluations` count.
     #[test]
     fn nsga_run_on_the_columnar_path_preserves_fronts_and_counts(
         seed in any::<u64>(),

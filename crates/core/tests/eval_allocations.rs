@@ -1,0 +1,151 @@
+//! The GA evaluation path's heap allocations, counted. Once its
+//! per-thread scratch has grown, `AxTrainProblem::evaluate` allocates
+//! exactly once per genome — the objectives vector of the `Evaluation`
+//! it returns — however many rows, neurons or layers the network has.
+//!
+//! Genomes with a fully-masked hidden neuron are left out: the area
+//! objective folds such a constant neuron into the next layer on a
+//! clone of the network.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use pe_mlp::{QReluCfg, QuantMatrix};
+use pe_nsga::{random_genome, IntProblem};
+use printed_axc::{AxTrainProblem, GenomeSpec, LayerGenomeSpec};
+
+/// The system allocator, counting the allocations (and reallocations)
+/// each thread makes.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counter is a const-initialized thread-local `Cell`, which never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// A problem over `rows` samples of `width` 4-bit features, with one
+/// QReLU layer per entry of `hidden` and a 3-class argmax layer.
+fn problem(rows: usize, width: usize, hidden: &[usize]) -> AxTrainProblem {
+    let qrelu = QReluCfg {
+        out_bits: 8,
+        shift: 2,
+    };
+    let mut layers = Vec::new();
+    let mut fan_in = width;
+    let mut input_bits = 4;
+    for &neurons in hidden {
+        layers.push(LayerGenomeSpec {
+            fan_in,
+            neurons,
+            input_bits,
+            qrelu: Some(qrelu),
+        });
+        (fan_in, input_bits) = (neurons, qrelu.out_bits);
+    }
+    layers.push(LayerGenomeSpec {
+        fan_in,
+        neurons: 3,
+        input_bits,
+        qrelu: None,
+    });
+    let data: Vec<Vec<u8>> = (0..rows)
+        .map(|s| (0..width).map(|f| ((s * 7 + f * 5) % 16) as u8).collect())
+        .collect();
+    let labels = (0..rows).map(|s| s % 3).collect();
+    let spec = GenomeSpec::new(layers, 8, 8);
+    AxTrainProblem::new(spec, QuantMatrix::from_rows(&data), labels, 0.9, 0.1)
+}
+
+/// `count` random genomes whose hidden neurons all keep a live weight.
+fn genomes(problem: &AxTrainProblem, count: usize, seed: u64) -> Vec<Vec<u32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    while out.len() < count {
+        let genes = random_genome(problem.bounds(), &mut rng);
+        let mlp = problem.genome_spec().decode(&genes);
+        let hidden = &mlp.layers[..mlp.layers.len() - 1];
+        let live = hidden
+            .iter()
+            .flat_map(|l| &l.neurons)
+            .all(|n| n.weights.iter().any(|w| w.mask != 0));
+        if live {
+            out.push(genes);
+        }
+    }
+    out
+}
+
+#[test]
+fn a_warm_evaluation_allocates_only_its_objectives() {
+    // (rows, features, hidden layers): more rows, more neurons, more
+    // layers, and a narrow-then-wide hidden stack.
+    let shapes: [(usize, usize, &[usize]); 5] = [
+        (40, 4, &[2]),
+        (400, 4, &[2]),
+        (400, 9, &[5]),
+        (400, 6, &[4, 3]),
+        (120, 5, &[2, 6, 3]),
+    ];
+    for (rows, width, hidden) in shapes {
+        let problem = problem(rows, width, hidden);
+        let warm_up = genomes(&problem, 4, 1);
+        let fresh = genomes(&problem, 25, 2);
+        let mut evaluations = Vec::with_capacity(fresh.len());
+        for genes in &warm_up {
+            let _ = problem.evaluate(genes);
+        }
+        let allocations = allocations_in(|| {
+            for genes in &fresh {
+                evaluations.push(problem.evaluate(genes));
+            }
+        });
+        assert_eq!(
+            allocations,
+            fresh.len() as u64,
+            "{rows} rows, {width} features, hidden {hidden:?}: {allocations} allocations \
+             over {} evaluations",
+            fresh.len()
+        );
+        assert!(evaluations.iter().all(|e| e.objectives.len() == 2));
+    }
+}

@@ -31,6 +31,16 @@ pub enum DatasetError {
         /// Number of classes.
         classes: usize,
     },
+    /// A flat row-major feature buffer whose length is not
+    /// `width × rows`.
+    BufferSize {
+        /// Bytes the buffer holds.
+        bytes: usize,
+        /// Features per row.
+        width: usize,
+        /// Rows.
+        rows: usize,
+    },
     /// A dataset must have at least one class.
     NoClasses,
     /// A split that needs samples (e.g. training data) has none.
@@ -75,6 +85,12 @@ impl fmt::Display for DatasetError {
                 classes,
             } => {
                 write!(f, "row {row} has label {label}, outside 0..{classes}")
+            }
+            DatasetError::BufferSize { bytes, width, rows } => {
+                write!(
+                    f,
+                    "feature buffer holds {bytes} bytes, not {width} × {rows}"
+                )
             }
             DatasetError::NoClasses => write!(f, "dataset must declare at least one class"),
             DatasetError::NoSamples => write!(f, "dataset has no samples"),

@@ -22,9 +22,10 @@
 //!   accumulator column at once via the precomputed
 //!   [`QReluKernel`](crate::quant::QReluKernel).
 //!
-//! [`predictions_columns`] / [`accuracy_columns`] drive a whole
-//! [`AxMlp`] this way. They are **bit-exact** with the row-major path —
-//! same integer accumulators, same QReLU saturation, same
+//! [`hits_columns`] drives a whole [`AxMlp`] this way, against a
+//! reused [`ColumnarScratch`]; it is the GA fitness's forward pass and
+//! serves [`accuracy_columns`]. It is **bit-exact** with the row-major
+//! path — same integer accumulators, same QReLU saturation, same
 //! argmax-ties-to-lowest — which the test-suite proves exhaustively and
 //! by property tests; the per-row API stays available as the reference
 //! oracle.
@@ -33,7 +34,7 @@
 //!
 //! The plain entry points ([`accumulate_neuron_column`],
 //! [`accumulate_neuron_column_narrow`], [`hidden_column`],
-//! [`predictions_columns_with`]) run one kernel, fixed by the build:
+//! [`hits_columns`]) run one kernel, fixed by the build:
 //!
 //! * [`KernelKind::Simd`] — explicit `std::arch` x86_64 SSE2/AVX2
 //!   ([`crate::simd`]) when the `simd` cargo feature is built on
@@ -179,17 +180,12 @@ impl QuantMatrix {
     /// Transpose into the column-major layout the kernels consume.
     #[must_use]
     pub fn columns(&self) -> ColumnMatrix {
-        let mut data = vec![0u8; self.data.len()];
-        for f in 0..self.width {
-            let col = &mut data[f * self.rows..(f + 1) * self.rows];
-            for (s, slot) in col.iter_mut().enumerate() {
-                *slot = self.data[s * self.width + f];
-            }
-        }
+        let cols = (0..self.width)
+            .map(|f| self.iter().map(|row| row[f]).collect())
+            .collect();
         ColumnMatrix {
-            data,
+            cols,
             samples: self.rows,
-            width: self.width,
         }
     }
 }
@@ -239,13 +235,14 @@ impl<'a> Iterator for Rows<'a> {
 impl ExactSizeIterator for Rows<'_> {}
 
 /// The transpose of a [`QuantMatrix`]: each feature's values over all
-/// samples are contiguous (`col(f)`), which is what makes the
-/// neuron-major kernels stream linearly.
+/// samples are one contiguous column (`col(f)`), which is what makes
+/// the neuron-major kernels stream linearly. The columns are the same
+/// `Vec<u8>`s hidden activations travel in, so a forward pass hands
+/// [`cols`](Self::cols) to the kernels as they are.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnMatrix {
-    data: Vec<u8>,
+    cols: Vec<Vec<u8>>,
     samples: usize,
-    width: usize,
 }
 
 impl ColumnMatrix {
@@ -258,7 +255,7 @@ impl ColumnMatrix {
     /// Number of feature columns.
     #[must_use]
     pub fn width(&self) -> usize {
-        self.width
+        self.cols.len()
     }
 
     /// One feature's values over all samples.
@@ -269,24 +266,13 @@ impl ColumnMatrix {
     #[inline]
     #[must_use]
     pub fn col(&self, f: usize) -> &[u8] {
-        assert!(f < self.width, "column {f} out of {}", self.width);
-        &self.data[f * self.samples..(f + 1) * self.samples]
+        &self.cols[f]
     }
 
     /// All columns, in feature order.
     #[must_use]
-    pub fn col_refs(&self) -> Vec<&[u8]> {
-        let mut refs = Vec::new();
-        self.col_refs_into(&mut refs);
-        refs
-    }
-
-    /// All columns, in feature order, into a reused buffer — the
-    /// allocation-free variant the fitness path uses (`out` is cleared
-    /// first; its capacity survives across calls).
-    pub fn col_refs_into<'a>(&'a self, out: &mut Vec<&'a [u8]>) {
-        out.clear();
-        out.extend((0..self.width).map(|f| self.col(f)));
+    pub fn cols(&self) -> &[Vec<u8>] {
+        &self.cols
     }
 }
 
@@ -555,16 +541,98 @@ pub fn argmax_columns<T: Copy + PartialOrd, C: AsRef<[T]>>(
     best
 }
 
-/// Reusable buffers for the columnar forward pass: accumulator scratch
-/// plus double-buffered activation columns. Buffers grow to the widest
-/// layer once; steady-state inference allocates nothing.
+/// Rows whose argmax over neuron-major columns matches their label.
+/// The argmax breaks ties to the lowest index, like the hardware
+/// comparator and the row oracle; an empty column set predicts class 0
+/// for every row, as the row oracle does.
+///
+/// Each pass walks the columns once, keeping a running best value and
+/// index per sample in `best_value` / `best_index` (reused buffers). A
+/// narrow (`i32`) column pass runs vectorized where the explicit SIMD
+/// kernel is built and AVX2 is present
+/// ([`argmax_update_narrow`](crate::simd::argmax_update_narrow)): same
+/// strictly-greater rule, same column order, so bit-exact.
+///
+/// # Panics
+///
+/// Panics if a column's length differs from `labels.len()`.
+pub fn argmax_hits<T: ArgmaxLane>(
+    columns: &[Vec<T>],
+    labels: &[usize],
+    best_index: &mut Vec<u32>,
+    best_value: &mut Vec<T>,
+) -> usize {
+    let Some(first) = columns.first() else {
+        return labels.iter().filter(|&&l| l == 0).count();
+    };
+    assert_eq!(first.len(), labels.len(), "column length mismatch");
+    best_value.clear();
+    best_value.extend_from_slice(first);
+    best_index.clear();
+    best_index.resize(labels.len(), 0);
+    for (j, col) in columns.iter().enumerate().skip(1) {
+        let j = j as u32;
+        assert_eq!(col.len(), labels.len(), "column length mismatch");
+        if T::vector_update(j, col, best_index, best_value) {
+            continue;
+        }
+        for ((b, v), &x) in best_index.iter_mut().zip(best_value.iter_mut()).zip(col) {
+            if x > *v {
+                *b = j;
+                *v = x;
+            }
+        }
+    }
+    best_index
+        .iter()
+        .zip(labels)
+        .filter(|&(&b, &l)| b as usize == l)
+        .count()
+}
+
+/// A column element [`argmax_hits`] can compare: activations (`u8`) and
+/// narrow (`i32`) or wide (`i64`) accumulators.
+pub trait ArgmaxLane: Copy + PartialOrd {
+    /// Run column `j`'s argmax pass vectorized, returning `false` (the
+    /// default) when no vector kernel serves this lane type on this
+    /// build.
+    fn vector_update(
+        j: u32,
+        col: &[Self],
+        best_index: &mut [u32],
+        best_value: &mut [Self],
+    ) -> bool {
+        let _ = (j, col, best_index, best_value);
+        false
+    }
+}
+
+impl ArgmaxLane for i32 {
+    fn vector_update(j: u32, col: &[i32], best_index: &mut [u32], best_value: &mut [i32]) -> bool {
+        crate::simd::argmax_update_narrow(j, col, best_index, best_value)
+    }
+}
+
+impl ArgmaxLane for i64 {}
+
+impl ArgmaxLane for u8 {}
+
+/// Reusable buffers for [`hits_columns`]: accumulator scratch,
+/// double-buffered activation columns, the output layer's columns and
+/// the running argmax. Buffers grow to the widest layer once;
+/// steady-state inference allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarScratch {
     acc: Vec<i64>,
     narrow: Vec<i32>,
     act: Vec<Vec<u8>>,
     next: Vec<Vec<u8>>,
-    out_accs: Vec<Vec<i64>>,
+    out_wide: Vec<Vec<i64>>,
+    out_narrow: Vec<Vec<i32>>,
+    best_index: Vec<u32>,
+    best_wide: Vec<i64>,
+    best_narrow: Vec<i32>,
+    best_act: Vec<u8>,
 }
 
 impl ColumnarScratch {
@@ -575,90 +643,108 @@ impl ColumnarScratch {
     }
 }
 
-/// Per-sample class predictions of `mlp` over a column-major dataset,
-/// written into `preds` — the allocation-free batch entry point,
-/// through the platform kernel.
+/// A per-neuron accumulator adjustment for [`hits_columns`]: called
+/// with the layer index, the neuron's index within its layer and the
+/// neuron's whole accumulator column, before the QReLU or the argmax
+/// sees it.
+pub type Perturb<'a> = &'a dyn Fn(usize, usize, &mut [i64]);
+
+/// Rows of a column-major dataset that `mlp` classifies as `labels`
+/// says: the columnar forward pass, through the platform kernel, and
+/// allocation-free once `scratch` has grown.
 ///
-/// Bit-exact with [`AxMlp::predict_with`] per row (same accumulators,
-/// same QReLU, argmax ties to the lowest class).
+/// Every hidden column is computed into `scratch`. The output layer
+/// stays at `i32` width (accumulate and argmax) whenever every output
+/// neuron provably fits ([`fits_i32`]), which doubles the SIMD lanes; a
+/// network whose last layer has a QReLU argmaxes its final activations,
+/// and a network with no layers argmaxes its inputs. Bit-exact with
+/// [`AxMlp::predict_with`] per row: same integer accumulators, same
+/// QReLU saturation, argmax ties to the lowest class. Empty data scores
+/// 0 hits.
+///
+/// With `perturb`, every neuron accumulates at `i64` width and
+/// `perturb` adjusts its column before the activation or the argmax
+/// (a Monte-Carlo device model's per-device gain and offset).
 ///
 /// # Panics
 ///
-/// Panics if the dataset width disagrees with the first layer's fan-in.
-pub fn predictions_columns_with(
+/// Panics if a layer's fan-in disagrees with its input width, or a
+/// column's length differs from `labels.len()`.
+pub fn hits_columns(
     mlp: &AxMlp,
     cols: &ColumnMatrix,
+    labels: &[usize],
     scratch: &mut ColumnarScratch,
-    preds: &mut Vec<usize>,
-) {
-    let samples = cols.samples();
-    preds.clear();
+    perturb: Option<Perturb<'_>>,
+) -> usize {
+    let samples = labels.len();
+    assert_eq!(cols.samples(), samples, "label count mismatch");
     if samples == 0 {
-        return;
+        return 0;
     }
     let ColumnarScratch {
         acc,
         narrow,
         act,
         next,
-        out_accs,
+        out_wide,
+        out_narrow,
+        best_index,
+        best_wide,
+        best_narrow,
+        best_act,
     } = scratch;
-    let mut refs: Vec<&[u8]> = Vec::new();
-    let mut first = true;
-    for layer in &mlp.layers {
-        if first {
-            cols.col_refs_into(&mut refs);
-        }
-        match layer.qrelu {
-            Some(q) => {
-                next.resize(layer.neurons.len(), Vec::new());
-                for (neuron, out) in layer.neurons.iter().zip(next.iter_mut()) {
-                    if first {
-                        hidden_column(neuron, &refs, samples, q, acc, narrow, out);
-                    } else {
-                        hidden_column(neuron, &act[..], samples, q, acc, narrow, out);
-                    }
+    // The live activation columns: `None` while the inputs are the
+    // dataset's, then the previous layer's width. Column buffers only
+    // ever grow, so layers of changing width reuse them.
+    let mut live = None;
+    for (li, layer) in mlp.layers.iter().enumerate() {
+        let inputs = live.map_or(cols.cols(), |width| &act[..width]);
+        let count = layer.neurons.len();
+        let Some(q) = layer.qrelu else {
+            if perturb.is_none() && layer.neurons.iter().all(fits_i32) {
+                let outs = grown(out_narrow, count);
+                for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
+                    accumulate_neuron_column_narrow(neuron, inputs, samples, out);
                 }
-                refs.clear();
-                std::mem::swap(act, next);
-                first = false;
+                return argmax_hits(outs, labels, best_index, best_narrow);
             }
-            None => {
-                out_accs.resize(layer.neurons.len(), Vec::new());
-                for (neuron, out) in layer.neurons.iter().zip(out_accs.iter_mut()) {
-                    if first {
-                        accumulate_neuron_column(neuron, &refs, samples, acc, narrow);
-                    } else {
-                        accumulate_neuron_column(neuron, &act[..], samples, acc, narrow);
-                    }
-                    std::mem::swap(acc, out);
+            let outs = grown(out_wide, count);
+            for (ni, (neuron, out)) in layer.neurons.iter().zip(outs.iter_mut()).enumerate() {
+                accumulate_neuron_column(neuron, inputs, samples, out, narrow);
+                if let Some(perturb) = perturb {
+                    perturb(li, ni, out);
                 }
-                *preds = argmax_columns(&out_accs[..layer.neurons.len()], samples);
-                return;
+            }
+            return argmax_hits(outs, labels, best_index, best_wide);
+        };
+        for (ni, (neuron, out)) in layer.neurons.iter().zip(grown(next, count)).enumerate() {
+            if let Some(perturb) = perturb {
+                accumulate_neuron_column(neuron, inputs, samples, acc, narrow);
+                perturb(li, ni, acc);
+                qrelu_column(q, acc, out);
+            } else {
+                hidden_column(neuron, inputs, samples, q, acc, narrow, out);
             }
         }
+        std::mem::swap(act, next);
+        live = Some(count);
     }
-    // A network whose last layer has a QReLU (unusual): argmax over the
-    // final activation columns, mirroring the row-major path. With no
-    // layers at all, the argmax runs over the inputs themselves.
-    if first {
-        cols.col_refs_into(&mut refs);
-        *preds = argmax_columns(&refs, samples);
-    } else {
-        *preds = argmax_columns(&act[..], samples);
-    }
+    let last = live.map_or(cols.cols(), |width| &act[..width]);
+    argmax_hits(last, labels, best_index, best_act)
 }
 
-/// [`predictions_columns_with`] with a fresh scratch, returning the
-/// predictions.
-#[must_use]
-pub fn predictions_columns(mlp: &AxMlp, cols: &ColumnMatrix) -> Vec<usize> {
-    let mut preds = Vec::new();
-    predictions_columns_with(mlp, cols, &mut ColumnarScratch::new(), &mut preds);
-    preds
+/// The first `count` column buffers of `columns`, growing it (never
+/// shrinking, so no buffer is freed) as needed.
+fn grown<T>(columns: &mut Vec<Vec<T>>, count: usize) -> &mut [Vec<T>] {
+    if columns.len() < count {
+        columns.resize_with(count, Vec::new);
+    }
+    &mut columns[..count]
 }
 
-/// Accuracy of `mlp` over a column-major dataset. Empty datasets score
+/// Accuracy of `mlp` over a column-major dataset ([`hits_columns`]
+/// over the row count, with a fresh scratch). Empty datasets score
 /// `0.0`, the workspace-wide convention of every accuracy API.
 ///
 /// # Panics
@@ -666,13 +752,12 @@ pub fn predictions_columns(mlp: &AxMlp, cols: &ColumnMatrix) -> Vec<usize> {
 /// Panics if `labels` disagrees with the sample count.
 #[must_use]
 pub fn accuracy_columns(mlp: &AxMlp, cols: &ColumnMatrix, labels: &[usize]) -> f64 {
-    assert_eq!(cols.samples(), labels.len());
+    let hits = hits_columns(mlp, cols, labels, &mut ColumnarScratch::new(), None);
     if labels.is_empty() {
-        return 0.0;
+        0.0
+    } else {
+        hits as f64 / labels.len() as f64
     }
-    let preds = predictions_columns(mlp, cols);
-    let hits = preds.iter().zip(labels).filter(|&(p, l)| p == l).count();
-    hits as f64 / labels.len() as f64
 }
 
 #[cfg(test)]
@@ -864,13 +949,39 @@ mod tests {
             bias: 23,
         };
         let m = exhaustive_rows();
-        let cols = m.columns();
-        let refs = cols.col_refs();
         let (mut acc, mut narrow) = (Vec::new(), Vec::new());
-        accumulate_neuron_column(&neuron, &refs, m.len(), &mut acc, &mut narrow);
+        accumulate_neuron_column(&neuron, m.columns().cols(), m.len(), &mut acc, &mut narrow);
         for (s, row) in m.iter().enumerate() {
             assert_eq!(acc[s], neuron.accumulate(row), "sample {s}");
         }
+    }
+
+    /// The row oracle's prediction for every row of `m`.
+    fn oracle_labels(mlp: &AxMlp, m: &QuantMatrix) -> Vec<usize> {
+        let mut scratch = InferenceScratch::new();
+        m.iter()
+            .map(|row| mlp.predict_with(row, &mut scratch))
+            .collect()
+    }
+
+    /// The forward pass hits every row when the row oracle's
+    /// predictions are the labels, and misses every row when each
+    /// label is moved to another class.
+    fn assert_matches_the_row_oracle(mlp: &AxMlp, m: &QuantMatrix, scratch: &mut ColumnarScratch) {
+        let cols = m.columns();
+        let labels = oracle_labels(mlp, m);
+        assert_eq!(hits_columns(mlp, &cols, &labels, scratch, None), m.len());
+        let wrong: Vec<usize> = labels.iter().map(|&l| l + 1).collect();
+        assert_eq!(hits_columns(mlp, &cols, &wrong, scratch, None), 0);
+    }
+
+    /// [`two_layer_net`] with one output weight shifted past the `i32`
+    /// bound, so the output layer runs at `i64` width.
+    fn wide_output_net() -> AxMlp {
+        let mut mlp = two_layer_net();
+        mlp.layers[1].neurons[1].weights[0] = weight(0xFF, 24, true);
+        assert!(!fits_i32(&mlp.layers[1].neurons[1]));
+        mlp
     }
 
     #[test]
@@ -882,24 +993,77 @@ mod tests {
         // 2 -> 1; s2: tie between 0 and 2 -> 0.
         let preds = argmax_columns(&[&a, &b, &c], 3);
         assert_eq!(preds, vec![0, 1, 0]);
+        // No columns at all: every row predicts class 0.
+        let none: &[Vec<u8>] = &[];
+        assert_eq!(
+            argmax_hits(none, &[0, 1, 0], &mut Vec::new(), &mut Vec::new()),
+            2
+        );
+    }
+
+    #[test]
+    fn tied_output_neurons_predict_the_lowest_class() {
+        for mut mlp in [two_layer_net(), wide_output_net()] {
+            let out = mlp.layers[1].neurons[1].clone();
+            mlp.layers[1].neurons = vec![out.clone(), out];
+            let m = exhaustive_rows();
+            let cols = m.columns();
+            let mut scratch = ColumnarScratch::new();
+            let zeros = vec![0; m.len()];
+            let ones = vec![1; m.len()];
+            assert_eq!(
+                hits_columns(&mlp, &cols, &zeros, &mut scratch, None),
+                m.len()
+            );
+            assert_eq!(hits_columns(&mlp, &cols, &ones, &mut scratch, None), 0);
+        }
     }
 
     #[test]
     fn columnar_forward_is_bit_exact_with_the_row_oracle() {
-        let mlp = two_layer_net();
+        let m = exhaustive_rows();
+        let mut scratch = ColumnarScratch::new();
+        // A narrow (`i32`) and a wide (`i64`) output layer.
+        for mlp in [two_layer_net(), wide_output_net()] {
+            assert_matches_the_row_oracle(&mlp, &m, &mut scratch);
+            // Accuracy agrees with the row-major API on the same labels.
+            let labels: Vec<usize> = (0..m.len()).map(|i| i % 2).collect();
+            assert_eq!(
+                accuracy_columns(&mlp, &m.columns(), &labels),
+                mlp.accuracy(&m, &labels)
+            );
+        }
+    }
+
+    #[test]
+    fn perturbing_an_accumulator_equals_moving_its_bias() {
+        // Adding `d` to a neuron's accumulator column is exactly what
+        // raising its bias by `d` does, at every layer.
+        let delta = |li: usize, ni: usize| (li as i32 * 3 + ni as i32) * 5 - 7;
+        let perturb = |li: usize, ni: usize, acc: &mut [i64]| {
+            for a in acc {
+                *a += i64::from(delta(li, ni));
+            }
+        };
         let m = exhaustive_rows();
         let cols = m.columns();
-        let preds = predictions_columns(&mlp, &cols);
-        let mut scratch = InferenceScratch::new();
-        for (s, row) in m.iter().enumerate() {
-            assert_eq!(preds[s], mlp.predict_with(row, &mut scratch), "sample {s}");
+        let mut scratch = ColumnarScratch::new();
+        for mlp in [two_layer_net(), wide_output_net()] {
+            let mut moved = mlp.clone();
+            for (li, layer) in moved.layers.iter_mut().enumerate() {
+                for (ni, neuron) in layer.neurons.iter_mut().enumerate() {
+                    neuron.bias += delta(li, ni);
+                }
+            }
+            let labels = oracle_labels(&moved, &m);
+            let hits = hits_columns(&mlp, &cols, &labels, &mut scratch, Some(&perturb));
+            assert_eq!(hits, m.len());
+            // The identity perturbation reproduces the nominal pass.
+            let labels = oracle_labels(&mlp, &m);
+            let identity = |_: usize, _: usize, _: &mut [i64]| {};
+            let hits = hits_columns(&mlp, &cols, &labels, &mut scratch, Some(&identity));
+            assert_eq!(hits, m.len());
         }
-        // Accuracy agrees with the row-major API on the same labels.
-        let labels: Vec<usize> = (0..m.len()).map(|i| i % 2).collect();
-        assert_eq!(
-            accuracy_columns(&mlp, &cols, &labels),
-            mlp.accuracy(&m, &labels)
-        );
     }
 
     #[test]
@@ -926,24 +1090,23 @@ mod tests {
         };
         let rows: Vec<Vec<u8>> = (0..16u8).map(|v| vec![v]).collect();
         let m = QuantMatrix::from_rows(&rows);
-        let preds = predictions_columns(&mlp, &m.columns());
-        let mut scratch = InferenceScratch::new();
-        for (s, row) in m.iter().enumerate() {
-            assert_eq!(preds[s], mlp.predict_with(row, &mut scratch), "x={s}");
-        }
+        assert_matches_the_row_oracle(&mlp, &m, &mut ColumnarScratch::new());
+        // With no layers at all, the inputs themselves are argmaxed.
+        let bare = AxMlp { layers: Vec::new() };
+        assert_matches_the_row_oracle(&bare, &exhaustive_rows(), &mut ColumnarScratch::new());
     }
 
     #[test]
     fn empty_dataset_scores_zero_by_convention() {
         let mlp = two_layer_net();
-        let empty = QuantMatrix::from_flat(Vec::new(), 2, 0);
-        assert_eq!(accuracy_columns(&mlp, &empty.columns(), &[]), 0.0);
-        assert!(predictions_columns(&mlp, &empty.columns()).is_empty());
+        let empty = QuantMatrix::from_flat(Vec::new(), 2, 0).columns();
+        assert_eq!(accuracy_columns(&mlp, &empty, &[]), 0.0);
+        let mut scratch = ColumnarScratch::new();
+        assert_eq!(hits_columns(&mlp, &empty, &[], &mut scratch, None), 0);
     }
 
     #[test]
     fn scratch_is_reusable_across_network_shapes() {
-        let wide = two_layer_net();
         let narrow = AxMlp {
             layers: vec![AxLayer {
                 input_bits: 4,
@@ -961,15 +1124,14 @@ mod tests {
             }],
         };
         let m = exhaustive_rows();
-        let cols = m.columns();
         let mut scratch = ColumnarScratch::new();
-        let mut preds = Vec::new();
-        for mlp in [&wide, &narrow, &wide] {
-            predictions_columns_with(mlp, &cols, &mut scratch, &mut preds);
-            let mut row_scratch = InferenceScratch::new();
-            for (s, row) in m.iter().enumerate() {
-                assert_eq!(preds[s], mlp.predict_with(row, &mut row_scratch));
-            }
+        for mlp in [
+            &two_layer_net(),
+            &narrow,
+            &wide_output_net(),
+            &two_layer_net(),
+        ] {
+            assert_matches_the_row_oracle(mlp, &m, &mut scratch);
         }
     }
 }

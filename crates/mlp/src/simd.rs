@@ -409,7 +409,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::axmlp::AxWeight;
-    use crate::columnar::{accumulate_neuron_column_narrow_scalar, QuantMatrix};
+    use crate::columnar::accumulate_neuron_column_narrow_scalar;
 
     #[test]
     fn simd_matches_the_scalar_narrow_kernel_when_available() {
@@ -434,15 +434,13 @@ mod tests {
             bias: -412,
         };
         for samples in [0usize, 1, 5, 8, 13, 64, 200] {
-            let rows: Vec<Vec<u8>> = (0..samples)
-                .map(|s| (0..3).map(|f| ((s * 3 + f * 17) % 256) as u8).collect())
+            let refs: Vec<Vec<u8>> = (0..3)
+                .map(|f| {
+                    (0..samples)
+                        .map(|s| ((s * 3 + f * 17) % 256) as u8)
+                        .collect()
+                })
                 .collect();
-            let cols = QuantMatrix::from_rows(&rows).columns();
-            let refs = if samples == 0 {
-                vec![&[][..]; 3]
-            } else {
-                cols.col_refs()
-            };
             let (mut want, mut got) = (Vec::new(), Vec::new());
             accumulate_neuron_column_narrow_scalar(&neuron, &refs, samples, &mut want);
             let ran = accumulate_neuron_column_simd(&neuron, &refs, samples, &mut got);

@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 
 use pe_mlp::columnar::{
-    accumulate_neuron_column, accumulate_neuron_column_narrow_scalar, fits_i32, kernel_mode,
-    predictions_columns_with,
+    accumulate_neuron_column, accumulate_neuron_column_narrow_scalar, fits_i32, hits_columns,
+    kernel_mode,
 };
 use pe_mlp::{
     AxLayer, AxMlp, AxNeuron, AxWeight, ColumnarScratch, InferenceScratch, KernelKind, QReluCfg,
@@ -94,9 +94,10 @@ proptest! {
         prop_assert_eq!(&got, &want, "kernel {:?} diverged", kernel_mode());
     }
 
-    /// Whole random two-hidden-layer 4-bit networks: the platform
-    /// kernel's predictions must equal the per-row oracle's, sample for
-    /// sample.
+    /// Whole random two-hidden-layer 4-bit networks: with the per-row
+    /// oracle's predictions as labels, the platform kernel's forward
+    /// pass must hit every sample — through narrow and wide output
+    /// layers alike.
     #[test]
     fn every_kernel_matches_the_per_row_oracle_on_full_networks(
         l1_raw in proptest::collection::vec(neuron(5), 1..=6),
@@ -145,9 +146,8 @@ proptest! {
         let oracle: Vec<usize> =
             rows.iter().map(|r| mlp.predict_with(r, &mut oracle_scratch)).collect();
 
-        let mut preds = Vec::new();
-        predictions_columns_with(&mlp, &cols, &mut ColumnarScratch::new(), &mut preds);
-        prop_assert_eq!(&preds, &oracle, "kernel {:?} diverged", kernel_mode());
+        let hits = hits_columns(&mlp, &cols, &oracle, &mut ColumnarScratch::new(), None);
+        prop_assert_eq!(hits, rows.len(), "kernel {:?} diverged", kernel_mode());
     }
 }
 

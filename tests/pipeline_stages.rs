@@ -12,6 +12,7 @@ use printed_mlps::axc::{
 };
 use printed_mlps::datasets::{Dataset, DatasetError};
 use printed_mlps::hw::TechLibrary;
+use printed_mlps::mlp::QuantMatrix;
 use printed_mlps::nsga::NsgaConfig;
 
 /// A micro GA budget: the whole five-stage pipeline runs in well under
@@ -225,6 +226,77 @@ fn a_hand_edited_prepared_cache_file_is_a_typed_error() {
         let result = pipeline.float_trained();
         assert_eq!(result.err(), Some(FlowError::Dataset(expected)));
         assert_eq!(loaded_stages(&events), vec![StageKind::Prepared]);
+    }
+
+    // The quantized splits: the baseline and the search read them, so
+    // each stage checks them first, whichever of the two runs on top of
+    // the cache.
+    std::fs::write(&path, serde_json::to_string(&original).expect("json")).expect("write");
+    pipeline.baseline_costed().expect("baseline");
+    let baseline_path = stage_file(&dir, StageKind::BaselineCosted);
+    let baseline = std::fs::read(&baseline_path).expect("baseline file");
+    let (train_rows, test_rows) = (original.train.len(), original.test.len());
+    let edits: [(Edit, DatasetError); 4] = [
+        (
+            |p| {
+                let rows: Vec<Vec<u8>> = p.train.features.iter().map(|r| r[1..].to_vec()).collect();
+                p.train.features = QuantMatrix::from_rows(&rows);
+            },
+            DatasetError::RaggedRow {
+                row: 0,
+                expected: 10,
+                found: 9,
+            },
+        ),
+        (
+            |p| {
+                p.train.labels.pop();
+            },
+            DatasetError::LengthMismatch {
+                features: train_rows,
+                labels: train_rows - 1,
+            },
+        ),
+        (
+            |p| p.test.labels[2] = 2,
+            DatasetError::LabelOutOfRange {
+                row: 2,
+                label: 2,
+                classes: 2,
+            },
+        ),
+        (
+            // Rewritten in the JSON text below: no API builds such a
+            // matrix.
+            |_| {},
+            DatasetError::BufferSize {
+                bytes: 10 * test_rows,
+                width: 10,
+                rows: test_rows + 1,
+            },
+        ),
+    ];
+    for (edit, expected) in edits {
+        let mut edited = original.clone();
+        edit(&mut edited);
+        let mut json = serde_json::to_string(&edited).expect("json");
+        if let DatasetError::BufferSize { .. } = expected {
+            let rows = format!("\"width\":10,\"rows\":{test_rows}}}");
+            assert_eq!(json.matches(&rows).count(), 1, "{rows}");
+            json = json.replace(&rows, &format!("\"width\":10,\"rows\":{}}}", test_rows + 1));
+        }
+        std::fs::write(&path, json).expect("write");
+        let expected = Some(FlowError::Dataset(expected));
+        // The search, over a cached baseline.
+        let (pipeline, events) = recording_pipeline(Dataset::BreastCancer, 3, Some(&dir));
+        assert_eq!(pipeline.searched().err(), expected);
+        assert_eq!(loaded_stages(&events), vec![StageKind::BaselineCosted]);
+        // The baseline, over a cached float model.
+        std::fs::remove_file(&baseline_path).expect("remove");
+        let (pipeline, events) = recording_pipeline(Dataset::BreastCancer, 3, Some(&dir));
+        assert_eq!(pipeline.baseline_costed().err(), expected);
+        assert_eq!(loaded_stages(&events), vec![StageKind::FloatTrained]);
+        std::fs::write(&baseline_path, &baseline).expect("restore");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
