@@ -13,7 +13,7 @@ use std::sync::Arc;
 use pe_arith::{AdderAreaEstimator, NeuronArithSpec, NeuronGateCounts};
 use pe_hw::variation::{RobustStat, VariationConfig, VariationModel};
 use pe_hw::{argmax_gate_counts, qrelu_gate_counts, CostScenario};
-use pe_mlp::columnar::{self, ColumnMatrix, ColumnarScratch, QuantMatrix};
+use pe_mlp::columnar::{self, ColumnLabels, ColumnMatrix, ColumnarScratch, QuantMatrix};
 use pe_mlp::InferenceScratch;
 use pe_nsga::{Evaluation, IntProblem};
 use serde::{Deserialize, Serialize};
@@ -71,7 +71,9 @@ pub struct AxTrainProblem {
     rows: QuantMatrix,
     /// The transposed dataset the columnar kernels stream over.
     columns: ColumnMatrix,
-    labels: Vec<usize>,
+    /// The labels, with their `i16` lanes for the forward pass's
+    /// narrowest argmax built once, here.
+    labels: ColumnLabels,
     estimator: AdderAreaEstimator,
     /// Gate-count computations so far (shared by clones).
     gate_counts: Arc<AtomicU64>,
@@ -139,7 +141,7 @@ impl AxTrainProblem {
             spec,
             rows,
             columns,
-            labels,
+            labels: ColumnLabels::new(labels),
             estimator: AdderAreaEstimator::paper(),
             gate_counts: Arc::default(),
             objective: AreaObjective::GateEquivalents,
@@ -290,7 +292,7 @@ impl AxTrainProblem {
     /// robust counterpart is [`crate::robust::mc_accuracy`].
     #[must_use]
     pub fn score_with(&self, mlp: &pe_mlp::AxMlp, scratch: &mut InferenceScratch) -> (f64, f64) {
-        let accuracy = mlp.accuracy_batch(&self.rows, &self.labels, scratch);
+        let accuracy = mlp.accuracy_batch(&self.rows, self.labels.classes(), scratch);
         (accuracy, self.area_of(mlp))
     }
 

@@ -1004,16 +1004,21 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// As [`cost_baseline`](Self::cost_baseline).
+    /// As [`cost_baseline`](Self::cost_baseline), whose check of the
+    /// quantized splits a loaded stage also passes.
     pub fn baseline_costed(&self) -> Result<BaselineCosted, FlowError> {
-        self.cached(
+        let costed = self.cached(
             StageKind::BaselineCosted,
             |v: &BaselineCosted| self.stage_is_ours(&v.float.prepared),
             || {
                 let float = self.float_trained()?;
                 self.cost_baseline(float)
             },
-        )
+        )?;
+        // A stage loaded whole from the cache carries splits no stage
+        // of this run has checked, and its callers read them.
+        check_quantized_splits(&costed.float.prepared)?;
+        Ok(costed)
     }
 
     /// Stage 4 through the cache (computing earlier stages as needed).
@@ -1021,7 +1026,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// As [`search`](Self::search).
+    /// As [`search`](Self::search), whose check of the quantized splits
+    /// a loaded stage also passes.
     pub fn searched(&self) -> Result<Searched, FlowError> {
         let searched = self.cached(
             StageKind::Searched,
@@ -1033,6 +1039,7 @@ impl Pipeline {
                 self.search(costed)
             },
         )?;
+        check_quantized_splits(&searched.costed.float.prepared)?;
         // The checkpoint's job ends once the stage artifact is on disk
         // (`cached` stored it just above); deleting it only after that
         // write means a kill at *any* point leaves something to resume
@@ -1048,9 +1055,11 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// As [`select`](Self::select).
+    /// As [`select`](Self::select); [`FlowError::Dataset`] when the
+    /// quantized splits do not fit the topology, as in
+    /// [`search`](Self::search).
     pub fn selected(&self) -> Result<Selected, FlowError> {
-        self.cached(
+        let selected = self.cached(
             StageKind::Selected,
             |v: &Selected| {
                 v.searched.engine == self.engine.name()
@@ -1060,7 +1069,9 @@ impl Pipeline {
                 let searched = self.searched()?;
                 self.select(searched)
             },
-        )
+        )?;
+        check_quantized_splits(&selected.searched.costed.float.prepared)?;
+        Ok(selected)
     }
 
     /// Run the whole pipeline (all five stages, cache-aware).

@@ -10,10 +10,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pe_mlp::columnar::accuracy_columns;
-use pe_mlp::{InferenceScratch, QReluCfg, QuantMatrix};
+use pe_datasets::Dataset;
+use pe_mlp::columnar::{accuracy_columns, layer_fits_i16};
+use pe_mlp::{DenseMlp, FixedMlp, InferenceScratch, QReluCfg, QuantConfig, QuantMatrix, Topology};
 use pe_nsga::{random_genome, Evaluation, IntProblem, Nsga2, NsgaConfig};
-use printed_axc::{AreaObjective, AxTrainProblem, GenomeSpec, LayerGenomeSpec};
+use printed_axc::{
+    AreaObjective, AxTrainConfig, AxTrainProblem, GenomeSpec, HwAwareTrainer, LayerGenomeSpec,
+};
 
 /// The row-major reference problem: identical feasibility formula, but
 /// scoring goes through the per-row oracle instead of the columnar
@@ -170,5 +173,103 @@ proptest! {
         prop_assert_eq!(&columnar.pareto_front, &rowwise.pareto_front);
         prop_assert_eq!(columnar.evaluations, rowwise.evaluations);
         prop_assert_eq!(columnar.evaluations, 10 + 6 * 10);
+    }
+}
+
+/// Every hidden layer the paper's genomes can encode runs on the `i16`
+/// rung. For each Table I topology at the default [`AxTrainConfig`],
+/// the worst-case genomes (full masks, `k = 6`, every sign alike and
+/// the bias at −2048 or +2047) keep every hidden neuron's accumulator
+/// range inside `i16`, and the forward pass scores them, and a
+/// mixed-sign genome at the same masks and shifts, as the row oracle
+/// does. A config change that pushes a hidden neuron out of the range
+/// fails here, by topology.
+#[test]
+fn every_table_i_hidden_layer_takes_the_i16_rung() {
+    let cfg = AxTrainConfig::default();
+    let trainer = HwAwareTrainer::new(cfg.clone());
+    let quant = QuantConfig {
+        input_bits: cfg.input_bits,
+        activation_bits: cfg.activation_bits,
+        ..QuantConfig::default()
+    };
+    for dataset in Dataset::ALL {
+        let spec = dataset.spec();
+        let topology = spec.topology();
+        let name = format!("{} {topology:?}", spec.name);
+        // The genome layout the pipeline derives from a quantized
+        // baseline of this topology.
+        let float = DenseMlp::random(Topology::new(topology.clone()), 7);
+        let calibration = vec![vec![1.0f32; spec.features], vec![0.0; spec.features]];
+        let genome = trainer.genome_spec_for(&FixedMlp::quantize(&float, quant, &calibration));
+        let rows: Vec<Vec<u8>> = (0..2000)
+            .map(|r| match r {
+                0 => vec![15; spec.features],
+                _ => (0..spec.features)
+                    .map(|f| ((r * 7 + f * 3) % 16) as u8)
+                    .collect(),
+            })
+            .collect();
+        let labels: Vec<usize> = (0..rows.len()).map(|r| r % spec.classes).collect();
+        let problem = AxTrainProblem::new(
+            genome.clone(),
+            QuantMatrix::from_rows(&rows),
+            labels,
+            1.0,
+            1.0,
+        );
+        // The two worst cases, every hidden sign alike with the bias at
+        // +2047 or −2048, and a genome of mixed hidden signs, whose
+        // activations vary with the rows instead of saturating. The
+        // output layer mixes signs and biases, so that its argmax, and
+        // with it the hit count, depends on the hidden activations.
+        for case in [Some(false), Some(true), None] {
+            let mut genes = Vec::with_capacity(genome.gene_count());
+            for layer in genome.layers() {
+                let hidden = layer.qrelu.is_some();
+                for n in 0..layer.neurons {
+                    for w in 0..layer.fan_in {
+                        let full_mask = (1 << layer.input_bits) - 1;
+                        let sign = match (hidden, case) {
+                            (true, Some(negative)) => negative,
+                            _ => (n + w) % 2 == 1,
+                        };
+                        genes.extend([full_mask, u32::from(sign), cfg.weight_bits - 2]);
+                    }
+                    genes.push(match (hidden, case) {
+                        (true, Some(true)) => 0,
+                        (true, Some(false)) => (1 << cfg.bias_bits) - 1,
+                        (true, None) => 1 << (cfg.bias_bits - 1),
+                        (false, _) => (n as u32 * 1237) % (1 << cfg.bias_bits),
+                    });
+                }
+            }
+            let mlp = genome.decode(&genes);
+            // −2048, +2047 and 0 at the default 12-bit biases.
+            let half = 1 << (cfg.bias_bits - 1);
+            let (bias, label) = match case {
+                Some(true) => (-half, "all negative"),
+                Some(false) => (half - 1, "all positive"),
+                None => (0, "mixed signs"),
+            };
+            let neuron = &mlp.layers[0].neurons[0];
+            assert_eq!(neuron.bias, bias, "{name}");
+            assert_eq!(neuron.weights[0].shift, cfg.max_shift(), "{name}");
+            for (li, layer) in mlp.layers.iter().enumerate() {
+                if layer.qrelu.is_some() {
+                    assert!(
+                        layer_fits_i16(layer),
+                        "{name}: hidden layer {li} leaves the i16 rung ({label})"
+                    );
+                }
+            }
+            let (columnar, _) = problem.score(&mlp);
+            let (oracle, _) = problem.score_with(&mlp, &mut InferenceScratch::new());
+            assert_eq!(
+                columnar.to_bits(),
+                oracle.to_bits(),
+                "{name}: hits differ from the row oracle's ({label})"
+            );
+        }
     }
 }

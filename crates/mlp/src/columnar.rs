@@ -18,6 +18,8 @@
 //!   analytically (AND, widening shift, add; sign hoisted out of the
 //!   loop), at `i32` lane width whenever the accumulator provably fits
 //!   ([`fits_i32`]).
+//! * [`ColumnLabels`] holds the class labels the forward pass counts
+//!   hits against, with their `i16` lanes built once.
 //! * [`qrelu_column`] applies the saturation of Eq. (4) to a whole
 //!   accumulator column at once via the precomputed
 //!   [`QReluKernel`](crate::quant::QReluKernel).
@@ -46,12 +48,35 @@
 //! public ([`accumulate_neuron_column_narrow_scalar`]) as the portable
 //! path and the parity reference: integer sums without overflow are
 //! representation-agnostic, so the two kernels agree bit for bit, which
-//! the `kernel_parity` suite pins down. Neurons outside the narrow
-//! precondition take the same scalar `i64` loop on every build.
+//! the `kernel_parity` suite pins down.
+//!
+//! Within a kernel, [`hits_columns`] runs each layer on the narrowest
+//! accumulator lanes that hold it, a ladder chosen from the network
+//! alone:
+//!
+//! 1. **`i16`** when every neuron's accumulator range
+//!    `[bias − Σneg, bias + Σpos]`, each term `(mask & 0xFF) ≪ shift`,
+//!    lies inside `i16` ([`layer_fits_i16`]): 16 samples per AVX2 step,
+//!    hidden columns QReLU-packed straight to `u8`, and the argmax
+//!    layer's running best, index and hit count kept in registers
+//!    against the `i16` label lanes. Every hidden neuron the paper's
+//!    genomes encode fits (the widest, Cardio's 21 inputs at full masks
+//!    and `k = 6`, spans 22,208 around its bias); so do most output
+//!    layers. The rung needs AVX2 ([`simd::i16_lanes`](crate::simd::i16_lanes)),
+//!    so scalar builds and hosts without it take the `i32` rung.
+//! 2. **`i32`** when the worst-case `|accumulator|` fits `i32`
+//!    ([`fits_i32`]), per hidden neuron, and for an argmax layer whose
+//!    every neuron fits: true for every genome-encodable neuron.
+//! 3. **`i64`**, the scalar loop on every build, for hand-built
+//!    extremes and whenever a `perturb` hook adjusts the accumulators.
+//!
+//! Each rung's sums are exact for every value its range admits, so the
+//! rungs agree bit for bit with each other and with the row oracle; the
+//! `i32` and `i64` rungs are the parity reference for `i16`.
 
 use serde::{Deserialize, Serialize};
 
-use crate::axmlp::{AxMlp, AxNeuron};
+use crate::axmlp::{AxLayer, AxMlp, AxNeuron};
 use crate::quant::QReluCfg;
 
 /// A quantized dataset as one flat row-major buffer plus a stride.
@@ -276,6 +301,46 @@ impl ColumnMatrix {
     }
 }
 
+/// The class labels [`hits_columns`] counts hits against: each row's
+/// class, and the same classes as `i16` lanes for the `i16` argmax,
+/// built once with the labels. A class no `i16` lane holds becomes −1,
+/// which no output index equals, so it never hits, as on every rung.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ColumnLabels {
+    classes: Vec<usize>,
+    lanes: Vec<i16>,
+}
+
+impl ColumnLabels {
+    /// Wrap one class label per row.
+    #[must_use]
+    pub fn new(classes: Vec<usize>) -> Self {
+        let lanes = classes
+            .iter()
+            .map(|&c| i16::try_from(c).unwrap_or(-1))
+            .collect();
+        Self { classes, lanes }
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Whether there are no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.classes.is_empty()
+    }
+
+    /// The labels, one class per row.
+    #[must_use]
+    pub fn classes(&self) -> &[usize] {
+        &self.classes
+    }
+}
+
 /// Accumulate one neuron's Eq. (4) sum over a whole dataset at once,
 /// through the platform kernel (see the [module docs](self)):
 /// `acc[s] = bias + Σ_i s_i · ((x_i[s] ⊙ m_i) ≪ k_i)`, one branch-free
@@ -357,6 +422,47 @@ pub fn fits_i32(neuron: &AxNeuron) -> bool {
             + i64::from(neuron.bias).abs();
         bound <= i64::from(i32::MAX)
     }
+}
+
+/// Whether every value `neuron`'s accumulator can take lies inside
+/// `i16`: the range `[bias − Σneg, bias + Σpos]`, each term the largest
+/// `(mask & 0xFF) ≪ shift` a `u8` activation can make. The precondition
+/// of the `i16` rung ([`layer_fits_i16`]); a neuron at full 4-bit masks
+/// and `k = 6` fits up to 32 inputs with a 12-bit bias.
+#[must_use]
+pub fn fits_i16(neuron: &AxNeuron) -> bool {
+    let bias = i64::from(neuron.bias);
+    let (mut lo, mut hi) = (bias, bias);
+    for w in &neuron.weights {
+        let mask = i64::from(w.mask & 0xFF);
+        if mask == 0 {
+            continue;
+        }
+        if w.shift > 15 {
+            return false;
+        }
+        let term = mask << w.shift;
+        if w.negative {
+            lo -= term;
+        } else {
+            hi += term;
+        }
+    }
+    lo >= i64::from(i16::MIN) && hi <= i64::from(i16::MAX)
+}
+
+/// Whether [`hits_columns`] runs `layer` on the `i16` rung, wherever
+/// the `i16` kernels run ([`simd::i16_lanes`](crate::simd::i16_lanes)):
+/// every neuron [`fits_i16`], a hidden layer's QReLU packs to `u8`
+/// (`out_bits <= 8`, `shift < 32`, as for the vector `i32` pack), and
+/// an argmax layer's class indices fit `i16` lanes.
+#[must_use]
+pub fn layer_fits_i16(layer: &AxLayer) -> bool {
+    let lanes_hold = match layer.qrelu {
+        Some(q) => crate::simd::packs_to_u8(q),
+        None => layer.neurons.len() <= 1 << 15,
+    };
+    lanes_hold && layer.neurons.iter().all(fits_i16)
 }
 
 /// [`accumulate_neuron_column`] at `i32` width through the platform
@@ -625,10 +731,12 @@ impl ArgmaxLane for u8 {}
 pub struct ColumnarScratch {
     acc: Vec<i64>,
     narrow: Vec<i32>,
+    short: Vec<i16>,
     act: Vec<Vec<u8>>,
     next: Vec<Vec<u8>>,
     out_wide: Vec<Vec<i64>>,
     out_narrow: Vec<Vec<i32>>,
+    out_short: Vec<Vec<i16>>,
     best_index: Vec<u32>,
     best_wide: Vec<i64>,
     best_narrow: Vec<i32>,
@@ -653,14 +761,15 @@ pub type Perturb<'a> = &'a dyn Fn(usize, usize, &mut [i64]);
 /// says: the columnar forward pass, through the platform kernel, and
 /// allocation-free once `scratch` has grown.
 ///
-/// Every hidden column is computed into `scratch`. The output layer
-/// stays at `i32` width (accumulate and argmax) whenever every output
-/// neuron provably fits ([`fits_i32`]), which doubles the SIMD lanes; a
-/// network whose last layer has a QReLU argmaxes its final activations,
-/// and a network with no layers argmaxes its inputs. Bit-exact with
-/// [`AxMlp::predict_with`] per row: same integer accumulators, same
-/// QReLU saturation, argmax ties to the lowest class. Empty data scores
-/// 0 hits.
+/// Every hidden column is computed into `scratch`. Each layer runs on
+/// the narrowest rung of the ladder in the [module docs](self#kernels):
+/// `i16` lanes for a layer that [`layer_fits_i16`] where the `i16`
+/// kernels run, then `i32` for every neuron (hidden) or every output
+/// (argmax) that [`fits_i32`], then `i64`. A network whose last layer
+/// has a QReLU argmaxes its final activations, and a network with no
+/// layers argmaxes its inputs. Bit-exact with [`AxMlp::predict_with`]
+/// per row: same integer accumulators, same QReLU saturation, argmax
+/// ties to the lowest class. Empty data scores 0 hits.
 ///
 /// With `perturb`, every neuron accumulates at `i64` width and
 /// `perturb` adjusts its column before the activation or the argmax
@@ -673,7 +782,7 @@ pub type Perturb<'a> = &'a dyn Fn(usize, usize, &mut [i64]);
 pub fn hits_columns(
     mlp: &AxMlp,
     cols: &ColumnMatrix,
-    labels: &[usize],
+    labels: &ColumnLabels,
     scratch: &mut ColumnarScratch,
     perturb: Option<Perturb<'_>>,
 ) -> usize {
@@ -685,15 +794,18 @@ pub fn hits_columns(
     let ColumnarScratch {
         acc,
         narrow,
+        short,
         act,
         next,
         out_wide,
         out_narrow,
+        out_short,
         best_index,
         best_wide,
         best_narrow,
         best_act,
     } = scratch;
+    let lanes16 = perturb.is_none() && crate::simd::i16_lanes();
     // The live activation columns: `None` while the inputs are the
     // dataset's, then the previous layer's width. Column buffers only
     // ever grow, so layers of changing width reuse them.
@@ -701,13 +813,21 @@ pub fn hits_columns(
     for (li, layer) in mlp.layers.iter().enumerate() {
         let inputs = live.map_or(cols.cols(), |width| &act[..width]);
         let count = layer.neurons.len();
+        let rung16 = lanes16 && layer_fits_i16(layer);
         let Some(q) = layer.qrelu else {
+            if rung16 {
+                let outs = grown(out_short, count);
+                for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
+                    crate::simd::accumulate_i16(neuron, inputs, samples, out);
+                }
+                return crate::simd::argmax_hits_i16(outs, &labels.lanes);
+            }
             if perturb.is_none() && layer.neurons.iter().all(fits_i32) {
                 let outs = grown(out_narrow, count);
                 for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
                     accumulate_neuron_column_narrow(neuron, inputs, samples, out);
                 }
-                return argmax_hits(outs, labels, best_index, best_narrow);
+                return argmax_hits(outs, labels.classes(), best_index, best_narrow);
             }
             let outs = grown(out_wide, count);
             for (ni, (neuron, out)) in layer.neurons.iter().zip(outs.iter_mut()).enumerate() {
@@ -716,13 +836,15 @@ pub fn hits_columns(
                     perturb(li, ni, out);
                 }
             }
-            return argmax_hits(outs, labels, best_index, best_wide);
+            return argmax_hits(outs, labels.classes(), best_index, best_wide);
         };
         for (ni, (neuron, out)) in layer.neurons.iter().zip(grown(next, count)).enumerate() {
             if let Some(perturb) = perturb {
                 accumulate_neuron_column(neuron, inputs, samples, acc, narrow);
                 perturb(li, ni, acc);
                 qrelu_column(q, acc, out);
+            } else if rung16 {
+                crate::simd::hidden_column_i16(neuron, inputs, samples, q, short, out);
             } else {
                 hidden_column(neuron, inputs, samples, q, acc, narrow, out);
             }
@@ -731,7 +853,7 @@ pub fn hits_columns(
         live = Some(count);
     }
     let last = live.map_or(cols.cols(), |width| &act[..width]);
-    argmax_hits(last, labels, best_index, best_act)
+    argmax_hits(last, labels.classes(), best_index, best_act)
 }
 
 /// The first `count` column buffers of `columns`, growing it (never
@@ -752,7 +874,8 @@ fn grown<T>(columns: &mut Vec<Vec<T>>, count: usize) -> &mut [Vec<T>] {
 /// Panics if `labels` disagrees with the sample count.
 #[must_use]
 pub fn accuracy_columns(mlp: &AxMlp, cols: &ColumnMatrix, labels: &[usize]) -> f64 {
-    let hits = hits_columns(mlp, cols, labels, &mut ColumnarScratch::new(), None);
+    let classes = ColumnLabels::new(labels.to_vec());
+    let hits = hits_columns(mlp, cols, &classes, &mut ColumnarScratch::new(), None);
     if labels.is_empty() {
         0.0
     } else {
@@ -957,11 +1080,13 @@ mod tests {
     }
 
     /// The row oracle's prediction for every row of `m`.
-    fn oracle_labels(mlp: &AxMlp, m: &QuantMatrix) -> Vec<usize> {
+    fn oracle_labels(mlp: &AxMlp, m: &QuantMatrix) -> ColumnLabels {
         let mut scratch = InferenceScratch::new();
-        m.iter()
-            .map(|row| mlp.predict_with(row, &mut scratch))
-            .collect()
+        ColumnLabels::new(
+            m.iter()
+                .map(|row| mlp.predict_with(row, &mut scratch))
+                .collect(),
+        )
     }
 
     /// The forward pass hits every row when the row oracle's
@@ -971,7 +1096,7 @@ mod tests {
         let cols = m.columns();
         let labels = oracle_labels(mlp, m);
         assert_eq!(hits_columns(mlp, &cols, &labels, scratch, None), m.len());
-        let wrong: Vec<usize> = labels.iter().map(|&l| l + 1).collect();
+        let wrong = ColumnLabels::new(labels.classes().iter().map(|&l| l + 1).collect());
         assert_eq!(hits_columns(mlp, &cols, &wrong, scratch, None), 0);
     }
 
@@ -982,6 +1107,79 @@ mod tests {
         mlp.layers[1].neurons[1].weights[0] = weight(0xFF, 24, true);
         assert!(!fits_i32(&mlp.layers[1].neurons[1]));
         mlp
+    }
+
+    /// [`two_layer_net`] with one output weight shifted past the `i16`
+    /// range but inside `i32`, so the output layer runs at `i32` width.
+    fn narrow_output_net() -> AxMlp {
+        let mut mlp = two_layer_net();
+        mlp.layers[1].neurons[1].weights[0] = weight(0xFF, 8, false);
+        assert!(fits_i32(&mlp.layers[1].neurons[1]));
+        assert!(!layer_fits_i16(&mlp.layers[1]));
+        mlp
+    }
+
+    /// One network per output-layer rung: `i16` (where the `i16`
+    /// kernels run), `i32` and `i64`.
+    fn rung_nets() -> [AxMlp; 3] {
+        let short = two_layer_net();
+        assert!(short.layers.iter().all(layer_fits_i16));
+        [short, narrow_output_net(), wide_output_net()]
+    }
+
+    /// `n` rows of `width` bytes: all 255, then all 0, then a spread
+    /// over the whole `u8` range.
+    fn byte_rows(n: usize, width: usize) -> QuantMatrix {
+        let rows: Vec<Vec<u8>> = (0..n)
+            .map(|r| match r {
+                0 => vec![0xFF; width],
+                1 => vec![0; width],
+                _ => (0..width)
+                    .map(|f| ((r * 37 + f * 101) % 256) as u8)
+                    .collect(),
+            })
+            .collect();
+        QuantMatrix::from_rows(&rows)
+    }
+
+    /// Row counts around the 16-sample stripes: none, a tail alone, one
+    /// stripe with and without a tail, and a study-sized split.
+    const ROW_COUNTS: [usize; 7] = [0, 1, 15, 16, 17, 33, 2000];
+
+    /// Two-input neurons whose accumulator range ends exactly on an
+    /// `i16` bound (`true`: they fit) or one LSB beyond it (`false`),
+    /// and neurons whose terms wrap their `i16` lanes on the way to a
+    /// sum inside the range.
+    fn edge_neurons() -> Vec<(AxNeuron, bool)> {
+        let n = |weights: Vec<AxWeight>, bias| AxNeuron { weights, bias };
+        let top = weight(0xFF, 7, false); // terms up to 32,640
+        let bottom = weight(0xFF, 7, true);
+        let off = weight(0, 9, true);
+        vec![
+            // [127, 32767] and one beyond.
+            (n(vec![top, off], 127), true),
+            (n(vec![top, off], 128), false),
+            // [-32768, -113] and one beyond.
+            (n(vec![bottom, weight(0x0F, 0, false)], -128), true),
+            (n(vec![bottom, weight(0x0F, 0, false)], -129), false),
+            // A 65,280 term wraps its lane: [-32768, 32512].
+            (n(vec![weight(0xFF, 8, true), off], 32512), true),
+            (n(vec![weight(0xFF, 8, false), off], -32768), true),
+            // 2^15 terms wrap too: [-32768, 0] and [-16, 32767].
+            (n(vec![weight(0x01, 15, false), off], -32768), true),
+            (
+                n(vec![weight(0x01, 15, true), weight(0x0F, 0, false)], 32752),
+                true,
+            ),
+            // Two terms that together reach the bottom bound, and one
+            // LSB past it.
+            (n(vec![bottom, bottom], 32512), true),
+            (n(vec![bottom, bottom], 32511), false),
+            // A shift past the `i16` lanes, and mask bits above the
+            // activation byte, which add nothing at any shift.
+            (n(vec![weight(0x01, 16, false), off], 0), false),
+            (n(vec![weight(0x100, 30, false), off], 5), true),
+        ]
     }
 
     #[test]
@@ -1003,14 +1201,14 @@ mod tests {
 
     #[test]
     fn tied_output_neurons_predict_the_lowest_class() {
-        for mut mlp in [two_layer_net(), wide_output_net()] {
+        for mut mlp in rung_nets() {
             let out = mlp.layers[1].neurons[1].clone();
             mlp.layers[1].neurons = vec![out.clone(), out];
             let m = exhaustive_rows();
             let cols = m.columns();
             let mut scratch = ColumnarScratch::new();
-            let zeros = vec![0; m.len()];
-            let ones = vec![1; m.len()];
+            let zeros = ColumnLabels::new(vec![0; m.len()]);
+            let ones = ColumnLabels::new(vec![1; m.len()]);
             assert_eq!(
                 hits_columns(&mlp, &cols, &zeros, &mut scratch, None),
                 m.len()
@@ -1023,8 +1221,8 @@ mod tests {
     fn columnar_forward_is_bit_exact_with_the_row_oracle() {
         let m = exhaustive_rows();
         let mut scratch = ColumnarScratch::new();
-        // A narrow (`i32`) and a wide (`i64`) output layer.
-        for mlp in [two_layer_net(), wide_output_net()] {
+        // An `i16`, a narrow (`i32`) and a wide (`i64`) output layer.
+        for mlp in rung_nets() {
             assert_matches_the_row_oracle(&mlp, &m, &mut scratch);
             // Accuracy agrees with the row-major API on the same labels.
             let labels: Vec<usize> = (0..m.len()).map(|i| i % 2).collect();
@@ -1048,7 +1246,7 @@ mod tests {
         let m = exhaustive_rows();
         let cols = m.columns();
         let mut scratch = ColumnarScratch::new();
-        for mlp in [two_layer_net(), wide_output_net()] {
+        for mlp in rung_nets() {
             let mut moved = mlp.clone();
             for (li, layer) in moved.layers.iter_mut().enumerate() {
                 for (ni, neuron) in layer.neurons.iter_mut().enumerate() {
@@ -1102,7 +1300,8 @@ mod tests {
         let empty = QuantMatrix::from_flat(Vec::new(), 2, 0).columns();
         assert_eq!(accuracy_columns(&mlp, &empty, &[]), 0.0);
         let mut scratch = ColumnarScratch::new();
-        assert_eq!(hits_columns(&mlp, &empty, &[], &mut scratch, None), 0);
+        let none = ColumnLabels::default();
+        assert_eq!(hits_columns(&mlp, &empty, &none, &mut scratch, None), 0);
     }
 
     #[test]
@@ -1129,9 +1328,94 @@ mod tests {
             &two_layer_net(),
             &narrow,
             &wide_output_net(),
+            &narrow_output_net(),
             &two_layer_net(),
         ] {
             assert_matches_the_row_oracle(mlp, &m, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn the_i16_bounds_are_inclusive() {
+        for (neuron, fits) in edge_neurons() {
+            assert_eq!(fits_i16(&neuron), fits, "{neuron:?}");
+            let layer = AxLayer {
+                input_bits: 8,
+                neurons: vec![neuron],
+                qrelu: None,
+            };
+            assert_eq!(layer_fits_i16(&layer), fits);
+        }
+    }
+
+    #[test]
+    fn every_rung_matches_the_row_oracle_at_the_i16_bounds() {
+        let (fitting, beyond): (Vec<_>, Vec<_>) =
+            edge_neurons().into_iter().partition(|(_, fits)| *fits);
+        let mut fitting: Vec<AxNeuron> = fitting.into_iter().map(|(n, _)| n).collect();
+        // A duplicate: the lower index wins the tie.
+        fitting.push(fitting[0].clone());
+        let mut all = fitting.clone();
+        all.extend(beyond.into_iter().map(|(n, _)| n));
+        let argmax = |neurons: Vec<AxNeuron>| AxMlp {
+            layers: vec![AxLayer {
+                input_bits: 8,
+                neurons,
+                qrelu: None,
+            }],
+        };
+        let short = argmax(fitting.clone());
+        let narrow = argmax(all);
+        assert!(layer_fits_i16(&short.layers[0]));
+        assert!(!layer_fits_i16(&narrow.layers[0]));
+        // Hidden layers at QReLU shifts inside and past the `i16`
+        // lanes; from 32 on the vector pack declines and the layer
+        // takes the `i32` rung.
+        let outputs: Vec<AxNeuron> = (0..3)
+            .map(|i| AxNeuron {
+                weights: (0..fitting.len())
+                    .map(|j| weight(0xFF, ((i + j) % 3) as u8, (i + j) % 2 == 0))
+                    .collect(),
+                bias: 5 - i as i32,
+            })
+            .collect();
+        let mut nets = vec![short, narrow];
+        for shift in [0, 7, 8, 14, 15, 16, 20, 31, 32, 40] {
+            let hidden = AxLayer {
+                input_bits: 8,
+                neurons: fitting.clone(),
+                qrelu: Some(QReluCfg { out_bits: 8, shift }),
+            };
+            assert_eq!(layer_fits_i16(&hidden), shift < 32);
+            let output = AxLayer {
+                input_bits: 8,
+                neurons: outputs.clone(),
+                qrelu: None,
+            };
+            nets.push(AxMlp {
+                layers: vec![hidden, output],
+            });
+        }
+        let mut scratch = ColumnarScratch::new();
+        for rows in ROW_COUNTS {
+            let m = byte_rows(rows, 2);
+            for mlp in &nets {
+                assert_matches_the_row_oracle(mlp, &m, &mut scratch);
+            }
+        }
+    }
+
+    #[test]
+    fn labels_outside_the_classes_never_hit() {
+        let lanes = ColumnLabels::new(vec![0, 32767, 32768, usize::MAX]).lanes;
+        assert_eq!(lanes, vec![0, 32767, -1, -1]);
+        let m = exhaustive_rows();
+        let cols = m.columns();
+        let mut scratch = ColumnarScratch::new();
+        let outside = [2, 3, 32767, 32768, 40000, usize::MAX];
+        let labels = ColumnLabels::new((0..m.len()).map(|i| outside[i % 6]).collect());
+        for mlp in rung_nets() {
+            assert_eq!(hits_columns(&mlp, &cols, &labels, &mut scratch, None), 0);
         }
     }
 }

@@ -53,7 +53,7 @@ pub mod topology;
 pub mod train;
 
 pub use axmlp::{fold_constants, AxLayer, AxMlp, AxNeuron, AxWeight, InferenceScratch};
-pub use columnar::{ColumnMatrix, ColumnarScratch, KernelKind, QuantMatrix};
+pub use columnar::{ColumnLabels, ColumnMatrix, ColumnarScratch, KernelKind, QuantMatrix};
 pub use dense::{argmax, DenseMlp};
 pub use hardware::{ax_to_hardware, fixed_to_hardware};
 pub use quant::{FixedLayer, FixedMlp, QReluCfg, QReluKernel, QuantConfig};

@@ -1,23 +1,42 @@
-//! Explicit `std::arch` x86_64 kernels for the narrow (`i32`) column
-//! accumulation, runtime feature-detected.
+//! Explicit `std::arch` x86_64 column kernels, runtime
+//! feature-detected.
 //!
 //! The scalar kernel in [`crate::columnar`] already auto-vectorizes
-//! well, but the compiler must keep the `u8 → i32` widening, the AND
-//! and the variable shift composable for any weight; writing the loop
-//! directly against the ISA pins the exact instruction mix: load 8
-//! column bytes, widen to 8 × `i32` lanes (`vpmovzxbd`), AND against
-//! the broadcast mask, shift all lanes by the weight's scalar shift
-//! count (`vpslld`), and add into (or subtract from) the accumulator
-//! vector. One pass per weight over its contiguous column, exactly
-//! like the scalar kernel — same order, same widths, so the sums are
-//! identical bit for bit (the proptest parity suite pins this).
+//! well, but the compiler must keep the `u8` widening, the AND and the
+//! variable shift composable for any weight; writing the loop directly
+//! against the ISA pins the exact instruction mix. Each neuron runs on
+//! the narrowest lanes its accumulator range fits, a ladder
+//! [`crate::columnar::hits_columns`] climbs per layer:
 //!
-//! AVX2 processes 8 samples per step, the SSE2 fallback 4 (SSE2 is
-//! part of the x86_64 baseline, so that path needs no runtime check).
-//! On other architectures — or with the `simd` cargo feature off —
-//! [`accumulate_neuron_column_simd`] reports `false` and callers fall
-//! back to the scalar kernel, keeping every target green without
-//! `cfg` soup at the call sites.
+//! * **`i16`, 16 samples per AVX2 step** (`hidden_column_i16`,
+//!   `accumulate_i16`, `argmax_hits_i16`) when every value the
+//!   accumulator can take, `[bias − Σneg, bias + Σpos]`, lies inside
+//!   `i16` ([`fits_i16`](crate::columnar::fits_i16)): load 16 column
+//!   bytes, widen them to `u16` lanes (`vpmovzxbw`), AND against the
+//!   broadcast mask and multiply by the weight's signed power of two
+//!   (`vpmullw` by `±2^k` is the shift and the sign at once), add. The
+//!   sums wrap mod 2^16, so every final value inside the range is
+//!   exact whatever the partial sums do. A hidden column is
+//!   QReLU-packed straight to `u8`; an argmax layer's running best,
+//!   its index and the hit count stay in registers. Needs AVX2
+//!   ([`i16_lanes`]); without it the `i32` rung serves these neurons.
+//! * **`i32`, 8 samples per AVX2 step** (4 on the SSE2 fallback) when
+//!   the worst-case `|accumulator|` fits `i32`
+//!   ([`fits_i32`](crate::columnar::fits_i32)): widen to `i32` lanes
+//!   (`vpmovzxbd`), AND, shift by the weight's scalar count
+//!   (`vpslld`), add or subtract; then a vectorized QReLU pack and
+//!   running-argmax update. Per sample the weights contribute in
+//!   their original order, so the sums equal the scalar kernel's bit
+//!   for bit.
+//! * **`i64`** — the scalar loop in [`crate::columnar`], on every
+//!   build, for hand-built extremes and for the robust search's
+//!   perturbed accumulators.
+//!
+//! SSE2 is part of the x86_64 baseline, so the `i32` fallback needs no
+//! runtime check. On other architectures — or with the `simd` cargo
+//! feature off — the `i32` entry points report that they did not run,
+//! callers take the scalar `i32` kernel, and [`i16_lanes`] is `false`,
+//! keeping every target green without `cfg` soup at the call sites.
 
 use crate::axmlp::AxNeuron;
 use crate::quant::QReluCfg;
@@ -70,7 +89,7 @@ pub fn accumulate_neuron_column_simd<C: AsRef<[u8]>>(
 pub fn qrelu_column_narrow_simd(q: QReluCfg, acc: &[i32], out: &mut Vec<u8>) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if q.out_bits > 8 || q.shift >= 32 || !x86::has_avx2() {
+        if !packs_to_u8(q) || !x86::has_avx2() {
             return false;
         }
         x86::qrelu(q, acc, out);
@@ -115,6 +134,119 @@ pub fn argmax_update_narrow(
     }
 }
 
+/// Whether a vector QReLU pack reproduces `q`'s scalar saturation:
+/// `out_bits <= 8` (the scalar `as u8` would wrap a wider stage, where
+/// the pack saturates) and `shift < 32`.
+#[must_use]
+pub(crate) fn packs_to_u8(q: QReluCfg) -> bool {
+    q.out_bits <= 8 && q.shift < 32
+}
+
+/// Whether the `i16` rung's kernels run on this host: the `simd`
+/// feature built on x86_64 and AVX2 detected at runtime. Where this is
+/// `false`, [`hits_columns`](crate::columnar::hits_columns) runs the
+/// neurons the rung would take on the `i32` kernels.
+#[must_use]
+pub fn i16_lanes() -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        x86::has_avx2()
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        false
+    }
+}
+
+/// One hidden column on the `i16` rung: accumulate `neuron` over
+/// `inputs`, 16 samples per step, and QReLU-pack every stripe straight
+/// into `out` as `u8` activations. `acc` holds partial sums only for a
+/// neuron with more active weights than one stripe pass keeps in
+/// registers (8). Bit-exact with
+/// [`hidden_column`](crate::columnar::hidden_column).
+///
+/// # Panics
+///
+/// Panics without [`i16_lanes`], if `inputs` and the weights disagree
+/// in count, or if an active weight's column is not `samples` long.
+/// The neuron must [`fits_i16`](crate::columnar::fits_i16) and `q` must
+/// pack to `u8` (`out_bits <= 8`, `shift < 32`); debug builds check
+/// both.
+pub(crate) fn hidden_column_i16<C: AsRef<[u8]>>(
+    neuron: &AxNeuron,
+    inputs: &[C],
+    samples: usize,
+    q: QReluCfg,
+    acc: &mut Vec<i16>,
+    out: &mut Vec<u8>,
+) {
+    debug_assert!(packs_to_u8(q), "the QReLU must pack to u8");
+    column_i16(neuron, inputs, samples, acc, Some((q, out)));
+}
+
+/// One accumulator column on the `i16` rung, 16 samples per step, into
+/// `acc`. Bit-exact with
+/// [`accumulate_neuron_column`](crate::columnar::accumulate_neuron_column).
+///
+/// # Panics
+///
+/// As [`hidden_column_i16`].
+pub(crate) fn accumulate_i16<C: AsRef<[u8]>>(
+    neuron: &AxNeuron,
+    inputs: &[C],
+    samples: usize,
+    acc: &mut Vec<i16>,
+) {
+    column_i16(neuron, inputs, samples, acc, None);
+}
+
+fn column_i16<C: AsRef<[u8]>>(
+    neuron: &AxNeuron,
+    inputs: &[C],
+    samples: usize,
+    acc: &mut Vec<i16>,
+    qrelu: Option<(QReluCfg, &mut Vec<u8>)>,
+) {
+    assert!(i16_lanes(), "the i16 kernels need AVX2");
+    debug_assert!(
+        crate::columnar::fits_i16(neuron),
+        "the accumulator range must fit i16"
+    );
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    x86::column_i16(neuron, inputs, samples, acc, qrelu);
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let _ = (neuron, inputs, samples, acc, qrelu);
+}
+
+/// Rows whose argmax over the `i16` columns equals their `i16` label:
+/// one pass per 16-sample stripe keeps the running best value, its
+/// index and the hit count in registers and stores nothing. Ties go to
+/// the lowest index (strictly greater wins), as in
+/// [`argmax_hits`](crate::columnar::argmax_hits); an empty column set
+/// predicts class 0.
+///
+/// # Panics
+///
+/// Panics without [`i16_lanes`], with more than 2^15 columns (their
+/// indices must fit `i16` lanes), or if a column's length differs from
+/// `labels.len()`.
+#[must_use]
+pub(crate) fn argmax_hits_i16(columns: &[Vec<i16>], labels: &[i16]) -> usize {
+    assert!(i16_lanes(), "the i16 kernels need AVX2");
+    assert!(columns.len() <= 1 << 15, "class indices must fit i16 lanes");
+    if columns.is_empty() {
+        return labels.iter().filter(|&&l| l == 0).count();
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        x86::argmax_hits_i16(columns, labels)
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        unreachable!("no i16 lanes without the x86_64 `simd` build")
+    }
+}
+
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod x86 {
@@ -124,13 +256,17 @@ mod x86 {
     //! `#[target_feature]` call boundary.
 
     use std::arch::x86_64::{
-        __m128i, _mm256_add_epi32, _mm256_and_si256, _mm256_blendv_epi8, _mm256_cmpgt_epi32,
-        _mm256_cvtepu8_epi32, _mm256_loadu_si256, _mm256_max_epi32, _mm256_min_epi32,
-        _mm256_packus_epi16, _mm256_packus_epi32, _mm256_permutevar8x32_epi32, _mm256_set1_epi32,
-        _mm256_set_epi32, _mm256_setzero_si256, _mm256_sll_epi32, _mm256_sra_epi32,
+        __m128i, _mm256_add_epi16, _mm256_add_epi32, _mm256_and_si256, _mm256_blendv_epi8,
+        _mm256_castsi256_si128, _mm256_cmpeq_epi16, _mm256_cmpgt_epi16, _mm256_cmpgt_epi32,
+        _mm256_cvtepu8_epi16, _mm256_cvtepu8_epi32, _mm256_extracti128_si256, _mm256_loadu_si256,
+        _mm256_max_epi16, _mm256_max_epi32, _mm256_min_epi16, _mm256_min_epi32,
+        _mm256_movemask_epi8, _mm256_mullo_epi16, _mm256_packus_epi16, _mm256_packus_epi32,
+        _mm256_permutevar8x32_epi32, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set_epi32,
+        _mm256_setzero_si256, _mm256_sll_epi32, _mm256_sra_epi16, _mm256_sra_epi32,
         _mm256_storeu_si256, _mm256_sub_epi32, _mm_add_epi32, _mm_and_si128, _mm_cvtsi32_si128,
-        _mm_loadl_epi64, _mm_loadu_si128, _mm_set1_epi32, _mm_setzero_si128, _mm_sll_epi32,
-        _mm_storeu_si128, _mm_sub_epi32, _mm_unpackhi_epi16, _mm_unpacklo_epi16, _mm_unpacklo_epi8,
+        _mm_loadl_epi64, _mm_loadu_si128, _mm_packus_epi16, _mm_set1_epi32, _mm_setzero_si128,
+        _mm_sll_epi32, _mm_storeu_si128, _mm_sub_epi32, _mm_unpackhi_epi16, _mm_unpacklo_epi16,
+        _mm_unpacklo_epi8,
     };
     use std::sync::OnceLock;
 
@@ -142,6 +278,16 @@ mod x86 {
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
     }
+
+    /// How many weights one AVX2 stripe pass fuses, on either rung: the
+    /// accumulator vector stays in a register across the whole block,
+    /// so the per-weight accumulator load/store of a weight-outer loop
+    /// is paid once per block instead of once per weight. On the `i16`
+    /// rung, `hits_columns` over random networks of the five Table I
+    /// topologies at 2000 rows ran faster with blocks of 8 than of 4,
+    /// 12, 16 or 32, although a 21-input neuron then stores its partial
+    /// sums twice.
+    const BLOCK: usize = 8;
 
     /// Shift–clamp–narrow one column, 32 samples per step.
     /// Preconditions (checked by the caller): AVX2 present,
@@ -237,6 +383,214 @@ mod x86 {
         }
     }
 
+    /// One neuron's column on 16 `i16` lanes per step: stored as `i16`
+    /// accumulators in `acc` or, with `qrelu`, QReLU-packed into its
+    /// `u8` column (`acc` then carries partial sums between blocks
+    /// only). Preconditions (checked by the caller): `fits_i16(neuron)`
+    /// and, with `qrelu`, `packs_to_u8(q)`.
+    pub(super) fn column_i16<C: AsRef<[u8]>>(
+        neuron: &AxNeuron,
+        inputs: &[C],
+        samples: usize,
+        acc: &mut Vec<i16>,
+        mut qrelu: Option<(QReluCfg, &mut Vec<u8>)>,
+    ) {
+        assert!(has_avx2(), "the i16 kernels need AVX2");
+        assert_eq!(
+            inputs.len(),
+            neuron.weights.len(),
+            "input column count mismatch"
+        );
+        // `truncate` then `resize` sets the length and writes only what
+        // grows: every element is overwritten below.
+        acc.truncate(samples);
+        acc.resize(samples, 0);
+        if let Some((_, out)) = &mut qrelu {
+            out.truncate(samples);
+            out.resize(samples, 0);
+        }
+        // SAFETY: AVX2 was confirmed above; the kernel bounds every
+        // access by `samples`, the length of `acc`, of `out` and (it
+        // asserts) of every active weight's column.
+        unsafe {
+            neuron_i16_avx2(
+                neuron,
+                inputs,
+                acc,
+                qrelu.as_mut().map(|(q, out)| (*q, &mut out[..])),
+            );
+        }
+        // The samples past the last full stripe, in `i32`: partial sums
+        // stay within |bias| + max(Σpos, Σneg) < 2^17.
+        for s in samples / 16 * 16..samples {
+            let mut a = neuron.bias;
+            for (w, col) in neuron.weights.iter().zip(inputs) {
+                let mask = (w.mask & 0xFF) as u8;
+                if mask != 0 {
+                    let term = i32::from(col.as_ref()[s] & mask) << w.shift;
+                    a = if w.negative { a - term } else { a + term };
+                }
+            }
+            match &mut qrelu {
+                Some((q, out)) => out[s] = q.kernel().apply(i64::from(a)),
+                None => acc[s] = a as i16,
+            }
+        }
+    }
+
+    /// The stripes of [`column_i16`], active weights in blocks of
+    /// [`BLOCK`]. Each term `(x ⊙ m) ≪ k` is `(x ⊙ m) · 2^k`, and
+    /// the weight's sign rides on the multiplier (`vpmullw` by `±2^k`),
+    /// so every weight is one AND, one multiply and one add; the sums
+    /// wrap mod 2^16, which is exact for every final value inside the
+    /// `i16` range.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the host supports AVX2 and that `qrelu`'s
+    /// column is as long as `acc`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn neuron_i16_avx2<C: AsRef<[u8]>>(
+        neuron: &AxNeuron,
+        inputs: &[C],
+        acc: &mut [i16],
+        mut qrelu: Option<(QReluCfg, &mut [u8])>,
+    ) {
+        let samples = acc.len();
+        let chunks = samples / 16;
+        let zero = _mm256_setzero_si256();
+        let (count, ceil) = qrelu
+            .as_ref()
+            .map_or((_mm_setzero_si128(), zero), |(q, _)| {
+                let ceil = (1i32 << q.out_bits) - 1;
+                (
+                    _mm_cvtsi32_si128(q.shift as i32),
+                    _mm256_set1_epi16(ceil as i16),
+                )
+            });
+        let bias = _mm256_set1_epi16(neuron.bias as i16);
+        let mut cols: [&[u8]; BLOCK] = [&[]; BLOCK];
+        let mut mask_v = [zero; BLOCK];
+        let mut step_v = [zero; BLOCK];
+        let mut active = neuron
+            .weights
+            .iter()
+            .zip(inputs)
+            .filter(|(w, _)| w.mask & 0xFF != 0)
+            .peekable();
+        let mut first = true;
+        loop {
+            let mut len = 0;
+            while len < BLOCK {
+                let Some((w, col)) = active.next() else { break };
+                let col = col.as_ref();
+                assert_eq!(col.len(), samples, "column length mismatch");
+                cols[len] = col;
+                mask_v[len] = _mm256_set1_epi16(i16::from((w.mask & 0xFF) as u8));
+                let step = (1u16 << w.shift) as i16;
+                step_v[len] = _mm256_set1_epi16(if w.negative {
+                    step.wrapping_neg()
+                } else {
+                    step
+                });
+                len += 1;
+            }
+            let last = active.peek().is_none();
+            let block = cols[..len].iter().zip(&mask_v[..len]).zip(&step_v[..len]);
+            for c in 0..chunks {
+                let at = c * 16;
+                // SAFETY: `at + 16 <= samples` bounds the 16-byte column
+                // loads, the 32-byte accumulator load and store, and the
+                // 16-byte activation store.
+                unsafe {
+                    let slot = acc.as_mut_ptr().add(at).cast();
+                    let mut cur = if first {
+                        bias
+                    } else {
+                        _mm256_loadu_si256(slot)
+                    };
+                    for ((col, &mask), &step) in block.clone() {
+                        let bytes = _mm_loadu_si128(col.as_ptr().add(at).cast());
+                        let lanes = _mm256_and_si256(_mm256_cvtepu8_epi16(bytes), mask);
+                        cur = _mm256_add_epi16(cur, _mm256_mullo_epi16(lanes, step));
+                    }
+                    match &mut qrelu {
+                        Some((_, out)) if last => {
+                            let shifted = _mm256_sra_epi16(cur, count);
+                            let v = _mm256_min_epi16(_mm256_max_epi16(shifted, zero), ceil);
+                            let lo = _mm256_castsi256_si128(v);
+                            let hi = _mm256_extracti128_si256::<1>(v);
+                            let packed = _mm_packus_epi16(lo, hi);
+                            _mm_storeu_si128(out.as_mut_ptr().add(at).cast(), packed);
+                        }
+                        _ => _mm256_storeu_si256(slot, cur),
+                    }
+                }
+            }
+            if last {
+                break;
+            }
+            first = false;
+        }
+    }
+
+    /// The argmax and hit count of [`argmax_hits_i16`](super::argmax_hits_i16).
+    /// Precondition (checked by the caller): at most 2^15 columns.
+    pub(super) fn argmax_hits_i16(columns: &[Vec<i16>], labels: &[i16]) -> usize {
+        assert!(has_avx2(), "the i16 kernels need AVX2");
+        assert!(!columns.is_empty(), "argmax over zero columns");
+        for col in columns {
+            assert_eq!(col.len(), labels.len(), "column length mismatch");
+        }
+        let chunks = labels.len() / 16;
+        // SAFETY: AVX2 was confirmed above; every column and `labels`
+        // hold at least `chunks * 16` elements.
+        let mut hits = unsafe { argmax_hits_avx2(columns, labels, chunks) };
+        for (s, &label) in labels.iter().enumerate().skip(chunks * 16) {
+            let (mut best, mut index) = (columns[0][s], 0);
+            for (j, col) in columns.iter().enumerate().skip(1) {
+                if col[s] > best {
+                    best = col[s];
+                    index = j;
+                }
+            }
+            hits += usize::from(index as i16 == label);
+        }
+        hits
+    }
+
+    /// # Safety
+    ///
+    /// The caller must ensure the host supports AVX2, that `columns` is
+    /// not empty, and that every column and `labels` hold at least
+    /// `chunks * 16` elements.
+    #[target_feature(enable = "avx2")]
+    unsafe fn argmax_hits_avx2(columns: &[Vec<i16>], labels: &[i16], chunks: usize) -> usize {
+        let one = _mm256_set1_epi16(1);
+        let mut hits = 0usize;
+        for c in 0..chunks {
+            let at = c * 16;
+            // SAFETY: `at + 16 <= len` bounds every 32-byte load.
+            unsafe {
+                let mut best = _mm256_loadu_si256(columns[0].as_ptr().add(at).cast());
+                let mut index = _mm256_setzero_si256();
+                let mut j = index;
+                for col in &columns[1..] {
+                    j = _mm256_add_epi16(j, one);
+                    let x = _mm256_loadu_si256(col.as_ptr().add(at).cast());
+                    let take = _mm256_cmpgt_epi16(x, best);
+                    best = _mm256_max_epi16(best, x);
+                    index = _mm256_blendv_epi8(index, j, take);
+                }
+                let label = _mm256_loadu_si256(labels.as_ptr().add(at).cast());
+                let hit = _mm256_cmpeq_epi16(index, label);
+                hits += (_mm256_movemask_epi8(hit) as u32).count_ones() as usize;
+            }
+        }
+        // Each hit lane sets both of its bytes in the mask.
+        hits / 2
+    }
+
     /// Dispatch one neuron's accumulation to the widest available ISA.
     /// Precondition (checked by the caller): `fits_i32(neuron)`.
     pub(super) fn accumulate<C: AsRef<[u8]>>(
@@ -273,12 +627,6 @@ mod x86 {
             );
         }
     }
-
-    /// How many weights one AVX2 stripe pass fuses: the accumulator
-    /// vector stays in a register across the whole block, so the
-    /// per-weight accumulator load/store of a weight-outer loop is
-    /// paid once per block instead of once per weight.
-    const BLOCK: usize = 8;
 
     /// The whole neuron at 8 `i32` lanes per step (AVX2), active
     /// weights processed in blocks of [`BLOCK`]. Per sample the
@@ -502,6 +850,96 @@ mod tests {
             }
             assert_eq!(value, want_value);
             assert_eq!(index, want_index, "ties must stay at the lowest index");
+        }
+    }
+
+    /// Neurons on the `i16` rung: a mixed-sign one at the paper's
+    /// widths, two whose terms wrap their lanes, and one with 40 active
+    /// weights (two stripe blocks).
+    fn short_neurons() -> Vec<AxNeuron> {
+        let w = |mask: u16, shift: u8, negative: bool| AxWeight {
+            mask,
+            shift,
+            negative,
+        };
+        vec![
+            AxNeuron {
+                weights: vec![w(0x0F, 6, false), w(0, 3, true), w(0x0B, 4, true)],
+                bias: -2048,
+            },
+            AxNeuron {
+                weights: vec![w(0xFF, 8, true), w(0x0F, 0, false)],
+                bias: 32512,
+            },
+            AxNeuron {
+                weights: vec![w(0x01, 15, false), w(0x0F, 2, true)],
+                bias: -32708,
+            },
+            AxNeuron {
+                weights: (0..40).map(|i| w(0x0F, i % 4, i % 3 == 0)).collect(),
+                bias: 7,
+            },
+        ]
+    }
+
+    #[test]
+    fn i16_kernels_match_the_i32_kernels_when_available() {
+        if !i16_lanes() {
+            return;
+        }
+        let q = QReluCfg {
+            out_bits: 8,
+            shift: 3,
+        };
+        for neuron in short_neurons() {
+            assert!(crate::columnar::fits_i16(&neuron));
+            for samples in [0usize, 1, 15, 16, 17, 33, 47, 200] {
+                let refs: Vec<Vec<u8>> = (0..neuron.weights.len())
+                    .map(|f| {
+                        (0..samples)
+                            .map(|s| ((s * 29 + f * 53) % 256) as u8)
+                            .collect()
+                    })
+                    .collect();
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                accumulate_neuron_column_narrow_scalar(&neuron, &refs, samples, &mut want);
+                accumulate_i16(&neuron, &refs, samples, &mut got);
+                let got: Vec<i32> = got.iter().map(|&a| i32::from(a)).collect();
+                assert_eq!(got, want, "samples {samples}");
+                let want: Vec<u8> = want.iter().map(|&a| q.apply(i64::from(a))).collect();
+                let mut out = vec![9; 3];
+                hidden_column_i16(&neuron, &refs, samples, q, &mut Vec::new(), &mut out);
+                assert_eq!(out, want, "samples {samples}");
+            }
+        }
+    }
+
+    #[test]
+    fn i16_argmax_matches_the_scalar_sweep_when_available() {
+        if !i16_lanes() {
+            return;
+        }
+        for samples in [0usize, 1, 15, 16, 17, 33, 47] {
+            // Few distinct values, so ties are common.
+            let cols: Vec<Vec<i16>> = (0..5)
+                .map(|j| {
+                    (0..samples)
+                        .map(|i| ((i * 7 + j * 13) % 5) as i16 * 8000 - 16000)
+                        .collect()
+                })
+                .collect();
+            let labels: Vec<usize> = (0..samples).map(|i| (i * 3) % 6).collect();
+            let wide: Vec<Vec<i32>> = cols
+                .iter()
+                .map(|c| c.iter().map(|&a| i32::from(a)).collect())
+                .collect();
+            let want =
+                crate::columnar::argmax_hits(&wide, &labels, &mut Vec::new(), &mut Vec::new());
+            let lanes: Vec<i16> = labels.iter().map(|&l| l as i16).collect();
+            assert_eq!(argmax_hits_i16(&cols, &lanes), want, "samples {samples}");
+            let none: &[Vec<i16>] = &[];
+            let zeros = lanes.iter().filter(|&&l| l == 0).count();
+            assert_eq!(argmax_hits_i16(none, &lanes), zeros);
         }
     }
 

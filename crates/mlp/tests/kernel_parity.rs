@@ -7,6 +7,10 @@
 //! checked against the per-sample oracle), and weights sitting exactly
 //! on the `i32` worst-case-bound boundary.
 //!
+//! Networks whose neurons' accumulator ranges end at or just past the
+//! `i16` bounds check the `i16` rung (and, past them or without AVX2,
+//! the `i32` rung) against the per-row oracle.
+//!
 //! The scalar kernel is itself pinned against the per-row oracle
 //! elsewhere (`columnar.rs` unit tests and the core crate's
 //! `columnar_parity` suite), and whole networks are checked against
@@ -20,8 +24,8 @@ use pe_mlp::columnar::{
     kernel_mode,
 };
 use pe_mlp::{
-    AxLayer, AxMlp, AxNeuron, AxWeight, ColumnarScratch, InferenceScratch, KernelKind, QReluCfg,
-    QuantMatrix,
+    AxLayer, AxMlp, AxNeuron, AxWeight, ColumnLabels, ColumnarScratch, InferenceScratch,
+    KernelKind, QReluCfg, QuantMatrix,
 };
 
 /// A weight drawn to stress the interesting regimes: plain 4/8-bit
@@ -50,6 +54,43 @@ fn neuron(max_fan_in: usize) -> impl Strategy<Value = AxNeuron> {
         -100_000i32..=100_000,
     )
         .prop_map(|(weights, bias)| AxNeuron { weights, bias })
+}
+
+/// A weight of an `i16`-edge neuron: full `u8` masks and the paper's
+/// shifts (up to 6), so a few terms span most of the `i16` range.
+fn edge_weight() -> impl Strategy<Value = AxWeight> {
+    let mask = prop_oneof![0u16..=0xFF, Just(0xFFu16), Just(0u16)];
+    (mask, 0u8..=6, any::<bool>()).prop_map(|(mask, shift, negative)| AxWeight {
+        mask,
+        shift,
+        negative,
+    })
+}
+
+/// A layer of `count` neurons whose accumulator ranges end on an
+/// `i16` bound or up to 2 LSB inside it (three layers in four, where
+/// every neuron of fan-in up to 4 fits), or 1–2 LSB beyond it.
+fn edge_layer(fan_in: usize, count: usize) -> impl Strategy<Value = Vec<AxNeuron>> {
+    prop_oneof![Just(true), Just(true), Just(true), Just(false)].prop_flat_map(move |inside| {
+        let slack = if inside { 0i32..=2 } else { -2i32..=-1 };
+        let neuron = (
+            proptest::collection::vec(edge_weight(), fan_in..=fan_in),
+            any::<bool>(),
+            slack,
+        )
+            .prop_map(|(weights, top, slack)| {
+                let term = |w: &AxWeight| i32::from(w.mask & 0xFF) << w.shift;
+                let pos: i32 = weights.iter().filter(|w| !w.negative).map(term).sum();
+                let neg: i32 = weights.iter().filter(|w| w.negative).map(term).sum();
+                let bias = if top {
+                    i32::from(i16::MAX) - pos - slack
+                } else {
+                    i32::from(i16::MIN) + neg + slack
+                };
+                AxNeuron { weights, bias }
+            });
+        proptest::collection::vec(neuron, count..=count)
+    })
 }
 
 /// Per-weight input columns (`fan_in × samples`), full `u8` range.
@@ -143,9 +184,48 @@ proptest! {
         let cols = QuantMatrix::from_rows(&rows).columns();
 
         let mut oracle_scratch = InferenceScratch::new();
-        let oracle: Vec<usize> =
-            rows.iter().map(|r| mlp.predict_with(r, &mut oracle_scratch)).collect();
+        let oracle = ColumnLabels::new(
+            rows.iter().map(|r| mlp.predict_with(r, &mut oracle_scratch)).collect(),
+        );
 
+        let hits = hits_columns(&mlp, &cols, &oracle, &mut ColumnarScratch::new(), None);
+        prop_assert_eq!(hits, rows.len(), "kernel {:?} diverged", kernel_mode());
+    }
+
+    /// Networks whose every neuron's range ends at or just past an
+    /// `i16` bound, hidden QReLU shifts inside and past the `i16`
+    /// lanes, and row counts around the 16-sample stripes: with the row
+    /// oracle's predictions as labels, every row hits on whichever rung
+    /// each layer takes.
+    #[test]
+    fn the_i16_rung_matches_the_per_row_oracle_at_its_bounds(
+        hidden in edge_layer(3, 4),
+        outputs in (2usize..=4).prop_flat_map(|count| edge_layer(4, count)),
+        shift in prop_oneof![0u32..=8, 14u32..=20, Just(31u32), Just(32u32)],
+        rows_raw in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 3..=3), 0..=40),
+    ) {
+        let mlp = AxMlp {
+            layers: vec![
+                AxLayer {
+                    input_bits: 8,
+                    neurons: hidden,
+                    qrelu: Some(QReluCfg { out_bits: 8, shift }),
+                },
+                AxLayer {
+                    input_bits: 8,
+                    neurons: outputs,
+                    qrelu: None,
+                },
+            ],
+        };
+        // The extreme rows reach both ends of every hidden range.
+        let mut rows = vec![vec![0xFF; 3], vec![0; 3]];
+        rows.extend(rows_raw);
+        let cols = QuantMatrix::from_rows(&rows).columns();
+        let mut oracle_scratch = InferenceScratch::new();
+        let oracle = ColumnLabels::new(
+            rows.iter().map(|r| mlp.predict_with(r, &mut oracle_scratch)).collect(),
+        );
         let hits = hits_columns(&mlp, &cols, &oracle, &mut ColumnarScratch::new(), None);
         prop_assert_eq!(hits, rows.len(), "kernel {:?} diverged", kernel_mode());
     }

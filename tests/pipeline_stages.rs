@@ -298,6 +298,32 @@ fn a_hand_edited_prepared_cache_file_is_a_typed_error() {
         assert_eq!(loaded_stages(&events), vec![StageKind::FloatTrained]);
         std::fs::write(&baseline_path, &baseline).expect("restore");
     }
+
+    // Bench code reads the splits of a stage loaded whole from the
+    // cache, so each later stage checks them when it loads: over a
+    // fully cached chain, a test split one label short is the same
+    // typed error.
+    std::fs::write(&path, serde_json::to_string(&original).expect("json")).expect("write");
+    pipeline.selected().expect("selected");
+    let mut edited = original.clone();
+    edited.test.labels.pop();
+    std::fs::write(&path, serde_json::to_string(&edited).expect("json")).expect("write");
+    let expected = Some(FlowError::Dataset(DatasetError::LengthMismatch {
+        features: test_rows,
+        labels: test_rows - 1,
+    }));
+    let (pipeline, events) = recording_pipeline(Dataset::BreastCancer, 3, Some(&dir));
+    assert_eq!(pipeline.selected().err(), expected);
+    assert_eq!(pipeline.searched().err(), expected);
+    assert_eq!(pipeline.baseline_costed().err(), expected);
+    assert_eq!(
+        loaded_stages(&events),
+        vec![
+            StageKind::Selected,
+            StageKind::Searched,
+            StageKind::BaselineCosted
+        ]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
