@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use pe_datasets::Dataset;
 use pe_hw::{Elaborator, TechLibrary};
-use pe_mlp::{ax_to_hardware, DenseMlp, SgdTrainer, Topology, TrainConfig};
+use pe_mlp::{ax_to_hardware, DenseMlp, QuantMatrix, SgdTrainer, Topology, TrainConfig};
 use pe_nsga::{Nsga2, NsgaConfig};
 use printed_axc::{
     doped_seeds, select_within_loss, AreaObjective, AxTrainConfig, AxTrainProblem, FloatTrained,
@@ -136,6 +136,8 @@ pub fn doping(dataset: Dataset, population: usize, generations: usize, seed: u64
         cfg.bias_bits,
         population / 10 + 1,
         seed,
+        &QuantMatrix::default(),
+        None,
     ));
     let random = run(Vec::new());
 

@@ -9,68 +9,25 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pe_mlp::{columnar, AxLayer, AxMlp, FixedMlp, QuantMatrix};
+use pe_mlp::{columnar, AxMlp, ColumnLabels, FixedMlp, QuantMatrix};
 
 use crate::genome::GenomeSpec;
 
 /// Build the doped seed genomes for [`pe_nsga::Nsga2::run_seeded`].
 ///
-/// `doped_count` copies of the baseline-derived pow2 network are
-/// injected: the first verbatim, the rest with a few random mask bits
-/// cleared (light, accuracy-preserving perturbations that diversify the
+/// The doped network is the baseline's pow2 conversion, calibrated on
+/// `calibration_rows` (see [`AxMlp::from_fixed_calibrated`]; bias
+/// error-feedback makes the seeds genuinely "nearly non-approximate" on
+/// multi-class datasets, and empty rows skip it), then refined by two
+/// greedy [`refine_doped`] sweeps against `refine`'s labelled rows
+/// (`None` skips refinement). `doped_count` copies of it are injected:
+/// the first verbatim, the rest with a few random mask bits cleared
+/// (light, accuracy-preserving perturbations that diversify the
 /// high-accuracy end of the initial population). The remaining
 /// population slots are filled randomly by the optimizer itself.
-#[must_use]
-pub fn doped_seeds(
-    spec: &GenomeSpec,
-    baseline: &FixedMlp,
-    max_shift: u8,
-    bias_bits: u32,
-    doped_count: usize,
-    seed: u64,
-) -> Vec<Vec<u32>> {
-    doped_seeds_calibrated(
-        spec,
-        baseline,
-        max_shift,
-        bias_bits,
-        doped_count,
-        seed,
-        &QuantMatrix::default(),
-    )
-}
-
-/// [`doped_seeds`] with data-calibrated pow2 conversion (see
-/// [`AxMlp::from_fixed_calibrated`]): bias error-feedback makes the
-/// doped seeds genuinely "nearly non-approximate" on multi-class
-/// datasets.
-#[must_use]
-pub fn doped_seeds_calibrated(
-    spec: &GenomeSpec,
-    baseline: &FixedMlp,
-    max_shift: u8,
-    bias_bits: u32,
-    doped_count: usize,
-    seed: u64,
-    calibration_rows: &QuantMatrix,
-) -> Vec<Vec<u32>> {
-    doped_seeds_refined(
-        spec,
-        baseline,
-        max_shift,
-        bias_bits,
-        doped_count,
-        seed,
-        calibration_rows,
-        None,
-    )
-}
-
-/// [`doped_seeds_calibrated`] plus greedy [`refine_doped`] sweeps
-/// against the given labelled rows; pass `None` to skip refinement.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
-pub fn doped_seeds_refined(
+pub fn doped_seeds(
     spec: &GenomeSpec,
     baseline: &FixedMlp,
     max_shift: u8,
@@ -159,12 +116,14 @@ fn for_each_mask_gene(spec: &GenomeSpec, mut visit: impl FnMut(usize)) {
 /// non-approximate" even on the multi-class datasets, and the NSGA-II
 /// run then explores the accuracy/area trade-off around it.
 ///
-/// Every trial runs on the columnar engine against resident state: the
-/// rows are transposed once, every hidden neuron's post-QReLU column and
-/// every output accumulator column stay in memory, and a trial
-/// recomputes only the touched neuron's column and the layers after it.
-/// Candidates are accepted on integer hit counts over the fixed rows,
-/// which orders them exactly as accuracy does.
+/// Every trial runs on the GA fitness's columnar forward pass, kept
+/// resident ([`columnar::ResidentPass`]): the rows are transposed once,
+/// every hidden layer's post-QReLU columns stay in memory, and a trial
+/// recomputes only the touched neuron's column and the hidden layers
+/// after it, then reruns the argmax layer, each on the `i16` → `i32` →
+/// `i64` lane ladder of the edited network. Candidates are accepted on
+/// integer hit counts over the fixed rows, which orders them exactly as
+/// accuracy does.
 ///
 /// One quirk of the weight sweep is kept on purpose, because fixing it
 /// changes every study's artifacts: each weight's candidates (shift −1,
@@ -189,14 +148,16 @@ pub fn refine_doped(
     }
     let bias_lo = -(1i64 << (bias_bits - 1)) as i32;
     let bias_hi = ((1i64 << (bias_bits - 1)) - 1) as i32;
-    let mut state = ResidentColumns::new(&best, rows, labels);
-    let mut best_hits = state.hits();
+    let mut pass = columnar::ResidentPass::new(rows.columns(), ColumnLabels::new(labels.to_vec()));
+    let mut best_hits = pass.run(&best);
+    // Layers past the argmax layer never reach a prediction, so every
+    // trial there would be rejected: skip them.
+    let argmax = best.layers.iter().position(|l| l.qrelu.is_none());
+    let live_layers = argmax.map_or(best.layers.len(), |li| li + 1);
 
     for _ in 0..passes {
         let improved_before = best_hits;
-        // Layers past the argmax layer never reach a prediction, so
-        // every trial there would be rejected: skip them.
-        for li in 0..state.live_layers() {
+        for li in 0..live_layers {
             for ni in 0..best.layers[li].neurons.len() {
                 for wi in 0..best.layers[li].neurons[ni].weights.len() {
                     let current = best.layers[li].neurons[ni].weights[wi];
@@ -225,7 +186,7 @@ pub fn refine_doped(
                     let mut moved = false;
                     for cand in candidates {
                         best.layers[li].neurons[ni].weights[wi] = cand;
-                        let hits = state.trial(&best, li, ni);
+                        let hits = pass.trial(&best, li, ni);
                         if hits > best_hits {
                             best_hits = hits;
                             moved = true;
@@ -235,10 +196,10 @@ pub fn refine_doped(
                                 // The quirk (see above): the weight is
                                 // back at `current`, so the state must
                                 // be too; the bar keeps the lost count.
-                                state.trial(&best, li, ni);
+                                pass.trial(&best, li, ni);
                                 moved = false;
                             } else {
-                                state.undo(li, ni);
+                                pass.undo();
                             }
                         }
                     }
@@ -253,12 +214,12 @@ pub fn refine_doped(
                             continue;
                         }
                         best.layers[li].neurons[ni].bias = cand;
-                        let hits = state.trial(&best, li, ni);
+                        let hits = pass.trial(&best, li, ni);
                         if hits > best_hits {
                             best_hits = hits;
                         } else {
                             best.layers[li].neurons[ni].bias = current;
-                            state.undo(li, ni);
+                            pass.undo();
                         }
                     }
                     step /= 2;
@@ -270,200 +231,6 @@ pub fn refine_doped(
         }
     }
     best
-}
-
-/// The resident columnar state behind [`refine_doped`]: one network's
-/// forward pass over fixed rows, kept column by column. A trial swaps
-/// freshly computed columns in for the touched neuron and every layer
-/// after it; [`undo`](Self::undo) swaps the previous ones back, and
-/// accepting a trial is free.
-struct ResidentColumns<'a> {
-    labels: &'a [usize],
-    samples: usize,
-    /// `acts[0]` holds the transposed rows, one column per feature;
-    /// `acts[l + 1]` the post-QReLU columns of layer `l`, for every
-    /// QReLU layer before the argmax layer.
-    acts: Vec<Vec<Vec<u8>>>,
-    /// The argmax layer's accumulator columns, or `None` when every
-    /// layer has a QReLU and argmax runs over the last activations.
-    outputs: Option<Vec<Vec<i64>>>,
-    /// The columns the last trial swapped out, so `undo` can swap them
-    /// back: the touched hidden neuron's column, whole later hidden
-    /// layers (indexed like `acts`), the output layer, or the touched
-    /// output neuron's column.
-    spare_col: Vec<u8>,
-    spare_acts: Vec<Vec<Vec<u8>>>,
-    spare_outputs: Vec<Vec<i64>>,
-    spare_acc: Vec<i64>,
-    acc: Vec<i64>,
-    narrow: Vec<i32>,
-    best_index: Vec<u32>,
-    best_wide: Vec<i64>,
-    best_act: Vec<u8>,
-}
-
-impl<'a> ResidentColumns<'a> {
-    /// Transpose `rows` once and run `mlp`'s full forward pass.
-    fn new(mlp: &AxMlp, rows: &QuantMatrix, labels: &'a [usize]) -> Self {
-        assert_eq!(rows.len(), labels.len());
-        let samples = rows.len();
-        let mut acts = vec![rows.columns().cols().to_vec()];
-        let mut outputs = None;
-        let (mut acc, mut narrow) = (Vec::new(), Vec::new());
-        for layer in &mlp.layers {
-            let inputs = acts.last().expect("the rows are resident");
-            if layer.qrelu.is_none() {
-                let mut out = Vec::new();
-                output_layer(layer, inputs, samples, &mut narrow, &mut out);
-                outputs = Some(out);
-                break;
-            }
-            let mut out = Vec::new();
-            hidden_layer(layer, inputs, samples, &mut acc, &mut narrow, &mut out);
-            acts.push(out);
-        }
-        Self {
-            labels,
-            samples,
-            spare_acts: vec![Vec::new(); acts.len()],
-            acts,
-            outputs,
-            spare_col: Vec::new(),
-            spare_outputs: Vec::new(),
-            spare_acc: Vec::new(),
-            acc,
-            narrow,
-            best_index: Vec::new(),
-            best_wide: Vec::new(),
-            best_act: Vec::new(),
-        }
-    }
-
-    /// Layers whose weights reach a prediction: every QReLU layer up to
-    /// and including the argmax layer.
-    fn live_layers(&self) -> usize {
-        self.acts.len() - 1 + usize::from(self.outputs.is_some())
-    }
-
-    /// Bring the state up to date with `mlp` after neuron `ni` of layer
-    /// `li` changed, keeping what it replaces for [`undo`](Self::undo),
-    /// and count the hits.
-    fn trial(&mut self, mlp: &AxMlp, li: usize, ni: usize) -> usize {
-        let hidden = self.acts.len() - 1;
-        let samples = self.samples;
-        if li < hidden {
-            let layer = &mlp.layers[li];
-            columnar::hidden_column(
-                &layer.neurons[ni],
-                &self.acts[li],
-                samples,
-                layer.qrelu.expect("a hidden layer has a QReLU"),
-                &mut self.acc,
-                &mut self.narrow,
-                &mut self.spare_col,
-            );
-            std::mem::swap(&mut self.spare_col, &mut self.acts[li + 1][ni]);
-            for l in li + 1..hidden {
-                let out = &mut self.spare_acts[l + 1];
-                hidden_layer(
-                    &mlp.layers[l],
-                    &self.acts[l],
-                    samples,
-                    &mut self.acc,
-                    &mut self.narrow,
-                    out,
-                );
-                std::mem::swap(out, &mut self.acts[l + 1]);
-            }
-            if let Some(outputs) = &mut self.outputs {
-                let out = &mut self.spare_outputs;
-                output_layer(
-                    &mlp.layers[hidden],
-                    &self.acts[hidden],
-                    samples,
-                    &mut self.narrow,
-                    out,
-                );
-                std::mem::swap(out, outputs);
-            }
-        } else {
-            let outputs = self.outputs.as_mut().expect("only live layers are tried");
-            columnar::accumulate_neuron_column(
-                &mlp.layers[li].neurons[ni],
-                &self.acts[hidden],
-                samples,
-                &mut self.spare_acc,
-                &mut self.narrow,
-            );
-            std::mem::swap(&mut self.spare_acc, &mut outputs[ni]);
-        }
-        self.hits()
-    }
-
-    /// Revert the last [`trial`](Self::trial) of neuron `ni` in layer
-    /// `li`.
-    fn undo(&mut self, li: usize, ni: usize) {
-        let hidden = self.acts.len() - 1;
-        if li < hidden {
-            std::mem::swap(&mut self.spare_col, &mut self.acts[li + 1][ni]);
-            for l in li + 1..hidden {
-                std::mem::swap(&mut self.spare_acts[l + 1], &mut self.acts[l + 1]);
-            }
-            if let Some(outputs) = &mut self.outputs {
-                std::mem::swap(&mut self.spare_outputs, outputs);
-            }
-        } else if let Some(outputs) = &mut self.outputs {
-            std::mem::swap(&mut self.spare_acc, &mut outputs[ni]);
-        }
-    }
-
-    /// Rows whose argmax (ties to the lowest index) matches the label.
-    fn hits(&mut self) -> usize {
-        match &self.outputs {
-            Some(outputs) => columnar::argmax_hits(
-                outputs,
-                self.labels,
-                &mut self.best_index,
-                &mut self.best_wide,
-            ),
-            None => {
-                let last = self.acts.last().expect("the rows are resident");
-                columnar::argmax_hits(last, self.labels, &mut self.best_index, &mut self.best_act)
-            }
-        }
-    }
-}
-
-/// Every post-QReLU column of a hidden `layer` over `inputs`, into
-/// `out`.
-fn hidden_layer(
-    layer: &AxLayer,
-    inputs: &[Vec<u8>],
-    samples: usize,
-    acc: &mut Vec<i64>,
-    narrow: &mut Vec<i32>,
-    out: &mut Vec<Vec<u8>>,
-) {
-    let q = layer.qrelu.expect("a hidden layer has a QReLU");
-    out.resize(layer.neurons.len(), Vec::new());
-    for (neuron, col) in layer.neurons.iter().zip(out.iter_mut()) {
-        columnar::hidden_column(neuron, inputs, samples, q, acc, narrow, col);
-    }
-}
-
-/// Every accumulator column of the argmax `layer` over `inputs`, into
-/// `out`.
-fn output_layer(
-    layer: &AxLayer,
-    inputs: &[Vec<u8>],
-    samples: usize,
-    narrow: &mut Vec<i32>,
-    out: &mut Vec<Vec<i64>>,
-) {
-    out.resize(layer.neurons.len(), Vec::new());
-    for (neuron, col) in layer.neurons.iter().zip(out.iter_mut()) {
-        columnar::accumulate_neuron_column(neuron, inputs, samples, col, narrow);
-    }
 }
 
 /// Clear a handful of random mask bits in place (~2% of mask genes get
@@ -489,7 +256,7 @@ fn perturb_masks(spec: &GenomeSpec, genes: &mut [u32], rng: &mut StdRng) {
 mod tests {
     use super::*;
     use crate::genome::LayerGenomeSpec;
-    use pe_mlp::{AxNeuron, AxWeight, FixedLayer, QReluCfg};
+    use pe_mlp::{AxLayer, AxNeuron, AxWeight, FixedLayer, QReluCfg};
     use proptest::prelude::*;
 
     /// The parity reference of [`refine_doped`]: the same coordinate
@@ -583,15 +350,27 @@ mod tests {
     /// over the last activations); 2 — one neuron outside `fits_i32`
     /// (the wide `i64` path); 3 — biases at the `BIAS_BITS` clamp;
     /// 4 — the last layer's first two neurons are identical, so every
-    /// row is an argmax tie between them.
+    /// row is an argmax tie between them; 5 — 8-bit inputs and
+    /// activations, and every live weight at a full `0xFF` mask and a
+    /// shift of `MAX_SHIFT − 1` or `MAX_SHIFT`, so a layer's range
+    /// lies a shift step or a sign away from an `i16` bound and trials
+    /// move layers across [`columnar::layer_fits_i16`] both ways.
     fn random_case(seed: u64, variant: u8, row_count: usize) -> (AxMlp, QuantMatrix, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let width = rng.gen_range(1usize..5);
-        let input_bits = rng.gen_range(2u32..5);
-        let q = QReluCfg {
+        let mut input_bits = rng.gen_range(2u32..5);
+        let mut q = QReluCfg {
             out_bits: rng.gen_range(3u32..6),
             shift: rng.gen_range(0u32..3),
         };
+        let wide = variant & 32 != 0;
+        if wide {
+            input_bits = 8;
+            q = QReluCfg {
+                out_bits: 8,
+                shift: rng.gen_range(6u32..9),
+            };
+        }
         let mut layers = vec![LayerGenomeSpec {
             fan_in: width,
             neurons: rng.gen_range(1usize..5),
@@ -614,6 +393,19 @@ mod tests {
         });
         let spec = GenomeSpec::new(layers, u32::from(MAX_SHIFT) + 2, BIAS_BITS);
         let mut mlp = spec.decode(&pe_nsga::random_genome(spec.bounds(), &mut rng));
+        if wide {
+            for w in mlp
+                .layers
+                .iter_mut()
+                .flat_map(|l| &mut l.neurons)
+                .flat_map(|n| &mut n.weights)
+            {
+                if w.mask != 0 {
+                    w.mask = 0xFF;
+                    w.shift = rng.gen_range(MAX_SHIFT - 1..=MAX_SHIFT);
+                }
+            }
+        }
         if variant & 4 != 0 {
             let layer = rng.gen_range(0..mlp.layers.len());
             let neuron = &mut mlp.layers[layer].neurons[0];
@@ -637,7 +429,7 @@ mod tests {
         let rows: Vec<Vec<u8>> = (0..row_count)
             .map(|_| {
                 (0..width)
-                    .map(|_| rng.gen_range(0u8..1 << input_bits))
+                    .map(|_| rng.gen_range(0..=u8::MAX >> (8 - input_bits)))
                     .collect()
             })
             .collect();
@@ -646,22 +438,21 @@ mod tests {
     }
 
     /// Refine one random case at 1, 2 and 3 passes with both
-    /// implementations; returns whether any refinement changed the
-    /// network, or the first disagreement.
-    fn check_parity(seed: u64, variant: u8, row_count: usize) -> Result<bool, String> {
+    /// implementations; returns the case's network and its 3-pass
+    /// refinement, or the first disagreement.
+    fn check_parity(seed: u64, variant: u8, row_count: usize) -> Result<(AxMlp, AxMlp), String> {
         let (mlp, rows, labels) = random_case(seed, variant, row_count);
-        let mut changed = false;
+        let mut refined = mlp.clone();
         for passes in 1..=3 {
-            let fast = refine_doped(&mlp, &rows, &labels, MAX_SHIFT, BIAS_BITS, passes);
+            refined = refine_doped(&mlp, &rows, &labels, MAX_SHIFT, BIAS_BITS, passes);
             let oracle = refine_doped_oracle(&mlp, &rows, &labels, MAX_SHIFT, BIAS_BITS, passes);
-            if fast != oracle {
+            if refined != oracle {
                 return Err(format!(
-                    "passes {passes}: incremental {fast:?}\n oracle {oracle:?}"
+                    "passes {passes}: incremental {refined:?}\n oracle {oracle:?}"
                 ));
             }
-            changed |= fast != mlp;
         }
-        Ok(changed)
+        Ok((mlp, refined))
     }
 
     proptest! {
@@ -673,7 +464,7 @@ mod tests {
         #[test]
         fn incremental_refinement_matches_the_row_oracle(
             seed in any::<u64>(),
-            variant in 0u8..32,
+            variant in 0u8..64,
             row_count in 0usize..40,
         ) {
             let outcome = check_parity(seed, variant, row_count);
@@ -682,16 +473,36 @@ mod tests {
     }
 
     /// The seeded cases refine something on 30 rows (the parity above is
-    /// not vacuous), and zero rows leave every network unchanged.
+    /// not vacuous), and zero rows leave every network unchanged. Some
+    /// refinements end with a hidden or an argmax layer on the other side
+    /// of [`columnar::layer_fits_i16`], in both directions, so accepted
+    /// trials crossed the `i16` rung's bound.
     #[test]
     fn seeded_parity_cases_are_not_vacuous() {
         let mut changed = 0;
-        for seed in 0..40u64 {
-            let variant = (seed % 32) as u8;
-            assert!(!check_parity(seed, variant, 0).expect("parity"));
-            changed += usize::from(check_parity(seed, variant, 30).expect("parity"));
+        // `crossed[argmax layer][fit i16 before]`.
+        let mut crossed = [[0usize; 2]; 2];
+        for seed in 0..192u64 {
+            let variant = (seed % 64) as u8;
+            let (mlp, refined) = check_parity(seed, variant, 0).expect("parity");
+            assert_eq!(refined, mlp);
+            let (mlp, refined) = check_parity(seed, variant, 30).expect("parity");
+            changed += usize::from(refined != mlp);
+            for (before, after) in mlp.layers.iter().zip(&refined.layers) {
+                let fits = columnar::layer_fits_i16(before);
+                if fits != columnar::layer_fits_i16(after) {
+                    crossed[usize::from(before.qrelu.is_none())][usize::from(fits)] += 1;
+                }
+            }
         }
-        assert!(changed >= 20, "only {changed} of 40 cases refined anything");
+        assert!(
+            changed >= 96,
+            "only {changed} of 192 cases refined anything"
+        );
+        assert!(
+            crossed.iter().flatten().all(|&n| n > 0),
+            "[hidden, argmax] layers moved [into, out of] the i16 rung: {crossed:?}"
+        );
     }
 
     /// Pins the revert quirk documented on [`refine_doped`]. One
@@ -810,10 +621,26 @@ mod tests {
         )
     }
 
+    /// [`doped_seeds`] of [`spec`] and [`baseline`], uncalibrated and
+    /// unrefined.
+    fn seeds(doped_count: usize, seed: u64) -> Vec<Vec<u32>> {
+        let uncalibrated = QuantMatrix::default();
+        doped_seeds(
+            &spec(),
+            &baseline(),
+            6,
+            12,
+            doped_count,
+            seed,
+            &uncalibrated,
+            None,
+        )
+    }
+
     #[test]
     fn seeds_have_correct_shape_and_count() {
         // doped_count doped seeds plus 3 sparse anchors.
-        let seeds = doped_seeds(&spec(), &baseline(), 6, 12, 5, 3);
+        let seeds = seeds(5, 3);
         assert_eq!(seeds.len(), 5 + 3);
         for s in &seeds {
             assert_eq!(s.len(), spec().gene_count());
@@ -833,15 +660,14 @@ mod tests {
     #[test]
     fn first_seed_is_the_unperturbed_doped_network() {
         let s = spec();
-        let seeds = doped_seeds(&s, &baseline(), 6, 12, 3, 3);
+        let seeds = seeds(3, 3);
         let expected = s.encode(&pe_mlp::AxMlp::from_fixed(&baseline(), 6, 12));
         assert_eq!(seeds[0], expected);
     }
 
     #[test]
     fn perturbed_seeds_only_lose_mask_bits() {
-        let s = spec();
-        let seeds = doped_seeds(&s, &baseline(), 6, 12, 10, 9);
+        let seeds = seeds(10, 9);
         let base = &seeds[0];
         for seed in &seeds[1..] {
             for (i, (&a, &b)) in seed.iter().zip(base).enumerate() {
@@ -855,16 +681,15 @@ mod tests {
 
     #[test]
     fn seeds_are_deterministic() {
-        let s = spec();
-        let a = doped_seeds(&s, &baseline(), 6, 12, 4, 42);
-        let b = doped_seeds(&s, &baseline(), 6, 12, 4, 42);
+        let a = seeds(4, 42);
+        let b = seeds(4, 42);
         assert_eq!(a, b);
     }
 
     #[test]
     fn seeds_decode_within_bounds() {
         let s = spec();
-        for seed in doped_seeds(&s, &baseline(), 6, 12, 6, 1) {
+        for seed in seeds(6, 1) {
             for (g, b) in seed.iter().zip(s.bounds()) {
                 assert!(g < b, "gene {g} out of bound {b}");
             }

@@ -114,7 +114,7 @@ pub use eval::{thread_budget, BatchEvaluator, EvalCacheStats};
 pub use fitness::{AreaObjective, AxTrainProblem};
 pub use flow::{DatasetStudy, StudyConfig};
 pub use genome::{GenomeSpec, LayerGenomeSpec};
-pub use init::{doped_seeds, doped_seeds_calibrated, doped_seeds_refined, refine_doped};
+pub use init::{doped_seeds, refine_doped};
 pub use pareto::{
     select_within_budgets, select_within_loss, true_pareto_front, DesignCandidate, DesignNetwork,
     DesignPoint,

@@ -230,7 +230,7 @@ impl HwAwareTrainer {
         let refine_n = problem.sample_count().min(600);
         let calibration_rows = train.features.head(train.len().min(1000));
         let refine_rows = train.features.head(refine_n);
-        let mut seeds = crate::init::doped_seeds_refined(
+        let mut seeds = crate::init::doped_seeds(
             &spec,
             baseline,
             self.config.max_shift(),

@@ -2,6 +2,9 @@
 //! per-thread scratch has grown, `AxTrainProblem::evaluate` allocates
 //! exactly once per genome — the objectives vector of the `Evaluation`
 //! it returns — however many rows, neurons or layers the network has.
+//! Once their spare columns have grown, the resident trials of doped
+//! refinement and memetic polish (`columnar::ResidentPass`) allocate
+//! nothing.
 //!
 //! Genomes with a fully-masked hidden neuron are left out: the area
 //! objective folds such a constant neuron into the next layer on a
@@ -13,7 +16,8 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pe_mlp::{QReluCfg, QuantMatrix};
+use pe_mlp::columnar::ResidentPass;
+use pe_mlp::{AxMlp, ColumnLabels, QReluCfg, QuantMatrix};
 use pe_nsga::{random_genome, IntProblem};
 use printed_axc::{AxTrainProblem, GenomeSpec, LayerGenomeSpec};
 
@@ -63,8 +67,17 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// A problem over `rows` samples of `width` 4-bit features, with one
-/// QReLU layer per entry of `hidden` and a 3-class argmax layer.
+/// `rows` samples of `width` 4-bit features and their 3-class labels.
+fn data(rows: usize, width: usize) -> (QuantMatrix, Vec<usize>) {
+    let data: Vec<Vec<u8>> = (0..rows)
+        .map(|s| (0..width).map(|f| ((s * 7 + f * 5) % 16) as u8).collect())
+        .collect();
+    let labels = (0..rows).map(|s| s % 3).collect();
+    (QuantMatrix::from_rows(&data), labels)
+}
+
+/// A problem over [`data`], with one QReLU layer per entry of `hidden`
+/// and a 3-class argmax layer.
 fn problem(rows: usize, width: usize, hidden: &[usize]) -> AxTrainProblem {
     let qrelu = QReluCfg {
         out_bits: 8,
@@ -88,12 +101,8 @@ fn problem(rows: usize, width: usize, hidden: &[usize]) -> AxTrainProblem {
         input_bits,
         qrelu: None,
     });
-    let data: Vec<Vec<u8>> = (0..rows)
-        .map(|s| (0..width).map(|f| ((s * 7 + f * 5) % 16) as u8).collect())
-        .collect();
-    let labels = (0..rows).map(|s| s % 3).collect();
-    let spec = GenomeSpec::new(layers, 8, 8);
-    AxTrainProblem::new(spec, QuantMatrix::from_rows(&data), labels, 0.9, 0.1)
+    let (data, labels) = data(rows, width);
+    AxTrainProblem::new(GenomeSpec::new(layers, 8, 8), data, labels, 0.9, 0.1)
 }
 
 /// `count` random genomes whose hidden neurons all keep a live weight.
@@ -115,18 +124,19 @@ fn genomes(problem: &AxTrainProblem, count: usize, seed: u64) -> Vec<Vec<u32>> {
     out
 }
 
+/// (rows, features, hidden layers): more rows, more neurons, more
+/// layers, and a narrow-then-wide hidden stack.
+const SHAPES: [(usize, usize, &[usize]); 5] = [
+    (40, 4, &[2]),
+    (400, 4, &[2]),
+    (400, 9, &[5]),
+    (400, 6, &[4, 3]),
+    (120, 5, &[2, 6, 3]),
+];
+
 #[test]
 fn a_warm_evaluation_allocates_only_its_objectives() {
-    // (rows, features, hidden layers): more rows, more neurons, more
-    // layers, and a narrow-then-wide hidden stack.
-    let shapes: [(usize, usize, &[usize]); 5] = [
-        (40, 4, &[2]),
-        (400, 4, &[2]),
-        (400, 9, &[5]),
-        (400, 6, &[4, 3]),
-        (120, 5, &[2, 6, 3]),
-    ];
-    for (rows, width, hidden) in shapes {
+    for (rows, width, hidden) in SHAPES {
         let problem = problem(rows, width, hidden);
         let warm_up = genomes(&problem, 4, 1);
         let fresh = genomes(&problem, 25, 2);
@@ -147,5 +157,45 @@ fn a_warm_evaluation_allocates_only_its_objectives() {
             fresh.len()
         );
         assert!(evaluations.iter().all(|e| e.objectives.len() == 2));
+    }
+}
+
+/// One sweep of refinement-style trials over every neuron: a bias step
+/// tried and undone, then a shift step tried, kept, and taken back by a
+/// second trial.
+fn sweep(mlp: &mut AxMlp, pass: &mut ResidentPass) {
+    for li in 0..mlp.layers.len() {
+        for ni in 0..mlp.layers[li].neurons.len() {
+            mlp.layers[li].neurons[ni].bias += 1;
+            let _ = pass.trial(mlp, li, ni);
+            mlp.layers[li].neurons[ni].bias -= 1;
+            pass.undo();
+            mlp.layers[li].neurons[ni].weights[0].shift += 1;
+            let _ = pass.trial(mlp, li, ni);
+            mlp.layers[li].neurons[ni].weights[0].shift -= 1;
+            let _ = pass.trial(mlp, li, ni);
+        }
+    }
+}
+
+#[test]
+fn a_warm_sweep_of_resident_trials_allocates_nothing() {
+    for (rows, width, hidden) in SHAPES {
+        let problem = problem(rows, width, hidden);
+        let (data, labels) = data(rows, width);
+        let mut mlp = problem.genome_spec().decode(&genomes(&problem, 1, 3)[0]);
+        let mut pass = ResidentPass::new(data.columns(), ColumnLabels::new(labels));
+        let hits = pass.run(&mlp);
+        sweep(&mut mlp, &mut pass);
+        let allocations = allocations_in(|| sweep(&mut mlp, &mut pass));
+        assert_eq!(
+            allocations, 0,
+            "{rows} rows, {width} features, hidden {hidden:?}: {allocations} allocations"
+        );
+        assert_eq!(
+            pass.run(&mlp),
+            hits,
+            "the sweeps leave the network as it was"
+        );
     }
 }

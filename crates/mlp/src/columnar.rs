@@ -25,18 +25,22 @@
 //!   [`QReluKernel`](crate::quant::QReluKernel).
 //!
 //! [`hits_columns`] drives a whole [`AxMlp`] this way, against a
-//! reused [`ColumnarScratch`]; it is the GA fitness's forward pass and
-//! serves [`accuracy_columns`]. It is **bit-exact** with the row-major
-//! path — same integer accumulators, same QReLU saturation, same
-//! argmax-ties-to-lowest — which the test-suite proves exhaustively and
-//! by property tests; the per-row API stays available as the reference
-//! oracle.
+//! reused [`ColumnarScratch`] that keeps every hidden layer's
+//! post-QReLU columns; it is the GA fitness's forward pass and serves
+//! [`accuracy_columns`]. [`ResidentPass`] runs the same layer code for
+//! coordinate descent (doped-seed refinement and memetic polish): after
+//! one full pass, a trial on one neuron recomputes that neuron's column
+//! and the hidden layers after it, then reruns the argmax layer. Both
+//! are **bit-exact** with the row-major path — same integer
+//! accumulators, same QReLU saturation, same argmax-ties-to-lowest —
+//! which the test-suite proves exhaustively and by property tests; the
+//! per-row API stays available as the reference oracle.
 //!
 //! # Kernels
 //!
 //! The plain entry points ([`accumulate_neuron_column`],
-//! [`accumulate_neuron_column_narrow`], [`hidden_column`],
-//! [`hits_columns`]) run one kernel, fixed by the build:
+//! [`hits_columns`], [`ResidentPass`]) run one kernel, fixed by the
+//! build:
 //!
 //! * [`KernelKind::Simd`] — explicit `std::arch` x86_64 SSE2/AVX2
 //!   ([`crate::simd`]) when the `simd` cargo feature is built on
@@ -50,9 +54,9 @@
 //! representation-agnostic, so the two kernels agree bit for bit, which
 //! the `kernel_parity` suite pins down.
 //!
-//! Within a kernel, [`hits_columns`] runs each layer on the narrowest
-//! accumulator lanes that hold it, a ladder chosen from the network
-//! alone:
+//! Within a kernel, every full pass and every trial runs each layer on
+//! the narrowest accumulator lanes that hold it, a ladder chosen from
+//! the network alone (for a trial, the edited network):
 //!
 //! 1. **`i16`** when every neuron's accumulator range
 //!    `[bias − Σneg, bias + Σpos]`, each term `(mask & 0xFF) ≪ shift`,
@@ -406,9 +410,9 @@ pub fn accumulate_neuron_column<C: AsRef<[u8]>>(
 }
 
 /// Whether `neuron`'s accumulator provably fits an `i32` for every
-/// possible `u8` activation stream (the precondition of
-/// [`accumulate_neuron_column_narrow`]). True for every
-/// genome-encodable neuron by orders of magnitude.
+/// possible `u8` activation stream (the precondition of the narrow
+/// `i32` kernels). True for every genome-encodable neuron by orders of
+/// magnitude.
 #[must_use]
 pub fn fits_i32(neuron: &AxNeuron) -> bool {
     let small_shifts = neuron.weights.iter().all(|w| w.mask == 0 || w.shift <= 22);
@@ -475,7 +479,7 @@ pub fn layer_fits_i16(layer: &AxLayer) -> bool {
 ///
 /// Panics if `inputs` and the weights disagree in count, a column's
 /// length differs from `samples`, or `fits_i32` is violated (debug).
-pub fn accumulate_neuron_column_narrow<C: AsRef<[u8]>>(
+fn accumulate_neuron_column_narrow<C: AsRef<[u8]>>(
     neuron: &AxNeuron,
     inputs: &[C],
     samples: usize,
@@ -486,7 +490,8 @@ pub fn accumulate_neuron_column_narrow<C: AsRef<[u8]>>(
     }
 }
 
-/// [`accumulate_neuron_column_narrow`] on the scalar kernel alone: the
+/// The narrow (`i32`) accumulation of [`accumulate_neuron_column`] on
+/// the scalar kernel alone, for neurons where [`fits_i32`] holds: the
 /// analytic AND/shift/add loop left to the auto-vectorizer.
 ///
 /// # Panics
@@ -585,34 +590,36 @@ pub fn qrelu_column(q: QReluCfg, acc: &[i64], out: &mut Vec<u8>) {
 /// [`qrelu_column`] straight off a narrow (`i32`) accumulator column.
 /// Bit-exact with widening first: `clamp(a >> s, 0, max)` commutes
 /// with the sign extension because `>>` is arithmetic at both widths.
-pub fn qrelu_column_narrow(q: QReluCfg, acc: &[i32], out: &mut Vec<u8>) {
+fn qrelu_column_narrow(q: QReluCfg, acc: &[i32], out: &mut Vec<u8>) {
     let kernel = q.kernel();
     out.clear();
     out.extend(acc.iter().map(|&a| kernel.apply(i64::from(a))));
 }
 
 /// One hidden column end to end through the platform kernel:
-/// accumulate, then QReLU into `out` — staying at `i32` lane width
-/// whenever the narrow precondition holds, so the widening pass the
-/// wide path would run (one full `i64` store per sample) is skipped
-/// entirely.
-pub fn hidden_column<C: AsRef<[u8]>>(
+/// accumulate, then QReLU into `out`. With `rung16` (the neuron's layer
+/// runs on the `i16` rung) the column packs straight from `i16` lanes;
+/// otherwise it stays at `i32` width whenever the narrow precondition
+/// holds, skipping the widening pass the `i64` path runs.
+fn hidden_column(
     neuron: &AxNeuron,
-    inputs: &[C],
+    inputs: &[Vec<u8>],
     samples: usize,
     q: QReluCfg,
-    acc: &mut Vec<i64>,
-    narrow: &mut Vec<i32>,
+    rung16: bool,
+    bufs: &mut Buffers,
     out: &mut Vec<u8>,
 ) {
-    if fits_i32(neuron) {
-        accumulate_neuron_column_narrow(neuron, inputs, samples, narrow);
-        if !crate::simd::qrelu_column_narrow_simd(q, narrow, out) {
-            qrelu_column_narrow(q, narrow, out);
+    if rung16 {
+        crate::simd::hidden_column_i16(neuron, inputs, samples, q, &mut bufs.short, out);
+    } else if fits_i32(neuron) {
+        accumulate_neuron_column_narrow(neuron, inputs, samples, &mut bufs.narrow);
+        if !crate::simd::qrelu_column_narrow_simd(q, &bufs.narrow, out) {
+            qrelu_column_narrow(q, &bufs.narrow, out);
         }
     } else {
-        accumulate_neuron_column(neuron, inputs, samples, acc, narrow);
-        qrelu_column(q, acc, out);
+        accumulate_neuron_column(neuron, inputs, samples, &mut bufs.acc, &mut bufs.narrow);
+        qrelu_column(q, &bufs.acc, out);
     }
 }
 
@@ -662,7 +669,7 @@ pub fn argmax_columns<T: Copy + PartialOrd, C: AsRef<[T]>>(
 /// # Panics
 ///
 /// Panics if a column's length differs from `labels.len()`.
-pub fn argmax_hits<T: ArgmaxLane>(
+pub(crate) fn argmax_hits<T: ArgmaxLane>(
     columns: &[Vec<T>],
     labels: &[usize],
     best_index: &mut Vec<u32>,
@@ -698,7 +705,7 @@ pub fn argmax_hits<T: ArgmaxLane>(
 
 /// A column element [`argmax_hits`] can compare: activations (`u8`) and
 /// narrow (`i32`) or wide (`i64`) accumulators.
-pub trait ArgmaxLane: Copy + PartialOrd {
+pub(crate) trait ArgmaxLane: Copy + PartialOrd {
     /// Run column `j`'s argmax pass vectorized, returning `false` (the
     /// default) when no vector kernel serves this lane type on this
     /// build.
@@ -723,24 +730,15 @@ impl ArgmaxLane for i64 {}
 
 impl ArgmaxLane for u8 {}
 
-/// Reusable buffers for [`hits_columns`]: accumulator scratch,
-/// double-buffered activation columns, the output layer's columns and
-/// the running argmax. Buffers grow to the widest layer once;
+/// Reusable buffers for [`hits_columns`]: every hidden layer's
+/// post-QReLU columns, accumulator scratch, the output layer's columns
+/// and the running argmax. Buffers grow to the widest layer once;
 /// steady-state inference allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarScratch {
-    acc: Vec<i64>,
-    narrow: Vec<i32>,
-    short: Vec<i16>,
-    act: Vec<Vec<u8>>,
-    next: Vec<Vec<u8>>,
-    out_wide: Vec<Vec<i64>>,
-    out_narrow: Vec<Vec<i32>>,
-    out_short: Vec<Vec<i16>>,
-    best_index: Vec<u32>,
-    best_wide: Vec<i64>,
-    best_narrow: Vec<i32>,
-    best_act: Vec<u8>,
+    /// `acts[l]` holds hidden layer `l`'s columns, kept after a pass.
+    acts: Vec<Vec<Vec<u8>>>,
+    bufs: Buffers,
 }
 
 impl ColumnarScratch {
@@ -749,6 +747,22 @@ impl ColumnarScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The working buffers one layer's kernels reuse; nothing in them
+/// outlives the layer.
+#[derive(Debug, Clone, Default)]
+struct Buffers {
+    acc: Vec<i64>,
+    narrow: Vec<i32>,
+    short: Vec<i16>,
+    out_wide: Vec<Vec<i64>>,
+    out_narrow: Vec<Vec<i32>>,
+    out_short: Vec<Vec<i16>>,
+    best_index: Vec<u32>,
+    best_wide: Vec<i64>,
+    best_narrow: Vec<i32>,
+    best_act: Vec<u8>,
 }
 
 /// A per-neuron accumulator adjustment for [`hits_columns`]: called
@@ -761,15 +775,18 @@ pub type Perturb<'a> = &'a dyn Fn(usize, usize, &mut [i64]);
 /// says: the columnar forward pass, through the platform kernel, and
 /// allocation-free once `scratch` has grown.
 ///
-/// Every hidden column is computed into `scratch`. Each layer runs on
-/// the narrowest rung of the ladder in the [module docs](self#kernels):
-/// `i16` lanes for a layer that [`layer_fits_i16`] where the `i16`
-/// kernels run, then `i32` for every neuron (hidden) or every output
-/// (argmax) that [`fits_i32`], then `i64`. A network whose last layer
-/// has a QReLU argmaxes its final activations, and a network with no
-/// layers argmaxes its inputs. Bit-exact with [`AxMlp::predict_with`]
-/// per row: same integer accumulators, same QReLU saturation, argmax
-/// ties to the lowest class. Empty data scores 0 hits.
+/// Every hidden layer's columns are computed into `scratch` and stay
+/// there. Each layer runs on the narrowest rung of the ladder in the
+/// [module docs](self#kernels): `i16` lanes for a layer that
+/// [`layer_fits_i16`] where the `i16` kernels run, then `i32` for every
+/// neuron (hidden) or every output (argmax) that [`fits_i32`], then
+/// `i64`. A network whose last layer has a QReLU argmaxes its final
+/// activations, and a network with no layers argmaxes its inputs.
+/// Layers after the first one without a QReLU (the argmax layer) never
+/// reach a prediction and are not run. Bit-exact with
+/// [`AxMlp::predict_with`] per row: same integer accumulators, same
+/// QReLU saturation, argmax ties to the lowest class. Empty data scores
+/// 0 hits.
 ///
 /// With `perturb`, every neuron accumulates at `i64` width and
 /// `perturb` adjusts its column before the activation or the argmax
@@ -791,69 +808,110 @@ pub fn hits_columns(
     if samples == 0 {
         return 0;
     }
-    let ColumnarScratch {
-        acc,
-        narrow,
-        short,
-        act,
-        next,
-        out_wide,
-        out_narrow,
-        out_short,
-        best_index,
-        best_wide,
-        best_narrow,
-        best_act,
-    } = scratch;
-    let lanes16 = perturb.is_none() && crate::simd::i16_lanes();
-    // The live activation columns: `None` while the inputs are the
-    // dataset's, then the previous layer's width. Column buffers only
-    // ever grow, so layers of changing width reuse them.
-    let mut live = None;
-    for (li, layer) in mlp.layers.iter().enumerate() {
-        let inputs = live.map_or(cols.cols(), |width| &act[..width]);
-        let count = layer.neurons.len();
-        let rung16 = lanes16 && layer_fits_i16(layer);
-        let Some(q) = layer.qrelu else {
-            if rung16 {
-                let outs = grown(out_short, count);
-                for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
-                    crate::simd::accumulate_i16(neuron, inputs, samples, out);
-                }
-                return crate::simd::argmax_hits_i16(outs, &labels.lanes);
-            }
-            if perturb.is_none() && layer.neurons.iter().all(fits_i32) {
-                let outs = grown(out_narrow, count);
-                for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
-                    accumulate_neuron_column_narrow(neuron, inputs, samples, out);
-                }
-                return argmax_hits(outs, labels.classes(), best_index, best_narrow);
-            }
-            let outs = grown(out_wide, count);
-            for (ni, (neuron, out)) in layer.neurons.iter().zip(outs.iter_mut()).enumerate() {
-                accumulate_neuron_column(neuron, inputs, samples, out, narrow);
-                if let Some(perturb) = perturb {
-                    perturb(li, ni, out);
-                }
-            }
-            return argmax_hits(outs, labels.classes(), best_index, best_wide);
-        };
-        for (ni, (neuron, out)) in layer.neurons.iter().zip(grown(next, count)).enumerate() {
-            if let Some(perturb) = perturb {
-                accumulate_neuron_column(neuron, inputs, samples, acc, narrow);
-                perturb(li, ni, acc);
-                qrelu_column(q, acc, out);
-            } else if rung16 {
-                crate::simd::hidden_column_i16(neuron, inputs, samples, q, short, out);
-            } else {
-                hidden_column(neuron, inputs, samples, q, acc, narrow, out);
-            }
-        }
-        std::mem::swap(act, next);
-        live = Some(count);
+    let hidden = hidden_layers(mlp);
+    let ColumnarScratch { acts, bufs } = scratch;
+    let acts = grown(acts, hidden);
+    for li in 0..hidden {
+        let (done, rest) = acts.split_at_mut(li);
+        let inputs = layer_inputs(mlp, cols, done, li);
+        hidden_layer(mlp, li, inputs, samples, bufs, perturb, &mut rest[0]);
     }
-    let last = live.map_or(cols.cols(), |width| &act[..width]);
-    argmax_hits(last, labels.classes(), best_index, best_act)
+    let inputs = layer_inputs(mlp, cols, acts, hidden);
+    argmax_layer(mlp, hidden, inputs, labels, bufs, perturb)
+}
+
+/// The leading QReLU layers of `mlp`, whose columns a pass keeps. The
+/// layer after them, if any, is the argmax layer.
+fn hidden_layers(mlp: &AxMlp) -> usize {
+    mlp.layers.iter().take_while(|l| l.qrelu.is_some()).count()
+}
+
+/// The columns that feed layer `li`: the dataset's for layer 0, else
+/// hidden layer `li − 1`'s.
+fn layer_inputs<'a>(
+    mlp: &AxMlp,
+    cols: &'a ColumnMatrix,
+    acts: &'a [Vec<Vec<u8>>],
+    li: usize,
+) -> &'a [Vec<u8>] {
+    match li.checked_sub(1) {
+        None => cols.cols(),
+        Some(prev) => &acts[prev][..mlp.layers[prev].neurons.len()],
+    }
+}
+
+/// Whether `layer` runs on the `i16` rung on this host.
+fn i16_rung(layer: &AxLayer) -> bool {
+    crate::simd::i16_lanes() && layer_fits_i16(layer)
+}
+
+/// Every post-QReLU column of `mlp`'s hidden layer `li` over `inputs`,
+/// into `out`: on the layer's rung, or at `i64` width through
+/// `perturb`.
+fn hidden_layer(
+    mlp: &AxMlp,
+    li: usize,
+    inputs: &[Vec<u8>],
+    samples: usize,
+    bufs: &mut Buffers,
+    perturb: Option<Perturb<'_>>,
+    out: &mut Vec<Vec<u8>>,
+) {
+    let layer = &mlp.layers[li];
+    let q = layer.qrelu.expect("a hidden layer has a QReLU");
+    let rung16 = perturb.is_none() && i16_rung(layer);
+    let outs = grown(out, layer.neurons.len());
+    for (ni, (neuron, out)) in layer.neurons.iter().zip(outs).enumerate() {
+        if let Some(perturb) = perturb {
+            accumulate_neuron_column(neuron, inputs, samples, &mut bufs.acc, &mut bufs.narrow);
+            perturb(li, ni, &mut bufs.acc);
+            qrelu_column(q, &bufs.acc, out);
+        } else {
+            hidden_column(neuron, inputs, samples, q, rung16, bufs, out);
+        }
+    }
+}
+
+/// Rows whose prediction matches `labels`, given the columns that feed
+/// `mlp`'s argmax (`inputs`, the output of its `hidden` leading QReLU
+/// layers): through the argmax layer, layer `hidden`, on that layer's
+/// rung, or over `inputs` themselves when every layer has a QReLU. The
+/// output columns are scratch; none outlives the call.
+fn argmax_layer(
+    mlp: &AxMlp,
+    hidden: usize,
+    inputs: &[Vec<u8>],
+    labels: &ColumnLabels,
+    bufs: &mut Buffers,
+    perturb: Option<Perturb<'_>>,
+) -> usize {
+    let (samples, classes) = (labels.len(), labels.classes());
+    let Some(layer) = mlp.layers.get(hidden) else {
+        return argmax_hits(inputs, classes, &mut bufs.best_index, &mut bufs.best_act);
+    };
+    let count = layer.neurons.len();
+    if perturb.is_none() && i16_rung(layer) {
+        let outs = grown(&mut bufs.out_short, count);
+        for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
+            crate::simd::accumulate_i16(neuron, inputs, samples, out);
+        }
+        return crate::simd::argmax_hits_i16(outs, &labels.lanes);
+    }
+    if perturb.is_none() && layer.neurons.iter().all(fits_i32) {
+        let outs = grown(&mut bufs.out_narrow, count);
+        for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
+            accumulate_neuron_column_narrow(neuron, inputs, samples, out);
+        }
+        return argmax_hits(outs, classes, &mut bufs.best_index, &mut bufs.best_narrow);
+    }
+    let outs = grown(&mut bufs.out_wide, count);
+    for (ni, (neuron, out)) in layer.neurons.iter().zip(outs.iter_mut()).enumerate() {
+        accumulate_neuron_column(neuron, inputs, samples, out, &mut bufs.narrow);
+        if let Some(perturb) = perturb {
+            perturb(hidden, ni, out);
+        }
+    }
+    argmax_hits(outs, classes, &mut bufs.best_index, &mut bufs.best_wide)
 }
 
 /// The first `count` column buffers of `columns`, growing it (never
@@ -880,6 +938,116 @@ pub fn accuracy_columns(mlp: &AxMlp, cols: &ColumnMatrix, labels: &[usize]) -> f
         0.0
     } else {
         hits as f64 / labels.len() as f64
+    }
+}
+
+/// One network's forward pass over fixed rows, kept for coordinate
+/// descent. [`run`](Self::run) is [`hits_columns`], whose scratch keeps
+/// every hidden layer's columns. A [`trial`](Self::trial) after one
+/// neuron changed recomputes that neuron's column and the hidden layers
+/// after it, swaps them in and reruns the argmax layer, each on the rung
+/// of the edited network, so it counts the hits [`hits_columns`] gives
+/// the edited network. [`undo`](Self::undo) swaps the replaced columns
+/// back; accepting a trial is free. No output column stays resident, so
+/// a trial on the argmax layer recomputes only that layer. Once the
+/// spare columns have grown, trials and undos allocate nothing.
+#[derive(Debug)]
+pub struct ResidentPass {
+    cols: ColumnMatrix,
+    labels: ColumnLabels,
+    scratch: ColumnarScratch,
+    /// The columns the last trial swapped out: the touched neuron's,
+    /// and whole later hidden layers (indexed like the scratch's).
+    spare_col: Vec<u8>,
+    spare_acts: Vec<Vec<Vec<u8>>>,
+    /// `(li, ni, hidden)` of the last trial on a hidden neuron, until
+    /// [`undo`](Self::undo) swaps its columns back.
+    swapped: Option<(usize, usize, usize)>,
+}
+
+impl ResidentPass {
+    /// A pass over `cols`, counting hits against `labels`. No network
+    /// is resident until [`run`](Self::run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels` disagrees with the sample count.
+    #[must_use]
+    pub fn new(cols: ColumnMatrix, labels: ColumnLabels) -> Self {
+        assert_eq!(cols.samples(), labels.len(), "label count mismatch");
+        Self {
+            cols,
+            labels,
+            scratch: ColumnarScratch::new(),
+            spare_col: Vec::new(),
+            spare_acts: Vec::new(),
+            swapped: None,
+        }
+    }
+
+    /// Run `mlp`'s whole forward pass and keep its hidden columns;
+    /// returns the rows it classifies as labelled.
+    ///
+    /// # Panics
+    ///
+    /// As [`hits_columns`].
+    pub fn run(&mut self, mlp: &AxMlp) -> usize {
+        self.swapped = None;
+        hits_columns(mlp, &self.cols, &self.labels, &mut self.scratch, None)
+    }
+
+    /// Bring the resident columns up to date with `mlp` after neuron
+    /// `ni` of layer `li` changed, keeping what they replace for
+    /// [`undo`](Self::undo), and count the hits. Apart from that neuron,
+    /// `mlp` must be the network the columns hold: the last
+    /// [`run`](Self::run)'s, with every trial since either undone or
+    /// kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if layer `li` comes after `mlp`'s argmax layer (its
+    /// neurons never reach a prediction) or has no neuron `ni`, or if
+    /// no run kept columns of `mlp`'s shape.
+    pub fn trial(&mut self, mlp: &AxMlp, li: usize, ni: usize) -> usize {
+        let samples = self.labels.len();
+        let hidden = hidden_layers(mlp);
+        assert!(
+            li <= hidden && li < mlp.layers.len(),
+            "layer {li} never reaches a prediction"
+        );
+        self.swapped = None;
+        if samples == 0 {
+            return 0;
+        }
+        let ColumnarScratch { acts, bufs } = &mut self.scratch;
+        let (cols, spare) = (&self.cols, &mut self.spare_col);
+        if li < hidden {
+            let layer = &mlp.layers[li];
+            let q = layer.qrelu.expect("a hidden layer has a QReLU");
+            let (neuron, inputs) = (&layer.neurons[ni], layer_inputs(mlp, cols, acts, li));
+            hidden_column(neuron, inputs, samples, q, i16_rung(layer), bufs, spare);
+            std::mem::swap(spare, &mut acts[li][ni]);
+            let spares = grown(&mut self.spare_acts, hidden);
+            for l in li + 1..hidden {
+                let inputs = layer_inputs(mlp, cols, acts, l);
+                hidden_layer(mlp, l, inputs, samples, bufs, None, &mut spares[l]);
+                std::mem::swap(&mut spares[l], &mut acts[l]);
+            }
+            self.swapped = Some((li, ni, hidden));
+        }
+        let inputs = layer_inputs(mlp, cols, acts, hidden);
+        argmax_layer(mlp, hidden, inputs, &self.labels, bufs, None)
+    }
+
+    /// Revert the last [`trial`](Self::trial) by swapping back the hidden
+    /// columns it replaced; a trial on the argmax layer replaced none.
+    pub fn undo(&mut self) {
+        let Some((li, ni, hidden)) = self.swapped.take() else {
+            return;
+        };
+        let acts = &mut self.scratch.acts;
+        std::mem::swap(&mut self.spare_col, &mut acts[li][ni]);
+        self.spare_acts[li + 1..hidden].swap_with_slice(&mut acts[li + 1..hidden]);
     }
 }
 

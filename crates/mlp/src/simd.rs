@@ -80,12 +80,11 @@ pub fn accumulate_neuron_column_simd<C: AsRef<[u8]>>(
 
 /// Vectorized QReLU over a narrow accumulator column: shift, clamp to
 /// `[0, 2^out_bits − 1]`, narrow to `u8` — bit-exact with the scalar
-/// [`qrelu_column_narrow`]. Returns `true` when the vector path ran;
-/// `false` (off-target, `simd` feature off, AVX2 absent, or
-/// `out_bits > 8` where the scalar `as u8` narrowing could wrap) means
-/// the caller must fall back.
-///
-/// [`qrelu_column_narrow`]: crate::columnar::qrelu_column_narrow
+/// [`qrelu_column`](crate::columnar::qrelu_column) over the widened
+/// column. Returns `true` when the vector path ran; `false`
+/// (off-target, `simd` feature off, AVX2 absent, or `out_bits > 8`
+/// where the scalar `as u8` narrowing could wrap) means the caller must
+/// fall back.
 pub fn qrelu_column_narrow_simd(q: QReluCfg, acc: &[i32], out: &mut Vec<u8>) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {

@@ -9,7 +9,9 @@
 //!
 //! Networks whose neurons' accumulator ranges end at or just past the
 //! `i16` bounds check the `i16` rung (and, past them or without AVX2,
-//! the `i32` rung) against the per-row oracle.
+//! the `i32` rung) against the per-row oracle, and resident trials
+//! (`ResidentPass`) against a fresh forward pass over each edited
+//! network.
 //!
 //! The scalar kernel is itself pinned against the per-row oracle
 //! elsewhere (`columnar.rs` unit tests and the core crate's
@@ -18,10 +20,12 @@
 //! Eq. (4) semantics on every build.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use pe_mlp::columnar::{
     accumulate_neuron_column, accumulate_neuron_column_narrow_scalar, fits_i32, hits_columns,
-    kernel_mode,
+    kernel_mode, ResidentPass,
 };
 use pe_mlp::{
     AxLayer, AxMlp, AxNeuron, AxWeight, ColumnLabels, ColumnarScratch, InferenceScratch,
@@ -91,6 +95,113 @@ fn edge_layer(fan_in: usize, count: usize) -> impl Strategy<Value = Vec<AxNeuron
             });
         proptest::collection::vec(neuron, count..=count)
     })
+}
+
+/// A layer of `count` neurons for resident trials. Each bias centres
+/// its neuron's range `[bias − Σneg, bias + Σpos]` on zero (give or
+/// take 300), so edits move predictions, and terms at the upper shifts
+/// reach past the `i16` range, so single edits move layers across its
+/// bounds both ways.
+fn trial_layer(fan_in: usize, count: usize) -> impl Strategy<Value = Vec<AxNeuron>> {
+    let mask = prop_oneof![1u16..=0xFF, Just(0xFFu16)];
+    let weight =
+        (mask, prop_oneof![0u8..=6, 5u8..=8], any::<bool>()).prop_map(|(mask, shift, negative)| {
+            AxWeight {
+                mask,
+                shift,
+                negative,
+            }
+        });
+    let neuron = (
+        proptest::collection::vec(weight, fan_in..=fan_in),
+        -300i32..=300,
+    )
+        .prop_map(|(weights, jitter)| {
+            let term = |w: &AxWeight| i32::from(w.mask & 0xFF) << w.shift;
+            let pos: i32 = weights.iter().filter(|w| !w.negative).map(term).sum();
+            let neg: i32 = weights.iter().filter(|w| w.negative).map(term).sum();
+            AxNeuron {
+                weights,
+                bias: (neg - pos) / 2 + jitter,
+            }
+        });
+    proptest::collection::vec(neuron, count..=count)
+}
+
+/// A network of [`trial_layer`]s over 3 input features: one or two
+/// hidden layers, then an argmax layer or (`trailing`) one more QReLU
+/// layer, with (`wide`) the first weight of the neuron at `pick` moved
+/// past `fits_i32`.
+fn resident_net() -> impl Strategy<Value = AxMlp> {
+    (1usize..=4, 1usize..=4, 2usize..=4).prop_flat_map(|(w0, w1, classes)| {
+        let layers = (
+            trial_layer(3, w0),
+            trial_layer(w0, w1),
+            trial_layer(w0, classes),
+            trial_layer(w1, classes),
+        );
+        let shape = (any::<bool>(), any::<bool>(), any::<bool>(), any::<usize>());
+        (layers, shape, 4u32..=6).prop_map(
+            |((h0, h1, last1, last2), (two, trailing, wide, pick), shift)| {
+                let q = Some(QReluCfg { out_bits: 8, shift });
+                let layer = |neurons, qrelu| AxLayer {
+                    input_bits: 8,
+                    neurons,
+                    qrelu,
+                };
+                let mut layers = vec![layer(h0, q)];
+                if two {
+                    layers.push(layer(h1, q));
+                }
+                let last = if two { last2 } else { last1 };
+                layers.push(layer(last, if trailing { q } else { None }));
+                let mut mlp = AxMlp { layers };
+                if wide {
+                    let mut neurons: Vec<&mut AxNeuron> =
+                        mlp.layers.iter_mut().flat_map(|l| &mut l.neurons).collect();
+                    let count = neurons.len();
+                    let neuron = &mut neurons[pick % count];
+                    neuron.weights[0] = AxWeight {
+                        mask: 0xFF,
+                        shift: 24,
+                        negative: false,
+                    };
+                    assert!(!fits_i32(neuron));
+                }
+                mlp
+            },
+        )
+    })
+}
+
+/// One edit of one neuron, from raw draws `(neuron, kind, weight,
+/// step)`: a weight's shift +1 or −1, its sign, or its bias moved by
+/// `step`. Returns the neuron's layer and index.
+fn edit(mlp: &mut AxMlp, (pick, kind, wi, step): (usize, u8, usize, i32)) -> (usize, usize) {
+    let neurons: Vec<(usize, usize)> = mlp
+        .layers
+        .iter()
+        .enumerate()
+        .flat_map(|(li, l)| (0..l.neurons.len()).map(move |ni| (li, ni)))
+        .collect();
+    let (li, ni) = neurons[pick % neurons.len()];
+    let neuron = &mut mlp.layers[li].neurons[ni];
+    let count = neuron.weights.len();
+    let w = &mut neuron.weights[wi % count];
+    match kind {
+        0 => w.shift += 1,
+        1 => w.shift = w.shift.saturating_sub(1),
+        2 => w.negative = !w.negative,
+        _ => neuron.bias += step,
+    }
+    (li, ni)
+}
+
+/// One to eight raw [`edit`] draws, each to be kept or undone.
+fn edits() -> impl Strategy<Value = Vec<((usize, u8, usize, i32), bool)>> {
+    let step = prop_oneof![Just(1i32), Just(-256), Just(4096), Just(-4096)];
+    let draws = (any::<usize>(), 0u8..4, any::<usize>(), step);
+    proptest::collection::vec((draws, any::<bool>()), 1..=8)
 }
 
 /// Per-weight input columns (`fan_in × samples`), full `u8` range.
@@ -228,6 +339,47 @@ proptest! {
         );
         let hits = hits_columns(&mlp, &cols, &oracle, &mut ColumnarScratch::new(), None);
         prop_assert_eq!(hits, rows.len(), "kernel {:?} diverged", kernel_mode());
+    }
+
+    /// Resident trials on random single-neuron edits of
+    /// [`resident_net`]s, over row counts around the 16-sample stripes:
+    /// each trial counts the hits a fresh pass over the edited network
+    /// counts, and after an undo, re-scoring through the last layer
+    /// counts the unedited network's. Kept edits stay in the network
+    /// the next trial starts from.
+    #[test]
+    fn a_resident_trial_counts_what_a_fresh_pass_counts(
+        mut mlp in resident_net(),
+        rows in prop_oneof![Just(0usize), Just(1), Just(15), Just(16), Just(17), Just(2000)],
+        row_seed in any::<u64>(),
+        edits in edits(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(row_seed);
+        let rows: Vec<Vec<u8>> = (0..rows).map(|_| (0..3).map(|_| rng.gen()).collect()).collect();
+        let cols = QuantMatrix::from_rows(&rows).columns();
+        let mut oracle_scratch = InferenceScratch::new();
+        let labels = ColumnLabels::new(
+            rows.iter().map(|r| mlp.predict_with(r, &mut oracle_scratch)).collect(),
+        );
+        let fresh = |mlp: &AxMlp| hits_columns(mlp, &cols, &labels, &mut ColumnarScratch::new(), None);
+        let mut pass = ResidentPass::new(cols.clone(), labels.clone());
+        prop_assert_eq!(pass.run(&mlp), fresh(&mlp));
+        let last = mlp.layers.len() - 1;
+        for (draws, keep) in edits {
+            let mut edited = mlp.clone();
+            let (li, ni) = edit(&mut edited, draws);
+            let hits = pass.trial(&edited, li, ni);
+            let want = fresh(&edited);
+            prop_assert_eq!(hits, want, "kernel {:?}, trial on {:?}", kernel_mode(), (li, ni));
+            if keep {
+                mlp = edited;
+            } else {
+                pass.undo();
+                let hits = pass.trial(&mlp, last, 0);
+                let want = fresh(&mlp);
+                prop_assert_eq!(hits, want, "kernel {:?}, re-score after undo", kernel_mode());
+            }
+        }
     }
 }
 
