@@ -1,338 +1,260 @@
-//! Bit-column profiles of multi-operand additions.
+//! Column heights of a bespoke multi-operand addition.
 //!
-//! A [`ColumnProfile`] records, for every bit position (column) of a
-//! multi-operand addition, how many *potentially non-zero* bits must be
-//! summed there. It is the single abstraction consumed both by the fast
-//! FA-count area estimator ([`crate::estimator`]) and by the netlist
-//! elaborator in `pe-hw`, which guarantees the estimate and the
-//! "synthesized" circuit cannot drift structurally.
+//! Column `c` of an accumulation holds every bit of weight `2^c` that
+//! can be non-zero at run time. A hard-wired `0` (a masked-out
+//! activation bit, or a zero bit of a constant) is no bit at all, which
+//! is exactly how bespoke hardware saves full adders (paper §III-B:
+//! "for every three constant '0' in a column, one FA is eliminated from
+//! that column").
+//!
+//! `neuron_columns` builds the heights that [`crate::tree_gates`], the
+//! one analytic adder-tree model, reduces. [`accumulator_width`] sizes
+//! the accumulator of `pe-hw`'s structural elaborator, the model's
+//! independent oracle.
 
-use serde::{Deserialize, Serialize};
+use crate::estimator::NeuronArithSpec;
+use crate::fixed::{to_twos_complement, unsigned_width};
+use crate::summand::Summand;
 
-use crate::error::ArithError;
-use crate::fixed::unsigned_width;
-use crate::summand::{constant_bit_pattern, Summand};
+/// What [`neuron_columns`] reports about a neuron besides its heights.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NeuronColumns {
+    /// Accumulator width: the neuron's whole range in two's complement.
+    pub accumulator_bits: u32,
+    /// NOT gates: one per variable bit of a subtracted weight.
+    pub not_gates: u32,
+    /// The folded constant: every negation's two's-complement
+    /// correction plus the bias, modulo `2^accumulator_bits`. Its set
+    /// bits enter the tree as tie-high inputs and are counted in the
+    /// heights.
+    pub constant: u64,
+}
 
-/// Per-column count of potentially non-zero bits in a multi-operand
-/// addition.
+/// Fill `heights` with the column heights of `spec`'s accumulation
+/// (column 0 first, trailing empty columns trimmed).
 ///
-/// Column `c` corresponds to bit weight `2^c`. Every hard-wired `0`
-/// (a masked-out activation bit, or a zero bit of a constant) simply
-/// does not appear in the profile — which is exactly how bespoke
-/// hardware saves full adders (paper §III-B: "for every three constant
-/// '0' in a column, one FA is eliminated from that column").
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ColumnProfile {
-    heights: Vec<u32>,
-}
-
-impl ColumnProfile {
-    /// Create an empty profile (an addition with no operands).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create a profile from explicit column heights (column 0 first).
-    ///
-    /// ```
-    /// let p = pe_arith::ColumnProfile::from_heights(vec![3, 1, 2]);
-    /// assert_eq!(p.height(0), 3);
-    /// assert_eq!(p.height(5), 0);
-    /// ```
-    #[must_use]
-    pub fn from_heights(heights: Vec<u32>) -> Self {
-        let mut p = Self { heights };
-        p.trim();
-        p
-    }
-
-    /// Build the profile of a complete bespoke accumulation.
-    ///
-    /// Negative summands are handled exactly as the bespoke netlist
-    /// does: their variable bits stay in place (inverted by NOT gates,
-    /// which do not affect column heights), and the two's-complement
-    /// constant corrections are folded, together with all explicit
-    /// [`Summand::Constant`]s, into a single constant whose set bits are
-    /// then added to the profile.
-    ///
-    /// `acc_bits` is the accumulator width; use
-    /// [`ColumnProfile::accumulator_width`] to derive it from the
-    /// summands themselves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors from malformed summands and
-    /// out-of-range constants.
-    pub fn from_summands(summands: &[Summand], acc_bits: u32) -> Result<Self, ArithError> {
-        let mut heights = vec![0u32; acc_bits as usize];
-        let modulus_mask = (1u64 << acc_bits) - 1;
-        let mut folded_constant: u64 = 0;
-
-        for s in summands {
-            s.validate()?;
-            if s.is_zero() {
-                continue;
-            }
-            match s {
-                Summand::MaskedInput { .. } => {
-                    for pos in s.active_bit_positions() {
-                        if pos >= acc_bits {
-                            return Err(ArithError::ShiftTooLarge { shift: pos });
-                        }
-                        heights[pos as usize] += 1;
-                    }
-                    if let Some(k) = s.negation_constant(acc_bits)? {
-                        folded_constant = folded_constant.wrapping_add(k) & modulus_mask;
-                    }
-                }
-                Summand::Constant(c) => {
-                    let pattern = constant_bit_pattern(*c, acc_bits)?;
-                    folded_constant = folded_constant.wrapping_add(pattern) & modulus_mask;
-                }
-            }
-        }
-
-        for b in 0..acc_bits {
-            if folded_constant >> b & 1 == 1 {
-                heights[b as usize] += 1;
-            }
-        }
-
-        let mut p = Self { heights };
-        p.trim();
-        Ok(p)
-    }
-
-    /// Accumulator width (in bits) that safely holds any runtime value of
-    /// the given summands, interpreting the result in two's complement.
-    ///
-    /// The width covers `[-Σ neg_max − |bias⁻|, Σ pos_max + bias⁺]` with
-    /// one sign bit.
-    #[must_use]
-    pub fn accumulator_width(summands: &[Summand]) -> u32 {
-        let mut pos: u64 = 0;
-        let mut neg: u64 = 0;
-        for s in summands {
-            match s {
-                Summand::MaskedInput { negative, .. } => {
-                    if *negative {
-                        neg += s.max_magnitude();
-                    } else {
-                        pos += s.max_magnitude();
-                    }
-                }
-                Summand::Constant(c) => {
-                    if *c >= 0 {
-                        pos += c.unsigned_abs();
-                    } else {
-                        neg += c.unsigned_abs();
-                    }
-                }
-            }
-        }
-        let magnitude = pos.max(neg).max(1);
-        unsigned_width(magnitude) + 1
-    }
-
-    /// Number of columns in the profile (index of the highest non-empty
-    /// column plus one).
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.heights.len() as u32
-    }
-
-    /// Height (bit count) of column `c`; columns beyond the profile are 0.
-    #[must_use]
-    pub fn height(&self, c: u32) -> u32 {
-        self.heights.get(c as usize).copied().unwrap_or(0)
-    }
-
-    /// Total number of bits across all columns.
-    #[must_use]
-    pub fn total_bits(&self) -> u32 {
-        self.heights.iter().sum()
-    }
-
-    /// Tallest column height, or 0 for an empty profile.
-    #[must_use]
-    pub fn max_height(&self) -> u32 {
-        self.heights.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Whether the profile has no bits at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heights.iter().all(|&h| h == 0)
-    }
-
-    /// Add `count` bits to column `c`, growing the profile as needed.
-    pub fn add_bits(&mut self, c: u32, count: u32) {
-        if count == 0 {
-            return;
-        }
-        if c as usize >= self.heights.len() {
-            self.heights.resize(c as usize + 1, 0);
-        }
-        self.heights[c as usize] += count;
-    }
-
-    /// Merge another profile into this one column-wise.
-    pub fn merge(&mut self, other: &ColumnProfile) {
-        for (c, &h) in other.heights.iter().enumerate() {
-            self.add_bits(c as u32, h);
+/// Zero-mask weights are wired out. The variable bits of every other
+/// weight stay in place: a subtracted weight's bits are inverted by
+/// NOT gates, which leave the heights alone. Each negation's
+/// two's-complement correction and the bias fold into one constant
+/// whose set bits join the columns (§III-A: "the '1' from all two's
+/// complement negations may be accumulated in the constant bias
+/// term").
+///
+/// # Panics
+///
+/// Panics if the spec is malformed: an input width outside `1..=32`, a
+/// mask wider than it, or a shift above 24. Specs decoded from a genome
+/// or lowered from a baseline neuron are always well-formed.
+pub(crate) fn neuron_columns(spec: &NeuronArithSpec, heights: &mut Vec<u32>) -> NeuronColumns {
+    let mut pos: u64 = 0;
+    let mut neg: u64 = 0;
+    let mut not_gates: u32 = 0;
+    for w in spec.weights.iter().filter(|w| w.mask != 0) {
+        let magnitude = w.mask << w.shift;
+        if w.negative {
+            neg += magnitude;
+            not_gates += w.mask.count_ones();
+        } else {
+            pos += magnitude;
         }
     }
-
-    /// Iterate over `(column, height)` pairs for non-empty columns.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.heights
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| h > 0)
-            .map(|(c, &h)| (c as u32, h))
+    if spec.bias >= 0 {
+        pos += spec.bias.unsigned_abs();
+    } else {
+        neg += spec.bias.unsigned_abs();
     }
+    let accumulator_bits = unsigned_width(pos.max(neg).max(1)) + 1;
 
-    /// Column heights as a slice (column 0 first).
-    #[must_use]
-    pub fn as_heights(&self) -> &[u32] {
-        &self.heights
-    }
-
-    fn trim(&mut self) {
-        while self.heights.last() == Some(&0) {
-            self.heights.pop();
+    heights.clear();
+    heights.resize(accumulator_bits as usize, 0);
+    let modulus_mask = (1u64 << accumulator_bits) - 1;
+    let mut constant: u64 = 0;
+    let well_formed = "neuron spec must be well-formed";
+    for w in spec.weights.iter().filter(|w| w.mask != 0) {
+        let summand = Summand::MaskedInput {
+            input_bits: spec.input_bits,
+            mask: w.mask,
+            shift: w.shift,
+            negative: w.negative,
+        };
+        summand.validate().expect(well_formed);
+        let mut mask = w.mask;
+        while mask != 0 {
+            let pos = mask.trailing_zeros() + w.shift;
+            assert!(pos < accumulator_bits, "{well_formed}");
+            heights[pos as usize] += 1;
+            mask &= mask - 1;
         }
+        if let Some(k) = summand
+            .negation_constant(accumulator_bits)
+            .expect(well_formed)
+        {
+            constant = constant.wrapping_add(k) & modulus_mask;
+        }
+    }
+    let bias = to_twos_complement(spec.bias, accumulator_bits).expect(well_formed);
+    constant = constant.wrapping_add(bias) & modulus_mask;
+    for (b, h) in heights.iter_mut().enumerate() {
+        *h += (constant >> b & 1) as u32;
+    }
+    while heights.last() == Some(&0) {
+        heights.pop();
+    }
+    NeuronColumns {
+        accumulator_bits,
+        not_gates,
+        constant,
     }
 }
 
-impl FromIterator<u32> for ColumnProfile {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        Self::from_heights(iter.into_iter().collect())
-    }
-}
-
-impl Extend<(u32, u32)> for ColumnProfile {
-    fn extend<I: IntoIterator<Item = (u32, u32)>>(&mut self, iter: I) {
-        for (c, h) in iter {
-            self.add_bits(c, h);
+/// Accumulator width (in bits) that holds any runtime value of
+/// `summands` in two's complement: `[-Σ neg_max, Σ pos_max]` plus one
+/// sign bit.
+#[must_use]
+pub fn accumulator_width(summands: &[Summand]) -> u32 {
+    let mut pos: u64 = 0;
+    let mut neg: u64 = 0;
+    for s in summands {
+        match s {
+            Summand::MaskedInput { negative, .. } => {
+                if *negative {
+                    neg += s.max_magnitude();
+                } else {
+                    pos += s.max_magnitude();
+                }
+            }
+            Summand::Constant(c) => {
+                if *c >= 0 {
+                    pos += c.unsigned_abs();
+                } else {
+                    neg += c.unsigned_abs();
+                }
+            }
         }
     }
+    unsigned_width(pos.max(neg).max(1)) + 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::WeightArith;
 
-    fn masked(mask: u64, shift: u32, negative: bool) -> Summand {
-        Summand::MaskedInput {
-            input_bits: 4,
-            mask,
-            shift,
-            negative,
+    fn spec(input_bits: u32, weights: &[(u64, u32, bool)], bias: i64) -> NeuronArithSpec {
+        NeuronArithSpec {
+            input_bits,
+            weights: weights
+                .iter()
+                .map(|&(mask, shift, negative)| WeightArith {
+                    mask,
+                    shift,
+                    negative,
+                })
+                .collect(),
+            bias,
         }
+    }
+
+    fn columns(spec: &NeuronArithSpec) -> (Vec<u32>, NeuronColumns) {
+        let mut heights = Vec::new();
+        let columns = neuron_columns(spec, &mut heights);
+        (heights, columns)
+    }
+
+    fn height(heights: &[u32], c: usize) -> u32 {
+        heights.get(c).copied().unwrap_or(0)
     }
 
     #[test]
     fn profile_from_positive_summands_counts_mask_bits() {
-        let summands = vec![masked(0b1111, 0, false), masked(0b1010, 1, false)];
-        let acc = ColumnProfile::accumulator_width(&summands);
-        let p = ColumnProfile::from_summands(&summands, acc).unwrap();
-        // Columns: c0: x bit; c1: x bit + mask bit1<<1; etc.
-        assert_eq!(p.height(0), 1);
-        assert_eq!(p.height(1), 1); // 0b1010 bit1 -> col 2 actually
-        assert_eq!(p.height(2), 2); // x bit2 + masked bit1<<1
-        assert_eq!(p.height(4), 1); // masked bit3<<1
-        assert_eq!(p.total_bits(), 4 + 2);
+        let (heights, _) = columns(&spec(4, &[(0b1111, 0, false), (0b1010, 1, false)], 0));
+        // Column 2 holds x0's bit 2 and x1's bit 1 shifted by one.
+        assert_eq!(height(&heights, 0), 1);
+        assert_eq!(height(&heights, 1), 1);
+        assert_eq!(height(&heights, 2), 2);
+        assert_eq!(height(&heights, 3), 1);
+        assert_eq!(height(&heights, 4), 1);
+        assert_eq!(heights.iter().sum::<u32>(), 4 + 2);
     }
 
     #[test]
     fn paper_example_mask_101101() {
-        // §III-B example: A' = a5 0 a3 a2 0 a0 with mask 101101 on a
-        // 6-bit signal: three bits survive... (mask has 4 set bits:
-        // 101101 -> bits 0,2,3,5).
-        let s = Summand::MaskedInput {
-            input_bits: 6,
-            mask: 0b101101,
-            shift: 0,
-            negative: false,
-        };
-        let p = ColumnProfile::from_summands(std::slice::from_ref(&s), 8).unwrap();
-        assert_eq!(p.height(0), 1);
-        assert_eq!(p.height(1), 0);
-        assert_eq!(p.height(2), 1);
-        assert_eq!(p.height(3), 1);
-        assert_eq!(p.height(4), 0);
-        assert_eq!(p.height(5), 1);
+        // §III-B example: A' = a5 0 a3 a2 0 a0, mask 101101 on a 6-bit
+        // signal keeps bits 0, 2, 3 and 5.
+        let (heights, c) = columns(&spec(6, &[(0b101101, 0, false)], 0));
+        assert_eq!(heights, [1, 0, 1, 1, 0, 1]);
+        assert_eq!(c.constant, 0);
     }
 
     #[test]
     fn constants_fold_together() {
-        // Two constants 0b0101 and 0b0011 fold to 0b1000: only one column.
-        let p =
-            ColumnProfile::from_summands(&[Summand::Constant(5), Summand::Constant(3)], 8).unwrap();
-        assert_eq!(p.height(3), 1);
-        assert_eq!(p.total_bits(), 1);
+        // −x0 (one bit) + 9 over 5 bits: the negation's correction
+        // 0b11111 and the bias 0b01001 fold to 0b01000, one tie-high
+        // bit beside the inverted variable bit.
+        let (heights, c) = columns(&spec(4, &[(0b0001, 0, true)], 9));
+        assert_eq!(c.accumulator_bits, 5);
+        assert_eq!(c.constant, 0b01000);
+        assert_eq!(heights, [1, 0, 0, 1]);
+        assert_eq!(c.not_gates, 1);
     }
 
     #[test]
     fn negative_summand_adds_folded_constant_bits() {
-        let summands = vec![masked(0b1111, 0, false), masked(0b0001, 0, true)];
-        let acc = ColumnProfile::accumulator_width(&summands);
-        let p = ColumnProfile::from_summands(&summands, acc).unwrap();
-        // The negated bit stays in column 0 (inverted), the fold constant
-        // occupies the remaining columns.
-        assert!(p.height(0) >= 2);
-        assert!(p.total_bits() > 5);
+        let (heights, c) = columns(&spec(4, &[(0b1111, 0, false), (0b0001, 0, true)], 0));
+        // The negated bit stays in column 0 (inverted), the fold
+        // constant occupies the remaining columns.
+        assert!(heights[0] >= 2);
+        assert!(heights.iter().sum::<u32>() > 5);
+        assert_ne!(c.constant, 0);
     }
 
-    /// Exactness check: simulate the bespoke structure (inverted bits +
-    /// folded constant, modulo 2^W) against plain signed arithmetic.
+    /// Exactness check: the bespoke structure the heights describe
+    /// (variable bits, inverted where subtracted, plus the folded
+    /// constant, modulo 2^W) computes the plain signed sum, and the
+    /// heights count exactly those bits.
     #[test]
     fn folded_semantics_match_signed_sum() {
-        let summands = vec![
-            masked(0b1101, 1, false),
-            masked(0b0111, 0, true),
-            masked(0b1011, 2, true),
-            Summand::Constant(-5),
-        ];
-        let acc = ColumnProfile::accumulator_width(&summands);
-        let modulus = 1i128 << acc;
+        let weights = [(0b1101, 1, false), (0b0111, 0, true), (0b1011, 2, true)];
+        let spec = spec(4, &weights, -5);
+        let (heights, c) = columns(&spec);
+        let w = c.accumulator_bits;
+        let modulus = 1i64 << w;
+
+        let mut expected = vec![0u32; w as usize];
+        for &(mask, shift, _) in &weights {
+            for b in 0..4 {
+                expected[(b + shift) as usize] += (mask >> b & 1) as u32;
+            }
+        }
+        for (b, e) in expected.iter_mut().enumerate() {
+            *e += (c.constant >> b & 1) as u32;
+        }
+        while expected.last() == Some(&0) {
+            expected.pop();
+        }
+        assert_eq!(heights, expected);
+
         for x0 in 0..16u64 {
             for x1 in 0..16u64 {
                 for x2 in 0..16u64 {
-                    let exact: i64 = summands[0].evaluate(x0)
-                        + summands[1].evaluate(x1)
-                        + summands[2].evaluate(x2)
-                        + summands[3].evaluate(0);
-                    let wrapped = ((exact as i128) % modulus + modulus) % modulus;
-                    // Structural recomputation: variable bits and constants.
-                    let mut acc_val: u64 = 0;
-                    let mask_mod = (1u64 << acc) - 1;
-                    for (s, x) in summands.iter().zip([x0, x1, x2, 0]) {
-                        match s {
-                            Summand::MaskedInput {
-                                mask,
-                                shift,
-                                negative,
-                                ..
-                            } => {
-                                let v = (x & mask) << shift;
-                                if *negative {
-                                    let inv = (!v) & (mask << shift);
-                                    let k = s.negation_constant(acc).unwrap().unwrap();
-                                    acc_val = acc_val.wrapping_add(inv).wrapping_add(k) & mask_mod;
-                                } else {
-                                    acc_val = acc_val.wrapping_add(v) & mask_mod;
-                                }
-                            }
-                            Summand::Constant(c) => {
-                                let pat = constant_bit_pattern(*c, acc).unwrap();
-                                acc_val = acc_val.wrapping_add(pat) & mask_mod;
-                            }
+                    let mut exact = spec.bias;
+                    let mut structural = c.constant;
+                    for (&(mask, shift, negative), x) in weights.iter().zip([x0, x1, x2]) {
+                        let v = (x & mask) << shift;
+                        if negative {
+                            exact -= v as i64;
+                            structural += !v & (mask << shift);
+                        } else {
+                            exact += v as i64;
+                            structural += v;
                         }
                     }
-                    assert_eq!(acc_val as i128, wrapped, "x=({x0},{x1},{x2})");
+                    assert_eq!(
+                        structural as i64 % modulus,
+                        exact.rem_euclid(modulus),
+                        "x=({x0},{x1},{x2})"
+                    );
                 }
             }
         }
@@ -340,29 +262,26 @@ mod tests {
 
     #[test]
     fn accumulator_width_has_headroom() {
-        let summands = vec![masked(0b1111, 3, false); 8];
-        let w = ColumnProfile::accumulator_width(&summands);
+        let summands = vec![
+            Summand::MaskedInput {
+                input_bits: 4,
+                mask: 0b1111,
+                shift: 3,
+                negative: false,
+            };
+            8
+        ];
         // 8 * (15<<3) = 960, needs 10 bits + sign.
-        assert_eq!(w, 11);
+        assert_eq!(accumulator_width(&summands), 11);
     }
 
     #[test]
     fn empty_profile_behaviour() {
-        let p = ColumnProfile::new();
-        assert!(p.is_empty());
-        assert_eq!(p.width(), 0);
-        assert_eq!(p.max_height(), 0);
-        let from_zero = ColumnProfile::from_heights(vec![0, 0, 0]);
-        assert_eq!(from_zero.width(), 0);
-    }
-
-    #[test]
-    fn merge_and_extend() {
-        let mut a = ColumnProfile::from_heights(vec![1, 2]);
-        let b = ColumnProfile::from_heights(vec![0, 1, 4]);
-        a.merge(&b);
-        assert_eq!(a.as_heights(), &[1, 3, 4]);
-        a.extend([(0u32, 2u32)]);
-        assert_eq!(a.height(0), 3);
+        // No live weight and no bias: no bits, no constant, no gates.
+        let (heights, c) = columns(&spec(4, &[(0, 3, true), (0, 0, false)], 0));
+        assert!(heights.is_empty());
+        assert_eq!(c.constant, 0);
+        assert_eq!(c.not_gates, 0);
+        assert_eq!(c.accumulator_bits, 2);
     }
 }

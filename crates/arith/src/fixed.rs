@@ -6,22 +6,6 @@
 
 use crate::error::ArithError;
 
-/// Maximum representable value of an unsigned field of `width` bits.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or greater than 63 (the helpers in this module
-/// keep one headroom bit so arithmetic on `i64` never overflows).
-///
-/// ```
-/// assert_eq!(pe_arith::max_unsigned(4), 15);
-/// ```
-#[must_use]
-pub fn max_unsigned(width: u32) -> u64 {
-    assert!((1..=63).contains(&width), "width {width} out of 1..=63");
-    (1u64 << width) - 1
-}
-
 /// Maximum representable value of a two's-complement field of `width` bits.
 ///
 /// # Panics
@@ -70,66 +54,12 @@ pub fn unsigned_width(v: u64) -> u32 {
     }
 }
 
-/// Number of bits needed to represent the signed value `v` in
-/// two's complement.
-///
-/// ```
-/// assert_eq!(pe_arith::signed_width(0), 1);
-/// assert_eq!(pe_arith::signed_width(127), 8);
-/// assert_eq!(pe_arith::signed_width(-128), 8);
-/// assert_eq!(pe_arith::signed_width(128), 9);
-/// ```
-#[must_use]
-pub fn signed_width(v: i64) -> u32 {
-    if v == 0 {
-        1
-    } else if v > 0 {
-        unsigned_width(v as u64) + 1
-    } else {
-        // Smallest width w with -(2^(w-1)) <= v: drop redundant sign bits.
-        64 - v.leading_ones() + 1
-    }
-}
-
-/// Saturate `v` into the signed range of `width` bits.
-///
-/// ```
-/// assert_eq!(pe_arith::clamp_to_bits(300, 8), 127);
-/// assert_eq!(pe_arith::clamp_to_bits(-300, 8), -128);
-/// assert_eq!(pe_arith::clamp_to_bits(5, 8), 5);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or greater than 63.
-#[must_use]
-pub fn clamp_to_bits(v: i64, width: u32) -> i64 {
-    v.clamp(min_signed(width), max_signed(width))
-}
-
-/// Check that `v` fits an unsigned field of `width` bits.
-///
-/// # Errors
-///
-/// Returns [`ArithError::ValueOutOfRange`] if `v` is negative or exceeds
-/// `2^width - 1`, and [`ArithError::InvalidWidth`] if `width` is outside
-/// `1..=63`.
-pub fn check_unsigned(v: i64, width: u32) -> Result<u64, ArithError> {
-    if !(1..=63).contains(&width) {
-        return Err(ArithError::InvalidWidth { width });
-    }
-    if v < 0 || (v as u64) > max_unsigned(width) {
-        return Err(ArithError::ValueOutOfRange { value: v, width });
-    }
-    Ok(v as u64)
-}
-
 /// Check that `v` fits a two's-complement field of `width` bits.
 ///
 /// # Errors
 ///
-/// Returns [`ArithError::ValueOutOfRange`] / [`ArithError::InvalidWidth`]
-/// analogously to [`check_unsigned`].
+/// Returns [`ArithError::ValueOutOfRange`] if `v` does not fit, and
+/// [`ArithError::InvalidWidth`] if `width` is outside `1..=63`.
 pub fn check_signed(v: i64, width: u32) -> Result<i64, ArithError> {
     if !(1..=63).contains(&width) {
         return Err(ArithError::InvalidWidth { width });
@@ -163,10 +93,9 @@ mod tests {
     #[test]
     fn unsigned_bounds_round_trip() {
         for w in 1..=16 {
-            let m = max_unsigned(w);
+            let m = (1u64 << w) - 1;
             assert_eq!(unsigned_width(m), w);
-            assert!(check_unsigned(m as i64, w).is_ok());
-            assert!(check_unsigned(m as i64 + 1, w).is_err());
+            assert_eq!(unsigned_width(m + 1), w + 1);
         }
     }
 
@@ -181,31 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn signed_width_matches_definition() {
-        for v in -1024i64..=1024 {
-            let w = signed_width(v);
-            assert!(v >= min_signed(w) && v <= max_signed(w), "v={v} w={w}");
-            if w > 1 {
-                let narrower = w - 1;
-                assert!(
-                    v < min_signed(narrower) || v > max_signed(narrower),
-                    "v={v} also fits {narrower} bits"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn twos_complement_known_patterns() {
         assert_eq!(to_twos_complement(-8, 4).unwrap(), 0b1000);
         assert_eq!(to_twos_complement(7, 4).unwrap(), 0b0111);
         assert_eq!(to_twos_complement(0, 4).unwrap(), 0);
         assert!(to_twos_complement(8, 4).is_err());
-    }
-
-    #[test]
-    fn clamp_saturates_both_sides() {
-        assert_eq!(clamp_to_bits(i64::MAX / 2, 4), 7);
-        assert_eq!(clamp_to_bits(i64::MIN / 2, 4), -8);
     }
 }

@@ -6,27 +6,30 @@
 //! adder trees. This crate provides the bit-level machinery that the rest
 //! of the workspace builds on:
 //!
-//! * [`ColumnProfile`] — the number of (potentially non-zero) bits per
-//!   bit-column of a multi-operand addition, the core abstraction shared
-//!   by the area estimator and the netlist elaborator.
-//! * [`reduce`] — a 3:2 / 2:2 compression-tree model that counts the
-//!   full adders (and optionally half adders) needed to reduce a column
-//!   profile to two rows, plus the final carry-propagate adder.
-//! * [`estimator`] — the DATE'24 paper's fast `AdderArea` estimate
-//!   (§III-C): from the masks, signs, shift exponents and bias of an
-//!   approximate neuron straight to an FA count.
+//! * [`estimator`] — the DATE'24 paper's `AdderArea` model (§III-C):
+//!   [`tree_gates`] takes a neuron's masks, signs, shift exponents and
+//!   bias ([`NeuronArithSpec`]) to the full adders, NOT gates, depth and
+//!   tie cells of its FA-only adder tree. It is the one analytic
+//!   adder-tree model: the GA, the design store and every reported cost
+//!   call it.
+//! * [`column`](mod@column) — the column heights [`tree_gates`] reduces: the
+//!   number of potentially non-zero bits per bit-column, with negation
+//!   corrections and the bias folded into one constant.
+//! * [`reduce`] — the FA-only 3:2 compression-tree model that reduces
+//!   the heights to two rows, plus the final carry-propagate adder.
 //! * [`csd`] — canonical signed-digit decomposition of constants, used to
 //!   cost the *exact* bespoke baseline's constant multipliers.
 //! * [`summand`] — the description of one operand of a bespoke
-//!   multi-operand addition (masked input, shift, sign, or a constant).
+//!   multi-operand addition (masked input, shift, sign, or a constant),
+//!   which `pe-hw`'s structural elaborator binds to nets.
 //!
 //! # Example
 //!
-//! Estimate the adder area of a tiny approximate neuron with two 4-bit
+//! Cost the adder tree of a tiny approximate neuron with two 4-bit
 //! inputs, power-of-two weights `+2^1` and `-2^0`, full masks and bias 3:
 //!
 //! ```
-//! use pe_arith::estimator::{AdderAreaEstimator, NeuronArithSpec, WeightArith};
+//! use pe_arith::{tree_gates, NeuronArithSpec, WeightArith};
 //!
 //! let spec = NeuronArithSpec {
 //!     input_bits: 4,
@@ -36,9 +39,9 @@
 //!     ],
 //!     bias: 3,
 //! };
-//! let est = AdderAreaEstimator::paper();
-//! let report = est.estimate(&spec);
-//! assert!(report.full_adders > 0);
+//! let tree = tree_gates(&spec, &mut Vec::new());
+//! assert!(tree.counts.full_adders > 0);
+//! assert_eq!(tree.counts.not_gates, 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,14 +56,9 @@ pub mod fixed;
 pub mod reduce;
 pub mod summand;
 
-pub use column::ColumnProfile;
 pub use csd::{csd_digits, CsdDigit};
 pub use error::ArithError;
-pub use estimator::{
-    AdderAreaEstimator, AdderAreaReport, NeuronArithSpec, NeuronGateCounts, WeightArith,
-};
-pub use fixed::{
-    clamp_to_bits, max_signed, max_unsigned, min_signed, signed_width, unsigned_width,
-};
-pub use reduce::{Reducer, ReductionKind, ReductionStats};
+pub use estimator::{tree_gates, NeuronArithSpec, NeuronGateCounts, TreeGates, WeightArith};
+pub use fixed::{max_signed, min_signed, unsigned_width};
+pub use reduce::ReductionStats;
 pub use summand::Summand;

@@ -4,12 +4,13 @@
 //! at design time *structurally* (which bit positions can be non-zero,
 //! whether the operand is added or subtracted) even though the input
 //! values themselves are runtime signals. [`Summand`] captures exactly
-//! that structure; [`crate::ColumnProfile`] aggregates it per bit column.
+//! that structure: `pe-hw`'s structural elaborator binds each summand
+//! to the nets of its input, and the design store validates stored
+//! weights through it.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::ArithError;
-use crate::fixed::to_twos_complement;
 
 /// One operand of a bespoke multi-operand addition.
 ///
@@ -40,22 +41,6 @@ pub enum Summand {
 }
 
 impl Summand {
-    /// Convenience constructor for a positive, unmasked input summand.
-    ///
-    /// ```
-    /// let s = pe_arith::Summand::input(4, 2);
-    /// assert_eq!(s.active_bit_positions(), vec![2, 3, 4, 5]);
-    /// ```
-    #[must_use]
-    pub fn input(input_bits: u32, shift: u32) -> Self {
-        Summand::MaskedInput {
-            input_bits,
-            mask: (1u64 << input_bits) - 1,
-            shift,
-            negative: false,
-        }
-    }
-
     /// Validate internal consistency (mask within width, shift sane).
     ///
     /// # Errors
@@ -85,47 +70,6 @@ impl Summand {
                 Ok(())
             }
             Summand::Constant(_) => Ok(()),
-        }
-    }
-
-    /// Bit positions (column indices) at which this summand can place a
-    /// *variable* (runtime-dependent) bit.
-    ///
-    /// Constants contribute no variable bits; masked inputs contribute
-    /// one position per set mask bit, offset by the shift.
-    #[must_use]
-    pub fn active_bit_positions(&self) -> Vec<u32> {
-        match *self {
-            Summand::MaskedInput { mask, shift, .. } => (0..64)
-                .filter(|b| mask >> b & 1 == 1)
-                .map(|b| b + shift)
-                .collect(),
-            Summand::Constant(_) => Vec::new(),
-        }
-    }
-
-    /// Number of variable bits this summand feeds into the adder tree.
-    #[must_use]
-    pub fn active_bit_count(&self) -> u32 {
-        match *self {
-            Summand::MaskedInput { mask, .. } => mask.count_ones(),
-            Summand::Constant(_) => 0,
-        }
-    }
-
-    /// Whether this summand is subtracted.
-    #[must_use]
-    pub fn is_negative(&self) -> bool {
-        matches!(*self, Summand::MaskedInput { negative: true, .. })
-    }
-
-    /// Whether the summand is structurally zero (empty mask or zero
-    /// constant) and can be dropped from the adder tree entirely.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        match *self {
-            Summand::MaskedInput { mask, .. } => mask == 0,
-            Summand::Constant(c) => c == 0,
         }
     }
 
@@ -165,7 +109,7 @@ impl Summand {
     /// plus a constant correction, over an accumulator of `acc_bits`.
     ///
     /// Two's-complement subtraction of `v` (whose variable bits live at
-    /// [`Self::active_bit_positions`]) is `~v + 1` over the accumulator
+    /// the set bits of `mask << shift`) is `~v + 1` over the accumulator
     /// width: the variable bits are inverted in place (one NOT gate each,
     /// no FA impact), every *other* accumulator bit becomes a constant
     /// `1`, and the `+1` is a constant. This method returns that constant
@@ -202,31 +146,9 @@ impl Summand {
     }
 }
 
-/// Encode a signed constant as bit positions over `acc_bits`, i.e. the
-/// columns its two's-complement pattern occupies.
-///
-/// # Errors
-///
-/// Returns [`ArithError::ValueOutOfRange`] if the constant does not fit.
-pub fn constant_bit_pattern(c: i64, acc_bits: u32) -> Result<u64, ArithError> {
-    to_twos_complement(c, acc_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn masked_positions_respect_shift() {
-        let s = Summand::MaskedInput {
-            input_bits: 4,
-            mask: 0b1011,
-            shift: 2,
-            negative: false,
-        };
-        assert_eq!(s.active_bit_positions(), vec![2, 3, 5]);
-        assert_eq!(s.active_bit_count(), 3);
-    }
 
     #[test]
     fn evaluate_applies_mask_shift_sign() {
@@ -249,8 +171,9 @@ mod tests {
             shift: 3,
             negative: true,
         };
-        assert!(s.is_zero());
         assert_eq!(s.max_magnitude(), 0);
+        // Its negation folds to no constant: ~0 + 1 wraps to 0.
+        assert_eq!(s.negation_constant(8), Ok(Some(0)));
     }
 
     #[test]
@@ -301,7 +224,12 @@ mod tests {
 
     #[test]
     fn negation_constant_none_for_positive() {
-        let s = Summand::input(4, 0);
+        let s = Summand::MaskedInput {
+            input_bits: 4,
+            mask: 0b1111,
+            shift: 0,
+            negative: false,
+        };
         assert_eq!(s.negation_constant(8).unwrap(), None);
         assert_eq!(Summand::Constant(5).negation_constant(8).unwrap(), None);
     }

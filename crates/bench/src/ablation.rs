@@ -345,14 +345,23 @@ pub fn fa_vs_netlist(dataset: Dataset, samples: usize, seed: u64) -> ProxyConcor
     let trainer = HwAwareTrainer::new(AxTrainConfig::default());
     let genome = trainer.genome_spec_for(&costed.baseline);
     let elab = Elaborator::new(TechLibrary::egfet());
-    let estimator = pe_arith::AdderAreaEstimator::paper();
+    let mut heights = Vec::new();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xb5ad_4ece_da1c_e2a9);
     let mut points: Vec<(f64, f64)> = Vec::with_capacity(samples);
     for i in 0..samples {
         let genes = pe_nsga::random_genome(genome.bounds(), &mut rng);
         let mlp = genome.decode(&genes);
-        let proxy = estimator.estimate_total(mlp.arith_specs().iter().flatten());
+        let proxy: f64 = mlp
+            .arith_specs()
+            .iter()
+            .flatten()
+            .map(|spec| {
+                pe_arith::tree_gates(spec, &mut heights)
+                    .counts
+                    .fa_equivalent()
+            })
+            .sum();
         let area = elab
             .elaborate(&ax_to_hardware(&mlp, format!("probe{i}")))
             .report

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pe_arith::{AdderAreaEstimator, NeuronArithSpec, NeuronGateCounts};
+use pe_arith::{tree_gates, NeuronArithSpec, NeuronGateCounts};
 use pe_hw::variation::{RobustStat, VariationConfig, VariationModel};
 use pe_hw::{argmax_gate_counts, qrelu_gate_counts, CostScenario};
 use pe_mlp::columnar::{self, ColumnLabels, ColumnMatrix, ColumnarScratch, QuantMatrix};
@@ -58,8 +58,8 @@ impl Default for AreaObjective {
 /// column is recomputed into scratch, because a shared column cache
 /// saved no time and held most of a study's memory (the README's
 /// "Performance architecture" has the numbers). Per-neuron gate counts
-/// are computed directly
-/// ([`AdderAreaEstimator::counts_of_with`]) for the same reason. Once
+/// are computed directly ([`tree_gates`], the model every reported
+/// cost uses) for the same reason. Once
 /// its scratch has grown, an evaluation allocates only the objectives
 /// vector it returns. The columnar path is bit-exact with the per-row
 /// oracle ([`score_with`](Self::score_with), i.e.
@@ -74,7 +74,6 @@ pub struct AxTrainProblem {
     /// The labels, with their `i16` lanes for the forward pass's
     /// narrowest argmax built once, here.
     labels: ColumnLabels,
-    estimator: AdderAreaEstimator,
     /// Gate-count computations so far (shared by clones).
     gate_counts: Arc<AtomicU64>,
     objective: AreaObjective,
@@ -142,7 +141,6 @@ impl AxTrainProblem {
             rows,
             columns,
             labels: ColumnLabels::new(labels),
-            estimator: AdderAreaEstimator::paper(),
             gate_counts: Arc::default(),
             objective: AreaObjective::GateEquivalents,
             scenario,
@@ -345,7 +343,7 @@ impl AxTrainProblem {
             let (spec, heights) = &mut *buffers.borrow_mut();
             neuron.to_arith_spec_into(input_bits, spec);
             spec.bias -= i64::from(bias_shift);
-            self.estimator.counts_of_with(spec, heights)
+            tree_gates(spec, heights).counts
         })
     }
 
@@ -480,7 +478,7 @@ impl AxTrainProblem {
     }
 
     /// Analytic gate-equivalent area of a decoded network, mirroring
-    /// the netlist elaborator: adder-tree FAs/HAs, sign-inversion NOTs,
+    /// the netlist elaborator: adder-tree FAs, sign-inversion NOTs,
     /// QReLU units, and the argmax comparator over bias-normalized
     /// output accumulators.
     #[must_use]

@@ -1,17 +1,15 @@
 //! Bit-exact elaboration of multi-operand adder trees.
 //!
-//! [`TreeBuilder`] wires real full/half adders over per-column bit
-//! queues, following *exactly* the same stage policy as
-//! [`pe_arith::Reducer`]. This is the load-bearing invariant of the
-//! whole hardware model: the FA/HA counts of the elaborated netlist are
-//! identical to the counts of the fast estimator the GA trains against
-//! (verified by property tests in this module and in `tests/`), so the
-//! "synthesis" step can only rescale costs, never reorder designs
-//! structurally.
+//! [`TreeBuilder`] wires real full adders over per-column bit queues,
+//! following the same FA-only stage policy as
+//! [`pe_arith::reduce::reduce`]. It is the independent oracle of the
+//! analytic model: the FA counts, depth and tie cells of the elaborated
+//! netlist equal those of [`pe_arith::tree_gates`], the model the GA
+//! trains against and every report is costed by (checked by tests in
+//! this module and in `tests/`), so the "synthesis" step can only
+//! rescale costs, never reorder designs structurally.
 
 use std::collections::VecDeque;
-
-use pe_arith::{ColumnProfile, Reducer, ReductionKind};
 
 use crate::netlist::{NetId, Netlist};
 
@@ -25,26 +23,17 @@ pub struct TreeSum {
     pub stages: u32,
 }
 
-/// Builds adder trees inside a [`Netlist`] from per-column bit queues.
-#[derive(Debug, Clone, Copy)]
-pub struct TreeBuilder {
-    kind: ReductionKind,
-}
+/// Builds FA-only adder trees inside a [`Netlist`] from per-column bit
+/// queues.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TreeBuilder;
 
 impl TreeBuilder {
-    /// Builder using the given compressor policy.
-    #[must_use]
-    pub fn new(kind: ReductionKind) -> Self {
-        Self { kind }
-    }
-
     /// Reduce `columns` (a queue of nets per bit position) to a final sum.
     ///
-    /// Mirrors [`pe_arith::Reducer::reduce`] stage by stage: every column
-    /// of height ≥ 3 feeds `⌊h/3⌋` FAs; under [`ReductionKind::FaHa`], a
-    /// leftover pair in a still-too-tall column feeds an HA. Once every
-    /// column is at most two nets high, a ripple carry-propagate pass
-    /// produces one sum bit per column.
+    /// Stage by stage, every column of height ≥ 3 feeds `⌊h/3⌋` FAs.
+    /// Once every column is at most two nets high, a ripple
+    /// carry-propagate pass produces one sum bit per column.
     ///
     /// Returns the sum bits (LSB first). Empty columns yield constant-0
     /// sum bits.
@@ -64,13 +53,6 @@ impl TreeBuilder {
                     next[ci].push_back(sum);
                     next[ci + 1].push_back(carry);
                 }
-                if self.kind == ReductionKind::FaHa && col.len() == 2 && h > 2 {
-                    let a = col.pop_front().expect("pair present");
-                    let b = col.pop_front().expect("pair present");
-                    let (sum, carry) = netlist.half_adder(a, b);
-                    next[ci].push_back(sum);
-                    next[ci + 1].push_back(carry);
-                }
                 while let Some(bit) = col.pop_front() {
                     next[ci].push_back(bit);
                 }
@@ -81,10 +63,9 @@ impl TreeBuilder {
             columns = next;
         }
 
-        // Final ripple carry-propagate pass, mirroring the Reducer's CPA
-        // walk. Under FaOnly the (1 bit + carry) and (2 bits, no carry)
-        // cases still instantiate an FA (third input tied low), matching
-        // the paper's FA-only assumption.
+        // Final ripple carry-propagate pass. The (1 bit + carry) and
+        // (2 bits, no carry) cases still instantiate an FA (third input
+        // tied low), matching the paper's FA-only assumption.
         let mut sum_bits = Vec::with_capacity(columns.len());
         let mut carry: Option<NetId> = None;
         for col in &mut columns {
@@ -99,26 +80,11 @@ impl TreeBuilder {
                     let bit = col.pop_front().expect("height 1");
                     sum_bits.push(bit);
                 }
-                (1, Some(c)) => {
-                    let a = col.pop_front().expect("height 1");
-                    let (s, co) = if self.kind == ReductionKind::FaHa {
-                        netlist.half_adder(a, c)
-                    } else {
-                        let zero = netlist.const_zero();
-                        netlist.full_adder(a, c, zero)
-                    };
-                    sum_bits.push(s);
-                    carry = Some(co);
-                }
-                (2, None) => {
-                    let a = col.pop_front().expect("height 2");
-                    let b = col.pop_front().expect("height 2");
-                    let (s, co) = if self.kind == ReductionKind::FaHa {
-                        netlist.half_adder(a, b)
-                    } else {
-                        let zero = netlist.const_zero();
-                        netlist.full_adder(a, b, zero)
-                    };
+                (1, Some(_)) | (2, None) => {
+                    let a = col.pop_front().expect("height 1 or 2");
+                    let b = carry.or_else(|| col.pop_front()).expect("height 2");
+                    let zero = netlist.const_zero();
+                    let (s, co) = netlist.full_adder(a, b, zero);
                     sum_bits.push(s);
                     carry = Some(co);
                 }
@@ -140,45 +106,18 @@ impl TreeBuilder {
     }
 }
 
-impl Default for TreeBuilder {
-    fn default() -> Self {
-        Self::new(ReductionKind::FaOnly)
-    }
-}
-
-/// Verify that the netlist elaboration of `profile` instantiates exactly
-/// the FA/HA counts predicted by [`pe_arith::Reducer`] — the structural-
-/// consistency invariant of the hardware model.
-///
-/// Returns `(netlist_fa, netlist_ha, predicted_fa, predicted_ha)`.
-#[must_use]
-pub fn consistency_probe(profile: &ColumnProfile, kind: ReductionKind) -> (u32, u32, u32, u32) {
-    let mut netlist = Netlist::new();
-    let mut columns: Vec<VecDeque<NetId>> = Vec::new();
-    for (c, h) in profile.iter() {
-        if columns.len() <= c as usize {
-            columns.resize(c as usize + 1, VecDeque::new());
-        }
-        for _ in 0..h {
-            let n = netlist.net();
-            columns[c as usize].push_back(n);
-        }
-    }
-    let _ = TreeBuilder::new(kind).reduce(&mut netlist, columns);
-    let counts = netlist.cell_counts();
-    let stats = Reducer::new(kind).reduce(profile);
-    (
-        counts.fa,
-        counts.ha,
-        stats.full_adders(),
-        stats.half_adders(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe_arith::ColumnProfile;
+    use crate::tech::Cell;
+
+    /// Fresh nets stacked to the given column heights.
+    fn columns_of(netlist: &mut Netlist, heights: &[u32]) -> Vec<VecDeque<NetId>> {
+        heights
+            .iter()
+            .map(|&h| (0..h).map(|_| netlist.net()).collect())
+            .collect()
+    }
 
     #[test]
     fn netlist_counts_match_reducer_for_known_shapes() {
@@ -190,12 +129,15 @@ mod tests {
             vec![1],
             vec![0, 0, 4],
         ] {
-            for kind in [ReductionKind::FaOnly, ReductionKind::FaHa] {
-                let p = ColumnProfile::from_heights(heights.clone());
-                let (nfa, nha, rfa, rha) = consistency_probe(&p, kind);
-                assert_eq!(nfa, rfa, "FA mismatch for {heights:?} {kind:?}");
-                assert_eq!(nha, rha, "HA mismatch for {heights:?} {kind:?}");
-            }
+            let mut netlist = Netlist::new();
+            let columns = columns_of(&mut netlist, &heights);
+            let tree = TreeBuilder.reduce(&mut netlist, columns);
+            let stats = pe_arith::reduce::reduce(&mut heights.clone());
+            let counts = netlist.cell_counts();
+            assert_eq!(counts.get(Cell::Fa), stats.full_adders(), "{heights:?}");
+            assert_eq!(tree.stages, stats.stages, "{heights:?}");
+            assert_eq!(tree.sum_bits.len() as u32, stats.sum_bits, "{heights:?}");
+            assert_eq!(counts.get(Cell::TieLo) == 1, stats.ties_low, "{heights:?}");
         }
     }
 
@@ -203,17 +145,11 @@ mod tests {
     fn sum_width_covers_max_value() {
         // Reducing columns representing value capacity must produce
         // enough sum bits for the maximum representable total.
-        let p = ColumnProfile::from_heights(vec![5, 5, 5]);
-        let max: u64 = p.iter().map(|(c, h)| u64::from(h) << c).sum();
+        let heights = [5u32, 5, 5];
+        let max: u64 = (0..).zip(heights).map(|(c, h)| u64::from(h) << c).sum();
         let mut netlist = Netlist::new();
-        let mut columns: Vec<VecDeque<NetId>> = vec![VecDeque::new(); 3];
-        for (c, h) in p.iter() {
-            for _ in 0..h {
-                let n = netlist.net();
-                columns[c as usize].push_back(n);
-            }
-        }
-        let tree = TreeBuilder::default().reduce(&mut netlist, columns);
+        let columns = columns_of(&mut netlist, &heights);
+        let tree = TreeBuilder.reduce(&mut netlist, columns);
         let capacity = (1u64 << tree.sum_bits.len()) - 1;
         assert!(
             capacity >= max,
@@ -225,7 +161,7 @@ mod tests {
     #[test]
     fn empty_tree_yields_no_cells() {
         let mut netlist = Netlist::new();
-        let tree = TreeBuilder::default().reduce(&mut netlist, Vec::new());
+        let tree = TreeBuilder.reduce(&mut netlist, Vec::new());
         assert!(tree.sum_bits.is_empty());
         assert_eq!(netlist.cell_counts().total(), 0);
     }
@@ -234,7 +170,7 @@ mod tests {
     fn single_bit_is_wiring_only() {
         let mut netlist = Netlist::new();
         let n = netlist.net();
-        let tree = TreeBuilder::default().reduce(&mut netlist, vec![VecDeque::from([n])]);
+        let tree = TreeBuilder.reduce(&mut netlist, vec![VecDeque::from([n])]);
         assert_eq!(tree.sum_bits, vec![n]);
         assert_eq!(netlist.cell_counts().total(), 0);
     }

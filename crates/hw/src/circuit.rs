@@ -6,13 +6,15 @@
 //! by gate, lumps the QReLU saturation units and the output argmax
 //! comparator tree as analytically-costed macros, registers the I/O,
 //! and rolls the cell content up through the [`TechLibrary`].
+//! [`Elaborator::cost`] reaches the same report without a netlist,
+//! pricing each neuron's adder tree with [`pe_arith::tree_gates`].
 
-use pe_arith::{ColumnProfile, ReductionKind, Summand};
+use pe_arith::tree_gates;
 use serde::{Deserialize, Serialize};
 
 use crate::netlist::{MacroBlock, NetId, Netlist};
 use crate::neuron::{
-    bind_approximate, bind_exact, elaborate_accumulation, neuron_summands, NeuronAccumulation,
+    arith_spec, bind_approximate, bind_exact, elaborate_accumulation, NeuronAccumulation,
 };
 use crate::report::HardwareReport;
 use crate::spec::{LayerActivation, MlpHardwareSpec, NeuronSpec};
@@ -46,18 +48,6 @@ pub struct ElaboratedMlp {
     pub neuron_stats: Vec<NeuronStats>,
 }
 
-/// Per-neuron cost: the neuron's gate content *without* tie cells
-/// (those are shared once per full netlist), plus flags recording
-/// whether the neuron needs them.
-#[derive(Debug, Clone, Copy)]
-struct NeuronCost {
-    counts: CellCounts,
-    uses_tie_hi: bool,
-    uses_tie_lo: bool,
-    stages: u32,
-    accumulator_bits: u32,
-}
-
 /// A costed bespoke MLP without its netlist: what
 /// [`Elaborator::cost`] produces. Identical `report`/`neuron_stats` to
 /// [`Elaborator::elaborate`], minus the structural netlist (use
@@ -75,28 +65,18 @@ pub struct CostedMlp {
 ///
 /// [`elaborate`](Self::elaborate) builds the full structural netlist;
 /// [`cost`](Self::cost) produces the identical [`HardwareReport`]
-/// without one, from each neuron's column heights.
+/// without one, from each neuron's column heights. Both use the
+/// paper's FA-only adder trees.
 #[derive(Debug, Clone)]
 pub struct Elaborator {
     tech: TechLibrary,
-    kind: ReductionKind,
 }
 
 impl Elaborator {
-    /// Elaborator with the paper's FA-only reduction policy.
+    /// Elaborator over the given technology library.
     #[must_use]
     pub fn new(tech: TechLibrary) -> Self {
-        Self {
-            tech,
-            kind: ReductionKind::FaOnly,
-        }
-    }
-
-    /// Override the compressor policy (for the `fa_vs_netlist` ablation).
-    #[must_use]
-    pub fn with_kind(mut self, kind: ReductionKind) -> Self {
-        self.kind = kind;
-        self
+        Self { tech }
     }
 
     /// The technology library in use.
@@ -146,11 +126,16 @@ impl Elaborator {
                     NeuronSpec::Exact(e) => bind_exact(e, &activations),
                     NeuronSpec::Approximate(a) => bind_approximate(a, &activations),
                 };
-                let acc = elaborate_accumulation(&mut netlist, &bound, self.kind);
+                let first = netlist.instances().len();
+                let acc = elaborate_accumulation(&mut netlist, &bound);
+                let full_adders = netlist.instances()[first..]
+                    .iter()
+                    .filter(|inst| inst.cell == Cell::Fa)
+                    .count() as u32;
                 neuron_stats.push(NeuronStats {
                     layer: li,
                     neuron: ni,
-                    full_adders: 0, // filled after elaboration pass below
+                    full_adders,
                     stages: acc.stages,
                     accumulator_bits: acc.accumulator_bits,
                 });
@@ -184,11 +169,6 @@ impl Elaborator {
             }
         }
 
-        // Distribute per-neuron FA counts from the recorded stats: the
-        // netlist does not tag instances by neuron, so recompute from
-        // the specs via the estimator-equivalent path (cheap).
-        fill_per_neuron_fas(spec, self.kind, &mut neuron_stats);
-
         let counts = netlist.cell_counts();
         let report =
             HardwareReport::at_nominal(spec.name.clone(), &self.tech, counts, critical_fa_depth);
@@ -203,10 +183,11 @@ impl Elaborator {
     ///
     /// The report is byte-identical to [`elaborate`](Self::elaborate)'s
     /// (same cell counts, same critical depth): the walk mirrors the
-    /// elaboration step for step — each neuron priced from its column
-    /// heights, the QReLU/argmax macros through the formulas the
-    /// netlist instantiates, one tie cell of each polarity shared
-    /// across the whole circuit.
+    /// elaboration step for step — each neuron's adder tree priced by
+    /// [`pe_arith::tree_gates`] (an exact neuron lowered to one weight
+    /// per partial product), the QReLU/argmax macros through the
+    /// formulas the netlist instantiates, one tie cell of each polarity
+    /// shared across the whole circuit.
     ///
     /// # Panics
     ///
@@ -220,6 +201,7 @@ impl Elaborator {
         let mut uses_tie_hi = false;
         let mut uses_tie_lo = false;
         let mut fan_in = spec.inputs;
+        let mut heights = Vec::new();
 
         for (li, layer) in spec.layers.iter().enumerate() {
             let mut layer_depth = 0u32;
@@ -230,21 +212,22 @@ impl Elaborator {
                     fan_in,
                     "layer {li} neuron {ni}: fan-in mismatch"
                 );
-                let cost = analytic_neuron_cost(neuron, self.kind);
-                counts.merge(&cost.counts);
-                uses_tie_hi |= cost.uses_tie_hi;
-                uses_tie_lo |= cost.uses_tie_lo;
-                layer_depth = layer_depth.max(cost.stages + cost.accumulator_bits + 1);
-                max_width = max_width.max(cost.accumulator_bits);
+                let tree = tree_gates(&arith_spec(neuron), &mut heights);
+                let g = tree.counts;
+                counts.merge(&CellCounts::from(&g));
+                uses_tie_hi |= tree.ties_high;
+                uses_tie_lo |= tree.ties_low;
+                layer_depth = layer_depth.max(g.stages + g.accumulator_bits + 1);
+                max_width = max_width.max(g.accumulator_bits);
                 neuron_stats.push(NeuronStats {
                     layer: li,
                     neuron: ni,
-                    full_adders: cost.counts.get(Cell::Fa),
-                    stages: cost.stages,
-                    accumulator_bits: cost.accumulator_bits,
+                    full_adders: g.full_adders,
+                    stages: g.stages,
+                    accumulator_bits: g.accumulator_bits,
                 });
                 if let LayerActivation::QRelu { out_bits, shift } = layer.activation {
-                    counts.merge(&qrelu_gate_counts(cost.accumulator_bits, out_bits, shift));
+                    counts.merge(&qrelu_gate_counts(g.accumulator_bits, out_bits, shift));
                 }
             }
             critical_fa_depth += layer_depth;
@@ -269,165 +252,6 @@ impl Elaborator {
         CostedMlp {
             report,
             neuron_stats,
-        }
-    }
-}
-
-/// Analytic per-neuron cost: mirrors
-/// [`elaborate_accumulation`](crate::neuron::elaborate_accumulation) +
-/// [`TreeBuilder::reduce`](crate::adder_tree::TreeBuilder::reduce) over
-/// column *heights* instead of net queues — same stage policy, same
-/// final carry-propagate walk, same tie-cell usage — so the counts are
-/// equal to elaboration's by construction (and by property test).
-///
-/// # Panics
-///
-/// Panics on malformed neuron specs, exactly like elaboration.
-fn analytic_neuron_cost(neuron: &NeuronSpec, kind: ReductionKind) -> NeuronCost {
-    let summands = neuron_summands(neuron);
-    let acc_bits = ColumnProfile::accumulator_width(&summands);
-    let modulus_mask = (1u64 << acc_bits) - 1;
-    let well_formed = "neuron spec must be well-formed";
-
-    // Column heights plus the folded constant (two's-complement
-    // negation corrections + bias), exactly as the elaborator places
-    // variable bits and tie-high cells.
-    let mut heights = vec![0u32; acc_bits as usize];
-    let mut counts = CellCounts::new();
-    let mut folded_constant: u64 = 0;
-    for summand in &summands {
-        match summand {
-            Summand::MaskedInput {
-                mask,
-                shift,
-                negative,
-                ..
-            } => {
-                summand.validate().expect(well_formed);
-                let mut m = *mask;
-                while m != 0 {
-                    let pos = m.trailing_zeros() + shift;
-                    assert!(pos < acc_bits, "{well_formed}");
-                    heights[pos as usize] += 1;
-                    m &= m - 1;
-                }
-                if *negative {
-                    counts.add(Cell::Not, mask.count_ones());
-                }
-                if let Some(k) = summand.negation_constant(acc_bits).expect(well_formed) {
-                    folded_constant = folded_constant.wrapping_add(k) & modulus_mask;
-                }
-            }
-            Summand::Constant(c) => {
-                let pattern = pe_arith::fixed::to_twos_complement(*c, acc_bits).expect(well_formed);
-                folded_constant = folded_constant.wrapping_add(pattern) & modulus_mask;
-            }
-        }
-    }
-    let mut uses_tie_hi = false;
-    for b in 0..acc_bits {
-        if folded_constant >> b & 1 == 1 {
-            heights[b as usize] += 1;
-            uses_tie_hi = true;
-        }
-    }
-
-    // Stage-by-stage 3:2 reduction, mirroring `TreeBuilder::reduce`:
-    // FA sums stay in place, carries move one column left, a leftover
-    // pair in a still-too-tall column feeds an HA under FaHa, and
-    // trailing empty columns are trimmed between stages.
-    let mut stages = 0u32;
-    while heights.iter().any(|&h| h > 2) {
-        stages += 1;
-        let mut next = vec![0u32; heights.len() + 1];
-        for (ci, &h) in heights.iter().enumerate() {
-            let fas = h / 3;
-            counts.add(Cell::Fa, fas);
-            let mut rem = h % 3;
-            let mut kept = fas;
-            if kind == ReductionKind::FaHa && rem == 2 && h > 2 {
-                counts.add(Cell::Ha, 1);
-                kept += 1;
-                next[ci + 1] += 1;
-                rem = 0;
-            }
-            next[ci] += kept + rem;
-            next[ci + 1] += fas;
-        }
-        while next.last() == Some(&0) {
-            next.pop();
-        }
-        heights = next;
-    }
-
-    // Final carry-propagate walk, mirroring the TreeBuilder's CPA: the
-    // FA-only policy ties the missing third input low (one shared
-    // tie-low cell), and empty columns yield constant-zero sum bits.
-    let mut uses_tie_lo = false;
-    let mut carry = false;
-    let mut sum_len = 0u32;
-    for &h in &heights {
-        match (h, carry) {
-            (0, false) => uses_tie_lo = true,
-            (0, true) => carry = false,
-            (1, false) => {}
-            (1, true) | (2, false) => {
-                if kind == ReductionKind::FaHa {
-                    counts.add(Cell::Ha, 1);
-                } else {
-                    counts.add(Cell::Fa, 1);
-                    uses_tie_lo = true;
-                }
-                carry = true;
-            }
-            (2, true) => {
-                counts.add(Cell::Fa, 1);
-                carry = true;
-            }
-            _ => unreachable!("columns are at most 2 high after reduction"),
-        }
-        sum_len += 1;
-    }
-    if carry {
-        sum_len += 1;
-    }
-    // Sum bits are truncated to the accumulator width and padded with
-    // constant zeros when the tree came up short.
-    if sum_len < acc_bits {
-        uses_tie_lo = true;
-    }
-
-    NeuronCost {
-        counts,
-        uses_tie_hi,
-        uses_tie_lo,
-        stages,
-        accumulator_bits: acc_bits,
-    }
-}
-
-fn fill_per_neuron_fas(spec: &MlpHardwareSpec, kind: ReductionKind, stats: &mut [NeuronStats]) {
-    use pe_arith::AdderAreaEstimator;
-    let est = AdderAreaEstimator::with_kind(kind);
-    let mut idx = 0;
-    for layer in &spec.layers {
-        for neuron in &layer.neurons {
-            let fa = match neuron {
-                NeuronSpec::Approximate(a) => est.estimate(a).full_adders,
-                NeuronSpec::Exact(e) => {
-                    // Cost the exact neuron through its CSD decomposition
-                    // by elaborating into a scratch netlist.
-                    let mut scratch = Netlist::new();
-                    let inputs: Vec<Vec<NetId>> = (0..e.weights.len())
-                        .map(|_| scratch.nets(e.input_bits as usize))
-                        .collect();
-                    let bound = bind_exact(e, &inputs);
-                    let _ = elaborate_accumulation(&mut scratch, &bound, kind);
-                    scratch.cell_counts().get(Cell::Fa)
-                }
-            };
-            stats[idx].full_adders = fa;
-            idx += 1;
         }
     }
 }
@@ -659,19 +483,16 @@ mod tests {
     #[test]
     fn memoized_cost_equals_full_elaboration() {
         // The load-bearing invariant of the netlist-free costing path:
-        // for both neuron flavours (and under both compressor
-        // policies), the column-height roll-up reproduces the exact
-        // `Netlist::cell_counts` report, including the shared tie
-        // cells and the critical depth.
-        for kind in [ReductionKind::FaOnly, ReductionKind::FaHa] {
-            for spec in [tiny_exact_spec(), tiny_approx_spec()] {
-                let elab = Elaborator::new(TechLibrary::egfet()).with_kind(kind);
-                let full = elab.elaborate(&spec);
-                let fast = elab.cost(&spec);
-                assert_eq!(fast.report, full.report, "{kind:?} {}", spec.name);
-                assert_eq!(fast.report.cells, full.netlist.cell_counts());
-                assert_eq!(fast.neuron_stats, full.neuron_stats);
-            }
+        // for both neuron flavours, the column-height roll-up
+        // reproduces the exact `Netlist::cell_counts` report, including
+        // the shared tie cells and the critical depth.
+        for spec in [tiny_exact_spec(), tiny_approx_spec()] {
+            let elab = Elaborator::new(TechLibrary::egfet());
+            let full = elab.elaborate(&spec);
+            let fast = elab.cost(&spec);
+            assert_eq!(fast.report, full.report, "{}", spec.name);
+            assert_eq!(fast.report.cells, full.netlist.cell_counts());
+            assert_eq!(fast.neuron_stats, full.neuron_stats);
         }
     }
 

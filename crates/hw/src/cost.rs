@@ -10,14 +10,15 @@
 //!   the scenario's supply.
 //! * [`ExactCostModel`] maps an [`MlpHardwareSpec`] to a
 //!   [`HardwareReport`] / [`HwCost`] under a scenario. It prices each
-//!   neuron from its column heights through [`Elaborator::cost`],
-//!   whose reports the `cost_model_parity` property suite proves equal
-//!   to full [`Elaborator::elaborate`] + `Netlist::cell_counts`.
+//!   neuron's adder tree with [`pe_arith::tree_gates`] through
+//!   [`Elaborator::cost`], whose reports the `cost_model_parity`
+//!   property suite proves equal to full [`Elaborator::elaborate`] +
+//!   `Netlist::cell_counts`.
 //!
 //! The GA fitness, which runs millions of times, prices neurons with
-//! the same column-height family inside `printed-axc`
-//! (`AdderAreaEstimator::counts_of_with`); every reported artifact
-//! (Tables I/II, Figs. 4/5) costs through this model.
+//! the same function ([`pe_arith::tree_gates`]) inside `printed-axc`;
+//! every reported artifact (Tables I/II, Figs. 4/5) costs through this
+//! model.
 //!
 //! # Example
 //!
@@ -57,7 +58,6 @@
 //! assert!(model.scenario().within_power_budget(cost.power_mw));
 //! ```
 
-use pe_arith::ReductionKind;
 use serde::{Deserialize, Serialize};
 
 use crate::circuit::{CostedMlp, Elaborator};
@@ -228,20 +228,13 @@ pub struct ExactCostModel {
 }
 
 impl ExactCostModel {
-    /// Model for `scenario` with the paper's FA-only reduction.
+    /// Model for `scenario`, with the paper's FA-only adder trees.
     #[must_use]
     pub fn new(scenario: CostScenario) -> Self {
         Self {
             elaborator: Elaborator::new(scenario.tech.clone()),
             scenario,
         }
-    }
-
-    /// Override the compressor policy.
-    #[must_use]
-    pub fn with_kind(mut self, kind: ReductionKind) -> Self {
-        self.elaborator = self.elaborator.with_kind(kind);
-        self
     }
 
     /// The scenario this model costs under.

@@ -10,15 +10,17 @@
 //!   ([`MlpHardwareSpec`]), with exact (CSD constant-multiplier) and
 //!   approximate (pow2 + mask) neurons.
 //! * [`neuron`] / [`adder_tree`] — gate-exact elaboration of every
-//!   accumulation into full/half adders, *guaranteed* to instantiate the
-//!   same FA counts the fast [`pe_arith::AdderAreaEstimator`] predicts.
+//!   accumulation into FA-only adder trees: the structural oracle of
+//!   [`pe_arith::tree_gates`], the one analytic adder-tree model,
+//!   whose FA and NOT counts, depth and tie cells it is tested to
+//!   instantiate.
 //! * [`circuit`] — whole-MLP elaboration to a [`HardwareReport`]
 //!   (area cm², power mW, delay ms), with or without building the
 //!   netlist.
 //! * [`cost`] — the [`ExactCostModel`]: it maps a spec to a [`HwCost`]
 //!   under a named [`CostScenario`] (technology + Vdd + power budget),
-//!   pricing each neuron from its column heights, with reports proven
-//!   equal to full elaboration by property test.
+//!   pricing each neuron's adder tree with [`pe_arith::tree_gates`],
+//!   with reports proven equal to full elaboration by property test.
 //! * [`vdd`] — supply-voltage scaling (1 V → 0.6 V operation, §V-C).
 //! * [`variation`] — the Monte-Carlo process-variation model
 //!   ([`VariationModel`]) with a deterministic keyed sampler, and the

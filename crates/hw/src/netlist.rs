@@ -125,18 +125,6 @@ impl Netlist {
         (sum, cout)
     }
 
-    /// Add a half adder; returns `(sum, carry)` nets.
-    pub fn half_adder(&mut self, a: NetId, b: NetId) -> (NetId, NetId) {
-        let sum = self.net();
-        let cout = self.net();
-        self.instances.push(Instance {
-            cell: Cell::Ha,
-            inputs: vec![a, b],
-            outputs: vec![sum, cout],
-        });
-        (sum, cout)
-    }
-
     /// Add an inverter; returns the output net.
     pub fn inverter(&mut self, a: NetId) -> NetId {
         let y = self.net();
@@ -388,10 +376,12 @@ mod tests {
         let b = nl.net();
         let c = nl.net();
         let (s, co) = nl.full_adder(a, b, c);
-        let (_s2, _co2) = nl.half_adder(s, co);
+        let (_s2, _co2) = nl.full_adder(s, co, c);
+        let _ = nl.inverter(s);
         let counts = nl.cell_counts();
-        assert_eq!(counts.get(Cell::Fa), 1);
-        assert_eq!(counts.get(Cell::Ha), 1);
+        assert_eq!(counts.get(Cell::Fa), 2);
+        assert_eq!(counts.get(Cell::Not), 1);
+        assert_eq!(counts.get(Cell::Ha), 0);
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! accumulation of [`Summand`]s, each bound to the bit nets of one input
 //! activation. Approximate neurons contribute one summand per non-zero
 //! mask (paper Fig. 1: multiplication is wiring); exact baseline neurons
-//! contribute one summand per non-zero CSD digit of each coefficient
+//! contribute one summand per binary or CSD digit of each coefficient
 //! (the standard bespoke constant-multiplier decomposition).
+//!
+//! `arith_spec` lowers either flavour, without nets, to the
+//! [`NeuronArithSpec`] that the analytic model
+//! ([`pe_arith::tree_gates`]) prices; [`elaborate_accumulation`] is
+//! that model's structural oracle.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
-use pe_arith::{ColumnProfile, CsdDigit, NeuronArithSpec, ReductionKind, Summand};
+use pe_arith::column::accumulator_width;
+use pe_arith::{CsdDigit, NeuronArithSpec, Summand, WeightArith};
 
 use crate::adder_tree::TreeBuilder;
 use crate::netlist::{NetId, Netlist};
@@ -62,22 +69,9 @@ pub fn bind_approximate(spec: &NeuronArithSpec, inputs: &[Vec<NetId>]) -> Vec<Bo
             nets.len(),
             spec.input_bits
         );
-        out.push(BoundSummand {
-            summand: Summand::MaskedInput {
-                input_bits: spec.input_bits,
-                mask: w.mask,
-                shift: w.shift,
-                negative: w.negative,
-            },
-            input_nets: nets.clone(),
-        });
+        out.push(bound_weight(spec.input_bits, w, nets));
     }
-    if spec.bias != 0 {
-        out.push(BoundSummand {
-            summand: Summand::Constant(spec.bias),
-            input_nets: vec![],
-        });
-    }
+    out.extend(bound_bias(spec.bias));
     out
 }
 
@@ -103,28 +97,39 @@ pub fn bind_exact(spec: &ExactNeuronSpec, inputs: &[Vec<NetId>]) -> Vec<BoundSum
     );
     let mut out = Vec::new();
     for (&w, nets) in spec.weights.iter().zip(inputs) {
-        for summand in exact_weight_summands(spec, w) {
-            out.push(BoundSummand {
-                summand,
-                input_nets: nets.clone(),
-            });
+        for term in exact_weight_terms(spec, w) {
+            out.push(bound_weight(spec.input_bits, &term, nets));
         }
     }
-    if let Some(summand) = exact_bias_summand(spec) {
-        out.push(BoundSummand {
-            summand,
-            input_nets: vec![],
-        });
-    }
+    out.extend(bound_bias(exact_bias(spec)));
     out
 }
 
-/// The partial-product summands of one exact weight `w` (empty for
-/// zero weights). The single lowering shared by the netlist binder
-/// ([`bind_exact`]) and the analytic cost model
-/// ([`neuron_summands`]), so the two can never disagree about a
-/// weight's decomposition.
-fn exact_weight_summands(spec: &ExactNeuronSpec, w: i64) -> Vec<Summand> {
+fn bound_weight(input_bits: u32, w: &WeightArith, nets: &[NetId]) -> BoundSummand {
+    BoundSummand {
+        summand: Summand::MaskedInput {
+            input_bits,
+            mask: w.mask,
+            shift: w.shift,
+            negative: w.negative,
+        },
+        input_nets: nets.to_vec(),
+    }
+}
+
+fn bound_bias(bias: i64) -> Option<BoundSummand> {
+    (bias != 0).then(|| BoundSummand {
+        summand: Summand::Constant(bias),
+        input_nets: vec![],
+    })
+}
+
+/// The partial products of one exact weight `w` (none for a zero
+/// weight), each a masked, shifted, signed copy of the weight's input.
+/// The single lowering shared by the netlist binder ([`bind_exact`])
+/// and the analytic cost model ([`arith_spec`]), so the two can never
+/// disagree about a weight's decomposition.
+fn exact_weight_terms(spec: &ExactNeuronSpec, w: i64) -> Vec<WeightArith> {
     if w == 0 {
         return Vec::new();
     }
@@ -146,8 +151,7 @@ fn exact_weight_summands(spec: &ExactNeuronSpec, w: i64) -> Vec<Summand> {
         if mask == 0 {
             continue;
         }
-        out.push(Summand::MaskedInput {
-            input_bits: spec.input_bits,
+        out.push(WeightArith {
             mask,
             shift: p,
             negative: digit == CsdDigit::MinusOne,
@@ -156,39 +160,28 @@ fn exact_weight_summands(spec: &ExactNeuronSpec, w: i64) -> Vec<Summand> {
     out
 }
 
-/// The bias constant of an exact neuron, if any survives truncation.
-fn exact_bias_summand(spec: &ExactNeuronSpec) -> Option<Summand> {
-    if spec.bias == 0 {
-        return None;
-    }
-    // The bias keeps its bits above the truncation line.
-    let bias = if spec.trunc_bits > 0 {
-        (spec.bias >> spec.trunc_bits) << spec.trunc_bits
-    } else {
-        spec.bias
-    };
-    (bias != 0).then_some(Summand::Constant(bias))
+/// The bias of an exact neuron: the bits above the truncation line.
+fn exact_bias(spec: &ExactNeuronSpec) -> i64 {
+    (spec.bias >> spec.trunc_bits) << spec.trunc_bits
 }
 
-/// The full summand list of a neuron's accumulation, without binding
-/// to nets — exactly the summands [`bind_exact`] / [`bind_approximate`]
-/// would bind, in the same order. This is what
-/// [`Elaborator::cost`](crate::circuit::Elaborator::cost) prices from
-/// column heights, so costing and elaboration lower every neuron
-/// identically by construction.
+/// A neuron as the [`NeuronArithSpec`] that the analytic model
+/// ([`pe_arith::tree_gates`]) prices: an approximate neuron as it is,
+/// and an exact neuron as one weight per partial product plus its
+/// truncated bias, the terms [`bind_exact`] binds.
 #[must_use]
-pub fn neuron_summands(neuron: &NeuronSpec) -> Vec<Summand> {
+pub(crate) fn arith_spec(neuron: &NeuronSpec) -> Cow<'_, NeuronArithSpec> {
     match neuron {
-        NeuronSpec::Approximate(a) => a.summands(),
-        NeuronSpec::Exact(e) => {
-            let mut out: Vec<Summand> = e
+        NeuronSpec::Approximate(a) => Cow::Borrowed(a),
+        NeuronSpec::Exact(e) => Cow::Owned(NeuronArithSpec {
+            input_bits: e.input_bits,
+            weights: e
                 .weights
                 .iter()
-                .flat_map(|&w| exact_weight_summands(e, w))
-                .collect();
-            out.extend(exact_bias_summand(e));
-            out
-        }
+                .flat_map(|&w| exact_weight_terms(e, w))
+                .collect(),
+            bias: exact_bias(e),
+        }),
     }
 }
 
@@ -219,13 +212,9 @@ fn binary_digits(w: i64) -> Vec<(u32, CsdDigit)> {
 ///
 /// Panics on malformed summands (these are validated upstream).
 #[must_use]
-pub fn elaborate_accumulation(
-    netlist: &mut Netlist,
-    bound: &[BoundSummand],
-    kind: ReductionKind,
-) -> NeuronAccumulation {
+pub fn elaborate_accumulation(netlist: &mut Netlist, bound: &[BoundSummand]) -> NeuronAccumulation {
     let summands: Vec<Summand> = bound.iter().map(|b| b.summand.clone()).collect();
-    let acc_bits = ColumnProfile::accumulator_width(&summands);
+    let acc_bits = accumulator_width(&summands);
     let modulus_mask = (1u64 << acc_bits) - 1;
 
     let mut columns: Vec<VecDeque<NetId>> = vec![VecDeque::new(); acc_bits as usize];
@@ -275,7 +264,7 @@ pub fn elaborate_accumulation(
         }
     }
 
-    let tree = TreeBuilder::new(kind).reduce(netlist, columns);
+    let tree = TreeBuilder.reduce(netlist, columns);
     let mut sum_bits = tree.sum_bits;
     // The accumulation is exact modulo 2^acc_bits: higher bits produced
     // by the final carry are discarded (they cancel against the folded
@@ -297,7 +286,7 @@ pub fn elaborate_accumulation(
 mod tests {
     use super::*;
     use crate::tech::Cell;
-    use pe_arith::{AdderAreaEstimator, WeightArith};
+    use pe_arith::tree_gates;
 
     fn fresh_inputs(netlist: &mut Netlist, n: usize, bits: u32) -> Vec<Vec<NetId>> {
         (0..n).map(|_| netlist.nets(bits as usize)).collect()
@@ -305,9 +294,9 @@ mod tests {
 
     #[test]
     fn approximate_neuron_matches_estimator_fa_count() {
-        // The load-bearing invariant: elaborated FA count == estimator
-        // FA count for the paper's FA-only policy (tie-high constant
-        // bits included on both sides).
+        // The load-bearing invariant: the elaborated tree has the FA
+        // and NOT counts, width and depth of the analytic model
+        // (tie-high constant bits included on both sides).
         let specs = [
             NeuronArithSpec {
                 input_bits: 4,
@@ -352,11 +341,12 @@ mod tests {
             let mut netlist = Netlist::new();
             let inputs = fresh_inputs(&mut netlist, spec.weights.len(), spec.input_bits);
             let bound = bind_approximate(spec, &inputs);
-            let acc = elaborate_accumulation(&mut netlist, &bound, ReductionKind::FaOnly);
-            let report = AdderAreaEstimator::paper().estimate(spec);
-            assert_eq!(netlist.cell_counts().get(Cell::Fa), report.full_adders);
-            assert_eq!(netlist.cell_counts().get(Cell::Not), report.not_gates);
-            assert_eq!(acc.accumulator_bits, report.accumulator_bits);
+            let acc = elaborate_accumulation(&mut netlist, &bound);
+            let counts = tree_gates(spec, &mut Vec::new()).counts;
+            assert_eq!(netlist.cell_counts().get(Cell::Fa), counts.full_adders);
+            assert_eq!(netlist.cell_counts().get(Cell::Not), counts.not_gates);
+            assert_eq!(acc.accumulator_bits, counts.accumulator_bits);
+            assert_eq!(acc.stages, counts.stages);
         }
     }
 
@@ -395,7 +385,9 @@ mod tests {
         let inputs = fresh_inputs(&mut netlist, 2, 4);
         let bound = bind_exact(&spec, &inputs);
         assert_eq!(bound.len(), 5);
-        assert_eq!(bound.iter().filter(|b| b.summand.is_negative()).count(), 2);
+        let negative =
+            |b: &&BoundSummand| matches!(b.summand, Summand::MaskedInput { negative: true, .. });
+        assert_eq!(bound.iter().filter(negative).count(), 2);
     }
 
     #[test]
@@ -433,12 +425,12 @@ mod tests {
         let mut nl_exact = Netlist::new();
         let in_e = fresh_inputs(&mut nl_exact, 3, 4);
         let b_e = bind_exact(&exact, &in_e);
-        let _ = elaborate_accumulation(&mut nl_exact, &b_e, ReductionKind::FaOnly);
+        let _ = elaborate_accumulation(&mut nl_exact, &b_e);
 
         let mut nl_approx = Netlist::new();
         let in_a = fresh_inputs(&mut nl_approx, 3, 4);
         let b_a = bind_approximate(&approx, &in_a);
-        let _ = elaborate_accumulation(&mut nl_approx, &b_a, ReductionKind::FaOnly);
+        let _ = elaborate_accumulation(&mut nl_approx, &b_a);
 
         assert!(
             nl_exact.cell_counts().get(Cell::Fa) > nl_approx.cell_counts().get(Cell::Fa),
@@ -465,7 +457,7 @@ mod tests {
         let mut netlist = Netlist::new();
         let inputs = fresh_inputs(&mut netlist, 3, 4);
         let bound = bind_approximate(&spec, &inputs);
-        let acc = elaborate_accumulation(&mut netlist, &bound, ReductionKind::FaOnly);
+        let acc = elaborate_accumulation(&mut netlist, &bound);
         assert_eq!(acc.sum_bits.len() as u32, acc.accumulator_bits);
     }
 }

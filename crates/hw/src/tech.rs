@@ -18,7 +18,8 @@ use serde::{Deserialize, Serialize};
 pub enum Cell {
     /// Full adder (3:2 compressor).
     Fa,
-    /// Half adder (2:2 compressor).
+    /// Half adder (2:2 compressor). The FA-only adder trees
+    /// instantiate none; reports and Verilog keep the cell.
     Ha,
     /// Inverter.
     Not,

@@ -81,7 +81,7 @@ impl AxNeuron {
         acc
     }
 
-    /// Lower to the arithmetic spec consumed by the area estimator and
+    /// Lower to the arithmetic spec consumed by the area model and
     /// the hardware elaborator.
     #[must_use]
     pub fn to_arith_spec(&self, input_bits: u32) -> NeuronArithSpec {

@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 use serde::{Deserialize, Serialize};
 
 use pe_arith::cache::fx_hash_of;
-use pe_arith::{AdderAreaEstimator, NeuronGateCounts};
+use pe_arith::{tree_gates, NeuronGateCounts};
 use pe_hw::{MlpHardwareSpec, NeuronSpec};
 use pe_mlp::{ax_to_hardware, AxMlp};
 
@@ -163,19 +163,19 @@ pub fn fingerprint_of(mlp: &AxMlp) -> u64 {
     fx_hash_of(&FingerprintView(mlp))
 }
 
-/// Per-neuron gate counts of a hardware spec, in spec order, using the
-/// paper's adder-area estimator — exactly the counts the live search
-/// attributes to each approximate accumulator. Exact (baseline)
-/// neurons have no `NeuronGateCounts` representation and are skipped;
-/// an `AxMlp` lowered by [`ax_to_hardware`] contains none.
+/// Per-neuron gate counts of a hardware spec, in spec order, from the
+/// paper's adder-area model ([`tree_gates`]) — exactly the counts the
+/// live search attributes to each approximate accumulator. Exact
+/// (baseline) neurons are skipped; an `AxMlp` lowered by
+/// [`ax_to_hardware`] contains none.
 #[must_use]
 pub fn counts_of_spec(spec: &MlpHardwareSpec) -> Vec<NeuronGateCounts> {
-    let estimator = AdderAreaEstimator::paper();
+    let mut heights = Vec::new();
     spec.layers
         .iter()
         .flat_map(|layer| &layer.neurons)
         .filter_map(|neuron| match neuron {
-            NeuronSpec::Approximate(arith) => Some(estimator.counts_of(arith)),
+            NeuronSpec::Approximate(arith) => Some(tree_gates(arith, &mut heights).counts),
             NeuronSpec::Exact(_) => None,
         })
         .collect()

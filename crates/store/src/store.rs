@@ -311,8 +311,9 @@ fn verify(record: &DesignRecord) -> Result<(), String> {
                     neuron.weights.len()
                 ));
             }
-            // The summands `to_arith_spec(..).summands()` lowers to, built
-            // in place: allocating them made this check ~6x slower.
+            // The summand of each live weight, validated as the cost
+            // model validates it, built in place: allocating a spec per
+            // neuron made this check ~6x slower.
             for weight in neuron.weights.iter().filter(|w| w.mask != 0) {
                 Summand::MaskedInput {
                     input_bits: layer.input_bits,

@@ -3,7 +3,7 @@
 //! Re-exports the workspace crates under short module names so the
 //! examples and integration tests can use a single dependency:
 //!
-//! * [`arith`] — bit-level arithmetic and the FA-count area estimator
+//! * [`arith`] — bit-level arithmetic and the FA-only adder-tree area model
 //! * [`hw`] — EGFET technology model, netlists, power sources, Verilog
 //! * [`mlp`] — float MLPs, backprop, quantization, approximate inference
 //! * [`datasets`] — the five synthetic UCI-like datasets

@@ -2,7 +2,13 @@
 
 use proptest::prelude::*;
 
-use printed_mlps::arith::{csd_digits, ColumnProfile, Reducer, ReductionKind, Summand};
+use printed_mlps::arith::column::accumulator_width;
+use printed_mlps::arith::reduce::reduce;
+use printed_mlps::arith::{csd_digits, Summand};
+
+fn capacity(heights: &[u32]) -> u64 {
+    (0..).zip(heights).map(|(c, &h)| u64::from(h) << c).sum()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -12,16 +18,12 @@ proptest! {
     #[test]
     fn reduction_is_capacity_preserving(
         heights in proptest::collection::vec(0u32..12, 1..12),
-        use_ha in any::<bool>(),
     ) {
-        let kind = if use_ha { ReductionKind::FaHa } else { ReductionKind::FaOnly };
-        let p = ColumnProfile::from_heights(heights.clone());
-        let max_before: u64 = p.iter().map(|(c, h)| u64::from(h) << c).sum();
-        let stats = Reducer::new(kind).reduce(&p);
-        prop_assert!(stats.final_profile.max_height() <= 2);
-        let max_after: u64 =
-            stats.final_profile.iter().map(|(c, h)| u64::from(h) << c).sum();
-        prop_assert!(max_after >= max_before, "{} < {}", max_after, max_before);
+        let mut reduced = heights.clone();
+        let _ = reduce(&mut reduced);
+        prop_assert!(reduced.iter().all(|&h| h <= 2));
+        let (before, after) = (capacity(&heights), capacity(&reduced));
+        prop_assert!(after >= before, "{} < {}", after, before);
     }
 
     /// Taller profiles never need fewer tree FAs than a column-wise
@@ -32,16 +34,13 @@ proptest! {
         extra_col in 0usize..8,
         extra in 1u32..4,
     ) {
-        let base = ColumnProfile::from_heights(heights.clone());
         let mut taller = heights.clone();
         if extra_col >= taller.len() {
             taller.resize(extra_col + 1, 0);
         }
         taller[extra_col] += extra;
-        let grown = ColumnProfile::from_heights(taller);
-        let r = Reducer::new(ReductionKind::FaOnly);
         prop_assert!(
-            r.reduce(&grown).full_adders() >= r.reduce(&base).full_adders()
+            reduce(&mut taller).full_adders() >= reduce(&mut heights.clone()).full_adders()
         );
     }
 
@@ -69,7 +68,7 @@ proptest! {
         prop_assume!(mask != 0);
         let s = Summand::MaskedInput { input_bits: 8, mask, shift, negative: true };
         let summands = [s.clone()];
-        let acc_bits = ColumnProfile::accumulator_width(&summands);
+        let acc_bits = accumulator_width(&summands);
         let modulus = 1u64 << acc_bits;
         let k = s.negation_constant(acc_bits).unwrap().expect("negative summand");
         let v = (x & mask) << shift;
@@ -96,7 +95,7 @@ proptest! {
             })
             .collect();
         summands.push(Summand::Constant(bias));
-        let w = ColumnProfile::accumulator_width(&summands);
+        let w = accumulator_width(&summands);
         // Max positive and negative runtime sums must fit in w-bit
         // two's complement.
         let max_pos: i64 = summands

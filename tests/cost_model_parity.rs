@@ -1,13 +1,14 @@
 //! The contract of the cost layer: the [`ExactCostModel`], which
-//! prices each neuron from its column heights, produces the hardware
-//! report of full netlist elaboration — cell counts, area, power,
-//! delay, per-neuron statistics — for arbitrary bespoke-MLP specs,
-//! mixing both neuron flavours, under both compressor policies and at
-//! scaled supplies.
+//! prices each neuron's adder tree with `pe_arith::tree_gates` (the
+//! one analytic adder-tree model, also the GA's), produces the
+//! hardware report of full netlist elaboration — cell counts, tie cells
+//! included, area, power, delay, per-neuron statistics — for arbitrary
+//! bespoke-MLP specs, mixing both neuron flavours, and at scaled
+//! supplies.
 
 use proptest::prelude::*;
 
-use printed_mlps::arith::{NeuronArithSpec, ReductionKind, WeightArith};
+use printed_mlps::arith::{NeuronArithSpec, WeightArith};
 use printed_mlps::hw::cost::{CostScenario, ExactCostModel};
 use printed_mlps::hw::spec::{
     ExactNeuronSpec, LayerActivation, LayerSpec, MlpHardwareSpec, NeuronSpec,
@@ -111,18 +112,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The model is the full elaboration: report equality (cells
-    /// included) plus per-neuron statistics, under both compressor
-    /// policies.
+    /// included) plus per-neuron statistics.
     #[test]
     fn exact_model_equals_full_elaboration(spec in network_strategy()) {
-        for kind in [ReductionKind::FaOnly, ReductionKind::FaHa] {
-            let model = ExactCostModel::new(CostScenario::default()).with_kind(kind);
-            let full = Elaborator::new(TechLibrary::egfet()).with_kind(kind).elaborate(&spec);
-            let costed = model.costed(&spec);
-            prop_assert_eq!(&model.report(&spec), &full.report, "{:?}", kind);
-            prop_assert_eq!(&costed.report.cells, &full.netlist.cell_counts(), "{:?}", kind);
-            prop_assert_eq!(&costed.neuron_stats, &full.neuron_stats, "{:?}", kind);
-        }
+        let model = ExactCostModel::new(CostScenario::default());
+        let full = Elaborator::new(TechLibrary::egfet()).elaborate(&spec);
+        let costed = model.costed(&spec);
+        prop_assert_eq!(&model.report(&spec), &full.report);
+        prop_assert_eq!(&costed.report.cells, &full.netlist.cell_counts());
+        prop_assert_eq!(&costed.neuron_stats, &full.neuron_stats);
     }
 
     /// Parity survives scenario scaling: at a sub-nominal supply and on

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use printed_mlps::arith::{ColumnProfile, NeuronArithSpec, ReductionKind, WeightArith};
+use printed_mlps::arith::NeuronArithSpec;
 use printed_mlps::hw::neuron::{bind_approximate, elaborate_accumulation};
 use printed_mlps::hw::Netlist;
 use printed_mlps::mlp::{AxNeuron, AxWeight};
@@ -40,7 +40,7 @@ proptest! {
         let mut netlist = Netlist::new();
         let input_nets: Vec<Vec<_>> = (0..fan_in).map(|_| netlist.nets(4)).collect();
         let bound = bind_approximate(&spec, &input_nets);
-        let acc = elaborate_accumulation(&mut netlist, &bound, ReductionKind::FaOnly);
+        let acc = elaborate_accumulation(&mut netlist, &bound);
 
         let mut inputs = HashMap::new();
         for (nets, &x) in input_nets.iter().zip(&xs) {
@@ -98,7 +98,7 @@ proptest! {
             }
             columns.push(col);
         }
-        let tree = TreeBuilder::new(ReductionKind::FaOnly).reduce(&mut netlist, columns);
+        let tree = TreeBuilder.reduce(&mut netlist, columns);
         let values = netlist.simulate(&inputs);
         let mut got: u64 = 0;
         for (b, net) in tree.sum_bits.iter().enumerate() {
@@ -107,8 +107,5 @@ proptest! {
             }
         }
         prop_assert_eq!(got, expected, "heights {:?}", heights);
-        // Unused but validates the profile path compiles together.
-        let _ = ColumnProfile::from_heights(heights.clone());
-        let _ = WeightArith { mask: 1, shift: 0, negative: false };
     }
 }
