@@ -271,6 +271,16 @@ mod tests {
         assert_eq!(drain(), [StageCacheCause::NotOurs]);
         let valid = load(&spec, &config(), Sphere.bounds(), &ctl).expect("checkpoint loads");
         assert!(drain().is_empty());
+
+        // A `null` objective parses as NaN, which selection cannot
+        // order: the checkpoint must not resume the search.
+        let mut nulled = valid.clone();
+        nulled.population[0].evaluation.objectives[0] = f64::NAN;
+        let json = serde_json::to_string(&nulled).expect("checkpoint serializes");
+        assert!(json.contains("\"objectives\":[null,"), "{json}");
+        std::fs::write(&path, json).expect("write");
+        assert!(load(&spec, &config(), Sphere.bounds(), &ctl).is_none());
+        assert_eq!(drain(), [StageCacheCause::NotOurs]);
         let _ = std::fs::remove_file(&path);
 
         // A checkpoint that cannot be written is reported, not flushed.

@@ -1,6 +1,6 @@
 //! The NSGA-II main loop.
 //!
-//! Elitist (μ+λ) evolution with fast non-dominated sorting, crowding-
+//! Elitist (μ+λ) evolution with non-dominated sorting, crowding-
 //! distance truncation and binary tournaments, as in Deb et al. (2002)
 //! — the algorithm the paper picked for its "simplicity, low
 //! computational complexity, and enhanced convergence" (§IV-A).
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::individual::Individual;
 use crate::operators::{crossover, mutate_mixed, random_genome, CrossoverKind};
 use crate::problem::IntProblem;
-use crate::sort::{assign_crowding, fast_non_dominated_sort};
+use crate::sort::{annotate, select_mu};
 
 /// NSGA-II hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,7 +115,8 @@ impl SearchCheckpoint {
     /// Check that this snapshot can resume a run of `config` over a
     /// problem with the given `bounds`. Returns a human-readable reason
     /// when it cannot (mismatched configuration, wrong population
-    /// shape, inconsistent counters, torn data).
+    /// shape, inconsistent counters, torn data, a NaN objective or
+    /// violation, or members with differing objective counts).
     ///
     /// # Errors
     ///
@@ -137,6 +138,10 @@ impl SearchCheckpoint {
                 config.population
             ));
         }
+        let objectives = self
+            .population
+            .first()
+            .map_or(0, |ind| ind.evaluation.objectives.len());
         for ind in &self.population {
             if ind.genes.len() != bounds.len() {
                 return Err(format!(
@@ -147,6 +152,20 @@ impl SearchCheckpoint {
             }
             if ind.genes.iter().zip(bounds).any(|(&g, &b)| g >= b) {
                 return Err("checkpoint genome exceeds problem bounds".into());
+            }
+            let evaluation = &ind.evaluation;
+            if evaluation.objectives.len() != objectives {
+                return Err(format!(
+                    "checkpoint objective count {} != first member's {objectives}",
+                    evaluation.objectives.len()
+                ));
+            }
+            // JSON has no NaN: a `null` objective or violation reads as
+            // one, and selection cannot order it.
+            if evaluation.violation.is_nan() || evaluation.objectives.iter().any(|v| v.is_nan()) {
+                return Err(
+                    "checkpoint evaluation holds a NaN (a null objective or violation)".into(),
+                );
             }
         }
         if self.rng_state == [0; 4] {
@@ -463,42 +482,6 @@ fn tournament(pop: &[Individual], rng: &mut StdRng) -> usize {
     }
 }
 
-/// Sort and annotate ranks/crowding in place.
-fn annotate(pop: &mut [Individual]) {
-    let fronts = fast_non_dominated_sort(pop);
-    for front in &fronts {
-        assign_crowding(pop, front);
-    }
-}
-
-/// Keep the best `mu` individuals: whole fronts while they fit, then
-/// crowding-distance truncation of the spilling front.
-fn select_mu(mut pop: Vec<Individual>, mu: usize) -> Vec<Individual> {
-    let fronts = fast_non_dominated_sort(&mut pop);
-    for front in &fronts {
-        assign_crowding(&mut pop, front);
-    }
-    let mut selected: Vec<Individual> = Vec::with_capacity(mu);
-    for front in fronts {
-        if selected.len() + front.len() <= mu {
-            selected.extend(front.iter().map(|&i| pop[i].clone()));
-        } else {
-            let mut spill: Vec<usize> = front;
-            spill.sort_by(|&a, &b| {
-                pop[b]
-                    .crowding
-                    .partial_cmp(&pop[a].crowding)
-                    .expect("crowding is never NaN")
-            });
-            for &i in spill.iter().take(mu - selected.len()) {
-                selected.push(pop[i].clone());
-            }
-            break;
-        }
-    }
-    selected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,8 +755,25 @@ mod tests {
         torn.evaluations += 1;
         assert!(torn.validate(&cfg, &[101]).is_err());
 
-        let mut torn = cp;
+        let mut torn = cp.clone();
         torn.rng_state = [0; 4];
+        assert!(torn.validate(&cfg, &[101]).is_err());
+
+        // A `null` objective or violation reads back as NaN.
+        let mut torn = cp.clone();
+        torn.population[3].evaluation.objectives[1] = f64::NAN;
+        assert!(torn.validate(&cfg, &[101]).is_err());
+
+        let mut torn = cp.clone();
+        torn.population[0].evaluation.violation = f64::NAN;
+        assert!(torn.validate(&cfg, &[101]).is_err());
+
+        let mut torn = cp.clone();
+        torn.population[5].evaluation.objectives.pop();
+        assert!(torn.validate(&cfg, &[101]).is_err());
+
+        let mut torn = cp;
+        torn.population[0].evaluation.objectives.push(1.0);
         assert!(torn.validate(&cfg, &[101]).is_err());
     }
 

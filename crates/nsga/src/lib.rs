@@ -8,7 +8,9 @@
 //! * integer-vector genomes with per-gene bounds ([`IntProblem`]),
 //! * Deb's constrained-domination (the 10% accuracy-loss bound becomes
 //!   a constraint, not a penalty),
-//! * fast non-dominated sorting + crowding distance ([`sort`]),
+//! * non-dominated ranking + crowding distance, by an O(N log N) sort
+//!   and sweep for up to two objectives (the pairwise O(MN²) sort of
+//!   the NSGA-II paper runs for more, and is the sweep's test oracle),
 //! * uniform / one-point crossover and reset mutation ([`operators`]),
 //! * an elitist (μ+λ) main loop with seed-population injection for the
 //!   paper's doped initialization ([`Nsga2::run_seeded`]).
@@ -41,7 +43,7 @@ pub mod algorithm;
 pub mod individual;
 pub mod operators;
 pub mod problem;
-pub mod sort;
+mod sort;
 
 pub use algorithm::{
     CheckpointPlan, CheckpointSink, GenerationStats, Nsga2, NsgaConfig, NsgaResult,
@@ -50,4 +52,3 @@ pub use algorithm::{
 pub use individual::Individual;
 pub use operators::{crossover, mutate, random_genome, CrossoverKind};
 pub use problem::{constrained_dominates, Evaluation, IntProblem};
-pub use sort::{assign_crowding, fast_non_dominated_sort};

@@ -6,7 +6,8 @@ use serde::{Deserialize, Serialize};
 /// plus an aggregate constraint violation (0 = feasible).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Evaluation {
-    /// Objective values, all to be minimized.
+    /// Objective values, all to be minimized. Never NaN: environmental
+    /// selection sorts members by them.
     pub objectives: Vec<f64>,
     /// Total constraint violation; 0.0 means feasible. Infeasible
     /// candidates are handled by Deb's constrained-domination rule.
