@@ -10,14 +10,15 @@
 //! `Elaborator::cost` (which lowers exact baseline neurons to a
 //! [`NeuronArithSpec`] too) and the `fa_vs_netlist` ablation all call
 //! it. It builds the column heights (see [`crate::column`]) and
-//! reduces them with [`reduce`]. `pe-hw`'s structural elaborator
+//! reduces them as [`crate::reduce::reduce`] does, without leaving the
+//! lanes the heights are built in. `pe-hw`'s structural elaborator
 //! (`elaborate_accumulation` + `TreeBuilder`) is its independent
 //! oracle.
 
 use serde::{Deserialize, Serialize};
 
-use crate::column::neuron_columns;
-use crate::reduce::reduce;
+use crate::column::neuron_lanes;
+use crate::reduce::Lanes;
 
 /// Arithmetic description of one weight of an approximate neuron: the
 /// triple `(m, s, k)` of paper Eq. (1)/(4).
@@ -94,9 +95,11 @@ pub struct TreeGates {
 
 /// The gates of one neuron's FA-only adder tree (paper §III-C).
 ///
-/// `heights` is scratch for the column heights: a caller that reuses
-/// one buffer allocates nothing once it has grown (the GA runs this for
-/// every neuron of every genome).
+/// The heights are built and reduced in fixed-width lanes on the stack.
+/// `heights` is scratch for a neuron with more live weights than one
+/// byte-lane batch holds (254), which no network here has: a caller
+/// that reuses one buffer allocates nothing once it has grown (the GA
+/// runs this for every neuron of every genome).
 ///
 /// ```
 /// use pe_arith::{tree_gates, NeuronArithSpec, WeightArith};
@@ -122,8 +125,9 @@ pub struct TreeGates {
 /// or lowered from a baseline neuron are always well-formed.
 #[must_use]
 pub fn tree_gates(spec: &NeuronArithSpec, heights: &mut Vec<u32>) -> TreeGates {
-    let columns = neuron_columns(spec, heights);
-    let stats = reduce(heights);
+    let mut lanes = Lanes::new();
+    let columns = neuron_lanes(spec, heights, &mut lanes);
+    let stats = lanes.reduce();
     TreeGates {
         counts: NeuronGateCounts {
             full_adders: stats.full_adders(),
@@ -142,6 +146,7 @@ pub fn tree_gates(spec: &NeuronArithSpec, heights: &mut Vec<u32>) -> TreeGates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::neuron_columns;
 
     fn spec(weights: Vec<WeightArith>, bias: i64) -> NeuronArithSpec {
         NeuronArithSpec {

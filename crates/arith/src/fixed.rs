@@ -46,6 +46,7 @@ pub fn min_signed(width: u32) -> i64 {
 /// assert_eq!(pe_arith::unsigned_width(256), 9);
 /// ```
 #[must_use]
+#[inline]
 pub fn unsigned_width(v: u64) -> u32 {
     if v == 0 {
         1
@@ -60,6 +61,7 @@ pub fn unsigned_width(v: u64) -> u32 {
 ///
 /// Returns [`ArithError::ValueOutOfRange`] if `v` does not fit, and
 /// [`ArithError::InvalidWidth`] if `width` is outside `1..=63`.
+#[inline]
 pub fn check_signed(v: i64, width: u32) -> Result<i64, ArithError> {
     if !(1..=63).contains(&width) {
         return Err(ArithError::InvalidWidth { width });
@@ -81,6 +83,7 @@ pub fn check_signed(v: i64, width: u32) -> Result<i64, ArithError> {
 /// assert_eq!(pe_arith::fixed::to_twos_complement(-1, 4).unwrap(), 0b1111);
 /// assert_eq!(pe_arith::fixed::to_twos_complement(5, 4).unwrap(), 0b0101);
 /// ```
+#[inline]
 pub fn to_twos_complement(v: i64, width: u32) -> Result<u64, ArithError> {
     check_signed(v, width)?;
     Ok((v as u64) & ((1u64 << width) - 1))

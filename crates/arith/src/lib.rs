@@ -14,9 +14,11 @@
 //!   call it.
 //! * [`column`](mod@column) — the column heights [`tree_gates`] reduces: the
 //!   number of potentially non-zero bits per bit-column, with negation
-//!   corrections and the bias folded into one constant.
+//!   corrections and the bias folded into one constant, built on byte
+//!   lanes with no branch per mask bit.
 //! * [`reduce`] — the FA-only 3:2 compression-tree model that reduces
-//!   the heights to two rows, plus the final carry-propagate adder.
+//!   the heights to two rows on fixed-width 16-bit lanes, plus the
+//!   final carry-propagate adder, counted in closed form.
 //! * [`csd`] — canonical signed-digit decomposition of constants, used to
 //!   cost the *exact* bespoke baseline's constant multipliers.
 //! * [`summand`] — the description of one operand of a bespoke
@@ -53,6 +55,8 @@ pub mod csd;
 pub mod error;
 pub mod estimator;
 pub mod fixed;
+#[cfg(test)]
+mod oracle;
 pub mod reduce;
 pub mod summand;
 

@@ -7,6 +7,12 @@
 //! final carry-propagate addition of the two remaining rows. [`reduce`]
 //! implements that model for [`crate::tree_gates`]; `pe-hw`'s
 //! `TreeBuilder` wires the same policy gate by gate.
+//!
+//! The heights travel in 16-bit lanes, four columns to a `u64` word
+//! (`Lanes`), so a stage is a few word operations per four columns
+//! with no branch per column: `⌊h/3⌋` is `(h · 171) ≫ 9` in every lane
+//! at once. The carry-propagate adder is counted in closed form from
+//! two column masks.
 
 /// Outcome of reducing column heights to at most two bits per column
 /// and adding the two rows.
@@ -36,6 +42,68 @@ impl ReductionStats {
     }
 }
 
+/// The lowest 16-bit lane bit of each of a word's four lanes.
+const LOW: u64 = 0x0001_0001_0001_0001;
+
+/// The tallest column a lane stage reduces exactly: `(h · 171) ≫ 9` is
+/// `⌊h/3⌋` and `h · 171` stays inside the 16-bit lane up to here.
+/// Taller columns, which need more than 382 summand bits in one
+/// column, first take plain stages.
+const LANE_MAX: u32 = 383;
+
+/// Words a [`Lanes`] holds: 80 columns, room for any accumulator of up
+/// to 63 bits and the columns its reduction adds (the bit length of its
+/// tallest column, at most 383 high, and a carry word). [`reduce`]
+/// takes longer profiles to the heap.
+pub(crate) const WORDS: usize = 20;
+
+/// Column heights in 16-bit lanes, four columns to a word, column 0 in
+/// the low lane of word 0; every lane past the profile is 0. `len` is
+/// the profile's column count, and `settled` the stages already taken
+/// column by column (see [`Lanes::settle`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Lanes {
+    pub(crate) words: [u64; WORDS],
+    pub(crate) len: usize,
+    settled: ReductionStats,
+}
+
+impl Lanes {
+    /// The empty profile.
+    pub(crate) fn new() -> Self {
+        Self {
+            words: [0; WORDS],
+            len: 0,
+            settled: ReductionStats::default(),
+        }
+    }
+
+    /// Take `heights` into the lanes, after the plain stages its
+    /// columns taller than `LANE_MAX` need, if any. The settled profile
+    /// must fit the lanes, as any profile of an accumulator of up to 63
+    /// bits does.
+    pub(crate) fn settle(&mut self, heights: &mut Vec<u32>) {
+        *self = Self::new();
+        settle_tall(heights, &mut self.settled);
+        for (c, &h) in heights.iter().enumerate() {
+            self.words[c / 4] |= u64::from(h) << (16 * (c % 4));
+        }
+        self.len = heights.len();
+    }
+
+    /// Reduce the profile until every column holds at most two bits,
+    /// then cost the final carry-propagate adder, as [`reduce`] does.
+    /// The columns must fit the lanes: each at most `LANE_MAX` high,
+    /// and `len` plus the bit length of the tallest below `WORDS · 4`.
+    #[inline]
+    pub(crate) fn reduce(&mut self) -> ReductionStats {
+        let mut stats = self.settled;
+        self.len = stages(&mut self.words, self.len, &mut stats);
+        carry_propagate(&self.words, self.len, &mut stats);
+        stats
+    }
+}
+
 /// Reduce `heights` (column 0 first) until every column holds at most
 /// two bits, then cost the final two-row carry-propagate adder, leaving
 /// the two rows in `heights`.
@@ -43,7 +111,8 @@ impl ReductionStats {
 /// The model is stage-based: in each stage every column of height
 /// `h ≥ 3` feeds `⌊h/3⌋` full adders, each consuming 3 bits and
 /// producing a sum bit in place and a carry one column left. Stages
-/// repeat until all columns are ≤ 2 high.
+/// repeat until all columns are ≤ 2 high; each stage trims the
+/// profile's trailing empty columns.
 ///
 /// ```
 /// // Nine bits in one column: 3 FAs in the first stage, then one for
@@ -56,61 +125,135 @@ impl ReductionStats {
 /// ```
 pub fn reduce(heights: &mut Vec<u32>) -> ReductionStats {
     let mut stats = ReductionStats::default();
+    settle_tall(heights, &mut stats);
+    let tallest = heights.iter().copied().max().unwrap_or(0);
+    // The reduction never carries past the bit length of the profile's
+    // value capacity, below `2^(len + bits(tallest))`.
+    let need = (heights.len() + (32 - tallest.leading_zeros()) as usize) / 4 + 1;
+    let mut stack = [0u64; WORDS];
+    let mut heap = Vec::new();
+    let words: &mut [u64] = if need <= WORDS {
+        &mut stack[..need]
+    } else {
+        heap.resize(need, 0);
+        &mut heap
+    };
+    for (c, &h) in heights.iter().enumerate() {
+        words[c / 4] |= u64::from(h) << (16 * (c % 4));
+    }
+    let len = stages(words, heights.len(), &mut stats);
+    carry_propagate(words, len, &mut stats);
+    heights.clear();
+    heights.extend((0..len).map(|c| (words[c / 4] >> (16 * (c % 4)) & 0xFFFF) as u32));
+    stats
+}
 
-    // Stages update in place with a single carry rail (carries of
-    // column `c − 1` arrive while `c`'s original height is still in
-    // hand), so the loop — run a few thousand times per genome by
-    // the GA's area objective — allocates nothing per stage. The
-    // tallest column is tracked through each pass so deciding
-    // whether another stage is needed costs no extra scan.
-    let mut tallest = heights.iter().copied().max().unwrap_or(0);
-    while tallest > 2 {
+/// Plain stages, column by column, while some column is taller than
+/// the lanes hold (`LANE_MAX`): no network here builds one.
+fn settle_tall(heights: &mut Vec<u32>, stats: &mut ReductionStats) {
+    while heights.iter().any(|&h| h > LANE_MAX) {
         stats.stages += 1;
         let mut carry_in = 0u32;
-        tallest = 0;
         for h in &mut *heights {
             let fas = *h / 3;
             stats.tree_full_adders += fas;
-            // Each FA leaves one sum bit here and one carry left.
             *h = fas + *h % 3 + carry_in;
-            tallest = tallest.max(*h);
             carry_in = fas;
         }
-        if carry_in > 0 {
-            heights.push(carry_in);
-            tallest = tallest.max(carry_in);
-        }
+        heights.push(carry_in);
         while heights.last() == Some(&0) {
             heights.pop();
         }
     }
+}
 
-    // Final two-row carry-propagate adder: walk columns with a carry
-    // rail. Two bits plus a carry need an FA; two bits without a
-    // carry, or one bit with one, need an FA whose third input is tied
-    // low (the paper's FA-only assumption); one bit without a carry is
-    // wiring.
-    let mut carry = false;
-    for &h in heights.iter() {
-        match (h, carry) {
-            (0, false) => stats.ties_low = true,
-            // The incoming carry becomes this column's sum bit.
-            (0, true) => carry = false,
-            (1, false) => {}
-            (1, true) | (2, false) => {
-                stats.cpa_full_adders += 1;
-                stats.ties_low = true;
-                carry = true;
-            }
-            (2, true) => {
-                stats.cpa_full_adders += 1;
-                carry = true;
-            }
-            _ => unreachable!("columns are at most 2 high after reduction"),
+/// Whether some lane of `word` holds 3 or more (every lane at most
+/// `LANE_MAX`, so adding `0x7FFD` never carries out of a lane).
+#[inline]
+fn any_tall(word: u64) -> bool {
+    word.wrapping_add(0x7FFD * LOW) & (0x8000 * LOW) != 0
+}
+
+/// The 3:2 stages over the first `len` columns of `words`, every lane
+/// at once: `⌊h/3⌋` full adders per column leave `h − 2⌊h/3⌋` bits
+/// there and send `⌊h/3⌋` carries one lane up (across words through
+/// the top lane). Returns the profile's column count: `len` without a
+/// stage, else the columns up to the top non-empty one.
+#[inline]
+fn stages(words: &mut [u64], len: usize, stats: &mut ReductionStats) -> usize {
+    let mut used = len.div_ceil(4);
+    if !words[..used].iter().any(|&w| any_tall(w)) {
+        return len;
+    }
+    loop {
+        stats.stages += 1;
+        let (mut carry, mut tall, mut fas_total) = (0u64, false, 0u64);
+        for word in &mut words[..used] {
+            let h = *word;
+            let fas = (h.wrapping_mul(171) >> 9) & (0x007F * LOW);
+            let kept = h - 2 * fas;
+            let next = kept + (fas << 16 | carry);
+            carry = fas >> 48;
+            // The four lanes' FA counts, summed in the top lane.
+            fas_total += fas.wrapping_mul(LOW) >> 48;
+            tall |= any_tall(next);
+            *word = next;
+        }
+        if carry != 0 {
+            words[used] = carry;
+            used += 1;
+            tall |= any_tall(carry);
+        }
+        stats.tree_full_adders += fas_total as u32;
+        if !tall {
+            break;
         }
     }
-    stats.sum_bits = heights.len() as u32 + u32::from(carry);
-    stats
+    let top = words[..used].iter().rposition(|&w| w != 0);
+    top.map_or(0, |i| 4 * i + 4 - words[i].leading_zeros() as usize / 16)
+}
+
+/// The final two-row carry-propagate adder over columns `0..len`, each
+/// at most 2 high, in closed form. With `P` the mask of non-empty
+/// columns and `G` the mask of two-high ones, column `c` passes a carry
+/// on exactly when it holds two bits, or one bit and an incoming carry:
+/// the carries of the binary sum `S = P + G`. Each column with a
+/// carry-out is one FA; the adder ties a net low wherever a column's
+/// sum bit would be a constant 0 (an empty column without a carry, one
+/// bit with a carry, two without), which is exactly where `S` has a 0
+/// bit; and it has a sum bit per column plus the carry out of the top.
+/// Taken 64 columns at a time, carrying between the chunks.
+#[inline]
+fn carry_propagate(words: &[u64], len: usize, stats: &mut ReductionStats) {
+    let mut carry_in = 0u128;
+    for (chunk, group) in words[..len.div_ceil(4)].chunks(16).enumerate() {
+        let (mut p, mut g) = (0u64, 0u64);
+        for (i, &w) in group.iter().enumerate() {
+            p |= column_bits(w | w >> 1) << (4 * i);
+            g |= column_bits(w >> 1) << (4 * i);
+        }
+        let sum = u128::from(p) + u128::from(g) + carry_in;
+        // Bit `i` is the carry into column `64 · chunk + i`.
+        let carries = sum ^ u128::from(p) ^ u128::from(g);
+        let columns = (len - 64 * chunk).min(64);
+        let inside = u128::MAX >> (128 - columns);
+        stats.cpa_full_adders += (carries >> 1 & inside).count_ones();
+        stats.ties_low |= !sum & inside != 0;
+        carry_in = sum >> 64;
+        if columns < 64 || 64 * (chunk + 1) == len {
+            stats.sum_bits = len as u32 + (carries >> columns & 1) as u32;
+        }
+    }
+}
+
+/// The low bit of each of `word`'s four lanes, packed into a nibble
+/// (lane 0 in bit 0).
+#[inline]
+fn column_bits(word: u64) -> u64 {
+    // Lane bit 16·i moves to bit 48 + i; no other product reaches
+    // bits 48–51.
+    let bits = word & LOW;
+    bits.wrapping_mul(1 << 48 | 1 << 33 | 1 << 18 | 1 << 3) >> 48 & 0xF
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! The shared evaluation core: parallel batch evaluation of GA
 //! populations.
 //!
-//! Virtually all of a study's wall-clock time is spent inside
-//! [`IntProblem::evaluate`] — full-dataset [`pe_mlp::AxMlp`] inference
-//! plus a gate-equivalent hardware costing per genome, tens of
-//! thousands of times per run. This module turns that hot path into a
-//! reusable substrate:
+//! The GA loop takes most of a `Full` study's time, and most of the
+//! loop is spent inside [`IntProblem::evaluate`]: full-dataset
+//! [`pe_mlp::AxMlp`] inference plus a gate-equivalent hardware costing
+//! per genome, tens of thousands of times per run. (Float SGD training
+//! takes most of the rest: about a fifth of the thread time in
+//! perfbench's traced `full_study`.) This module turns that hot path
+//! into a reusable substrate:
 //!
 //! * [`BatchEvaluator`] wraps any [`IntProblem`] and overrides
 //!   [`IntProblem::evaluate_batch`] so each NSGA-II wave

@@ -2,7 +2,10 @@
 //! `min [1 − Accuracy(θ, D), Area(θ)]`.
 //!
 //! Accuracy is the integer-exact inference of Eq. (4) on the training
-//! split; area is the fast FA-count estimate of Eq. (2). The paper's
+//! split; area is the configured [`AreaObjective`]: by default the
+//! analytic gate-equivalent estimate of the whole circuit
+//! ([`AreaObjective::GateEquivalents`]), or the paper's Eq. (2) FA
+//! count ([`AreaObjective::FaCount`]). The paper's
 //! 10% accuracy-loss bound (§IV-A) is enforced through Deb's
 //! constrained domination rather than a penalty term, so infeasible
 //! chromosomes are still ordered by how close to feasibility they are.
@@ -301,7 +304,10 @@ impl AxTrainProblem {
                 .layers
                 .iter()
                 .flat_map(|l| l.neurons.iter().map(|n| (n, l.input_bits)))
-                .map(|(n, input_bits)| self.gate_counts_of(n, input_bits, 0).fa_equivalent())
+                .map(|(n, input_bits)| {
+                    let counts = self.gate_counts_of(n, input_bits, i64::from(n.bias), &[]);
+                    counts.fa_equivalent()
+                })
                 .sum(),
             AreaObjective::GateEquivalents => self.gate_equivalents(mlp),
         }
@@ -316,14 +322,17 @@ impl AxTrainProblem {
         self.gate_counts.load(Ordering::Relaxed)
     }
 
-    /// Gate counts of one neuron on `input_bits`-wide inputs, its bias
-    /// lowered by `bias_shift`, against per-thread spec and height
-    /// buffers so the area objective allocates nothing per neuron.
+    /// Gate counts of one neuron on `input_bits`-wide inputs with its
+    /// bias set to `bias` and the inputs `folded` marks as constants
+    /// taken out (an empty `folded` takes none), against per-thread spec
+    /// and height buffers so the area objective allocates nothing per
+    /// neuron.
     fn gate_counts_of(
         &self,
         neuron: &pe_mlp::AxNeuron,
         input_bits: u32,
-        bias_shift: i32,
+        bias: i64,
+        folded: &[Option<u8>],
     ) -> NeuronGateCounts {
         thread_local! {
             static BUFFERS: std::cell::RefCell<(NeuronArithSpec, Vec<u32>)> =
@@ -342,7 +351,12 @@ impl AxTrainProblem {
         BUFFERS.with(|buffers| {
             let (spec, heights) = &mut *buffers.borrow_mut();
             neuron.to_arith_spec_into(input_bits, spec);
-            spec.bias -= i64::from(bias_shift);
+            spec.bias = bias;
+            if folded.iter().any(Option::is_some) {
+                let mut input = folded.iter();
+                spec.weights
+                    .retain(|_| input.next().is_none_or(Option::is_none));
+            }
             tree_gates(spec, heights).counts
         })
     }
@@ -481,63 +495,92 @@ impl AxTrainProblem {
     /// the netlist elaborator: adder-tree FAs, sign-inversion NOTs,
     /// QReLU units, and the argmax comparator over bias-normalized
     /// output accumulators.
+    ///
+    /// It prices the network [`pe_mlp::fold_constants`] leaves without
+    /// building it: a hidden neuron with no live mask bit is the
+    /// constant `QReLU(bias)` and costs nothing, each of its products
+    /// folds into the next layer's biases, and their weights on it are
+    /// gone. Layer by layer, in one forward walk (the fold's fixed
+    /// point: a neuron whose every live input folded is constant in
+    /// turn), against per-thread buffers of the constants.
     #[must_use]
     pub fn gate_equivalents(&self, mlp: &pe_mlp::AxMlp) -> f64 {
-        // Constant folding only changes anything when some hidden
-        // neuron is fully masked; skipping it otherwise keeps the hot
-        // path free of a whole-network clone.
-        let folded;
-        let mlp = if has_constant_hidden_neuron(mlp) {
-            folded = pe_mlp::fold_constants(mlp);
-            &folded
-        } else {
-            mlp
-        };
-        let tech = &self.scenario.tech;
-        let mut ge = 0.0f64;
-        let last = mlp.layers.len().saturating_sub(1);
-        for (li, layer) in mlp.layers.iter().enumerate() {
-            let bias_shift = if li == last {
-                layer.neurons.iter().map(|n| n.bias).min().unwrap_or(0)
-            } else {
-                0
-            };
-            let mut max_width = 1u32;
-            for n in &layer.neurons {
-                let counts = self.gate_counts_of(n, layer.input_bits, bias_shift);
-                // The single pe-arith → pe-hw gate-count conversion.
-                ge += tech.ge_total(&pe_hw::CellCounts::from(&counts));
-                max_width = max_width.max(counts.accumulator_bits);
-                if let Some(q) = layer.qrelu {
-                    let gates = qrelu_gate_counts(counts.accumulator_bits, q.out_bits, q.shift);
+        /// The constants of the layer being priced's inputs, and of its
+        /// outputs (`None` for a live neuron).
+        type Constants = (Vec<Option<u8>>, Vec<Option<u8>>);
+        thread_local! {
+            static CONSTANTS: std::cell::RefCell<Constants> =
+                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+        }
+        CONSTANTS.with(|constants| {
+            let (inputs, outputs) = &mut *constants.borrow_mut();
+            inputs.clear();
+            let tech = &self.scenario.tech;
+            let mut ge = 0.0f64;
+            let last = mlp.layers.len().saturating_sub(1);
+            for (li, layer) in mlp.layers.iter().enumerate() {
+                let folded = |n: &pe_mlp::AxNeuron| folded_bias(n, inputs);
+                let bias_shift = if li == last {
+                    layer.neurons.iter().map(|n| folded(n).0).min().unwrap_or(0)
+                } else {
+                    0
+                };
+                let constant_source = if li < last { layer.qrelu } else { None };
+                outputs.clear();
+                let mut max_width = 1u32;
+                for n in &layer.neurons {
+                    let (bias, live) = folded(n);
+                    if let Some(q) = constant_source {
+                        let constant = (!live).then(|| q.apply(i64::from(bias)));
+                        outputs.push(constant);
+                        if constant.is_some() {
+                            continue;
+                        }
+                    }
+                    let bias = i64::from(bias) - i64::from(bias_shift);
+                    let counts = self.gate_counts_of(n, layer.input_bits, bias, inputs);
+                    // The single pe-arith → pe-hw gate-count conversion.
+                    ge += tech.ge_total(&pe_hw::CellCounts::from(&counts));
+                    max_width = max_width.max(counts.accumulator_bits);
+                    if let Some(q) = layer.qrelu {
+                        let gates = qrelu_gate_counts(counts.accumulator_bits, q.out_bits, q.shift);
+                        ge += tech.ge_total(&gates);
+                    }
+                }
+                if layer.qrelu.is_none() {
+                    let gates = argmax_gate_counts(layer.neurons.len(), max_width);
                     ge += tech.ge_total(&gates);
                 }
+                std::mem::swap(inputs, outputs);
             }
-            if layer.qrelu.is_none() {
-                let gates = argmax_gate_counts(layer.neurons.len(), max_width);
-                ge += tech.ge_total(&gates);
-            }
-        }
-        ge
+            ge
+        })
     }
+}
+
+/// `neuron`'s bias with the products of its constant inputs (`Some` in
+/// `inputs`, which may be shorter than the fan-in) folded in, as
+/// [`pe_mlp::fold_constants`] folds them, and whether a weight on a
+/// live input keeps a mask bit.
+fn folded_bias(neuron: &pe_mlp::AxNeuron, inputs: &[Option<u8>]) -> (i32, bool) {
+    let mut bias = i64::from(neuron.bias);
+    let mut live = false;
+    for (j, w) in neuron.weights.iter().enumerate() {
+        match inputs.get(j).copied().flatten() {
+            Some(v) => {
+                let term = i64::from(u16::from(v) & w.mask) << w.shift;
+                bias += if w.negative { -term } else { term };
+            }
+            None => live |= w.mask != 0,
+        }
+    }
+    let bias = bias.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+    (bias, live)
 }
 
 /// Estimated mW per gate equivalent at a scenario's operating supply.
 fn power_per_ge_at_supply(scenario: &CostScenario) -> f64 {
     scenario.tech.power_per_ge_mw * scenario.vdd.power_scale(scenario.supply_v)
-}
-
-/// Whether [`pe_mlp::fold_constants`] could change `mlp` at all: some
-/// hidden (pre-output) layer holds a fully-masked (constant) neuron.
-fn has_constant_hidden_neuron(mlp: &pe_mlp::AxMlp) -> bool {
-    let last = mlp.layers.len().saturating_sub(1);
-    mlp.layers.iter().take(last).any(|layer| {
-        layer.qrelu.is_some()
-            && layer
-                .neurons
-                .iter()
-                .any(|n| n.weights.iter().all(|w| w.mask == 0))
-    })
 }
 
 /// Per-thread evaluation buffers: the columnar forward pass's scratch
@@ -759,6 +802,101 @@ mod tests {
         let matrix = QuantMatrix::from_rows(&rows);
         let p = AxTrainProblem::new(spec, matrix.clone(), labels.clone(), 1.0, 1.0);
         (p, matrix, labels)
+    }
+
+    /// The area of the network [`pe_mlp::fold_constants`] builds,
+    /// priced layer by layer: what [`AxTrainProblem::gate_equivalents`]
+    /// computes without building it.
+    fn folded_network_area(problem: &AxTrainProblem, mlp: &pe_mlp::AxMlp) -> f64 {
+        let mlp = pe_mlp::fold_constants(mlp);
+        let tech = &problem.scenario.tech;
+        let mut ge = 0.0f64;
+        let last = mlp.layers.len().saturating_sub(1);
+        for (li, layer) in mlp.layers.iter().enumerate() {
+            let bias_shift = if li == last {
+                layer.neurons.iter().map(|n| n.bias).min().unwrap_or(0)
+            } else {
+                0
+            };
+            let mut max_width = 1u32;
+            for n in &layer.neurons {
+                let bias = i64::from(n.bias) - i64::from(bias_shift);
+                let counts = problem.gate_counts_of(n, layer.input_bits, bias, &[]);
+                ge += tech.ge_total(&pe_hw::CellCounts::from(&counts));
+                max_width = max_width.max(counts.accumulator_bits);
+                if let Some(q) = layer.qrelu {
+                    ge += tech.ge_total(&qrelu_gate_counts(
+                        counts.accumulator_bits,
+                        q.out_bits,
+                        q.shift,
+                    ));
+                }
+            }
+            if layer.qrelu.is_none() {
+                ge += tech.ge_total(&argmax_gate_counts(layer.neurons.len(), max_width));
+            }
+        }
+        ge
+    }
+
+    /// Random networks of one to three hidden layers, with fully masked
+    /// neurons (and, through them, neurons whose every live input is a
+    /// constant) in every hidden layer: pricing the folded network
+    /// without building it gives the same bits as building it.
+    #[test]
+    fn gate_equivalents_price_the_folded_network() {
+        use rand::{Rng, SeedableRng};
+        let problem = threshold_problem(0.10);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf01d);
+        let mut folds = 0;
+        for _ in 0..400 {
+            let widths: Vec<usize> = (0..rng.gen_range(2..=4))
+                .map(|_| rng.gen_range(1..=4))
+                .collect();
+            let mut fan_in = rng.gen_range(1..=5);
+            let layers = widths
+                .iter()
+                .enumerate()
+                .map(|(li, &width)| {
+                    let hidden = li + 1 < widths.len();
+                    let input_bits = if li == 0 { 4 } else { 8 };
+                    let neurons = (0..width)
+                        .map(|_| pe_mlp::AxNeuron {
+                            weights: (0..fan_in)
+                                .map(|_| pe_mlp::AxWeight {
+                                    mask: if rng.gen_range(0..3) == 0 {
+                                        0
+                                    } else {
+                                        rng.gen_range(0..1 << input_bits)
+                                    },
+                                    shift: rng.gen_range(0..7),
+                                    negative: rng.gen(),
+                                })
+                                .collect(),
+                            bias: rng.gen_range(-300..300),
+                        })
+                        .collect();
+                    let layer = pe_mlp::AxLayer {
+                        input_bits,
+                        neurons,
+                        qrelu: hidden.then_some(pe_mlp::QReluCfg {
+                            out_bits: 8,
+                            shift: rng.gen_range(0..4),
+                        }),
+                    };
+                    fan_in = width;
+                    layer
+                })
+                .collect();
+            let mlp = pe_mlp::AxMlp { layers };
+            folds += usize::from(pe_mlp::fold_constants(&mlp) != mlp);
+            let (got, want) = (
+                problem.gate_equivalents(&mlp),
+                folded_network_area(&problem, &mlp),
+            );
+            assert_eq!(got.to_bits(), want.to_bits(), "{mlp:?}");
+        }
+        assert!(folds > 100, "only {folds} networks folded");
     }
 
     #[test]

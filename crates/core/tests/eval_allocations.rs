@@ -6,9 +6,10 @@
 //! refinement and memetic polish (`columnar::ResidentPass`) allocate
 //! nothing.
 //!
-//! Genomes with a fully-masked hidden neuron are left out: the area
-//! objective folds such a constant neuron into the next layer on a
-//! clone of the network.
+//! The genomes are random, and the shapes with `dead` set zero every
+//! mask of their first hidden neuron: the area objective prices such a
+//! constant neuron folded into the next layer without building the
+//! folded network.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,41 +106,45 @@ fn problem(rows: usize, width: usize, hidden: &[usize]) -> AxTrainProblem {
     AxTrainProblem::new(GenomeSpec::new(layers, 8, 8), data, labels, 0.9, 0.1)
 }
 
-/// `count` random genomes whose hidden neurons all keep a live weight.
-fn genomes(problem: &AxTrainProblem, count: usize, seed: u64) -> Vec<Vec<u32>> {
+/// `count` random genomes; with `dead`, the first hidden neuron of each
+/// has every mask zeroed, so it is a constant.
+fn genomes(problem: &AxTrainProblem, count: usize, seed: u64, dead: bool) -> Vec<Vec<u32>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    while out.len() < count {
-        let genes = random_genome(problem.bounds(), &mut rng);
-        let mlp = problem.genome_spec().decode(&genes);
-        let hidden = &mlp.layers[..mlp.layers.len() - 1];
-        let live = hidden
-            .iter()
-            .flat_map(|l| &l.neurons)
-            .all(|n| n.weights.iter().any(|w| w.mask != 0));
-        if live {
-            out.push(genes);
-        }
-    }
-    out
+    let spec = problem.genome_spec();
+    (0..count)
+        .map(|_| {
+            let genes = random_genome(problem.bounds(), &mut rng);
+            if !dead {
+                return genes;
+            }
+            let mut mlp = spec.decode(&genes);
+            for w in &mut mlp.layers[0].neurons[0].weights {
+                w.mask = 0;
+            }
+            spec.encode(&mlp)
+        })
+        .collect()
 }
 
-/// (rows, features, hidden layers): more rows, more neurons, more
-/// layers, and a narrow-then-wide hidden stack.
-const SHAPES: [(usize, usize, &[usize]); 5] = [
-    (40, 4, &[2]),
-    (400, 4, &[2]),
-    (400, 9, &[5]),
-    (400, 6, &[4, 3]),
-    (120, 5, &[2, 6, 3]),
+/// (rows, features, hidden layers, a constant first hidden neuron):
+/// more rows, more neurons, more layers, a narrow-then-wide hidden
+/// stack, and constant neurons folded into one and two layers.
+const SHAPES: [(usize, usize, &[usize], bool); 7] = [
+    (40, 4, &[2], false),
+    (400, 4, &[2], false),
+    (400, 9, &[5], false),
+    (400, 6, &[4, 3], false),
+    (120, 5, &[2, 6, 3], false),
+    (400, 11, &[4], true),
+    (120, 5, &[3, 4], true),
 ];
 
 #[test]
 fn a_warm_evaluation_allocates_only_its_objectives() {
-    for (rows, width, hidden) in SHAPES {
+    for (rows, width, hidden, dead) in SHAPES {
         let problem = problem(rows, width, hidden);
-        let warm_up = genomes(&problem, 4, 1);
-        let fresh = genomes(&problem, 25, 2);
+        let warm_up = genomes(&problem, 4, 1, dead);
+        let fresh = genomes(&problem, 25, 2, dead);
         let mut evaluations = Vec::with_capacity(fresh.len());
         for genes in &warm_up {
             let _ = problem.evaluate(genes);
@@ -180,10 +185,12 @@ fn sweep(mlp: &mut AxMlp, pass: &mut ResidentPass) {
 
 #[test]
 fn a_warm_sweep_of_resident_trials_allocates_nothing() {
-    for (rows, width, hidden) in SHAPES {
+    for (rows, width, hidden, dead) in SHAPES {
         let problem = problem(rows, width, hidden);
         let (data, labels) = data(rows, width);
-        let mut mlp = problem.genome_spec().decode(&genomes(&problem, 1, 3)[0]);
+        let mut mlp = problem
+            .genome_spec()
+            .decode(&genomes(&problem, 1, 3, dead)[0]);
         let mut pass = ResidentPass::new(data.columns(), ColumnLabels::new(labels));
         let hits = pass.run(&mlp);
         sweep(&mut mlp, &mut pass);

@@ -60,14 +60,20 @@
 //!
 //! 1. **`i16`** when every neuron's accumulator range
 //!    `[bias − Σneg, bias + Σpos]`, each term `(mask & 0xFF) ≪ shift`,
-//!    lies inside `i16` ([`layer_fits_i16`]): 16 samples per AVX2 step,
-//!    hidden columns QReLU-packed straight to `u8`, and the argmax
-//!    layer's running best, index and hit count kept in registers
-//!    against the `i16` label lanes. Every hidden neuron the paper's
-//!    genomes encode fits (the widest, Cardio's 21 inputs at full masks
-//!    and `k = 6`, spans 22,208 around its bias); so do most output
-//!    layers. The rung needs AVX2 ([`simd::i16_lanes`](crate::simd::i16_lanes)),
-//!    so scalar builds and hosts without it take the `i32` rung.
+//!    lies inside `i16` and every live weight shifts by at most 6
+//!    ([`layer_fits_i16`]): 16 samples per AVX2 step and two weights
+//!    per `vpmaddubsw`, over inputs byte-interleaved in pairs (the
+//!    dataset's kept by [`ColumnMatrix`], a hidden layer's interleaved
+//!    once per pass). Hidden layers run two neurons per stripe pass,
+//!    QReLU-packed straight to `u8`; the argmax layer accumulates each
+//!    output in a register and keeps the running best, index and hit
+//!    count in registers against the `i16` label lanes, storing no
+//!    output column. Every hidden neuron the paper's genomes encode
+//!    fits (the widest, Cardio's 21 inputs at full masks and `k = 6`,
+//!    spans 22,208 around its bias; 8-bit weights give `k ≤ 6`); so do
+//!    most output layers. The rung needs AVX2
+//!    ([`simd::i16_lanes`](crate::simd::i16_lanes)), so scalar builds
+//!    and hosts without it take the `i32` rung.
 //! 2. **`i32`** when the worst-case `|accumulator|` fits `i32`
 //!    ([`fits_i32`]), per hidden neuron, and for an argmax layer whose
 //!    every neuron fits: true for every genome-encodable neuron.
@@ -82,6 +88,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::axmlp::{AxLayer, AxMlp, AxNeuron};
 use crate::quant::QReluCfg;
+use crate::simd::{interleave_pairs, PairInputs, PairScratch};
 
 /// A quantized dataset as one flat row-major buffer plus a stride.
 ///
@@ -206,14 +213,18 @@ impl QuantMatrix {
         }
     }
 
-    /// Transpose into the column-major layout the kernels consume.
+    /// Transpose into the column-major layout the kernels consume,
+    /// with the feature pairs of the `i16` rung interleaved once.
     #[must_use]
     pub fn columns(&self) -> ColumnMatrix {
-        let cols = (0..self.width)
+        let cols: Vec<Vec<u8>> = (0..self.width)
             .map(|f| self.iter().map(|row| row[f]).collect())
             .collect();
+        let mut pairs = Vec::new();
+        interleave_pairs(&cols, self.rows, &mut pairs);
         ColumnMatrix {
             cols,
+            pairs,
             samples: self.rows,
         }
     }
@@ -268,9 +279,15 @@ impl ExactSizeIterator for Rows<'_> {}
 /// the neuron-major kernels stream linearly. The columns are the same
 /// `Vec<u8>`s hidden activations travel in, so a forward pass hands
 /// [`cols`](Self::cols) to the kernels as they are.
+///
+/// It also keeps the features byte-interleaved in pairs, the input the
+/// `i16` rung's first layer loads whole: each 32-byte vector holds one
+/// 16-row stripe of features `2p` and `2p + 1`, in turn, the last
+/// stripe zero-padded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnMatrix {
     cols: Vec<Vec<u8>>,
+    pairs: Vec<u8>,
     samples: usize,
 }
 
@@ -302,6 +319,11 @@ impl ColumnMatrix {
     #[must_use]
     pub fn cols(&self) -> &[Vec<u8>] {
         &self.cols
+    }
+
+    /// The features' stripes, byte-interleaved in pairs.
+    pub(crate) fn pairs(&self) -> &[u8] {
+        &self.pairs
     }
 }
 
@@ -457,16 +479,37 @@ pub fn fits_i16(neuron: &AxNeuron) -> bool {
 
 /// Whether [`hits_columns`] runs `layer` on the `i16` rung, wherever
 /// the `i16` kernels run ([`simd::i16_lanes`](crate::simd::i16_lanes)):
-/// every neuron [`fits_i16`], a hidden layer's QReLU packs to `u8`
-/// (`out_bits <= 8`, `shift < 32`, as for the vector `i32` pack), and
-/// an argmax layer's class indices fit `i16` lanes.
+/// every neuron [`fits_i16`], every weight with a live mask byte shifts
+/// by at most 6 (the kernels multiply by `±2^k` as an `i8`), a hidden
+/// layer's QReLU packs to `u8` (`out_bits <= 8`, `shift < 32`, as for
+/// the vector `i32` pack), and an argmax layer's class indices fit
+/// `i16` lanes. Every genome at the paper's 8-bit weights meets the
+/// shift bound (`k ≤ 6`).
 #[must_use]
 pub fn layer_fits_i16(layer: &AxLayer) -> bool {
     let lanes_hold = match layer.qrelu {
         Some(q) => crate::simd::packs_to_u8(q),
         None => layer.neurons.len() <= 1 << 15,
     };
-    lanes_hold && layer.neurons.iter().all(fits_i16)
+    lanes_hold && layer.neurons.iter().all(fits_pairs)
+}
+
+/// [`fits_i16`] and every weight with a live mask byte shifting by at
+/// most 6, in one pass over the weights.
+fn fits_pairs(neuron: &AxNeuron) -> bool {
+    let bias = i64::from(neuron.bias);
+    let (mut lo, mut hi, mut widest) = (bias, bias, 0);
+    for w in &neuron.weights {
+        let mask = i64::from(w.mask & 0xFF);
+        let shift = if mask == 0 { 0 } else { w.shift };
+        widest = widest.max(shift);
+        // Past the widest shift the check below fails anyway.
+        let term = mask << shift.min(crate::simd::MAX_PAIR_SHIFT + 1);
+        let negative = i64::from(w.negative);
+        lo -= term * negative;
+        hi += term * (1 - negative);
+    }
+    widest <= crate::simd::MAX_PAIR_SHIFT && lo >= i64::from(i16::MIN) && hi <= i64::from(i16::MAX)
 }
 
 /// [`accumulate_neuron_column`] at `i32` width through the platform
@@ -598,12 +641,13 @@ fn qrelu_column_narrow(q: QReluCfg, acc: &[i32], out: &mut Vec<u8>) {
 
 /// One hidden column end to end through the platform kernel:
 /// accumulate, then QReLU into `out`. With `rung16` (the neuron's layer
-/// runs on the `i16` rung) the column packs straight from `i16` lanes;
-/// otherwise it stays at `i32` width whenever the narrow precondition
-/// holds, skipping the widening pass the `i64` path runs.
+/// runs on the `i16` rung) the pair kernel runs this one neuron and
+/// packs its column straight from `i16` lanes; otherwise it stays at
+/// `i32` width whenever the narrow precondition holds, skipping the
+/// widening pass the `i64` path runs.
 fn hidden_column(
     neuron: &AxNeuron,
-    inputs: &[Vec<u8>],
+    inputs: Inputs<'_>,
     samples: usize,
     q: QReluCfg,
     rung16: bool,
@@ -611,8 +655,13 @@ fn hidden_column(
     out: &mut Vec<u8>,
 ) {
     if rung16 {
-        crate::simd::hidden_column_i16(neuron, inputs, samples, q, &mut bufs.short, out);
-    } else if fits_i32(neuron) {
+        let pairs = inputs.pairs(samples, &mut bufs.interleaved);
+        let (group, outs) = (std::slice::from_ref(neuron), std::slice::from_mut(out));
+        crate::simd::hidden_columns_i16(group, pairs, samples, q, &mut bufs.pairs, outs);
+        return;
+    }
+    let inputs = inputs.cols;
+    if fits_i32(neuron) {
         accumulate_neuron_column_narrow(neuron, inputs, samples, &mut bufs.narrow);
         if !crate::simd::qrelu_column_narrow_simd(q, &bufs.narrow, out) {
             qrelu_column_narrow(q, &bufs.narrow, out);
@@ -755,10 +804,10 @@ impl ColumnarScratch {
 struct Buffers {
     acc: Vec<i64>,
     narrow: Vec<i32>,
-    short: Vec<i16>,
+    pairs: PairScratch,
+    interleaved: Vec<u8>,
     out_wide: Vec<Vec<i64>>,
     out_narrow: Vec<Vec<i32>>,
-    out_short: Vec<Vec<i16>>,
     best_index: Vec<u32>,
     best_wide: Vec<i64>,
     best_narrow: Vec<i32>,
@@ -826,17 +875,49 @@ fn hidden_layers(mlp: &AxMlp) -> usize {
     mlp.layers.iter().take_while(|l| l.qrelu.is_some()).count()
 }
 
-/// The columns that feed layer `li`: the dataset's for layer 0, else
-/// hidden layer `li − 1`'s.
+/// The columns that feed a layer, and the dataset's feature pairs when
+/// they are the dataset's.
+#[derive(Debug, Clone, Copy)]
+struct Inputs<'a> {
+    cols: &'a [Vec<u8>],
+    pairs: Option<&'a [u8]>,
+}
+
+impl<'a> Inputs<'a> {
+    /// The inputs interleaved in pairs for the `i16` kernels: the
+    /// dataset's pairs, or the columns interleaved into `buf` once.
+    fn pairs(self, samples: usize, buf: &'a mut Vec<u8>) -> PairInputs<'a> {
+        let pairs = match self.pairs {
+            Some(pairs) => pairs,
+            None => {
+                interleave_pairs(self.cols, samples, buf);
+                buf
+            }
+        };
+        PairInputs {
+            count: self.cols.len(),
+            pairs,
+        }
+    }
+}
+
+/// The columns that feed layer `li`: the dataset's, with its feature
+/// pairs, for layer 0, else hidden layer `li − 1`'s.
 fn layer_inputs<'a>(
     mlp: &AxMlp,
     cols: &'a ColumnMatrix,
     acts: &'a [Vec<Vec<u8>>],
     li: usize,
-) -> &'a [Vec<u8>] {
+) -> Inputs<'a> {
     match li.checked_sub(1) {
-        None => cols.cols(),
-        Some(prev) => &acts[prev][..mlp.layers[prev].neurons.len()],
+        None => Inputs {
+            cols: cols.cols(),
+            pairs: Some(cols.pairs()),
+        },
+        Some(prev) => Inputs {
+            cols: &acts[prev][..mlp.layers[prev].neurons.len()],
+            pairs: None,
+        },
     }
 }
 
@@ -851,7 +932,7 @@ fn i16_rung(layer: &AxLayer) -> bool {
 fn hidden_layer(
     mlp: &AxMlp,
     li: usize,
-    inputs: &[Vec<u8>],
+    inputs: Inputs<'_>,
     samples: usize,
     bufs: &mut Buffers,
     perturb: Option<Perturb<'_>>,
@@ -859,15 +940,23 @@ fn hidden_layer(
 ) {
     let layer = &mlp.layers[li];
     let q = layer.qrelu.expect("a hidden layer has a QReLU");
-    let rung16 = perturb.is_none() && i16_rung(layer);
     let outs = grown(out, layer.neurons.len());
+    if perturb.is_none() && i16_rung(layer) {
+        let pairs = inputs.pairs(samples, &mut bufs.interleaved);
+        // Two neurons per pass share each input load.
+        for (group, outs) in layer.neurons.chunks(2).zip(outs.chunks_mut(2)) {
+            crate::simd::hidden_columns_i16(group, pairs, samples, q, &mut bufs.pairs, outs);
+        }
+        return;
+    }
     for (ni, (neuron, out)) in layer.neurons.iter().zip(outs).enumerate() {
         if let Some(perturb) = perturb {
+            let inputs = inputs.cols;
             accumulate_neuron_column(neuron, inputs, samples, &mut bufs.acc, &mut bufs.narrow);
             perturb(li, ni, &mut bufs.acc);
             qrelu_column(q, &bufs.acc, out);
         } else {
-            hidden_column(neuron, inputs, samples, q, rung16, bufs, out);
+            hidden_column(neuron, inputs, samples, q, false, bufs, out);
         }
     }
 }
@@ -876,27 +965,30 @@ fn hidden_layer(
 /// `mlp`'s argmax (`inputs`, the output of its `hidden` leading QReLU
 /// layers): through the argmax layer, layer `hidden`, on that layer's
 /// rung, or over `inputs` themselves when every layer has a QReLU. The
-/// output columns are scratch; none outlives the call.
+/// `i16` rung stores no output column; the other rungs' are scratch,
+/// and none outlives the call.
 fn argmax_layer(
     mlp: &AxMlp,
     hidden: usize,
-    inputs: &[Vec<u8>],
+    inputs: Inputs<'_>,
     labels: &ColumnLabels,
     bufs: &mut Buffers,
     perturb: Option<Perturb<'_>>,
 ) -> usize {
     let (samples, classes) = (labels.len(), labels.classes());
     let Some(layer) = mlp.layers.get(hidden) else {
-        return argmax_hits(inputs, classes, &mut bufs.best_index, &mut bufs.best_act);
+        return argmax_hits(
+            inputs.cols,
+            classes,
+            &mut bufs.best_index,
+            &mut bufs.best_act,
+        );
     };
-    let count = layer.neurons.len();
     if perturb.is_none() && i16_rung(layer) {
-        let outs = grown(&mut bufs.out_short, count);
-        for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
-            crate::simd::accumulate_i16(neuron, inputs, samples, out);
-        }
-        return crate::simd::argmax_hits_i16(outs, &labels.lanes);
+        let pairs = inputs.pairs(samples, &mut bufs.interleaved);
+        return crate::simd::argmax_hits_i16(&layer.neurons, pairs, &labels.lanes, &mut bufs.pairs);
     }
+    let (count, inputs) = (layer.neurons.len(), inputs.cols);
     if perturb.is_none() && layer.neurons.iter().all(fits_i32) {
         let outs = grown(&mut bufs.out_narrow, count);
         for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
@@ -1314,39 +1406,66 @@ mod tests {
     /// stripe with and without a tail, and a study-sized split.
     const ROW_COUNTS: [usize; 7] = [0, 1, 15, 16, 17, 33, 2000];
 
-    /// Two-input neurons whose accumulator range ends exactly on an
-    /// `i16` bound (`true`: they fit) or one LSB beyond it (`false`),
-    /// and neurons whose terms wrap their `i16` lanes on the way to a
-    /// sum inside the range.
-    fn edge_neurons() -> Vec<(AxNeuron, bool)> {
+    /// Four-input neurons whose accumulator range ends exactly on an
+    /// `i16` bound or one LSB beyond it, at shifts the `i16` rung
+    /// multiplies by and with pair sums up to ±32,640; neurons whose
+    /// range fits `i16` but whose shift an `i8` multiplier cannot hold;
+    /// and dead weights, which bound nothing. Each comes with whether it
+    /// [`fits_i16`] and whether a layer of it takes the `i16` rung
+    /// ([`layer_fits_i16`]).
+    fn edge_neurons() -> Vec<(AxNeuron, bool, bool)> {
         let n = |weights: Vec<AxWeight>, bias| AxNeuron { weights, bias };
-        let top = weight(0xFF, 7, false); // terms up to 32,640
-        let bottom = weight(0xFF, 7, true);
+        let top = weight(0xFF, 6, false); // terms up to 16,320
+        let bottom = weight(0xFF, 6, true);
+        let low = weight(0x0F, 0, false);
         let off = weight(0, 9, true);
         vec![
             // [127, 32767] and one beyond.
-            (n(vec![top, off], 127), true),
-            (n(vec![top, off], 128), false),
+            (n(vec![top, top, off, off], 127), true, true),
+            (n(vec![top, top, off, off], 128), false, false),
             // [-32768, -113] and one beyond.
-            (n(vec![bottom, weight(0x0F, 0, false)], -128), true),
-            (n(vec![bottom, weight(0x0F, 0, false)], -129), false),
-            // A 65,280 term wraps its lane: [-32768, 32512].
-            (n(vec![weight(0xFF, 8, true), off], 32512), true),
-            (n(vec![weight(0xFF, 8, false), off], -32768), true),
-            // 2^15 terms wrap too: [-32768, 0] and [-16, 32767].
-            (n(vec![weight(0x01, 15, false), off], -32768), true),
+            (n(vec![bottom, bottom, low, off], -128), true, true),
+            (n(vec![bottom, bottom, low, off], -129), false, false),
+            // Two pair sums of ±32,640 each: [-32768, 32512].
+            (n(vec![top; 4], -32768), true, true),
+            (n(vec![bottom; 4], 32512), true, true),
+            // A pair whose first weight is masked and whose second is
+            // live.
+            (n(vec![off, bottom, low, top], 0), true, true),
+            // Shift 7: the range fits, the multiplier does not.
             (
-                n(vec![weight(0x01, 15, true), weight(0x0F, 0, false)], 32752),
+                n(vec![weight(0xFF, 7, false), off, off, off], 127),
                 true,
+                false,
             ),
-            // Two terms that together reach the bottom bound, and one
-            // LSB past it.
-            (n(vec![bottom, bottom], 32512), true),
-            (n(vec![bottom, bottom], 32511), false),
+            (
+                n(vec![weight(0xFF, 7, true), low, off, off], -128),
+                true,
+                false,
+            ),
+            // Terms past `i8` multipliers that span most of the range.
+            (
+                n(vec![weight(0xFF, 8, true), off, off, off], 32512),
+                true,
+                false,
+            ),
+            (
+                n(vec![weight(0x01, 15, false), off, off, off], -32768),
+                true,
+                false,
+            ),
             // A shift past the `i16` lanes, and mask bits above the
             // activation byte, which add nothing at any shift.
-            (n(vec![weight(0x01, 16, false), off], 0), false),
-            (n(vec![weight(0x100, 30, false), off], 5), true),
+            (
+                n(vec![weight(0x01, 16, false), off, off, off], 0),
+                false,
+                false,
+            ),
+            (
+                n(vec![weight(0x100, 30, false), off, low, off], 5),
+                true,
+                true,
+            ),
         ]
     }
 
@@ -1505,26 +1624,26 @@ mod tests {
 
     #[test]
     fn the_i16_bounds_are_inclusive() {
-        for (neuron, fits) in edge_neurons() {
+        for (neuron, fits, rung) in edge_neurons() {
             assert_eq!(fits_i16(&neuron), fits, "{neuron:?}");
             let layer = AxLayer {
                 input_bits: 8,
                 neurons: vec![neuron],
                 qrelu: None,
             };
-            assert_eq!(layer_fits_i16(&layer), fits);
+            assert_eq!(layer_fits_i16(&layer), rung, "{:?}", layer.neurons);
         }
     }
 
     #[test]
     fn every_rung_matches_the_row_oracle_at_the_i16_bounds() {
         let (fitting, beyond): (Vec<_>, Vec<_>) =
-            edge_neurons().into_iter().partition(|(_, fits)| *fits);
-        let mut fitting: Vec<AxNeuron> = fitting.into_iter().map(|(n, _)| n).collect();
+            edge_neurons().into_iter().partition(|(_, _, rung)| *rung);
+        let mut fitting: Vec<AxNeuron> = fitting.into_iter().map(|(n, ..)| n).collect();
         // A duplicate: the lower index wins the tie.
         fitting.push(fitting[0].clone());
         let mut all = fitting.clone();
-        all.extend(beyond.into_iter().map(|(n, _)| n));
+        all.extend(beyond.into_iter().map(|(n, ..)| n));
         let argmax = |neurons: Vec<AxNeuron>| AxMlp {
             layers: vec![AxLayer {
                 input_bits: 8,
@@ -1566,7 +1685,7 @@ mod tests {
         }
         let mut scratch = ColumnarScratch::new();
         for rows in ROW_COUNTS {
-            let m = byte_rows(rows, 2);
+            let m = byte_rows(rows, 4);
             for mlp in &nets {
                 assert_matches_the_row_oracle(mlp, &m, &mut scratch);
             }

@@ -4,22 +4,43 @@
 //! The scalar kernel in [`crate::columnar`] already auto-vectorizes
 //! well, but the compiler must keep the `u8` widening, the AND and the
 //! variable shift composable for any weight; writing the loop directly
-//! against the ISA pins the exact instruction mix. Each neuron runs on
+//! against the ISA pins the exact instruction mix. Each layer runs on
 //! the narrowest lanes its accumulator range fits, a ladder
 //! [`crate::columnar::hits_columns`] climbs per layer:
 //!
-//! * **`i16`, 16 samples per AVX2 step** (`hidden_column_i16`,
-//!   `accumulate_i16`, `argmax_hits_i16`) when every value the
-//!   accumulator can take, `[bias − Σneg, bias + Σpos]`, lies inside
-//!   `i16` ([`fits_i16`](crate::columnar::fits_i16)): load 16 column
-//!   bytes, widen them to `u16` lanes (`vpmovzxbw`), AND against the
-//!   broadcast mask and multiply by the weight's signed power of two
-//!   (`vpmullw` by `±2^k` is the shift and the sign at once), add. The
-//!   sums wrap mod 2^16, so every final value inside the range is
-//!   exact whatever the partial sums do. A hidden column is
-//!   QReLU-packed straight to `u8`; an argmax layer's running best,
-//!   its index and the hit count stay in registers. Needs AVX2
-//!   ([`i16_lanes`]); without it the `i32` rung serves these neurons.
+//! * **`i16`, 16 samples per AVX2 step, two weights per multiply**
+//!   when every value each accumulator can take,
+//!   `[bias − Σneg, bias + Σpos]`, lies inside `i16`
+//!   ([`fits_i16`](crate::columnar::fits_i16)) and every live weight
+//!   shifts by at most 6
+//!   ([`layer_fits_i16`](crate::columnar::layer_fits_i16)). The inputs
+//!   travel byte-interleaved in pairs (`interleave_pairs`): one
+//!   32-byte vector holds 16 rows of inputs `2p` and `2p + 1`, `x₂ₚ[r]`
+//!   and `x₂ₚ₊₁[r]` in `i16` lane `r`. A pair of weights costs one AND
+//!   with the pair's two masks, one `vpmaddubsw` (the data is the
+//!   unsigned operand) by the pair's multipliers `±2^k` as `i8` (0 for
+//!   a masked weight), and one add: three instructions for two weights.
+//!   A pair is skipped only when both of its masks are 0. Each product
+//!   is at most 255 · 64, so a pair sum stays within ±32,640 and the
+//!   multiply never saturates; every partial sum lies inside the
+//!   neuron's range, and the `i16` sums would be exact mod 2^16 even if
+//!   one did not. The `i8` multiplier is why the rung needs `k ≤ 6`.
+//!   The dataset's features come interleaved once
+//!   ([`ColumnMatrix`](crate::columnar::ColumnMatrix) keeps their
+//!   pairs); hidden activations stay one `u8` column per neuron, and a
+//!   pass interleaves a hidden layer's columns (SSE2 `punpcklbw` /
+//!   `punpckhbw`) once before the next layer reads them. A hidden layer
+//!   runs two neurons per stripe pass, sharing each pair load, and
+//!   QReLU-packs each straight to its `u8` column
+//!   (`hidden_columns_i16`). The argmax layer is one pass per 16-row
+//!   stripe (`argmax_hits_i16`): it loads the stripe's pair vectors
+//!   once, up to 4 in registers (a wider layer takes them in blocks,
+//!   keeping each neuron's partial sum between blocks), accumulates
+//!   each output neuron in a register, and keeps the running best
+//!   value, its index and the hit count in registers; no output column
+//!   is stored. The last, partial stripe runs the same code on
+//!   zero-padded pairs. Needs AVX2 ([`i16_lanes`]); without it the
+//!   `i32` rung serves these layers.
 //! * **`i32`, 8 samples per AVX2 step** (4 on the SSE2 fallback) when
 //!   the worst-case `|accumulator|` fits `i32`
 //!   ([`fits_i32`](crate::columnar::fits_i32)): widen to `i32` lanes
@@ -157,88 +178,263 @@ pub fn i16_lanes() -> bool {
     }
 }
 
-/// One hidden column on the `i16` rung: accumulate `neuron` over
-/// `inputs`, 16 samples per step, and QReLU-pack every stripe straight
-/// into `out` as `u8` activations. `acc` holds partial sums only for a
-/// neuron with more active weights than one stripe pass keeps in
-/// registers (8). Bit-exact with
-/// [`hidden_column`](crate::columnar::hidden_column).
+/// The widest weight shift the `i16` rung multiplies by: `±2^6` is the
+/// largest power of two an `i8` multiplier holds both signs of.
+pub(crate) const MAX_PAIR_SHIFT: u8 = 6;
+
+/// 32 bytes aligned for one vector load: a mask, multiplier, bias or
+/// partial sum repeated over (or held in) the 16 `i16` lanes.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+pub(crate) struct Lanes([u64; 4]);
+
+impl Lanes {
+    /// `lane` in every `i16` lane.
+    #[inline]
+    fn splat(lane: u16) -> Self {
+        Self([u64::from(lane) * 0x0001_0001_0001_0001; 4])
+    }
+}
+
+/// Interleave `cols` (each `samples` rows) into `out` in the layout the
+/// `i16` rung's pair kernels load, 16-row stripe by stripe: with `P`
+/// pairs, pair `p` of stripe `c` is the 32 bytes at `32 · (c · P + p)`,
+/// inputs `2p` and `2p + 1` of each of the stripe's rows in turn. Zeros
+/// stand in for the second input of an odd count's last pair and for
+/// the rows past the last in the last stripe.
+/// [`ColumnMatrix`](crate::columnar::ColumnMatrix) keeps the dataset's
+/// pairs; a forward pass interleaves a hidden layer's columns once.
+pub(crate) fn interleave_pairs<C: AsRef<[u8]>>(cols: &[C], samples: usize, out: &mut Vec<u8>) {
+    let (pairs, stripes) = (cols.len().div_ceil(2), samples.div_ceil(16));
+    // `truncate` then `resize` sets the length and writes only what
+    // grows: every byte is overwritten below.
+    out.truncate(32 * pairs * stripes);
+    out.resize(32 * pairs * stripes, 0);
+    for (p, two) in cols.chunks(2).enumerate() {
+        for c in 0..stripes {
+            let a = stripe_rows(two[0].as_ref(), c);
+            let b = two
+                .get(1)
+                .map_or([0; 16], |col| stripe_rows(col.as_ref(), c));
+            let at = 32 * (c * pairs + p);
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            x86::interleave(a, b, &mut out[at..at + 32]);
+            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+            for (dst, (&a, &b)) in out[at..at + 32].chunks_exact_mut(2).zip(a.iter().zip(&b)) {
+                dst[0] = a;
+                dst[1] = b;
+            }
+        }
+    }
+}
+
+/// Rows `16c..16c + 16` of `col`, zeros past its end.
+#[inline]
+fn stripe_rows(col: &[u8], c: usize) -> [u8; 16] {
+    match col.get(16 * c..16 * c + 16) {
+        Some(rows) => rows.try_into().expect("16 rows"),
+        None => last_rows(&col[16 * c..]),
+    }
+}
+
+/// A last stripe's rows, zero-filled to 16.
+#[cold]
+fn last_rows(rows: &[u8]) -> [u8; 16] {
+    let mut padded = [0; 16];
+    padded[..rows.len()].copy_from_slice(rows);
+    padded
+}
+
+/// The mask and multiplier lanes of `neuron`'s weights `2p` and
+/// `2p + 1` on the pair kernels: the mask bytes `mask & 0xFF` and the
+/// multiplier bytes `±2^k` as `i8`, each pair as one little-endian `i16`
+/// lane. A weight that adds nothing (a zero mask byte, or no weight, the
+/// empty half of an odd fan-in's last pair) has zero bytes.
+#[inline]
+fn pair_lanes(neuron: &AxNeuron, p: usize) -> (u16, u16) {
+    let byte = |i: usize| match neuron.weights.get(i) {
+        Some(w) if w.mask & 0xFF != 0 => {
+            debug_assert!(w.shift <= MAX_PAIR_SHIFT, "the multiplier must fit i8");
+            let step = 1i8 << w.shift;
+            let step = if w.negative {
+                step.wrapping_neg()
+            } else {
+                step
+            };
+            ((w.mask & 0xFF) as u8, step as u8)
+        }
+        _ => (0, 0),
+    };
+    let ((ma, ka), (mb, kb)) = (byte(2 * p), byte(2 * p + 1));
+    (u16::from_le_bytes([ma, mb]), u16::from_le_bytes([ka, kb]))
+}
+
+/// The inputs of an `i16`-rung layer: `count` inputs, interleaved in
+/// pairs as [`interleave_pairs`] lays them out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairInputs<'a> {
+    /// How many inputs the pairs hold.
+    pub(crate) count: usize,
+    /// The interleaved stripes.
+    pub(crate) pairs: &'a [u8],
+}
+
+/// The reusable buffers of the `i16` kernels: the terms one call
+/// accumulates and their constants. Once grown, a call allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairScratch {
+    /// Per term (a pair some neuron of a group weighs with a live mask):
+    /// the byte offset of its pair among a stripe's pairs.
+    offsets: Vec<usize>,
+    /// Per term and per neuron of its group: the mask, then the
+    /// multiplier.
+    consts: Vec<Lanes>,
+    /// The argmax layer's biases, one per output neuron.
+    biases: Vec<Lanes>,
+    /// The argmax layer's partial sums between blocks of pairs, one
+    /// per output neuron.
+    partial: Vec<Lanes>,
+}
+
+impl PairScratch {
+    /// Append the argmax layer's constants: for each block of `width`
+    /// pairs, each neuron's mask and multiplier pairs for each pair of
+    /// the block (zeros past the last pair), and each neuron's bias.
+    fn push_outputs(&mut self, neurons: &[AxNeuron], inputs: usize, width: usize) {
+        let pairs = inputs.div_ceil(2);
+        for block in 0..pairs.div_ceil(width).max(1) {
+            for n in neurons {
+                for pair in block * width..(block + 1) * width {
+                    let (mask, mult) = pair_lanes(n, pair);
+                    self.consts.push(Lanes::splat(mask));
+                    self.consts.push(Lanes::splat(mult));
+                }
+            }
+        }
+        for n in neurons {
+            self.biases.push(Lanes::splat(n.bias as u16));
+        }
+        self.partial.resize(neurons.len(), Lanes::default());
+    }
+
+    /// Append the terms of `group` (neurons accumulated in one pass)
+    /// over `inputs` inputs: one per pair that some neuron of the group
+    /// weighs with a non-zero mask, holding each neuron's mask and
+    /// multiplier pairs.
+    fn push_terms(&mut self, group: &[AxNeuron], inputs: usize) {
+        for pair in 0..inputs.div_ceil(2) {
+            let kept = self.consts.len();
+            let mut live = false;
+            for n in group {
+                let (mask, mult) = pair_lanes(n, pair);
+                live |= mask != 0;
+                self.consts.push(Lanes::splat(mask));
+                self.consts.push(Lanes::splat(mult));
+            }
+            if live {
+                self.offsets.push(32 * pair);
+            } else {
+                self.consts.truncate(kept);
+            }
+        }
+    }
+}
+
+/// Check the shape an `i16` kernel reads and start a call: `neurons`
+/// weigh every input and the pairs hold every stripe of `samples` rows.
+fn start(scratch: &mut PairScratch, neurons: &[AxNeuron], inputs: PairInputs<'_>, samples: usize) {
+    assert!(i16_lanes(), "the i16 kernels need AVX2");
+    for n in neurons {
+        assert_eq!(n.weights.len(), inputs.count, "input count mismatch");
+    }
+    let want = 32 * inputs.count.div_ceil(2) * samples.div_ceil(16);
+    assert_eq!(inputs.pairs.len(), want, "input pair length mismatch");
+    scratch.offsets.clear();
+    scratch.consts.clear();
+    scratch.biases.clear();
+}
+
+/// Hidden columns on the `i16` rung: accumulate `neurons` (one or two,
+/// sharing each input load) over `inputs`, 16 samples per step, and
+/// QReLU-pack each straight into its `u8` column of `outs`, `samples`
+/// long. Bit-exact with the `i32` rung's columns.
 ///
 /// # Panics
 ///
-/// Panics without [`i16_lanes`], if `inputs` and the weights disagree
-/// in count, or if an active weight's column is not `samples` long.
-/// The neuron must [`fits_i16`](crate::columnar::fits_i16) and `q` must
-/// pack to `u8` (`out_bits <= 8`, `shift < 32`); debug builds check
-/// both.
-pub(crate) fn hidden_column_i16<C: AsRef<[u8]>>(
-    neuron: &AxNeuron,
-    inputs: &[C],
+/// Panics without [`i16_lanes`], unless `neurons` and `outs` both hold
+/// one or two, if a neuron's fan-in differs from the input count, or if
+/// the pairs do not hold `samples` rows. The layer must
+/// [`layer_fits_i16`](crate::columnar::layer_fits_i16); debug builds
+/// check that `q` packs to `u8`.
+pub(crate) fn hidden_columns_i16(
+    neurons: &[AxNeuron],
+    inputs: PairInputs<'_>,
     samples: usize,
     q: QReluCfg,
-    acc: &mut Vec<i16>,
-    out: &mut Vec<u8>,
+    scratch: &mut PairScratch,
+    outs: &mut [Vec<u8>],
 ) {
-    debug_assert!(packs_to_u8(q), "the QReLU must pack to u8");
-    column_i16(neuron, inputs, samples, acc, Some((q, out)));
-}
-
-/// One accumulator column on the `i16` rung, 16 samples per step, into
-/// `acc`. Bit-exact with
-/// [`accumulate_neuron_column`](crate::columnar::accumulate_neuron_column).
-///
-/// # Panics
-///
-/// As [`hidden_column_i16`].
-pub(crate) fn accumulate_i16<C: AsRef<[u8]>>(
-    neuron: &AxNeuron,
-    inputs: &[C],
-    samples: usize,
-    acc: &mut Vec<i16>,
-) {
-    column_i16(neuron, inputs, samples, acc, None);
-}
-
-fn column_i16<C: AsRef<[u8]>>(
-    neuron: &AxNeuron,
-    inputs: &[C],
-    samples: usize,
-    acc: &mut Vec<i16>,
-    qrelu: Option<(QReluCfg, &mut Vec<u8>)>,
-) {
-    assert!(i16_lanes(), "the i16 kernels need AVX2");
-    debug_assert!(
-        crate::columnar::fits_i16(neuron),
-        "the accumulator range must fit i16"
+    assert!(
+        matches!(neurons.len(), 1 | 2) && outs.len() == neurons.len(),
+        "one or two neurons per pass"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    x86::column_i16(neuron, inputs, samples, acc, qrelu);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let _ = (neuron, inputs, samples, acc, qrelu);
-}
-
-/// Rows whose argmax over the `i16` columns equals their `i16` label:
-/// one pass per 16-sample stripe keeps the running best value, its
-/// index and the hit count in registers and stores nothing. Ties go to
-/// the lowest index (strictly greater wins), as in
-/// [`argmax_hits`](crate::columnar::argmax_hits); an empty column set
-/// predicts class 0.
-///
-/// # Panics
-///
-/// Panics without [`i16_lanes`], with more than 2^15 columns (their
-/// indices must fit `i16` lanes), or if a column's length differs from
-/// `labels.len()`.
-#[must_use]
-pub(crate) fn argmax_hits_i16(columns: &[Vec<i16>], labels: &[i16]) -> usize {
-    assert!(i16_lanes(), "the i16 kernels need AVX2");
-    assert!(columns.len() <= 1 << 15, "class indices must fit i16 lanes");
-    if columns.is_empty() {
-        return labels.iter().filter(|&&l| l == 0).count();
+    debug_assert!(packs_to_u8(q), "the QReLU must pack to u8");
+    start(scratch, neurons, inputs, samples);
+    scratch.push_terms(neurons, inputs.count);
+    for out in &mut *outs {
+        // `truncate` then `resize` sets the length and writes only what
+        // grows: the kernel overwrites every element.
+        out.truncate(samples);
+        out.resize(samples, 0);
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    x86::hidden(neurons, inputs, q, scratch, outs);
+}
+
+/// How many pairs the argmax kernel holds in registers at once, for a
+/// layer over `pairs` input pairs: up to 4, in as few blocks as hold
+/// them all, and at least one.
+fn argmax_width(pairs: usize) -> usize {
+    pairs.div_ceil(pairs.div_ceil(4).max(1)).max(1)
+}
+
+/// Rows whose argmax over `neurons`' accumulators equals their `i16`
+/// label: one pass per 16-row stripe loads the stripe's pair vectors
+/// once, accumulates each output neuron in a register, and keeps the
+/// running best value, its index and the hit count in registers. A
+/// layer over more than 4 input pairs takes them in blocks, keeping each
+/// neuron's partial sum between blocks. Ties go to the lowest index
+/// (strictly greater wins), as in
+/// [`argmax_hits`](crate::columnar::argmax_hits); no neurons predict
+/// class 0.
+///
+/// # Panics
+///
+/// Panics without [`i16_lanes`], with more than 2^15 neurons (their
+/// indices must fit `i16` lanes), if a neuron's fan-in differs from the
+/// input count, or if the pairs do not hold `labels.len()` rows. The
+/// layer must [`layer_fits_i16`](crate::columnar::layer_fits_i16).
+#[must_use]
+pub(crate) fn argmax_hits_i16(
+    neurons: &[AxNeuron],
+    inputs: PairInputs<'_>,
+    labels: &[i16],
+    scratch: &mut PairScratch,
+) -> usize {
+    assert!(neurons.len() <= 1 << 15, "class indices must fit i16 lanes");
+    if neurons.is_empty() {
+        return labels.iter().filter(|&&l| l == 0).count();
+    }
+    start(scratch, neurons, inputs, labels.len());
+    scratch.push_outputs(
+        neurons,
+        inputs.count,
+        argmax_width(inputs.count.div_ceil(2)),
+    );
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        x86::argmax_hits_i16(columns, labels)
+        x86::argmax_hits(inputs, labels, scratch)
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
@@ -255,20 +451,21 @@ mod x86 {
     //! `#[target_feature]` call boundary.
 
     use std::arch::x86_64::{
-        __m128i, _mm256_add_epi16, _mm256_add_epi32, _mm256_and_si256, _mm256_blendv_epi8,
+        __m128i, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_and_si256, _mm256_blendv_epi8,
         _mm256_castsi256_si128, _mm256_cmpeq_epi16, _mm256_cmpgt_epi16, _mm256_cmpgt_epi32,
-        _mm256_cvtepu8_epi16, _mm256_cvtepu8_epi32, _mm256_extracti128_si256, _mm256_loadu_si256,
-        _mm256_max_epi16, _mm256_max_epi32, _mm256_min_epi16, _mm256_min_epi32,
-        _mm256_movemask_epi8, _mm256_mullo_epi16, _mm256_packus_epi16, _mm256_packus_epi32,
+        _mm256_cvtepu8_epi32, _mm256_extracti128_si256, _mm256_load_si256, _mm256_loadu_si256,
+        _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_max_epi16, _mm256_max_epi32,
+        _mm256_min_epi16, _mm256_min_epi32, _mm256_packus_epi16, _mm256_packus_epi32,
         _mm256_permutevar8x32_epi32, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set_epi32,
         _mm256_setzero_si256, _mm256_sll_epi32, _mm256_sra_epi16, _mm256_sra_epi32,
-        _mm256_storeu_si256, _mm256_sub_epi32, _mm_add_epi32, _mm_and_si128, _mm_cvtsi32_si128,
-        _mm_loadl_epi64, _mm_loadu_si128, _mm_packus_epi16, _mm_set1_epi32, _mm_setzero_si128,
-        _mm_sll_epi32, _mm_storeu_si128, _mm_sub_epi32, _mm_unpackhi_epi16, _mm_unpacklo_epi16,
-        _mm_unpacklo_epi8,
+        _mm256_store_si256, _mm256_storeu_si256, _mm256_sub_epi16, _mm256_sub_epi32, _mm_add_epi32,
+        _mm_and_si128, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_packus_epi16,
+        _mm_set1_epi32, _mm_setzero_si128, _mm_sll_epi32, _mm_storeu_si128, _mm_sub_epi32,
+        _mm_unpackhi_epi16, _mm_unpackhi_epi8, _mm_unpacklo_epi16, _mm_unpacklo_epi8,
     };
     use std::sync::OnceLock;
 
+    use super::{Lanes, PairInputs, PairScratch};
     use crate::axmlp::AxNeuron;
     use crate::quant::QReluCfg;
 
@@ -278,14 +475,10 @@ mod x86 {
         *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
     }
 
-    /// How many weights one AVX2 stripe pass fuses, on either rung: the
+    /// How many weights one `i32` AVX2 stripe pass fuses: the
     /// accumulator vector stays in a register across the whole block,
     /// so the per-weight accumulator load/store of a weight-outer loop
-    /// is paid once per block instead of once per weight. On the `i16`
-    /// rung, `hits_columns` over random networks of the five Table I
-    /// topologies at 2000 rows ran faster with blocks of 8 than of 4,
-    /// 12, 16 or 32, although a 21-input neuron then stores its partial
-    /// sums twice.
+    /// is paid once per block instead of once per weight.
     const BLOCK: usize = 8;
 
     /// Shift–clamp–narrow one column, 32 samples per step.
@@ -382,212 +575,250 @@ mod x86 {
         }
     }
 
-    /// One neuron's column on 16 `i16` lanes per step: stored as `i16`
-    /// accumulators in `acc` or, with `qrelu`, QReLU-packed into its
-    /// `u8` column (`acc` then carries partial sums between blocks
-    /// only). Preconditions (checked by the caller): `fits_i16(neuron)`
-    /// and, with `qrelu`, `packs_to_u8(q)`.
-    pub(super) fn column_i16<C: AsRef<[u8]>>(
-        neuron: &AxNeuron,
-        inputs: &[C],
-        samples: usize,
-        acc: &mut Vec<i16>,
-        mut qrelu: Option<(QReluCfg, &mut Vec<u8>)>,
-    ) {
-        assert!(has_avx2(), "the i16 kernels need AVX2");
-        assert_eq!(
-            inputs.len(),
-            neuron.weights.len(),
-            "input column count mismatch"
-        );
-        // `truncate` then `resize` sets the length and writes only what
-        // grows: every element is overwritten below.
-        acc.truncate(samples);
-        acc.resize(samples, 0);
-        if let Some((_, out)) = &mut qrelu {
-            out.truncate(samples);
-            out.resize(samples, 0);
-        }
-        // SAFETY: AVX2 was confirmed above; the kernel bounds every
-        // access by `samples`, the length of `acc`, of `out` and (it
-        // asserts) of every active weight's column.
+    /// Interleave 16 bytes of `a` and of `b` into `out` (SSE2, the
+    /// x86_64 baseline, always safe to call).
+    #[inline]
+    pub(super) fn interleave(a: [u8; 16], b: [u8; 16], out: &mut [u8]) {
+        let out = &mut out[..32];
+        // SAFETY: SSE2 is part of the x86_64 baseline; `a` and `b` hold
+        // 16 bytes and `out` 32.
         unsafe {
-            neuron_i16_avx2(
-                neuron,
-                inputs,
-                acc,
-                qrelu.as_mut().map(|(q, out)| (*q, &mut out[..])),
-            );
-        }
-        // The samples past the last full stripe, in `i32`: partial sums
-        // stay within |bias| + max(Σpos, Σneg) < 2^17.
-        for s in samples / 16 * 16..samples {
-            let mut a = neuron.bias;
-            for (w, col) in neuron.weights.iter().zip(inputs) {
-                let mask = (w.mask & 0xFF) as u8;
-                if mask != 0 {
-                    let term = i32::from(col.as_ref()[s] & mask) << w.shift;
-                    a = if w.negative { a - term } else { a + term };
-                }
-            }
-            match &mut qrelu {
-                Some((q, out)) => out[s] = q.kernel().apply(i64::from(a)),
-                None => acc[s] = a as i16,
-            }
+            let a = _mm_loadu_si128(a.as_ptr().cast());
+            let b = _mm_loadu_si128(b.as_ptr().cast());
+            _mm_storeu_si128(out.as_mut_ptr().cast(), _mm_unpacklo_epi8(a, b));
+            _mm_storeu_si128(out[16..].as_mut_ptr().cast(), _mm_unpackhi_epi8(a, b));
         }
     }
 
-    /// The stripes of [`column_i16`], active weights in blocks of
-    /// [`BLOCK`]. Each term `(x ⊙ m) ≪ k` is `(x ⊙ m) · 2^k`, and
-    /// the weight's sign rides on the multiplier (`vpmullw` by `±2^k`),
-    /// so every weight is one AND, one multiply and one add; the sums
-    /// wrap mod 2^16, which is exact for every final value inside the
-    /// `i16` range.
+    /// One constant's 16 lanes.
     ///
     /// # Safety
     ///
-    /// The caller must ensure the host supports AVX2 and that `qrelu`'s
-    /// column is as long as `acc`.
+    /// The caller must ensure the host supports AVX2.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn neuron_i16_avx2<C: AsRef<[u8]>>(
-        neuron: &AxNeuron,
-        inputs: &[C],
-        acc: &mut [i16],
-        mut qrelu: Option<(QReluCfg, &mut [u8])>,
+    unsafe fn lanes(l: &Lanes) -> __m256i {
+        // SAFETY: `Lanes` is 32 bytes aligned to 32.
+        unsafe { _mm256_load_si256(std::ptr::from_ref(l).cast()) }
+    }
+
+    /// The stripes of
+    /// [`hidden_columns_i16`](super::hidden_columns_i16), over the terms
+    /// in `scratch`. Preconditions (checked by the caller): one or two
+    /// neurons and as many `outs`, the pairs holding every stripe of
+    /// `outs`' rows.
+    pub(super) fn hidden(
+        neurons: &[AxNeuron],
+        inputs: PairInputs<'_>,
+        q: QReluCfg,
+        scratch: &PairScratch,
+        outs: &mut [Vec<u8>],
     ) {
-        let samples = acc.len();
-        let chunks = samples / 16;
-        let zero = _mm256_setzero_si256();
-        let (count, ceil) = qrelu
-            .as_ref()
-            .map_or((_mm_setzero_si128(), zero), |(q, _)| {
-                let ceil = (1i32 << q.out_bits) - 1;
-                (
-                    _mm_cvtsi32_si128(q.shift as i32),
-                    _mm256_set1_epi16(ceil as i16),
-                )
-            });
-        let bias = _mm256_set1_epi16(neuron.bias as i16);
-        let mut cols: [&[u8]; BLOCK] = [&[]; BLOCK];
-        let mut mask_v = [zero; BLOCK];
-        let mut step_v = [zero; BLOCK];
-        let mut active = neuron
-            .weights
-            .iter()
-            .zip(inputs)
-            .filter(|(w, _)| w.mask & 0xFF != 0)
-            .peekable();
-        let mut first = true;
-        loop {
-            let mut len = 0;
-            while len < BLOCK {
-                let Some((w, col)) = active.next() else { break };
-                let col = col.as_ref();
-                assert_eq!(col.len(), samples, "column length mismatch");
-                cols[len] = col;
-                mask_v[len] = _mm256_set1_epi16(i16::from((w.mask & 0xFF) as u8));
-                let step = (1u16 << w.shift) as i16;
-                step_v[len] = _mm256_set1_epi16(if w.negative {
-                    step.wrapping_neg()
-                } else {
-                    step
-                });
-                len += 1;
-            }
-            let last = active.peek().is_none();
-            let block = cols[..len].iter().zip(&mask_v[..len]).zip(&step_v[..len]);
-            for c in 0..chunks {
-                let at = c * 16;
-                // SAFETY: `at + 16 <= samples` bounds the 16-byte column
-                // loads, the 32-byte accumulator load and store, and the
-                // 16-byte activation store.
-                unsafe {
-                    let slot = acc.as_mut_ptr().add(at).cast();
-                    let mut cur = if first {
-                        bias
-                    } else {
-                        _mm256_loadu_si256(slot)
-                    };
-                    for ((col, &mask), &step) in block.clone() {
-                        let bytes = _mm_loadu_si128(col.as_ptr().add(at).cast());
-                        let lanes = _mm256_and_si256(_mm256_cvtepu8_epi16(bytes), mask);
-                        cur = _mm256_add_epi16(cur, _mm256_mullo_epi16(lanes, step));
-                    }
-                    match &mut qrelu {
-                        Some((_, out)) if last => {
-                            let shifted = _mm256_sra_epi16(cur, count);
-                            let v = _mm256_min_epi16(_mm256_max_epi16(shifted, zero), ceil);
-                            let lo = _mm256_castsi256_si128(v);
-                            let hi = _mm256_extracti128_si256::<1>(v);
-                            let packed = _mm_packus_epi16(lo, hi);
-                            _mm_storeu_si128(out.as_mut_ptr().add(at).cast(), packed);
-                        }
-                        _ => _mm256_storeu_si256(slot, cur),
-                    }
-                }
-            }
-            if last {
-                break;
-            }
-            first = false;
-        }
-    }
-
-    /// The argmax and hit count of [`argmax_hits_i16`](super::argmax_hits_i16).
-    /// Precondition (checked by the caller): at most 2^15 columns.
-    pub(super) fn argmax_hits_i16(columns: &[Vec<i16>], labels: &[i16]) -> usize {
         assert!(has_avx2(), "the i16 kernels need AVX2");
-        assert!(!columns.is_empty(), "argmax over zero columns");
-        for col in columns {
-            assert_eq!(col.len(), labels.len(), "column length mismatch");
-        }
-        let chunks = labels.len() / 16;
-        // SAFETY: AVX2 was confirmed above; every column and `labels`
-        // hold at least `chunks * 16` elements.
-        let mut hits = unsafe { argmax_hits_avx2(columns, labels, chunks) };
-        for (s, &label) in labels.iter().enumerate().skip(chunks * 16) {
-            let (mut best, mut index) = (columns[0][s], 0);
-            for (j, col) in columns.iter().enumerate().skip(1) {
-                if col[s] > best {
-                    best = col[s];
-                    index = j;
-                }
+        // SAFETY: AVX2 was confirmed above; the caller checked the
+        // pairs' length.
+        unsafe {
+            match outs {
+                [a] => hidden_avx2(neurons, inputs, scratch, q, [a]),
+                [a, b] => hidden_avx2(neurons, inputs, scratch, q, [a, b]),
+                _ => unreachable!("one or two neurons per pass"),
             }
-            hits += usize::from(index as i16 == label);
         }
-        hits
     }
 
+    /// Each stripe of `N` neurons: every term loads its pair vector
+    /// once, then each neuron ANDs it with its mask pair, multiplies and
+    /// adds the pair (`vpmaddubsw`) and adds the pair sums to its
+    /// accumulator, which starts at the bias. Every partial sum lies in
+    /// the neuron's range, so no lane wraps; the QReLU then packs each
+    /// accumulator to 16 bytes of its column (the rows there are of the
+    /// last stripe).
+    ///
     /// # Safety
     ///
-    /// The caller must ensure the host supports AVX2, that `columns` is
-    /// not empty, and that every column and `labels` hold at least
-    /// `chunks * 16` elements.
+    /// The caller must ensure the host supports AVX2 and that the pairs
+    /// hold every stripe of `outs`' rows.
     #[target_feature(enable = "avx2")]
-    unsafe fn argmax_hits_avx2(columns: &[Vec<i16>], labels: &[i16], chunks: usize) -> usize {
-        let one = _mm256_set1_epi16(1);
-        let mut hits = 0usize;
-        for c in 0..chunks {
-            let at = c * 16;
-            // SAFETY: `at + 16 <= len` bounds every 32-byte load.
-            unsafe {
-                let mut best = _mm256_loadu_si256(columns[0].as_ptr().add(at).cast());
-                let mut index = _mm256_setzero_si256();
-                let mut j = index;
-                for col in &columns[1..] {
-                    j = _mm256_add_epi16(j, one);
-                    let x = _mm256_loadu_si256(col.as_ptr().add(at).cast());
-                    let take = _mm256_cmpgt_epi16(x, best);
-                    best = _mm256_max_epi16(best, x);
-                    index = _mm256_blendv_epi8(index, j, take);
+    unsafe fn hidden_avx2<const N: usize>(
+        neurons: &[AxNeuron],
+        inputs: PairInputs<'_>,
+        scratch: &PairScratch,
+        q: QReluCfg,
+        mut outs: [&mut Vec<u8>; N],
+    ) {
+        let zero = _mm256_setzero_si256();
+        let count = _mm_cvtsi32_si128(q.shift as i32);
+        let ceil = _mm256_set1_epi16(((1i32 << q.out_bits) - 1) as i16);
+        let mut bias = [zero; N];
+        for (b, n) in bias.iter_mut().zip(neurons) {
+            *b = _mm256_set1_epi16(n.bias as i16);
+        }
+        let stride = 32 * inputs.count.div_ceil(2);
+        for c in 0..outs[0].len().div_ceil(16) {
+            let block = &inputs.pairs[c * stride..(c + 1) * stride];
+            let mut acc = bias;
+            for (&offset, k) in scratch
+                .offsets
+                .iter()
+                .zip(scratch.consts.chunks_exact(2 * N))
+            {
+                debug_assert!(
+                    offset + 32 <= block.len(),
+                    "a term's pair lies in the block"
+                );
+                // SAFETY: `push_terms` sets every offset to a pair's,
+                // below the block's end.
+                let v = unsafe { _mm256_loadu_si256(block.as_ptr().add(offset).cast()) };
+                for (n, acc) in acc.iter_mut().enumerate() {
+                    // SAFETY: AVX2 is enabled here.
+                    let (m, w) = unsafe { (lanes(&k[2 * n]), lanes(&k[2 * n + 1])) };
+                    *acc = _mm256_add_epi16(*acc, _mm256_maddubs_epi16(_mm256_and_si256(v, m), w));
                 }
-                let label = _mm256_loadu_si256(labels.as_ptr().add(at).cast());
-                let hit = _mm256_cmpeq_epi16(index, label);
-                hits += (_mm256_movemask_epi8(hit) as u32).count_ones() as usize;
+            }
+            for (acc, out) in acc.iter().zip(outs.iter_mut()) {
+                let shifted = _mm256_sra_epi16(*acc, count);
+                let v = _mm256_min_epi16(_mm256_max_epi16(shifted, zero), ceil);
+                let packed =
+                    _mm_packus_epi16(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+                match out.get_mut(16 * c..16 * c + 16) {
+                    // SAFETY: `rows` holds 16 bytes.
+                    Some(rows) => unsafe { _mm_storeu_si128(rows.as_mut_ptr().cast(), packed) },
+                    None => {
+                        let mut rows = [0u8; 16];
+                        // SAFETY: `rows` holds 16 bytes.
+                        unsafe { _mm_storeu_si128(rows.as_mut_ptr().cast(), packed) };
+                        let column = &mut out[16 * c..];
+                        let len = column.len();
+                        column.copy_from_slice(&rows[..len]);
+                    }
+                }
             }
         }
-        // Each hit lane sets both of its bytes in the mask.
-        hits / 2
+    }
+
+    /// The hits of [`argmax_hits_i16`](super::argmax_hits_i16), over the
+    /// constants in `scratch`. Preconditions (checked by the caller): at
+    /// least one neuron, the pairs holding every stripe of the labels'
+    /// rows.
+    pub(super) fn argmax_hits(
+        inputs: PairInputs<'_>,
+        labels: &[i16],
+        scratch: &mut PairScratch,
+    ) -> usize {
+        assert!(has_avx2(), "the i16 kernels need AVX2");
+        // SAFETY: AVX2 was confirmed above.
+        unsafe {
+            match super::argmax_width(inputs.count.div_ceil(2)) {
+                1 => argmax_avx2::<1>(inputs, scratch, labels),
+                2 => argmax_avx2::<2>(inputs, scratch, labels),
+                3 => argmax_avx2::<3>(inputs, scratch, labels),
+                4 => argmax_avx2::<4>(inputs, scratch, labels),
+                _ => unreachable!("blocks hold one to four pairs"),
+            }
+        }
+    }
+
+    /// Each stripe: for each block of `W` pairs, load the block's pair
+    /// vectors once and run every output neuron's `W` pairs in a
+    /// register, from its bias or its partial sum; after the last block
+    /// fold each neuron into the running best (strictly greater wins, so
+    /// ties stay at the lowest index), then tally per lane the rows
+    /// whose best index equals the label. The last stripe's rows past
+    /// the labels carry the label −1, which no index equals.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the host supports AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn argmax_avx2<const W: usize>(
+        inputs: PairInputs<'_>,
+        scratch: &mut PairScratch,
+        labels: &[i16],
+    ) -> usize {
+        let PairScratch {
+            consts,
+            biases,
+            partial,
+            ..
+        } = scratch;
+        let pairs = inputs.count.div_ceil(2);
+        let blocks = pairs.div_ceil(W).max(1);
+        let one = _mm256_set1_epi16(1);
+        let (mut hits, mut tally) = (0, _mm256_setzero_si256());
+        for (c, rows) in labels.chunks(16).enumerate() {
+            let stripe = &inputs.pairs[32 * pairs * c..32 * pairs * (c + 1)];
+            let mut best = _mm256_set1_epi16(i16::MIN);
+            let mut index = _mm256_setzero_si256();
+            let mut j = index;
+            let mut neurons = consts.chunks_exact(2 * W);
+            for block in 0..blocks {
+                let mut pv = [_mm256_setzero_si256(); W];
+                for (q, v) in pv.iter_mut().enumerate() {
+                    let at = 32 * (W * block + q);
+                    if at < stripe.len() {
+                        // SAFETY: `at + 32 <= stripe.len()`: the stripe
+                        // holds whole pairs.
+                        *v = unsafe { _mm256_loadu_si256(stripe.as_ptr().add(at).cast()) };
+                    }
+                }
+                let last = block + 1 == blocks;
+                for ((bias, part), k) in biases.iter().zip(partial.iter_mut()).zip(&mut neurons) {
+                    // SAFETY: AVX2 is enabled here.
+                    let mut acc = unsafe { lanes(if block == 0 { bias } else { part }) };
+                    for (q, v) in pv.iter().enumerate() {
+                        // SAFETY: AVX2 is enabled here.
+                        let (m, w) = unsafe { (lanes(&k[2 * q]), lanes(&k[2 * q + 1])) };
+                        acc =
+                            _mm256_add_epi16(acc, _mm256_maddubs_epi16(_mm256_and_si256(*v, m), w));
+                    }
+                    if !last {
+                        // SAFETY: `Lanes` is 32 bytes aligned to 32.
+                        unsafe { _mm256_store_si256(std::ptr::from_mut(part).cast(), acc) };
+                        continue;
+                    }
+                    // The first neuron always takes the lead, or ties
+                    // `i16::MIN` at index 0. `j` exceeds every index
+                    // taken so far, so the larger of the two is `j`
+                    // where this neuron wins and the index elsewhere.
+                    let take = _mm256_cmpgt_epi16(acc, best);
+                    best = _mm256_max_epi16(best, acc);
+                    index = _mm256_max_epi16(index, _mm256_and_si256(take, j));
+                    j = _mm256_add_epi16(j, one);
+                }
+            }
+            let mut padded = [-1i16; 16];
+            let rows = if rows.len() == 16 {
+                rows
+            } else {
+                padded[..rows.len()].copy_from_slice(rows);
+                &padded
+            };
+            // SAFETY: `rows` holds 16 lanes.
+            let label = unsafe { _mm256_loadu_si256(rows.as_ptr().cast()) };
+            // A hit lane is −1: subtracting it counts the hit.
+            tally = _mm256_sub_epi16(tally, _mm256_cmpeq_epi16(index, label));
+            // Empty the tally before a lane could pass `i16::MAX`.
+            if c % (1 << 15) == (1 << 15) - 1 {
+                hits += tally_sum(tally);
+                tally = _mm256_setzero_si256();
+            }
+        }
+        hits + tally_sum(tally)
+    }
+
+    /// The sum of a tally's 16 non-negative `i16` lanes.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the host supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tally_sum(tally: __m256i) -> usize {
+        let mut sums = [0i32; 8];
+        let pairs = _mm256_madd_epi16(tally, _mm256_set1_epi16(1));
+        // SAFETY: `sums` is 32 bytes.
+        unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), pairs) };
+        sums.iter().map(|&s| s as usize).sum()
     }
 
     /// Dispatch one neuron's accumulation to the widest available ISA.
@@ -755,7 +986,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axmlp::AxWeight;
+    use crate::axmlp::{AxLayer, AxWeight};
     use crate::columnar::accumulate_neuron_column_narrow_scalar;
 
     #[test]
@@ -852,27 +1083,40 @@ mod tests {
         }
     }
 
-    /// Neurons on the `i16` rung: a mixed-sign one at the paper's
-    /// widths, two whose terms wrap their lanes, and one with 40 active
-    /// weights (two stripe blocks).
-    fn short_neurons() -> Vec<AxNeuron> {
-        let w = |mask: u16, shift: u8, negative: bool| AxWeight {
+    fn w(mask: u16, shift: u8, negative: bool) -> AxWeight {
+        AxWeight {
             mask,
             shift,
             negative,
-        };
+        }
+    }
+
+    /// Neurons on the `i16` rung: a mixed-sign one at the paper's
+    /// widths; ranges that end on the `i16` bounds with pair sums of
+    /// ±32,640 (both activations 255, both multipliers ±64); a pair
+    /// whose first weight is masked and whose second is live; and 40
+    /// active weights.
+    fn short_neurons() -> Vec<AxNeuron> {
         vec![
             AxNeuron {
                 weights: vec![w(0x0F, 6, false), w(0, 3, true), w(0x0B, 4, true)],
                 bias: -2048,
             },
             AxNeuron {
-                weights: vec![w(0xFF, 8, true), w(0x0F, 0, false)],
+                weights: vec![w(0xFF, 6, false); 4],
+                bias: -32768,
+            },
+            AxNeuron {
+                weights: vec![w(0xFF, 6, false), w(0xFF, 6, false), w(0, 3, true)],
+                bias: 127,
+            },
+            AxNeuron {
+                weights: vec![w(0xFF, 6, true), w(0xFF, 6, true), w(0x0F, 0, false)],
                 bias: 32512,
             },
             AxNeuron {
-                weights: vec![w(0x01, 15, false), w(0x0F, 2, true)],
-                bias: -32708,
+                weights: vec![w(0, 5, false), w(0xFF, 6, true), w(0x3C, 2, false)],
+                bias: 100,
             },
             AxNeuron {
                 weights: (0..40).map(|i| w(0x0F, i % 4, i % 3 == 0)).collect(),
@@ -881,34 +1125,77 @@ mod tests {
         ]
     }
 
+    /// `fan_in` input columns of `samples` rows: all 255 in row 0, then
+    /// a spread over the `u8` range.
+    fn input_columns(fan_in: usize, samples: usize) -> Vec<Vec<u8>> {
+        (0..fan_in)
+            .map(|f| {
+                (0..samples)
+                    .map(|s| match s {
+                        0 => 0xFF,
+                        _ => ((s * 29 + f * 53) % 256) as u8,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `neuron`'s accumulators over `cols` on the scalar `i32` kernel.
+    fn reference(neuron: &AxNeuron, cols: &[Vec<u8>], samples: usize) -> Vec<i32> {
+        let mut acc = Vec::new();
+        accumulate_neuron_column_narrow_scalar(neuron, cols, samples, &mut acc);
+        acc
+    }
+
     #[test]
     fn i16_kernels_match_the_i32_kernels_when_available() {
         if !i16_lanes() {
             return;
         }
-        let q = QReluCfg {
-            out_bits: 8,
-            shift: 3,
-        };
+        let mut scratch = PairScratch::default();
         for neuron in short_neurons() {
-            assert!(crate::columnar::fits_i16(&neuron));
-            for samples in [0usize, 1, 15, 16, 17, 33, 47, 200] {
-                let refs: Vec<Vec<u8>> = (0..neuron.weights.len())
-                    .map(|f| {
-                        (0..samples)
-                            .map(|s| ((s * 29 + f * 53) % 256) as u8)
-                            .collect()
-                    })
-                    .collect();
-                let (mut want, mut got) = (Vec::new(), Vec::new());
-                accumulate_neuron_column_narrow_scalar(&neuron, &refs, samples, &mut want);
-                accumulate_i16(&neuron, &refs, samples, &mut got);
-                let got: Vec<i32> = got.iter().map(|&a| i32::from(a)).collect();
-                assert_eq!(got, want, "samples {samples}");
-                let want: Vec<u8> = want.iter().map(|&a| q.apply(i64::from(a))).collect();
-                let mut out = vec![9; 3];
-                hidden_column_i16(&neuron, &refs, samples, q, &mut Vec::new(), &mut out);
-                assert_eq!(out, want, "samples {samples}");
+            // A twin with the same range whose pairs hold other weights.
+            let mut twin = neuron.clone();
+            twin.weights.reverse();
+            let group = [neuron.clone(), twin];
+            for shift in [0, 3, 8] {
+                let q = QReluCfg { out_bits: 8, shift };
+                let layer = AxLayer {
+                    input_bits: 8,
+                    neurons: group.to_vec(),
+                    qrelu: Some(q),
+                };
+                assert!(crate::columnar::layer_fits_i16(&layer));
+                for samples in [0usize, 1, 15, 16, 17, 33, 47, 200] {
+                    let cols = input_columns(neuron.weights.len(), samples);
+                    let mut pairs = Vec::new();
+                    interleave_pairs(&cols, samples, &mut pairs);
+                    let want: Vec<Vec<u8>> = group
+                        .iter()
+                        .map(|n| {
+                            let acc = reference(n, &cols, samples);
+                            acc.iter().map(|&a| q.apply(i64::from(a))).collect()
+                        })
+                        .collect();
+                    {
+                        let inputs = PairInputs {
+                            count: cols.len(),
+                            pairs: &pairs,
+                        };
+                        let mut outs = vec![vec![9; 3], vec![9; 40]];
+                        hidden_columns_i16(
+                            &group[..1],
+                            inputs,
+                            samples,
+                            q,
+                            &mut scratch,
+                            &mut outs[..1],
+                        );
+                        assert_eq!(outs[0], want[0], "samples {samples}");
+                        hidden_columns_i16(&group, inputs, samples, q, &mut scratch, &mut outs);
+                        assert_eq!(outs, want, "samples {samples}");
+                    }
+                }
             }
         }
     }
@@ -918,27 +1205,48 @@ mod tests {
         if !i16_lanes() {
             return;
         }
+        // Few distinct sums, so ties are common; output 4 duplicates
+        // output 1.
+        let mut outputs: Vec<AxNeuron> = (0..4)
+            .map(|j| AxNeuron {
+                weights: vec![
+                    w(0x80, 6, j % 2 == 0),
+                    w(0xC0, 5, j % 3 == 0),
+                    w(if j == 2 { 0 } else { 0x80 }, 6, false),
+                ],
+                bias: (j % 3) * 8192 - 8192,
+            })
+            .collect();
+        outputs.push(outputs[1].clone());
+        let layer = AxLayer {
+            input_bits: 8,
+            neurons: outputs.clone(),
+            qrelu: None,
+        };
+        assert!(crate::columnar::layer_fits_i16(&layer));
+        let mut scratch = PairScratch::default();
         for samples in [0usize, 1, 15, 16, 17, 33, 47] {
-            // Few distinct values, so ties are common.
-            let cols: Vec<Vec<i16>> = (0..5)
-                .map(|j| {
-                    (0..samples)
-                        .map(|i| ((i * 7 + j * 13) % 5) as i16 * 8000 - 16000)
-                        .collect()
-                })
-                .collect();
+            let cols = input_columns(3, samples);
+            let mut pairs = Vec::new();
+            interleave_pairs(&cols, samples, &mut pairs);
             let labels: Vec<usize> = (0..samples).map(|i| (i * 3) % 6).collect();
-            let wide: Vec<Vec<i32>> = cols
+            let wide: Vec<Vec<i32>> = outputs
                 .iter()
-                .map(|c| c.iter().map(|&a| i32::from(a)).collect())
+                .map(|n| reference(n, &cols, samples))
                 .collect();
             let want =
                 crate::columnar::argmax_hits(&wide, &labels, &mut Vec::new(), &mut Vec::new());
             let lanes: Vec<i16> = labels.iter().map(|&l| l as i16).collect();
-            assert_eq!(argmax_hits_i16(&cols, &lanes), want, "samples {samples}");
-            let none: &[Vec<i16>] = &[];
-            let zeros = lanes.iter().filter(|&&l| l == 0).count();
-            assert_eq!(argmax_hits_i16(none, &lanes), zeros);
+            {
+                let inputs = PairInputs {
+                    count: cols.len(),
+                    pairs: &pairs,
+                };
+                let hits = argmax_hits_i16(&outputs, inputs, &lanes, &mut scratch);
+                assert_eq!(hits, want, "samples {samples}");
+                let zeros = lanes.iter().filter(|&&l| l == 0).count();
+                assert_eq!(argmax_hits_i16(&[], inputs, &lanes, &mut scratch), zeros);
+            }
         }
     }
 

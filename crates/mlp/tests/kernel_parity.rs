@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use pe_mlp::columnar::{
     accumulate_neuron_column, accumulate_neuron_column_narrow_scalar, fits_i32, hits_columns,
-    kernel_mode, ResidentPass,
+    kernel_mode, layer_fits_i16, ResidentPass,
 };
 use pe_mlp::{
     AxLayer, AxMlp, AxNeuron, AxWeight, ColumnLabels, ColumnarScratch, InferenceScratch,
@@ -433,4 +433,255 @@ fn the_platform_picks_the_kernel() {
         KernelKind::Scalar
     };
     assert_eq!(kernel_mode(), expected);
+}
+
+/// `mlp` computing the same function off the `i16` rung: rows gain one
+/// more feature, 0 in every row, and the first layer's neurons weigh it
+/// at a full mask and shift 7; each hidden layer gains a neuron whose
+/// masks are all 0 and whose bias −1 makes it output 0, and the next
+/// layer's neurons weigh it the same way. No layer then fits the `i16`
+/// rung, and every weight added multiplies a 0.
+fn i32_twin(mlp: &AxMlp, rows: &[Vec<u8>]) -> (AxMlp, Vec<Vec<u8>>) {
+    let beyond = AxWeight {
+        mask: 0xFF,
+        shift: 7,
+        negative: false,
+    };
+    let mut twin = mlp.clone();
+    let count = twin.layers.len();
+    for li in 0..count {
+        for n in &mut twin.layers[li].neurons {
+            n.weights.push(beyond);
+        }
+        if twin.layers[li].qrelu.is_some() && li + 1 < count {
+            let fan_in = twin.layers[li].neurons[0].weights.len();
+            twin.layers[li].neurons.push(AxNeuron {
+                weights: vec![
+                    AxWeight {
+                        mask: 0,
+                        shift: 0,
+                        negative: false,
+                    };
+                    fan_in
+                ],
+                bias: -1,
+            });
+        }
+    }
+    for layer in &twin.layers {
+        assert!(!layer_fits_i16(layer), "the twin leaves the i16 rung");
+    }
+    let rows = rows
+        .iter()
+        .map(|r| r.iter().copied().chain([0]).collect())
+        .collect();
+    (twin, rows)
+}
+
+/// Hits of `mlp` over `rows` against the row oracle's predictions as
+/// labels, on the columnar pass and on its `i32` twin; both must hit
+/// every row, and a relabelled copy must hit none.
+fn assert_both_rungs_match_the_oracle(mlp: &AxMlp, rows: &[Vec<u8>], what: &str) {
+    let mut oracle = InferenceScratch::new();
+    let classes: Vec<usize> = rows
+        .iter()
+        .map(|r| mlp.predict_with(r, &mut oracle))
+        .collect();
+    let (twin, twin_rows) = i32_twin(mlp, rows);
+    for (net, rows) in [(mlp, rows), (&twin, &twin_rows[..])] {
+        let cols = QuantMatrix::from_rows(rows).columns();
+        let mut scratch = ColumnarScratch::new();
+        let labels = ColumnLabels::new(classes.clone());
+        let hits = hits_columns(net, &cols, &labels, &mut scratch, None);
+        assert_eq!(hits, rows.len(), "{what}: {} rows", rows.len());
+        let moved = ColumnLabels::new(classes.iter().map(|&c| c + 1).collect());
+        assert_eq!(
+            hits_columns(net, &cols, &moved, &mut scratch, None),
+            0,
+            "{what}"
+        );
+    }
+}
+
+/// `n` rows of `width` bytes: all 255, all 0, then a seeded spread.
+fn edge_rows(n: usize, width: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|r| match r {
+            0 => vec![0xFF; width],
+            1 => vec![0; width],
+            _ => (0..width).map(|_| rng.gen()).collect(),
+        })
+        .collect()
+}
+
+fn w(mask: u16, shift: u8, negative: bool) -> AxWeight {
+    AxWeight {
+        mask,
+        shift,
+        negative,
+    }
+}
+
+/// A hidden layer over 3 inputs (its last pair half empty) and an
+/// argmax layer over its 5 neurons (again an odd count): pairs with the
+/// first weight masked and the second live and the other way round,
+/// pair sums reaching ±32,640 (both inputs 255, both multipliers ±64),
+/// the multiplier pairs of unequal shifts, and two output neurons that
+/// tie on every row.
+fn odd_pair_net(shift: u8) -> AxMlp {
+    let hidden = vec![
+        AxNeuron {
+            weights: vec![w(0, 3, false), w(0xFF, shift, false), w(0x0F, 2, false)],
+            bias: -300,
+        },
+        AxNeuron {
+            weights: vec![w(0xFF, 6, false), w(0xFF, 6, false), w(0, 5, true)],
+            bias: 127,
+        },
+        AxNeuron {
+            weights: vec![w(0xFF, 6, true), w(0xFF, 6, true), w(0x3C, 1, false)],
+            bias: 32512,
+        },
+        AxNeuron {
+            weights: vec![w(0x5A, 1, false), w(0, 0, false), w(0xF0, 4, true)],
+            bias: -9,
+        },
+        AxNeuron {
+            weights: vec![w(0x81, 0, true), w(0x7E, 5, false), w(0xFF, 3, false)],
+            bias: 300,
+        },
+    ];
+    let out = |i: u8| AxNeuron {
+        weights: (0..5)
+            .map(|j| {
+                w(
+                    if (i + j).is_multiple_of(4) {
+                        0
+                    } else {
+                        0xFF >> (j % 3)
+                    },
+                    (i + 2 * j) % 5,
+                    (i + j) % 2 == 1,
+                )
+            })
+            .collect(),
+        bias: i32::from(i) * 7 - 10,
+    };
+    let mut outputs: Vec<AxNeuron> = (0..4).map(out).collect();
+    outputs.insert(2, outputs[1].clone());
+    AxMlp {
+        layers: vec![
+            AxLayer {
+                input_bits: 8,
+                neurons: hidden,
+                qrelu: Some(QReluCfg {
+                    out_bits: 8,
+                    shift: 7,
+                }),
+            },
+            AxLayer {
+                input_bits: 8,
+                neurons: outputs,
+                qrelu: None,
+            },
+        ],
+    }
+}
+
+/// The pair kernels' edges, on the `i16` rung where the weights allow
+/// (every shift at most 6) and the `i32` rung otherwise, against the row
+/// oracle and the `i32` twin: odd fan-ins and widths, one-sided pairs,
+/// pair sums at ±32,640, ties, and row counts around the 16-row stripes.
+#[test]
+fn the_pair_kernels_match_the_row_oracle_and_the_i32_rung_at_their_edges() {
+    for shift in [6, 7] {
+        let mlp = odd_pair_net(shift);
+        assert_eq!(layer_fits_i16(&mlp.layers[0]), shift == 6, "shift {shift}");
+        assert!(layer_fits_i16(&mlp.layers[1]));
+        for rows in [0, 1, 15, 16, 17, 2001] {
+            let what = format!("shift {shift}");
+            assert_both_rungs_match_the_oracle(&mlp, &edge_rows(rows, 3, rows as u64), &what);
+        }
+    }
+}
+
+/// Argmax layers wider than the kernel holds in registers: 20 classes
+/// (more than 16) over 11 hidden inputs (more than 8, so 6 pairs in two
+/// blocks with partial sums between them), with ties, on the `i16`
+/// rung, against the row oracle and the `i32` twin.
+#[test]
+fn wide_argmax_layers_match_the_row_oracle_and_the_i32_rung() {
+    let mut rng = StdRng::seed_from_u64(0xa46);
+    let q = Some(QReluCfg {
+        out_bits: 8,
+        shift: 4,
+    });
+    let neuron = |rng: &mut StdRng, fan_in: usize, mask: u16, shift: u8| AxNeuron {
+        weights: (0..fan_in)
+            .map(|_| w(rng.gen_range(0..=mask), rng.gen_range(0..=shift), rng.gen()))
+            .collect(),
+        bias: rng.gen_range(-200..200),
+    };
+    for (hidden, classes) in [(11, 20), (9, 17), (8, 3), (2, 20)] {
+        let h: Vec<AxNeuron> = (0..hidden).map(|_| neuron(&mut rng, 4, 0xFF, 6)).collect();
+        let mut o: Vec<AxNeuron> = (0..classes)
+            .map(|_| neuron(&mut rng, hidden, 0x3F, 2))
+            .collect();
+        o[classes - 1] = o[classes / 2].clone();
+        let mlp = AxMlp {
+            layers: vec![
+                AxLayer {
+                    input_bits: 8,
+                    neurons: h,
+                    qrelu: q,
+                },
+                AxLayer {
+                    input_bits: 8,
+                    neurons: o,
+                    qrelu: None,
+                },
+            ],
+        };
+        assert!(
+            mlp.layers.iter().all(layer_fits_i16),
+            "{hidden} × {classes}"
+        );
+        for rows in [17, 2001] {
+            let what = format!("{hidden} hidden, {classes} classes");
+            assert_both_rungs_match_the_oracle(&mlp, &edge_rows(rows, 4, 7), &what);
+        }
+    }
+}
+
+/// A resident trial on each neuron of an odd-width hidden layer (the
+/// pair kernel runs that one neuron) counts what a fresh pass over the
+/// edited network counts, and an undo restores the original's count.
+#[test]
+fn a_resident_trial_on_each_neuron_of_an_odd_hidden_layer_counts_a_fresh_pass() {
+    let mlp = odd_pair_net(6);
+    for rows in [15, 17, 2001] {
+        let data = edge_rows(rows, 3, 11);
+        let mut oracle = InferenceScratch::new();
+        let labels = ColumnLabels::new(
+            data.iter()
+                .map(|r| mlp.predict_with(r, &mut oracle))
+                .collect(),
+        );
+        let cols = QuantMatrix::from_rows(&data).columns();
+        let fresh =
+            |mlp: &AxMlp| hits_columns(mlp, &cols, &labels, &mut ColumnarScratch::new(), None);
+        let mut pass = ResidentPass::new(cols.clone(), labels.clone());
+        assert_eq!(pass.run(&mlp), rows);
+        for ni in 0..mlp.layers[0].neurons.len() {
+            let mut edited = mlp.clone();
+            let neuron = &mut edited.layers[0].neurons[ni];
+            neuron.weights[ni % 3].negative ^= true;
+            neuron.bias -= 40;
+            assert!(layer_fits_i16(&edited.layers[0]), "neuron {ni}");
+            assert_eq!(pass.trial(&edited, 0, ni), fresh(&edited), "neuron {ni}");
+            pass.undo();
+            assert_eq!(pass.trial(&mlp, 1, 0), rows, "neuron {ni}, after the undo");
+        }
+    }
 }
