@@ -9,7 +9,10 @@
 //! The genomes are random, and the shapes with `dead` set zero every
 //! mask of their first hidden neuron: the area objective prices such a
 //! constant neuron folded into the next layer without building the
-//! folded network.
+//! folded network. The shape with 32 hidden neurons gives every genome
+//! an output layer whose accumulator ranges leave `i16`, which the pair
+//! kernels' argmax sums on `i32` lanes: its biases and partial sums take
+//! twice the buffers, which must also grow once and never again.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,8 +20,8 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pe_mlp::columnar::ResidentPass;
-use pe_mlp::{AxMlp, ColumnLabels, QReluCfg, QuantMatrix};
+use pe_mlp::columnar::{fits_i32, layer_fits_i16, ResidentPass};
+use pe_mlp::{AxMlp, AxNeuron, ColumnLabels, QReluCfg, QuantMatrix};
 use pe_nsga::{random_genome, IntProblem};
 use printed_axc::{AxTrainProblem, GenomeSpec, LayerGenomeSpec};
 
@@ -126,22 +129,34 @@ fn genomes(problem: &AxTrainProblem, count: usize, seed: u64, dead: bool) -> Vec
         .collect()
 }
 
-/// (rows, features, hidden layers, a constant first hidden neuron):
-/// more rows, more neurons, more layers, a narrow-then-wide hidden
-/// stack, and constant neurons folded into one and two layers.
-const SHAPES: [(usize, usize, &[usize], bool); 7] = [
-    (40, 4, &[2], false),
-    (400, 4, &[2], false),
-    (400, 9, &[5], false),
-    (400, 6, &[4, 3], false),
-    (120, 5, &[2, 6, 3], false),
-    (400, 11, &[4], true),
-    (120, 5, &[3, 4], true),
+/// (rows, features, hidden layers, a constant first hidden neuron,
+/// output layers whose argmax sums on `i32` lanes): more rows, more
+/// neurons, more layers, a narrow-then-wide hidden stack, constant
+/// neurons folded into one and two layers, and an output layer off
+/// `i16` lanes in every genome.
+const SHAPES: [(usize, usize, &[usize], bool, bool); 8] = [
+    (40, 4, &[2], false, false),
+    (400, 4, &[2], false, false),
+    (400, 9, &[5], false, false),
+    (400, 6, &[4, 3], false, false),
+    (120, 5, &[2, 6, 3], false, false),
+    (400, 11, &[4], true, false),
+    (120, 5, &[3, 4], true, false),
+    (400, 4, &[32], false, true),
 ];
+
+/// Whether `mlp`'s output layer takes the pair kernels' argmax on `i32`
+/// lanes: its ranges leave `i16`, and every neuron fits `i32` with
+/// every live shift at most 6.
+fn argmax_on_i32_lanes(mlp: &AxMlp) -> bool {
+    let out = mlp.layers.last().expect("an output layer");
+    let shifts = |n: &AxNeuron| n.weights.iter().all(|w| w.mask & 0xFF == 0 || w.shift <= 6);
+    !layer_fits_i16(out) && out.neurons.iter().all(|n| fits_i32(n) && shifts(n))
+}
 
 #[test]
 fn a_warm_evaluation_allocates_only_its_objectives() {
-    for (rows, width, hidden, dead) in SHAPES {
+    for (rows, width, hidden, dead, wide) in SHAPES {
         let problem = problem(rows, width, hidden);
         let warm_up = genomes(&problem, 4, 1, dead);
         let fresh = genomes(&problem, 25, 2, dead);
@@ -162,6 +177,16 @@ fn a_warm_evaluation_allocates_only_its_objectives() {
             fresh.len()
         );
         assert!(evaluations.iter().all(|e| e.objectives.len() == 2));
+        let spec = problem.genome_spec();
+        let on_i32 = fresh
+            .iter()
+            .filter(|genes| argmax_on_i32_lanes(&spec.decode(genes)))
+            .count();
+        assert_eq!(
+            on_i32,
+            if wide { fresh.len() } else { 0 },
+            "{rows} rows, {width} features, hidden {hidden:?}: output layers on i32 lanes"
+        );
     }
 }
 
@@ -185,12 +210,13 @@ fn sweep(mlp: &mut AxMlp, pass: &mut ResidentPass) {
 
 #[test]
 fn a_warm_sweep_of_resident_trials_allocates_nothing() {
-    for (rows, width, hidden, dead) in SHAPES {
+    for (rows, width, hidden, dead, wide) in SHAPES {
         let problem = problem(rows, width, hidden);
         let (data, labels) = data(rows, width);
         let mut mlp = problem
             .genome_spec()
             .decode(&genomes(&problem, 1, 3, dead)[0]);
+        assert_eq!(argmax_on_i32_lanes(&mlp), wide, "hidden {hidden:?}");
         let mut pass = ResidentPass::new(data.columns(), ColumnLabels::new(labels));
         let hits = pass.run(&mlp);
         sweep(&mut mlp, &mut pass);

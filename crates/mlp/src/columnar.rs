@@ -38,57 +38,51 @@
 //!
 //! # Kernels
 //!
-//! The plain entry points ([`accumulate_neuron_column`],
-//! [`hits_columns`], [`ResidentPass`]) run one kernel, fixed by the
-//! build:
+//! Every full pass and every trial runs each layer on the narrowest
+//! accumulator lanes that hold it, a ladder chosen from the network
+//! alone (for a trial, the edited network):
 //!
-//! * [`KernelKind::Simd`] — explicit `std::arch` x86_64 SSE2/AVX2
-//!   ([`crate::simd`]) when the `simd` cargo feature is built on
-//!   x86_64;
-//! * [`KernelKind::Scalar`] — the analytic loop above, left to the
-//!   auto-vectorizer, everywhere else.
-//!
-//! [`kernel_mode`] reports which one runs. The scalar kernel stays
-//! public ([`accumulate_neuron_column_narrow_scalar`]) as the portable
-//! path and the parity reference: integer sums without overflow are
-//! representation-agnostic, so the two kernels agree bit for bit, which
-//! the `kernel_parity` suite pins down.
-//!
-//! Within a kernel, every full pass and every trial runs each layer on
-//! the narrowest accumulator lanes that hold it, a ladder chosen from
-//! the network alone (for a trial, the edited network):
-//!
-//! 1. **`i16`** when every neuron's accumulator range
+//! 1. **`i16`, the pair kernels**, when every neuron's accumulator range
 //!    `[bias − Σneg, bias + Σpos]`, each term `(mask & 0xFF) ≪ shift`,
 //!    lies inside `i16` and every live weight shifts by at most 6
-//!    ([`layer_fits_i16`]): 16 samples per AVX2 step and two weights
-//!    per `vpmaddubsw`, over inputs byte-interleaved in pairs (the
-//!    dataset's kept by [`ColumnMatrix`], a hidden layer's interleaved
-//!    once per pass). Hidden layers run two neurons per stripe pass,
+//!    ([`layer_fits_i16`]): 16 samples per AVX2 step and two weights per
+//!    `vpmaddubsw`, over inputs byte-interleaved in pairs (the dataset's
+//!    kept by [`ColumnMatrix`], a hidden layer's interleaved once per
+//!    pass). Hidden layers run two neurons per stripe pass,
 //!    QReLU-packed straight to `u8`; the argmax layer accumulates each
 //!    output in a register and keeps the running best, index and hit
 //!    count in registers against the `i16` label lanes, storing no
-//!    output column. Every hidden neuron the paper's genomes encode
-//!    fits (the widest, Cardio's 21 inputs at full masks and `k = 6`,
-//!    spans 22,208 around its bias; 8-bit weights give `k ≤ 6`); so do
-//!    most output layers. The rung needs AVX2
-//!    ([`simd::i16_lanes`](crate::simd::i16_lanes)), so scalar builds
-//!    and hosts without it take the `i32` rung.
-//! 2. **`i32`** when the worst-case `|accumulator|` fits `i32`
+//!    output column. Every hidden neuron the paper's genomes encode fits
+//!    (the widest, Cardio's 21 inputs at full masks and `k = 6`, spans
+//!    22,208 around its bias; 8-bit weights give `k ≤ 6`); so do most
+//!    output layers.
+//! 2. **`i32`, the pair kernels' argmax**, for an argmax layer that
+//!    would take the `i16` rung but for ranges that leave `i16` and stay
+//!    inside `i32`: the same pass, each pair sum sign-extended into two
+//!    vectors of 8 `i32` rows. Every GA genome's output layer at 8-bit
+//!    weights that leaves `i16` lands here.
+//! 3. **The portable loops** for every other layer: the analytic `i32`
+//!    loop ([`accumulate_neuron_column_narrow_scalar`], left to the
+//!    auto-vectorizer) when the worst-case `|accumulator|` fits `i32`
 //!    ([`fits_i32`]), per hidden neuron, and for an argmax layer whose
-//!    every neuron fits: true for every genome-encodable neuron.
-//! 3. **`i64`**, the scalar loop on every build, for hand-built
-//!    extremes and whenever a `perturb` hook adjusts the accumulators.
+//!    every neuron fits; else the `i64` loop. They serve hidden layers
+//!    off `i16`, layers with a shift above 6, hand-built extremes, and
+//!    every layer when a `perturb` hook adjusts the accumulators (at
+//!    `i64`).
 //!
-//! Each rung's sums are exact for every value its range admits, so the
-//! rungs agree bit for bit with each other and with the row oracle; the
-//! `i32` and `i64` rungs are the parity reference for `i16`.
+//! The pair kernels need AVX2 on x86_64 and the `simd` cargo feature
+//! ([`simd::i16_lanes`](crate::simd::i16_lanes)); elsewhere the portable
+//! loops run every layer. [`kernel_mode`] reports which. Each path's
+//! sums are exact for every value its range admits, so the paths agree
+//! bit for bit with each other and with the row oracle, which the
+//! `kernel_parity` suite pins down; the portable loops stay public as
+//! the parity reference.
 
 use serde::{Deserialize, Serialize};
 
 use crate::axmlp::{AxLayer, AxMlp, AxNeuron};
 use crate::quant::QReluCfg;
-use crate::simd::{interleave_pairs, PairInputs, PairScratch};
+use crate::simd::{argmax_hits_pairs, interleave_pairs, PairInputs, PairScratch, PairWidth};
 
 /// A quantized dataset as one flat row-major buffer plus a stride.
 ///
@@ -214,7 +208,7 @@ impl QuantMatrix {
     }
 
     /// Transpose into the column-major layout the kernels consume,
-    /// with the feature pairs of the `i16` rung interleaved once.
+    /// with the feature pairs of the pair kernels interleaved once.
     #[must_use]
     pub fn columns(&self) -> ColumnMatrix {
         let cols: Vec<Vec<u8>> = (0..self.width)
@@ -281,7 +275,7 @@ impl ExactSizeIterator for Rows<'_> {}
 /// [`cols`](Self::cols) to the kernels as they are.
 ///
 /// It also keeps the features byte-interleaved in pairs, the input the
-/// `i16` rung's first layer loads whole: each 32-byte vector holds one
+/// pair kernels' first layer loads whole: each 32-byte vector holds one
 /// 16-row stripe of features `2p` and `2p + 1`, in turn, the last
 /// stripe zero-padded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -367,8 +361,7 @@ impl ColumnLabels {
     }
 }
 
-/// Accumulate one neuron's Eq. (4) sum over a whole dataset at once,
-/// through the platform kernel (see the [module docs](self)):
+/// Accumulate one neuron's Eq. (4) sum over a whole dataset at once:
 /// `acc[s] = bias + Σ_i s_i · ((x_i[s] ⊙ m_i) ≪ k_i)`, one branch-free
 /// pass per weight over its contiguous input column.
 ///
@@ -397,7 +390,7 @@ pub fn accumulate_neuron_column<C: AsRef<[u8]>>(
     // width-agnostic. Every genome-encodable neuron fits by orders of
     // magnitude; the scalar `i64` loop covers hand-built extremes.
     if fits_i32(neuron) {
-        accumulate_neuron_column_narrow(neuron, inputs, samples, narrow);
+        accumulate_neuron_column_narrow_scalar(neuron, inputs, samples, narrow);
         acc.clear();
         acc.extend(narrow.iter().map(|&a| i64::from(a)));
         return;
@@ -432,8 +425,8 @@ pub fn accumulate_neuron_column<C: AsRef<[u8]>>(
 }
 
 /// Whether `neuron`'s accumulator provably fits an `i32` for every
-/// possible `u8` activation stream (the precondition of the narrow
-/// `i32` kernels). True for every genome-encodable neuron by orders of
+/// possible `u8` activation stream (the precondition of the portable
+/// `i32` loop). True for every genome-encodable neuron by orders of
 /// magnitude.
 #[must_use]
 pub fn fits_i32(neuron: &AxNeuron) -> bool {
@@ -477,26 +470,38 @@ pub fn fits_i16(neuron: &AxNeuron) -> bool {
     lo >= i64::from(i16::MIN) && hi <= i64::from(i16::MAX)
 }
 
-/// Whether [`hits_columns`] runs `layer` on the `i16` rung, wherever
-/// the `i16` kernels run ([`simd::i16_lanes`](crate::simd::i16_lanes)):
-/// every neuron [`fits_i16`], every weight with a live mask byte shifts
-/// by at most 6 (the kernels multiply by `±2^k` as an `i8`), a hidden
-/// layer's QReLU packs to `u8` (`out_bits <= 8`, `shift < 32`, as for
-/// the vector `i32` pack), and an argmax layer's class indices fit
-/// `i16` lanes. Every genome at the paper's 8-bit weights meets the
-/// shift bound (`k ≤ 6`).
+/// Whether [`hits_columns`] runs `layer` on `i16` lanes, wherever the
+/// pair kernels run ([`simd::i16_lanes`](crate::simd::i16_lanes)): every
+/// neuron [`fits_i16`], every weight with a live mask byte shifts by at
+/// most 6 (the kernels multiply by `±2^k` as an `i8`), a hidden layer's
+/// QReLU packs to `u8` (`out_bits <= 8`, `shift < 32`), and an argmax
+/// layer's class indices fit `i16` lanes. Every genome at the paper's
+/// 8-bit weights meets the shift bound (`k ≤ 6`).
 #[must_use]
 pub fn layer_fits_i16(layer: &AxLayer) -> bool {
+    pair_width(layer) == Some(PairWidth::I16)
+}
+
+/// The lanes the pair kernels sum `layer` on, where they run: `i16`
+/// when it [`layer_fits_i16`]; `i32` for an argmax layer that would but
+/// for a range that leaves `i16` and stays inside `i32`; `None` (the
+/// portable loops) otherwise. One pass over each neuron's weights.
+fn pair_width(layer: &AxLayer) -> Option<PairWidth> {
     let lanes_hold = match layer.qrelu {
         Some(q) => crate::simd::packs_to_u8(q),
         None => layer.neurons.len() <= 1 << 15,
     };
-    lanes_hold && layer.neurons.iter().all(fits_pairs)
+    let mut width = lanes_hold.then_some(PairWidth::I16)?;
+    for neuron in &layer.neurons {
+        width = width.max(neuron_pair_width(neuron)?);
+    }
+    (layer.qrelu.is_none() || width == PairWidth::I16).then_some(width)
 }
 
-/// [`fits_i16`] and every weight with a live mask byte shifting by at
-/// most 6, in one pass over the weights.
-fn fits_pairs(neuron: &AxNeuron) -> bool {
+/// The narrowest lanes, `i16` or `i32`, that hold every value `neuron`'s
+/// accumulator can take, when every weight with a live mask byte shifts
+/// by at most 6; else `None`.
+fn neuron_pair_width(neuron: &AxNeuron) -> Option<PairWidth> {
     let bias = i64::from(neuron.bias);
     let (mut lo, mut hi, mut widest) = (bias, bias, 0);
     for w in &neuron.weights {
@@ -509,33 +514,22 @@ fn fits_pairs(neuron: &AxNeuron) -> bool {
         lo -= term * negative;
         hi += term * (1 - negative);
     }
-    widest <= crate::simd::MAX_PAIR_SHIFT && lo >= i64::from(i16::MIN) && hi <= i64::from(i16::MAX)
-}
-
-/// [`accumulate_neuron_column`] at `i32` width through the platform
-/// kernel, for neurons where [`fits_i32`] holds: downstream consumers
-/// that only compare or saturate the accumulators (argmax, QReLU) can
-/// then stay at the narrow width end to end. Bit-exact with the `i64`
-/// path — integer addition without overflow is width-agnostic.
-///
-/// # Panics
-///
-/// Panics if `inputs` and the weights disagree in count, a column's
-/// length differs from `samples`, or `fits_i32` is violated (debug).
-fn accumulate_neuron_column_narrow<C: AsRef<[u8]>>(
-    neuron: &AxNeuron,
-    inputs: &[C],
-    samples: usize,
-    acc: &mut Vec<i32>,
-) {
-    if !crate::simd::accumulate_neuron_column_simd(neuron, inputs, samples, acc) {
-        accumulate_neuron_column_narrow_scalar(neuron, inputs, samples, acc);
+    let inside = |min: i64, max: i64| min <= lo && hi <= max;
+    if widest > crate::simd::MAX_PAIR_SHIFT {
+        None
+    } else if inside(i16::MIN.into(), i16::MAX.into()) {
+        Some(PairWidth::I16)
+    } else {
+        inside(i32::MIN.into(), i32::MAX.into()).then_some(PairWidth::I32)
     }
 }
 
-/// The narrow (`i32`) accumulation of [`accumulate_neuron_column`] on
-/// the scalar kernel alone, for neurons where [`fits_i32`] holds: the
-/// analytic AND/shift/add loop left to the auto-vectorizer.
+/// The narrow (`i32`) accumulation of [`accumulate_neuron_column`], for
+/// neurons where [`fits_i32`] holds: the analytic AND/shift/add loop
+/// left to the auto-vectorizer. Downstream consumers that only compare
+/// or saturate the accumulators (argmax, QReLU) can then stay at the
+/// narrow width end to end; bit-exact with the `i64` path, since
+/// integer addition without overflow is width-agnostic.
 ///
 /// # Panics
 ///
@@ -587,15 +581,18 @@ pub fn accumulate_neuron_column_narrow_scalar<C: AsRef<[u8]>>(
     }
 }
 
-/// Which accumulation kernel a build runs ([`kernel_mode`]). The two
-/// are bit-exact with each other (proven by the `kernel_parity`
-/// suite).
+/// Which kernels a forward pass runs on this host ([`kernel_mode`]).
+/// The two are bit-exact with each other (proven by the
+/// `kernel_parity` suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The analytic AND/shift/add loop, left to the auto-vectorizer
-    /// ([`accumulate_neuron_column_narrow_scalar`]): the portable path.
+    /// The portable loops alone: the analytic AND/shift/add loop, left
+    /// to the auto-vectorizer
+    /// ([`accumulate_neuron_column_narrow_scalar`]), and the `i64` loop.
     Scalar,
-    /// Explicit `std::arch` x86_64 SSE2/AVX2 ([`crate::simd`]).
+    /// The explicit `std::arch` x86_64 AVX2 pair kernels
+    /// ([`crate::simd`]) for every layer whose sums fit their lanes, the
+    /// portable loops for the rest.
     Simd,
 }
 
@@ -610,13 +607,14 @@ impl KernelKind {
     }
 }
 
-/// The kernel the plain entry points run in this build:
-/// [`KernelKind::Simd`] when the `simd` feature is built on x86_64,
-/// [`KernelKind::Scalar`] everywhere else. A report, not a switch —
-/// artifacts never depend on it.
+/// The kernels a forward pass runs on this host: [`KernelKind::Simd`]
+/// exactly when the pair kernels run
+/// ([`simd::i16_lanes`](crate::simd::i16_lanes): the `simd` feature
+/// built on x86_64 and AVX2 detected), [`KernelKind::Scalar`] everywhere
+/// else. A report, not a switch — artifacts never depend on it.
 #[must_use]
 pub fn kernel_mode() -> KernelKind {
-    if crate::simd::available() {
+    if crate::simd::i16_lanes() {
         KernelKind::Simd
     } else {
         KernelKind::Scalar
@@ -639,12 +637,12 @@ fn qrelu_column_narrow(q: QReluCfg, acc: &[i32], out: &mut Vec<u8>) {
     out.extend(acc.iter().map(|&a| kernel.apply(i64::from(a))));
 }
 
-/// One hidden column end to end through the platform kernel:
-/// accumulate, then QReLU into `out`. With `rung16` (the neuron's layer
-/// runs on the `i16` rung) the pair kernel runs this one neuron and
-/// packs its column straight from `i16` lanes; otherwise it stays at
-/// `i32` width whenever the narrow precondition holds, skipping the
-/// widening pass the `i64` path runs.
+/// One hidden column end to end: accumulate, then QReLU into `out`.
+/// With `rung16` (the neuron's layer runs on `i16` lanes) the pair
+/// kernel runs this one neuron and packs its column straight from
+/// `i16` lanes; otherwise the portable loop stays at `i32` width
+/// whenever the narrow precondition holds, skipping the widening pass
+/// the `i64` path runs.
 fn hidden_column(
     neuron: &AxNeuron,
     inputs: Inputs<'_>,
@@ -662,10 +660,8 @@ fn hidden_column(
     }
     let inputs = inputs.cols;
     if fits_i32(neuron) {
-        accumulate_neuron_column_narrow(neuron, inputs, samples, &mut bufs.narrow);
-        if !crate::simd::qrelu_column_narrow_simd(q, &bufs.narrow, out) {
-            qrelu_column_narrow(q, &bufs.narrow, out);
-        }
+        accumulate_neuron_column_narrow_scalar(neuron, inputs, samples, &mut bufs.narrow);
+        qrelu_column_narrow(q, &bufs.narrow, out);
     } else {
         accumulate_neuron_column(neuron, inputs, samples, &mut bufs.acc, &mut bufs.narrow);
         qrelu_column(q, &bufs.acc, out);
@@ -709,16 +705,12 @@ pub fn argmax_columns<T: Copy + PartialOrd, C: AsRef<[T]>>(
 /// for every row, as the row oracle does.
 ///
 /// Each pass walks the columns once, keeping a running best value and
-/// index per sample in `best_value` / `best_index` (reused buffers). A
-/// narrow (`i32`) column pass runs vectorized where the explicit SIMD
-/// kernel is built and AVX2 is present
-/// ([`argmax_update_narrow`](crate::simd::argmax_update_narrow)): same
-/// strictly-greater rule, same column order, so bit-exact.
+/// index per sample in `best_value` / `best_index` (reused buffers).
 ///
 /// # Panics
 ///
 /// Panics if a column's length differs from `labels.len()`.
-pub(crate) fn argmax_hits<T: ArgmaxLane>(
+pub(crate) fn argmax_hits<T: Copy + PartialOrd>(
     columns: &[Vec<T>],
     labels: &[usize],
     best_index: &mut Vec<u32>,
@@ -735,9 +727,6 @@ pub(crate) fn argmax_hits<T: ArgmaxLane>(
     for (j, col) in columns.iter().enumerate().skip(1) {
         let j = j as u32;
         assert_eq!(col.len(), labels.len(), "column length mismatch");
-        if T::vector_update(j, col, best_index, best_value) {
-            continue;
-        }
         for ((b, v), &x) in best_index.iter_mut().zip(best_value.iter_mut()).zip(col) {
             if x > *v {
                 *b = j;
@@ -751,33 +740,6 @@ pub(crate) fn argmax_hits<T: ArgmaxLane>(
         .filter(|&(&b, &l)| b as usize == l)
         .count()
 }
-
-/// A column element [`argmax_hits`] can compare: activations (`u8`) and
-/// narrow (`i32`) or wide (`i64`) accumulators.
-pub(crate) trait ArgmaxLane: Copy + PartialOrd {
-    /// Run column `j`'s argmax pass vectorized, returning `false` (the
-    /// default) when no vector kernel serves this lane type on this
-    /// build.
-    fn vector_update(
-        j: u32,
-        col: &[Self],
-        best_index: &mut [u32],
-        best_value: &mut [Self],
-    ) -> bool {
-        let _ = (j, col, best_index, best_value);
-        false
-    }
-}
-
-impl ArgmaxLane for i32 {
-    fn vector_update(j: u32, col: &[i32], best_index: &mut [u32], best_value: &mut [i32]) -> bool {
-        crate::simd::argmax_update_narrow(j, col, best_index, best_value)
-    }
-}
-
-impl ArgmaxLane for i64 {}
-
-impl ArgmaxLane for u8 {}
 
 /// Reusable buffers for [`hits_columns`]: every hidden layer's
 /// post-QReLU columns, accumulator scratch, the output layer's columns
@@ -821,15 +783,16 @@ struct Buffers {
 pub type Perturb<'a> = &'a dyn Fn(usize, usize, &mut [i64]);
 
 /// Rows of a column-major dataset that `mlp` classifies as `labels`
-/// says: the columnar forward pass, through the platform kernel, and
-/// allocation-free once `scratch` has grown.
+/// says: the columnar forward pass, allocation-free once `scratch` has
+/// grown.
 ///
 /// Every hidden layer's columns are computed into `scratch` and stay
 /// there. Each layer runs on the narrowest rung of the ladder in the
-/// [module docs](self#kernels): `i16` lanes for a layer that
-/// [`layer_fits_i16`] where the `i16` kernels run, then `i32` for every
-/// neuron (hidden) or every output (argmax) that [`fits_i32`], then
-/// `i64`. A network whose last layer has a QReLU argmaxes its final
+/// [module docs](self#kernels): where the pair kernels run, `i16` lanes
+/// for a layer that [`layer_fits_i16`] and `i32` lanes for an argmax
+/// layer that would but for its ranges; then the portable loops, `i32`
+/// for every neuron (hidden) or every output (argmax) that
+/// [`fits_i32`], then `i64`. A network whose last layer has a QReLU argmaxes its final
 /// activations, and a network with no layers argmaxes its inputs.
 /// Layers after the first one without a QReLU (the argmax layer) never
 /// reach a prediction and are not run. Bit-exact with
@@ -921,9 +884,12 @@ fn layer_inputs<'a>(
     }
 }
 
-/// Whether `layer` runs on the `i16` rung on this host.
-fn i16_rung(layer: &AxLayer) -> bool {
-    crate::simd::i16_lanes() && layer_fits_i16(layer)
+/// The lanes the pair kernels sum `layer` on, on this host; `None`
+/// where the portable loops run it.
+fn pair_rung(layer: &AxLayer) -> Option<PairWidth> {
+    crate::simd::i16_lanes()
+        .then(|| pair_width(layer))
+        .flatten()
 }
 
 /// Every post-QReLU column of `mlp`'s hidden layer `li` over `inputs`,
@@ -941,7 +907,7 @@ fn hidden_layer(
     let layer = &mlp.layers[li];
     let q = layer.qrelu.expect("a hidden layer has a QReLU");
     let outs = grown(out, layer.neurons.len());
-    if perturb.is_none() && i16_rung(layer) {
+    if perturb.is_none() && pair_rung(layer) == Some(PairWidth::I16) {
         let pairs = inputs.pairs(samples, &mut bufs.interleaved);
         // Two neurons per pass share each input load.
         for (group, outs) in layer.neurons.chunks(2).zip(outs.chunks_mut(2)) {
@@ -965,8 +931,8 @@ fn hidden_layer(
 /// `mlp`'s argmax (`inputs`, the output of its `hidden` leading QReLU
 /// layers): through the argmax layer, layer `hidden`, on that layer's
 /// rung, or over `inputs` themselves when every layer has a QReLU. The
-/// `i16` rung stores no output column; the other rungs' are scratch,
-/// and none outlives the call.
+/// pair kernels store no output column; the portable loops' are
+/// scratch, and none outlives the call.
 fn argmax_layer(
     mlp: &AxMlp,
     hidden: usize,
@@ -984,15 +950,15 @@ fn argmax_layer(
             &mut bufs.best_act,
         );
     };
-    if perturb.is_none() && i16_rung(layer) {
-        let pairs = inputs.pairs(samples, &mut bufs.interleaved);
-        return crate::simd::argmax_hits_i16(&layer.neurons, pairs, &labels.lanes, &mut bufs.pairs);
+    if let Some(width) = pair_rung(layer).filter(|_| perturb.is_none()) {
+        let (pairs, lanes) = (inputs.pairs(samples, &mut bufs.interleaved), &labels.lanes);
+        return argmax_hits_pairs(&layer.neurons, pairs, lanes, width, &mut bufs.pairs);
     }
     let (count, inputs) = (layer.neurons.len(), inputs.cols);
     if perturb.is_none() && layer.neurons.iter().all(fits_i32) {
         let outs = grown(&mut bufs.out_narrow, count);
         for (neuron, out) in layer.neurons.iter().zip(outs.iter_mut()) {
-            accumulate_neuron_column_narrow(neuron, inputs, samples, out);
+            accumulate_neuron_column_narrow_scalar(neuron, inputs, samples, out);
         }
         return argmax_hits(outs, classes, &mut bufs.best_index, &mut bufs.best_narrow);
     }
@@ -1117,7 +1083,8 @@ impl ResidentPass {
             let layer = &mlp.layers[li];
             let q = layer.qrelu.expect("a hidden layer has a QReLU");
             let (neuron, inputs) = (&layer.neurons[ni], layer_inputs(mlp, cols, acts, li));
-            hidden_column(neuron, inputs, samples, q, i16_rung(layer), bufs, spare);
+            let rung16 = pair_rung(layer) == Some(PairWidth::I16);
+            hidden_column(neuron, inputs, samples, q, rung16, bufs, spare);
             std::mem::swap(spare, &mut acts[li][ni]);
             let spares = grown(&mut self.spare_acts, hidden);
             for l in li + 1..hidden {
@@ -1370,7 +1337,8 @@ mod tests {
     }
 
     /// [`two_layer_net`] with one output weight shifted past the `i16`
-    /// range but inside `i32`, so the output layer runs at `i32` width.
+    /// range and past the pair kernels' shifts, so the output layer runs
+    /// on the portable `i32` loop.
     fn narrow_output_net() -> AxMlp {
         let mut mlp = two_layer_net();
         mlp.layers[1].neurons[1].weights[0] = weight(0xFF, 8, false);
@@ -1379,12 +1347,30 @@ mod tests {
         mlp
     }
 
-    /// One network per output-layer rung: `i16` (where the `i16`
-    /// kernels run), `i32` and `i64`.
-    fn rung_nets() -> [AxMlp; 3] {
+    /// [`two_layer_net`] with every output bias raised by 40,000: the
+    /// same predictions, from ranges past `i16` at shifts the pair
+    /// kernels multiply by, so the argmax sums on their `i32` lanes.
+    fn raised_output_net() -> AxMlp {
+        let mut mlp = two_layer_net();
+        for neuron in &mut mlp.layers[1].neurons {
+            neuron.bias += 40_000;
+        }
+        assert_eq!(pair_width(&mlp.layers[1]), Some(PairWidth::I32));
+        mlp
+    }
+
+    /// One network per output-layer path: the pair kernels on `i16` and
+    /// on `i32` lanes (where they run), and the portable `i32` and `i64`
+    /// loops.
+    fn rung_nets() -> [AxMlp; 4] {
         let short = two_layer_net();
         assert!(short.layers.iter().all(layer_fits_i16));
-        [short, narrow_output_net(), wide_output_net()]
+        [
+            short,
+            raised_output_net(),
+            narrow_output_net(),
+            wide_output_net(),
+        ]
     }
 
     /// `n` rows of `width` bytes: all 255, then all 0, then a spread
@@ -1615,6 +1601,7 @@ mod tests {
             &two_layer_net(),
             &narrow,
             &wide_output_net(),
+            &raised_output_net(),
             &narrow_output_net(),
             &two_layer_net(),
         ] {
@@ -1657,7 +1644,7 @@ mod tests {
         assert!(!layer_fits_i16(&narrow.layers[0]));
         // Hidden layers at QReLU shifts inside and past the `i16`
         // lanes; from 32 on the vector pack declines and the layer
-        // takes the `i32` rung.
+        // takes the portable loops.
         let outputs: Vec<AxNeuron> = (0..3)
             .map(|i| AxNeuron {
                 weights: (0..fitting.len())

@@ -16,9 +16,10 @@
 //! [`columnar`] holds the structure-of-arrays inference engine —
 //! [`QuantMatrix`] flat datasets, neuron-column kernels and
 //! column-major batch prediction, bit-exact with the per-row path.
-//! The column kernel is chosen by the platform: the explicit
-//! `std::arch` kernels of [`simd`] when the `simd` feature is built on
-//! x86_64, the portable scalar kernel otherwise.
+//! The kernels are chosen by the platform: the explicit `std::arch`
+//! pair kernels of [`simd`] when the `simd` feature is built on x86_64
+//! and the host has AVX2, for every layer whose sums fit their lanes;
+//! the portable loops for every other layer and host.
 //!
 //! # Example: train, quantize, approximate
 //!
@@ -36,9 +37,10 @@
 //! assert_eq!(doped.layers.len(), 2);
 //! ```
 
-// `deny`, not `forbid`: the `simd` module needs `std::arch` intrinsics
-// and opts back in with a module-scoped allow; everything else in the
-// crate stays safe code.
+// `deny`, not `forbid`: the `simd` module's x86_64 lowering needs
+// `std::arch` loads, stores and `#[target_feature]` calls, and opts back
+// in with a module-scoped allow; everything else in the crate stays safe
+// code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

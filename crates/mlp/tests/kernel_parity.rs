@@ -1,31 +1,24 @@
-//! Kernel parity: the platform column kernel (the explicit SIMD kernel
-//! when the `simd` feature is built on x86_64, the scalar kernel
-//! otherwise) must be **bit-exact** with the scalar reference kernel,
-//! for random 4-bit networks and for neurons driven straight at the
-//! per-column accumulators — including masks up to the full `u16`
-//! range, shifts past the `i32`-safety cutoff (the wide `i64` path,
-//! checked against the per-sample oracle), and weights sitting exactly
-//! on the `i32` worst-case-bound boundary.
+//! Kernel parity: the forward pass (the AVX2 pair kernels where they
+//! run, the portable loops elsewhere) must be **bit-exact** with the
+//! per-sample Eq. (4) oracle, for random 4-bit networks, and the column
+//! accumulation for neurons driven straight at it — including masks up
+//! to the full `u16` range, shifts past the `i32`-safety cutoff (the
+//! wide `i64` path), and weights sitting exactly on the `i32`
+//! worst-case-bound boundary.
 //!
 //! Networks whose neurons' accumulator ranges end at or just past the
-//! `i16` bounds check the `i16` rung (and, past them or without AVX2,
-//! the `i32` rung) against the per-row oracle, and resident trials
-//! (`ResidentPass`) against a fresh forward pass over each edited
-//! network.
-//!
-//! The scalar kernel is itself pinned against the per-row oracle
-//! elsewhere (`columnar.rs` unit tests and the core crate's
-//! `columnar_parity` suite), and whole networks are checked against
-//! the oracle here, so the platform kernel is pinned to the paper's
-//! Eq. (4) semantics on every build.
+//! `i16` bounds, or on the `i32` bounds, check every path a layer can
+//! take — the pair kernels on `i16` lanes, their argmax on `i32` lanes,
+//! and the portable loops — against the per-row oracle, and resident
+//! trials (`ResidentPass`) against a fresh forward pass over each
+//! edited network.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pe_mlp::columnar::{
-    accumulate_neuron_column, accumulate_neuron_column_narrow_scalar, fits_i32, hits_columns,
-    kernel_mode, layer_fits_i16, ResidentPass,
+    accumulate_neuron_column, fits_i32, hits_columns, kernel_mode, layer_fits_i16, ResidentPass,
 };
 use pe_mlp::{
     AxLayer, AxMlp, AxNeuron, AxWeight, ColumnLabels, ColumnarScratch, InferenceScratch,
@@ -212,29 +205,23 @@ fn columns(fan_in: usize, samples: usize) -> impl Strategy<Value = Vec<Vec<u8>>>
     )
 }
 
-/// `(platform, reference)` accumulations of one neuron: the reference
-/// is the scalar kernel where the narrow precondition holds (where the
-/// SIMD kernel runs) and the per-sample Eq. (4) oracle beyond it.
+/// `(column, reference)` accumulations of one neuron: the column
+/// kernel's, and the per-sample Eq. (4) oracle's on every row.
 fn both(neuron: &AxNeuron, inputs: &[Vec<u8>], samples: usize) -> (Vec<i64>, Vec<i64>) {
     let (mut got, mut narrow) = (Vec::new(), Vec::new());
     accumulate_neuron_column(neuron, inputs, samples, &mut got, &mut narrow);
-    let want = if fits_i32(neuron) {
-        accumulate_neuron_column_narrow_scalar(neuron, inputs, samples, &mut narrow);
-        narrow.iter().map(|&a| i64::from(a)).collect()
-    } else {
-        (0..samples)
-            .map(|s| neuron.accumulate(&inputs.iter().map(|col| col[s]).collect::<Vec<u8>>()))
-            .collect()
-    };
+    let want = (0..samples)
+        .map(|s| neuron.accumulate(&inputs.iter().map(|col| col[s]).collect::<Vec<u8>>()))
+        .collect();
     (got, want)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Single neuron, random weights/inputs: the platform kernel's
-    /// per-column accumulators must match the scalar reference
-    /// bit-exactly in both the narrow (`i32`) and wide (`i64`) regimes.
+    /// Single neuron, random weights/inputs: the column kernel's
+    /// accumulators must match the per-sample oracle bit-exactly in both
+    /// the narrow (`i32`) and wide (`i64`) regimes.
     #[test]
     fn every_kernel_matches_the_scalar_accumulator(
         (neuron, inputs, samples) in (neuron(10), 0usize..=67).prop_flat_map(|(n, samples)| {
@@ -247,9 +234,8 @@ proptest! {
     }
 
     /// Whole random two-hidden-layer 4-bit networks: with the per-row
-    /// oracle's predictions as labels, the platform kernel's forward
-    /// pass must hit every sample — through narrow and wide output
-    /// layers alike.
+    /// oracle's predictions as labels, the forward pass must hit every
+    /// sample — through narrow and wide output layers alike.
     #[test]
     fn every_kernel_matches_the_per_row_oracle_on_full_networks(
         l1_raw in proptest::collection::vec(neuron(5), 1..=6),
@@ -384,8 +370,8 @@ proptest! {
 }
 
 /// Deterministic saturation boundaries: one weight set just inside the
-/// `i32` worst-case bound (narrow path, where the SIMD kernel runs) and
-/// one just past it (wide path, scalar on every build).
+/// `i32` worst-case bound (the narrow path) and one just past it (the
+/// wide path), against the per-sample oracle.
 #[test]
 fn kernels_agree_on_both_sides_of_the_i32_boundary() {
     let big = AxWeight {
@@ -423,11 +409,16 @@ fn kernels_agree_on_both_sides_of_the_i32_boundary() {
     }
 }
 
-/// The build's kernel is the one the feature set promises.
+/// The kernels are the pair kernels exactly where they run: the `simd`
+/// feature built on x86_64, on a host with AVX2.
 #[test]
 fn the_platform_picks_the_kernel() {
-    let simd = cfg!(all(feature = "simd", target_arch = "x86_64"));
-    let expected = if simd {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let pairs = std::is_x86_feature_detected!("avx2");
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let pairs = false;
+    assert_eq!(pairs, pe_mlp::simd::i16_lanes());
+    let expected = if pairs {
         KernelKind::Simd
     } else {
         KernelKind::Scalar
@@ -435,71 +426,111 @@ fn the_platform_picks_the_kernel() {
     assert_eq!(kernel_mode(), expected);
 }
 
-/// `mlp` computing the same function off the `i16` rung: rows gain one
-/// more feature, 0 in every row, and the first layer's neurons weigh it
-/// at a full mask and shift 7; each hidden layer gains a neuron whose
-/// masks are all 0 and whose bias −1 makes it output 0, and the next
-/// layer's neurons weigh it the same way. No layer then fits the `i16`
-/// rung, and every weight added multiplies a 0.
-fn i32_twin(mlp: &AxMlp, rows: &[Vec<u8>]) -> (AxMlp, Vec<Vec<u8>>) {
-    let beyond = AxWeight {
-        mask: 0xFF,
-        shift: 7,
-        negative: false,
-    };
+/// `mlp` computing the same function off `i16` lanes: rows gain `extra`
+/// more features, 0 in every row, and the first layer's neurons weigh
+/// each at a full mask and `shift`, positive where their bias is not
+/// negative and negative where it is; each hidden layer gains `extra`
+/// neurons whose masks are all 0 and whose bias −1 makes them output 0,
+/// and the next layer's neurons weigh them the same way. Every weight
+/// added multiplies a 0.
+fn twin(mlp: &AxMlp, rows: &[Vec<u8>], shift: u8, extra: usize) -> (AxMlp, Vec<Vec<u8>>) {
     let mut twin = mlp.clone();
     let count = twin.layers.len();
     for li in 0..count {
         for n in &mut twin.layers[li].neurons {
-            n.weights.push(beyond);
+            let beyond = w(0xFF, shift, n.bias < 0);
+            n.weights.extend(std::iter::repeat_n(beyond, extra));
         }
         if twin.layers[li].qrelu.is_some() && li + 1 < count {
             let fan_in = twin.layers[li].neurons[0].weights.len();
-            twin.layers[li].neurons.push(AxNeuron {
-                weights: vec![
-                    AxWeight {
-                        mask: 0,
-                        shift: 0,
-                        negative: false,
-                    };
-                    fan_in
-                ],
+            let zero = AxNeuron {
+                weights: vec![w(0, 0, false); fan_in],
                 bias: -1,
-            });
+            };
+            twin.layers[li]
+                .neurons
+                .extend(std::iter::repeat_n(zero, extra));
         }
-    }
-    for layer in &twin.layers {
-        assert!(!layer_fits_i16(layer), "the twin leaves the i16 rung");
     }
     let rows = rows
         .iter()
-        .map(|r| r.iter().copied().chain([0]).collect())
+        .map(|r| {
+            r.iter()
+                .copied()
+                .chain(std::iter::repeat_n(0, extra))
+                .collect()
+        })
         .collect();
     (twin, rows)
 }
 
-/// Hits of `mlp` over `rows` against the row oracle's predictions as
-/// labels, on the columnar pass and on its `i32` twin; both must hit
-/// every row, and a relabelled copy must hit none.
-fn assert_both_rungs_match_the_oracle(mlp: &AxMlp, rows: &[Vec<u8>], what: &str) {
+/// `mlp`'s twin whose every layer leaves `i16` lanes through a shift of
+/// 7, which the pair kernels cannot multiply by: the portable loops run
+/// it.
+fn i32_twin(mlp: &AxMlp, rows: &[Vec<u8>]) -> (AxMlp, Vec<Vec<u8>>) {
+    let (twin, rows) = twin(mlp, rows, 7, 1);
+    for layer in &twin.layers {
+        assert!(!layer_fits_i16(layer), "the twin leaves the i16 lanes");
+    }
+    (twin, rows)
+}
+
+/// `mlp`'s twin whose every range leaves `i16` through three more terms
+/// of 255 · 64 at shift 6: its argmax layer takes the pair kernels on
+/// `i32` lanes (every live shift at most 6, every range inside `i32`),
+/// its hidden layers the portable loops.
+fn range_twin(mlp: &AxMlp, rows: &[Vec<u8>]) -> (AxMlp, Vec<Vec<u8>>) {
+    let (twin, rows) = twin(mlp, rows, 6, 3);
+    for layer in &twin.layers {
+        assert!(!layer_fits_i16(layer), "the twin leaves the i16 lanes");
+    }
+    let argmax = twin.layers.iter().find(|l| l.qrelu.is_none());
+    for n in argmax.map_or(&[][..], |l| &l.neurons) {
+        let live = n.weights.iter().filter(|w| w.mask & 0xFF != 0);
+        assert!(live.map(|w| w.shift).all(|k| k <= 6) && fits_i32(n));
+    }
+    (twin, rows)
+}
+
+/// The row oracle's prediction for each of `rows`.
+fn oracle_classes(mlp: &AxMlp, rows: &[Vec<u8>]) -> Vec<usize> {
     let mut oracle = InferenceScratch::new();
-    let classes: Vec<usize> = rows
-        .iter()
+    rows.iter()
         .map(|r| mlp.predict_with(r, &mut oracle))
-        .collect();
+        .collect()
+}
+
+/// Hits of `net` over `rows` against `classes`: every row, and none
+/// with every class moved up by one.
+fn assert_hits_every_row(net: &AxMlp, rows: &[Vec<u8>], classes: &[usize], what: &str) {
+    let cols = QuantMatrix::from_rows(rows).columns();
+    let mut scratch = ColumnarScratch::new();
+    let labels = ColumnLabels::new(classes.to_vec());
+    let hits = hits_columns(net, &cols, &labels, &mut scratch, None);
+    assert_eq!(hits, rows.len(), "{what}: {} rows", rows.len());
+    let moved = ColumnLabels::new(classes.iter().map(|&c| c + 1).collect());
+    assert_eq!(
+        hits_columns(net, &cols, &moved, &mut scratch, None),
+        0,
+        "{what}"
+    );
+}
+
+/// Hits of `mlp` over `rows` against the row oracle's predictions as
+/// labels, on the columnar pass and on its [`i32_twin`] and
+/// [`range_twin`]; each must hit every row, and a relabelled copy must
+/// hit none.
+fn assert_both_rungs_match_the_oracle(mlp: &AxMlp, rows: &[Vec<u8>], what: &str) {
+    let classes = oracle_classes(mlp, rows);
     let (twin, twin_rows) = i32_twin(mlp, rows);
-    for (net, rows) in [(mlp, rows), (&twin, &twin_rows[..])] {
-        let cols = QuantMatrix::from_rows(rows).columns();
-        let mut scratch = ColumnarScratch::new();
-        let labels = ColumnLabels::new(classes.clone());
-        let hits = hits_columns(net, &cols, &labels, &mut scratch, None);
-        assert_eq!(hits, rows.len(), "{what}: {} rows", rows.len());
-        let moved = ColumnLabels::new(classes.iter().map(|&c| c + 1).collect());
-        assert_eq!(
-            hits_columns(net, &cols, &moved, &mut scratch, None),
-            0,
-            "{what}"
-        );
+    let (range, range_rows) = range_twin(mlp, rows);
+    let nets = [
+        (mlp, rows),
+        (&twin, &twin_rows[..]),
+        (&range, &range_rows[..]),
+    ];
+    for (net, rows) in nets {
+        assert_hits_every_row(net, rows, &classes, what);
     }
 }
 
@@ -589,9 +620,9 @@ fn odd_pair_net(shift: u8) -> AxMlp {
     }
 }
 
-/// The pair kernels' edges, on the `i16` rung where the weights allow
-/// (every shift at most 6) and the `i32` rung otherwise, against the row
-/// oracle and the `i32` twin: odd fan-ins and widths, one-sided pairs,
+/// The pair kernels' edges, on `i16` lanes where the weights allow
+/// (every shift at most 6) and the portable loops otherwise, against the
+/// row oracle and the twins: odd fan-ins and widths, one-sided pairs,
 /// pair sums at ±32,640, ties, and row counts around the 16-row stripes.
 #[test]
 fn the_pair_kernels_match_the_row_oracle_and_the_i32_rung_at_their_edges() {
@@ -608,8 +639,8 @@ fn the_pair_kernels_match_the_row_oracle_and_the_i32_rung_at_their_edges() {
 
 /// Argmax layers wider than the kernel holds in registers: 20 classes
 /// (more than 16) over 11 hidden inputs (more than 8, so 6 pairs in two
-/// blocks with partial sums between them), with ties, on the `i16`
-/// rung, against the row oracle and the `i32` twin.
+/// blocks with partial sums between them; 7 in the range twin), with
+/// ties, on `i16` lanes, against the row oracle and the twins.
 #[test]
 fn wide_argmax_layers_match_the_row_oracle_and_the_i32_rung() {
     let mut rng = StdRng::seed_from_u64(0xa46);
@@ -650,6 +681,54 @@ fn wide_argmax_layers_match_the_row_oracle_and_the_i32_rung() {
         for rows in [17, 2001] {
             let what = format!("{hidden} hidden, {classes} classes");
             assert_both_rungs_match_the_oracle(&mlp, &edge_rows(rows, 4, 7), &what);
+        }
+    }
+}
+
+/// Argmax layers on the `i32` bounds, over `n` inputs at full masks and
+/// shift 6 (`S = 16,320 · n`; pair sums of ±32,640 where both inputs
+/// are 255): `top` reaches `i32::MAX` and `bottom` `−i32::MAX`, each
+/// with `|bias| + S = i32::MAX` (the [`fits_i32`] bound); `fall` tops
+/// out at `i32::MAX` too, `floor` reaches `i32::MIN` one below `bottom`
+/// on every row, `rise` starts at `−i32::MAX`, and a copy of `top`
+/// ties it. Their argmax takes the pair kernels on `i32` lanes; with
+/// `top` one past the bound, the portable `i64` loop. Odd and even
+/// fan-ins, more than 4 pairs, and row counts around the 16-row
+/// stripes, against the row oracle.
+#[test]
+fn argmax_layers_on_the_i32_bounds_match_the_row_oracle() {
+    let argmax = |neurons: Vec<AxNeuron>| AxMlp {
+        layers: vec![AxLayer {
+            input_bits: 8,
+            neurons,
+            qrelu: None,
+        }],
+    };
+    for n in [1, 2, 3, 9] {
+        let span = 16_320 * n as i32;
+        let all = |negative: bool, bias: i32| AxNeuron {
+            weights: vec![w(0xFF, 6, negative); n],
+            bias,
+        };
+        let top = all(false, i32::MAX - span);
+        let bottom = all(true, -(i32::MAX - span));
+        assert!(fits_i32(&top) && fits_i32(&bottom));
+        let past = all(false, i32::MAX - span + 1);
+        assert!(!fits_i32(&past));
+        let layers = [
+            vec![top.clone(), all(true, i32::MAX), top.clone()],
+            vec![bottom, all(true, i32::MIN + span), all(false, -i32::MAX)],
+            vec![past, all(true, i32::MAX), top],
+        ];
+        for neurons in layers {
+            let mlp = argmax(neurons);
+            assert!(!layer_fits_i16(&mlp.layers[0]));
+            for rows in [0, 1, 15, 16, 17, 2001] {
+                let data = edge_rows(rows, n, rows as u64);
+                let biases: Vec<i32> = mlp.layers[0].neurons.iter().map(|x| x.bias).collect();
+                let what = format!("{n} inputs, biases {biases:?}");
+                assert_hits_every_row(&mlp, &data, &oracle_classes(&mlp, &data), &what);
+            }
         }
     }
 }
