@@ -1,19 +1,28 @@
-//! The `FxHash` hasher: the design store's record fingerprints and the
-//! batch evaluator's within-wave dedup map hash with it.
+//! The workspace's non-cryptographic hashes, one copy of each:
 //!
-//! The workspace keeps no memoization cache: each one it used to hold
-//! (genome results, neuron gate counts, neuron costs, hidden-neuron
-//! columns) was deleted once measurement showed that recomputing cost
-//! no more time.
+//! * [`FxHasher`] / [`fx_hash_of`] — the design store's record
+//!   fingerprints;
+//! * [`splitmix64`] — the stateless 64-bit mixer behind the per-dataset
+//!   seeds, the Monte-Carlo trial seeds and draws, and the fault
+//!   injector's seeded occurrences;
+//! * [`fnv1a64`] — FNV-1a over bytes: stage-cache keys, engine
+//!   fingerprints, the per-dataset seeds and the fault injector's site
+//!   separation.
+//!
+//! Seeds, cache keys and fault plans are pinned by value in tests, so
+//! these functions never change. The workspace keeps no memoization
+//! cache: each one it used to hold (genome results, neuron gate counts,
+//! neuron costs, hidden-neuron columns, the evaluation wave's duplicate
+//! map) was deleted once measurement showed that recomputing cost no
+//! more time.
 
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// The Firefox `FxHash` mix: rotate, xor, multiply by a large odd
 /// constant. Far from cryptographic, but the keys here are structured
-/// program data (genomes, networks), not adversarial input, and the
-/// per-write cost matters: the evaluation wave hashes every
-/// multi-hundred-byte genome, where SipHash's per-write overhead would
-/// dominate the lookup.
+/// program data (networks), not adversarial input, and the per-write
+/// cost matters: SipHash's per-write overhead would dominate a
+/// fingerprint of every weight.
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -84,9 +93,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// The hasher state of an [`FxHasher`]-keyed `HashMap`.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
 /// One-shot [`FxHasher`] digest of any hashable value — for building
 /// cheap `Copy` fingerprint keys over heavyweight structures (the
 /// fingerprint holder then carries the full value alongside for exact
@@ -96,4 +102,28 @@ pub fn fx_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = FxHasher::default();
     value.hash(&mut hasher);
     hasher.finish()
+}
+
+/// The splitmix64 increment (the golden ratio in 64-bit fixed point).
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 finalizer (Steele et al.): a high-quality stateless
+/// 64-bit mixer, the de-facto standard seed scrambler.
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(GOLDEN);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// FNV-1a, 64-bit, over `bytes`.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }

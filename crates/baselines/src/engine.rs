@@ -99,9 +99,9 @@ impl SearchEngine for Tc23Engine {
 ///
 /// Voltage over-scaling **is** this method: its reports land at the
 /// VOS voltage its own search selects, not at the study scenario's
-/// operating supply (the documented [`SearchContext::scenario`]
-/// carve-out). Costing still flows through the scenario's technology
-/// via [`SearchContext::cost`].
+/// operating supply (the carve-out documented on
+/// [`SearchContext::cost`]). Costing still flows through the scenario's
+/// technology via that cost model.
 #[derive(Debug, Clone)]
 pub struct Tcad23Engine {
     /// The method's search configuration.
@@ -214,7 +214,8 @@ impl SearchEngine for ScEngine {
         // operating supply like every other engine's report (a no-op
         // at the nominal supply).
         let report = ctx
-            .scenario
+            .cost
+            .scenario()
             .scale_report(sc.hardware_report(ctx.tech(), &format!("{}_sc", ctx.name)));
         let n = ctx.float_train.features.len().min(SC_TRAIN_ACCURACY_ROWS);
         let point = DesignPoint {
@@ -254,7 +255,7 @@ mod tests {
     fn all_three_prior_work_engines_report_one_costed_design() {
         let costed = costed_stage();
         let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
-        let ctx = costed.search_context(&model, 0.05);
+        let ctx = costed.search_context(&model);
         let engines: [&dyn SearchEngine; 3] = [
             &Tc23Engine::default(),
             &Tcad23Engine::default(),
@@ -285,7 +286,7 @@ mod tests {
     fn engines_are_cancellable() {
         let costed = costed_stage();
         let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
-        let ctx = costed.search_context(&model, 0.05);
+        let ctx = costed.search_context(&model);
         let token = printed_axc::CancelToken::new();
         token.cancel();
         let ctl = RunControl::new(None, Some(&token));

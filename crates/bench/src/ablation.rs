@@ -234,7 +234,7 @@ pub fn objective(
     let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
     let ctx = SearchContext {
         eval_threads,
-        ..costed.search_context(&model, loss_budget)
+        ..costed.search_context(&model)
     };
 
     let run = |objective: AreaObjective| {

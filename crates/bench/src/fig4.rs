@@ -62,14 +62,14 @@ pub fn paper_engines() -> Vec<Box<dyn SearchEngine>> {
 /// running every engine against the same
 /// [`SearchContext`] the study's own
 /// search saw. `tech` must be the technology the study ran with, so
-/// the engines' circuits and the baseline normalizer share one model;
-/// the loss budget comes from the `Selected` stage itself, so every
-/// method competes under the budget the study actually used.
+/// the engines' circuits and the baseline normalizer share one model.
 ///
-/// Each engine's reported design is the smallest front member within
-/// that budget, falling back to its most accurate design when none
+/// The study's loss budget, read from the `Selected` stage, picks each
+/// engine's reported design: the smallest front member within that
+/// budget, falling back to its most accurate design when none
 /// qualifies (the paper's treatment of SC, which cannot reach the
-/// budget). `eval_threads` is the engines' batch-evaluation worker
+/// budget). It does not steer the searches: TC'23 and TCAD'23 tune
+/// against their own configured `loss_budget` (0.05 by default). `eval_threads` is the engines' batch-evaluation worker
 /// budget (results never depend on it).
 ///
 /// # Panics
@@ -89,7 +89,7 @@ pub fn row(
     let budget = selected.loss_budget;
     let ctx = SearchContext {
         eval_threads,
-        ..costed.search_context(&model, budget)
+        ..costed.search_context(&model)
     };
     let base_area = costed.baseline_report.area_cm2;
     let base_power = costed.baseline_report.power_mw;

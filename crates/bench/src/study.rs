@@ -75,10 +75,10 @@ pub fn study_config(budget: BudgetPreset, seed: u64) -> StudyConfig {
 
 /// Accumulates the per-generation
 /// [`ProgressEvent::EvalCache`] streams of every study into one
-/// run-wide tally, so the bench bins can print how much work the
-/// batch evaluator's within-wave deduplication saved and how many gate
-/// counts the area objective computed — plus the design-store ingest
-/// counters when a store is attached. Robust to several GA runs
+/// run-wide tally, so the bench bins can print how many genomes the
+/// batch evaluator computed and how many gate counts the area
+/// objective computed — plus the design-store ingest counters when a
+/// store is attached. Robust to several GA runs
 /// per dataset (each search's cumulative counters restart at zero; a
 /// decrease folds the finished run into the total).
 #[derive(Debug, Default)]
@@ -88,25 +88,23 @@ pub struct EvalCacheSummary {
 
 #[derive(Debug, Default, Clone, Copy)]
 struct CacheTally {
-    genome_hits: u64,
-    genome_misses: u64,
+    genomes: u64,
     cost_misses: u64,
     store_ingested: u64,
     store_deduplicated: u64,
     store_bytes: u64,
     /// Cumulative counters of the GA run currently streaming.
-    last: [u64; 6],
+    last: [u64; 5],
 }
 
 impl CacheTally {
     fn fold_last(&mut self) {
-        self.genome_hits += self.last[0];
-        self.genome_misses += self.last[1];
-        self.cost_misses += self.last[2];
-        self.store_ingested += self.last[3];
-        self.store_deduplicated += self.last[4];
-        self.store_bytes += self.last[5];
-        self.last = [0; 6];
+        self.genomes += self.last[0];
+        self.cost_misses += self.last[1];
+        self.store_ingested += self.last[2];
+        self.store_deduplicated += self.last[3];
+        self.store_bytes += self.last[4];
+        self.last = [0; 5];
     }
 }
 
@@ -124,7 +122,6 @@ impl EvalCacheSummary {
                 return;
             }
             ProgressEvent::EvalCache {
-                hits,
                 misses,
                 cost_misses,
                 store_ingested,
@@ -132,7 +129,6 @@ impl EvalCacheSummary {
                 store_bytes,
                 ..
             } => [
-                hits,
                 misses,
                 cost_misses,
                 store_ingested,
@@ -157,27 +153,15 @@ impl EvalCacheSummary {
         for tally in tallies.values() {
             let mut t = *tally;
             t.fold_last();
-            total.genome_hits += t.genome_hits;
-            total.genome_misses += t.genome_misses;
+            total.genomes += t.genomes;
             total.cost_misses += t.cost_misses;
             total.store_ingested += t.store_ingested;
             total.store_deduplicated += t.store_deduplicated;
             total.store_bytes += t.store_bytes;
         }
-        let pct = |hits: u64, misses: u64| {
-            let n = hits + misses;
-            if n == 0 {
-                0.0
-            } else {
-                100.0 * hits as f64 / n as f64
-            }
-        };
         let mut line = format!(
-            "eval: {} genomes computed / {} within-wave duplicates ({:.1}% deduplicated) | {} gate counts computed",
-            total.genome_misses,
-            total.genome_hits,
-            pct(total.genome_hits, total.genome_misses),
-            total.cost_misses,
+            "eval: {} genomes computed | {} gate counts computed",
+            total.genomes, total.cost_misses,
         );
         if total.store_ingested + total.store_deduplicated > 0 {
             line.push_str(&format!(
@@ -253,9 +237,9 @@ mod tests {
     #[test]
     fn counters_fold_per_dataset_and_per_run() {
         let summary = EvalCacheSummary::default();
-        let eval = |hits| ProgressEvent::EvalCache {
-            hits,
-            misses: 1,
+        let eval = |misses| ProgressEvent::EvalCache {
+            hits: 0,
+            misses,
             entries: 0,
             column_hits: 0,
             column_misses: 0,
@@ -283,9 +267,6 @@ mod tests {
         summary.observe(Dataset::BreastCancer, &restart);
         summary.observe(Dataset::BreastCancer, &eval(5));
         let line = summary.render();
-        assert_eq!(
-            line,
-            "eval: 3 genomes computed / 24 within-wave duplicates (88.9% deduplicated) | 6 gate counts computed"
-        );
+        assert_eq!(line, "eval: 24 genomes computed | 6 gate counts computed");
     }
 }

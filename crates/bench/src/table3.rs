@@ -163,7 +163,7 @@ pub fn measure(
     let model = pe_hw::ExactCostModel::new(pe_hw::CostScenario::default());
     let ctx = SearchContext {
         eval_threads,
-        ..costed.search_context(&model, 0.05)
+        ..costed.search_context(&model)
     };
     let engines: [Box<dyn SearchEngine>; 2] = [
         Box::new(PlainGaEngine::new(nsga_cfg, Some(budget.subsample))),

@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
-use pe_datasets::{Dataset, QuantizedData, TabularData};
-use pe_hw::{CostScenario, ExactCostModel, TechLibrary};
+use pe_datasets::{QuantizedData, TabularData};
+use pe_hw::{ExactCostModel, TechLibrary};
 use pe_mlp::{fixed_to_hardware, DenseMlp, FixedMlp};
 use pe_nsga::{Nsga2, NsgaConfig};
 
@@ -33,8 +33,6 @@ pub use crate::train::TrainingOutcome as SearchOutcome;
 /// [`BaselineCosted::search_context`](crate::pipeline::BaselineCosted::search_context)).
 #[derive(Clone, Copy)]
 pub struct SearchContext<'a> {
-    /// Which dataset is being searched.
-    pub dataset: Dataset,
     /// Circuit-name prefix (the dataset's display name).
     pub name: &'a str,
     /// Number of classes.
@@ -44,9 +42,6 @@ pub struct SearchContext<'a> {
     /// Baseline accuracy on the quantized training split (anchors the
     /// training-time feasibility bound).
     pub baseline_train_accuracy: f64,
-    /// Baseline accuracy on the quantized test split (anchors the
-    /// reporting loss budget).
-    pub baseline_test_accuracy: f64,
     /// Quantized training split.
     pub train: &'a QuantizedData,
     /// Quantized test split.
@@ -59,19 +54,17 @@ pub struct SearchContext<'a> {
     pub float_train: &'a TabularData,
     /// Normalized float test split.
     pub float_test: &'a TabularData,
-    /// The cost scenario the study runs under: technology, Vdd model,
-    /// operating supply and the optional power budget. Engines must
-    /// report their designs under these conditions — with one carve-out:
-    /// an engine whose *method* is defined by its own operating voltage
-    /// (the TCAD'23 voltage-over-scaling search) reports at the voltage
-    /// its search selects, since pinning it to the scenario supply
-    /// would misrepresent the prior work being reproduced.
-    pub scenario: &'a CostScenario,
-    /// The study's cost model at [`scenario`](Self::scenario) — the
-    /// single costing interface all engines report through.
+    /// The study's cost model — the single costing interface all
+    /// engines report through. Its
+    /// [`scenario`](ExactCostModel::scenario) is the one the study runs
+    /// under: technology, Vdd model, operating supply and the optional
+    /// power budget. Engines must report their designs under these
+    /// conditions — with one carve-out: an engine whose *method* is
+    /// defined by its own operating voltage (the TCAD'23
+    /// voltage-over-scaling search) reports at the voltage its search
+    /// selects, since pinning it to the scenario supply would
+    /// misrepresent the prior work being reproduced.
     pub cost: &'a ExactCostModel,
-    /// The reporting accuracy-loss budget (5% in the paper).
-    pub loss_budget: f64,
     /// Worker budget for the engine's within-study batch evaluation
     /// (see [`crate::eval`]).
     /// [`Pipeline::run_many`](crate::Pipeline::run_many) divides the
@@ -111,19 +104,19 @@ pub struct SearchContext<'a> {
 }
 
 impl SearchContext<'_> {
-    /// The technology library costs are reported in (the scenario's).
+    /// The technology library costs are reported in (the cost model's
+    /// scenario's).
     #[must_use]
     pub fn tech(&self) -> &TechLibrary {
-        &self.scenario.tech
+        &self.cost.scenario().tech
     }
 }
 
 impl std::fmt::Debug for SearchContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchContext")
-            .field("dataset", &self.dataset)
-            .field("scenario", &self.scenario.label())
-            .field("loss_budget", &self.loss_budget)
+            .field("name", &self.name)
+            .field("scenario", &self.cost.scenario().label())
             .field("eval_threads", &self.eval_threads)
             .field("variation", &self.variation)
             .field("store", &self.store)
@@ -172,7 +165,7 @@ pub trait SearchEngine {
 #[must_use]
 pub fn fingerprint_json<T: serde::Serialize>(value: &T) -> u64 {
     let json = serde_json::to_string(value).unwrap_or_default();
-    crate::pipeline::fnv1a64(json.as_bytes())
+    pe_arith::cache::fnv1a64(json.as_bytes())
 }
 
 /// The paper's engine: hardware-approximation-aware NSGA-II training
@@ -329,6 +322,7 @@ mod tests {
     use crate::pipeline::Study;
     use crate::progress::CancelToken;
     use pe_datasets::Dataset;
+    use pe_hw::CostScenario;
 
     fn tiny_context_stage() -> crate::pipeline::BaselineCosted {
         let pipeline = Study::for_dataset(Dataset::BreastCancer)
@@ -348,7 +342,7 @@ mod tests {
     fn plain_ga_engine_returns_an_evaluated_design() {
         let costed = tiny_context_stage();
         let model = pe_hw::ExactCostModel::new(CostScenario::default());
-        let ctx = costed.search_context(&model, 0.05);
+        let ctx = costed.search_context(&model);
         let engine = PlainGaEngine::new(
             NsgaConfig {
                 population: 12,
@@ -370,7 +364,7 @@ mod tests {
     fn engines_honor_cancellation() {
         let costed = tiny_context_stage();
         let model = pe_hw::ExactCostModel::new(CostScenario::default());
-        let ctx = costed.search_context(&model, 0.05);
+        let ctx = costed.search_context(&model);
         let token = CancelToken::new();
         token.cancel();
         let ctl = RunControl::new(None, Some(&token));

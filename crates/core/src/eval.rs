@@ -10,42 +10,37 @@
 //! into a reusable substrate:
 //!
 //! * [`BatchEvaluator`] wraps any [`IntProblem`] and overrides
-//!   [`IntProblem::evaluate_batch`] so each NSGA-II wave
-//!   1. is deduplicated — elitist (μ+λ) selection and low mutation
-//!      rates put identical genomes into one wave, and each distinct
-//!      genome is computed once;
-//!   2. fans the distinct genomes out over a fixed-size
-//!      `std::thread::scope` worker pool (no work stealing: workers pop
-//!      indices from one atomic counter, results land in preallocated
-//!      order-indexed slots), so
-//!   3. evaluations return **in input order**, byte-identical to a
-//!      serial loop, regardless of thread count.
+//!   [`IntProblem::evaluate_batch`] so each NSGA-II wave (the initial
+//!   population, then each generation's offspring) fans out over a
+//!   fixed-size `std::thread::scope` worker pool and returns its
+//!   evaluations **in input order**, byte-identical to a serial loop,
+//!   regardless of thread count.
+//! * One pool serves both levels of parallelism: the batch evaluator's
+//!   waves and [`Pipeline::run_many`](crate::Pipeline::run_many)'s
+//!   datasets. No work stealing: workers pop indices from one atomic
+//!   counter and each result lands in its own index-ordered slot.
 //! * [`thread_budget`] is the default worker count (one per core)
-//!   shared by [`Pipeline::run_many`](crate::Pipeline::run_many)'s
-//!   dataset-level pool and the within-study batch evaluator; callers
-//!   choose another budget explicitly
+//!   shared by both levels; callers choose another budget explicitly
 //!   ([`RunManyOptions::with_threads`](crate::RunManyOptions::with_threads),
 //!   [`Study::eval_threads`](crate::Study::eval_threads)).
 //!
 //! Correctness rests on one contract: `evaluate` must be a pure,
 //! deterministic function of the genes (see [`IntProblem::evaluate`]).
-//! Under that contract neither deduplication nor parallelism can change
-//! any result — only how much work is re-done — which is what keeps
-//! 1-thread and 32-thread runs byte-identical. Genomes repeated
-//! *across* waves are evaluated again: both fitness objectives are
-//! cheap pure functions, and a genome memo cost more than it saved.
+//! Under that contract parallelism cannot change any result, which is
+//! what keeps 1-thread and 32-thread runs byte-identical. Every
+//! requested genome is computed, duplicates included: both fitness
+//! objectives are cheap pure functions, and neither a genome memo nor a
+//! within-wave duplicate map saved more than it cost (duplicates are
+//! under 1 % of a study's requests).
 //!
-//! The work done is observable: [`BatchEvaluator::stats`] snapshots
-//! the duplicate and computed-genome counters, and the GA engines
-//! forward them as
+//! The work done is observable: the GA engines forward the count of
+//! computed genomes as
 //! [`ProgressEvent::EvalCache`](crate::ProgressEvent::EvalCache) once
 //! per generation.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-use pe_arith::cache::FxBuildHasher;
 use pe_nsga::{Evaluation, IntProblem};
 
 /// Default worker-thread budget for parallel evaluation: one worker per
@@ -59,24 +54,50 @@ pub fn thread_budget() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Snapshot of a [`BatchEvaluator`]'s counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalCacheStats {
-    /// Requested evaluations served by a duplicate earlier in the same
-    /// wave (lifetime).
-    pub hits: u64,
-    /// Genome evaluations actually computed by the inner problem
-    /// (lifetime).
-    pub misses: u64,
+/// `job(0)`, …, `job(count − 1)` on up to `workers` scoped threads,
+/// returned in index order. Workers pop indices from one atomic counter
+/// and store each result in its own slot, so the result never depends
+/// on scheduling. One worker or one job runs inline, spawning nothing.
+/// A panicking job propagates once every worker has stopped.
+pub(crate) fn in_order<T: Send>(
+    count: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.min(count);
+    if workers <= 1 {
+        return (0..count).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else {
+                    break;
+                };
+                let result = job(i);
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every slot is filled before the scope ends")
+        })
+        .collect()
 }
 
-/// A deduplicating, batch-parallel wrapper around any [`IntProblem`].
+/// A batch-parallel wrapper around any [`IntProblem`].
 ///
 /// `evaluate` and `evaluate_batch` return exactly what the inner
 /// problem would return (the inner `evaluate` must be pure and
-/// deterministic); the wrapper only changes *how often* and *on how
-/// many threads* the inner problem runs. See the [module
-/// docs](self) for the design.
+/// deterministic); the wrapper only changes *on how many threads* the
+/// inner problem runs. See the [module docs](self) for the design.
 ///
 /// The wrapper can own its problem or borrow it (`IntProblem` is
 /// implemented for `&T`), so a trainer can keep using the problem
@@ -102,15 +123,12 @@ pub struct EvalCacheStats {
 /// let batch = evaluator.evaluate_batch(&[vec![3], vec![4], vec![3]]);
 /// assert_eq!(batch[0], problem.evaluate(&[3]));
 /// assert_eq!(batch[0], batch[2]);
-/// assert_eq!(evaluator.stats().misses, 2); // the duplicate was free
 /// ```
 #[derive(Debug)]
 pub struct BatchEvaluator<P> {
     inner: P,
-    /// Requested evaluations served by a within-wave duplicate.
-    hits: AtomicU64,
     /// Genome evaluations computed by the inner problem.
-    misses: AtomicU64,
+    computed: AtomicU64,
     threads: usize,
 }
 
@@ -120,56 +138,9 @@ impl<P: IntProblem + Sync> BatchEvaluator<P> {
     pub fn with_threads(inner: P, threads: usize) -> Self {
         Self {
             inner,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            computed: AtomicU64::new(0),
             threads: threads.max(1),
         }
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> EvalCacheStats {
-        EvalCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Evaluate the distinct genomes of a batch, in parallel when both
-    /// their count and the thread budget allow it. `rows[k]` is the
-    /// batch index of the `k`-th distinct genome; returns the
-    /// evaluations in that order.
-    fn compute(&self, genomes: &[Vec<u32>], rows: &[usize]) -> Vec<Evaluation> {
-        let workers = self.threads.min(rows.len());
-        if workers <= 1 {
-            return rows
-                .iter()
-                .map(|&i| self.inner.evaluate(&genomes[i]))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Evaluation>>> = rows.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&i) = rows.get(k) else {
-                        break;
-                    };
-                    let e = self.inner.evaluate(&genomes[i]);
-                    *slots[k]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every slot is filled before the scope ends")
-            })
-            .collect()
     }
 }
 
@@ -179,7 +150,7 @@ impl<P: IntProblem + Sync> IntProblem for BatchEvaluator<P> {
     }
 
     fn evaluate(&self, genes: &[u32]) -> Evaluation {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.computed.fetch_add(1, Ordering::Relaxed);
         self.inner.evaluate(genes)
     }
 
@@ -193,27 +164,12 @@ impl<P: IntProblem + Sync> IntProblem for BatchEvaluator<P> {
             }
             None => {}
         }
-        // `first[i]` is the index into `rows`/`computed` of genome
-        // `i`'s first occurrence in the wave.
-        let mut rows: Vec<usize> = Vec::new();
-        let mut index_of: HashMap<&[u32], usize, FxBuildHasher> = HashMap::default();
-        let first: Vec<usize> = genomes
-            .iter()
-            .enumerate()
-            .map(|(i, genome)| {
-                *index_of.entry(genome.as_slice()).or_insert_with(|| {
-                    rows.push(i);
-                    rows.len() - 1
-                })
-            })
-            .collect();
-
-        // Compute the distinct genomes (parallel, input-ordered).
-        let computed = self.compute(genomes, &rows);
-        self.misses.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        self.hits
-            .fetch_add((genomes.len() - rows.len()) as u64, Ordering::Relaxed);
-        first.into_iter().map(|k| computed[k].clone()).collect()
+        let evaluations = in_order(genomes.len(), self.threads, |i| {
+            self.inner.evaluate(&genomes[i])
+        });
+        self.computed
+            .fetch_add(genomes.len() as u64, Ordering::Relaxed);
+        evaluations
     }
 }
 
@@ -288,11 +244,10 @@ pub(crate) fn run_ga<P: IntProblem + Sync>(
             generations,
             evaluations: s.evaluations,
         });
-        let cache = evaluator.stats();
         let problem = problem_stats().unwrap_or_default();
         ctl.emit(&ProgressEvent::EvalCache {
-            hits: cache.hits,
-            misses: cache.misses,
+            hits: 0,
+            misses: evaluator.computed.load(Ordering::Relaxed),
             entries: 0,
             column_hits: 0,
             column_misses: 0,
@@ -322,10 +277,22 @@ pub(crate) struct ProblemCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    /// A cheap but non-trivial deterministic problem.
+    /// A cheap but non-trivial deterministic problem that counts its
+    /// evaluations.
     struct Poly {
         bounds: Vec<u32>,
+        calls: AtomicU64,
+    }
+
+    impl Poly {
+        fn new(bound: u32) -> Self {
+            Self {
+                bounds: vec![bound; 4],
+                calls: AtomicU64::new(0),
+            }
+        }
     }
 
     impl IntProblem for Poly {
@@ -333,6 +300,7 @@ mod tests {
             &self.bounds
         }
         fn evaluate(&self, genes: &[u32]) -> Evaluation {
+            self.calls.fetch_add(1, Ordering::Relaxed);
             let s: f64 = genes
                 .iter()
                 .enumerate()
@@ -355,9 +323,7 @@ mod tests {
 
     #[test]
     fn batch_matches_serial_loop_in_order() {
-        let problem = Poly {
-            bounds: vec![32; 4],
-        };
+        let problem = Poly::new(32);
         let pop = genomes(50, 32);
         let expected: Vec<Evaluation> = pop.iter().map(|g| problem.evaluate(g)).collect();
         for threads in [1, 4] {
@@ -373,16 +339,78 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_computed_once_and_counters_add_up() {
-        let problem = Poly { bounds: vec![8; 4] };
+    fn duplicates_are_computed_again_and_counters_add_up() {
         // modulo 2 forces heavy duplication across 40 genomes.
         let pop = genomes(40, 2);
         let unique: std::collections::HashSet<&[u32]> = pop.iter().map(Vec::as_slice).collect();
-        let evaluator = BatchEvaluator::with_threads(&problem, 4);
-        let _ = evaluator.evaluate_batch(&pop);
-        let stats = evaluator.stats();
-        assert_eq!(stats.misses, unique.len() as u64);
-        assert_eq!(stats.hits + stats.misses, pop.len() as u64);
+        assert!(unique.len() < pop.len());
+        for threads in [1, 4] {
+            let problem = Poly::new(8);
+            let expected: Vec<Evaluation> = pop.iter().map(|g| problem.evaluate(g)).collect();
+            let evaluator = BatchEvaluator::with_threads(&problem, threads);
+            assert_eq!(evaluator.evaluate_batch(&pop), expected);
+            // Every requested genome reached the inner problem, once.
+            assert_eq!(evaluator.computed.load(Ordering::Relaxed), pop.len() as u64);
+            assert_eq!(problem.calls.load(Ordering::Relaxed), 2 * pop.len() as u64);
+            let _ = evaluator.evaluate(&pop[0]);
+            assert_eq!(
+                evaluator.computed.load(Ordering::Relaxed),
+                pop.len() as u64 + 1
+            );
+        }
+    }
+
+    #[test]
+    fn in_order_runs_no_job_for_zero_jobs() {
+        for workers in [1, 4] {
+            let results: Vec<usize> = in_order(0, workers, |i| unreachable!("job {i} ran"));
+            assert!(results.is_empty());
+        }
+    }
+
+    #[test]
+    fn in_order_with_fewer_jobs_than_workers() {
+        assert_eq!(in_order(3, 8, |i| i * i), [0, 1, 4]);
+    }
+
+    #[test]
+    fn in_order_runs_inline_on_one_worker_or_one_job() {
+        let here = std::thread::current().id();
+        for (count, workers) in [(5, 1), (1, 8)] {
+            let threads = in_order(count, workers, |_| std::thread::current().id());
+            assert_eq!(
+                threads,
+                vec![here; count],
+                "{count} jobs, {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn in_order_keeps_index_order_when_later_jobs_finish_first() {
+        let count = 12;
+        for workers in 1..=8 {
+            let results = in_order(count, workers, |i| {
+                // Earlier jobs take longer, so later ones finish first.
+                std::thread::sleep(Duration::from_micros(200 * (count - i) as u64));
+                i * 10
+            });
+            let expected: Vec<usize> = (0..count).map(|i| i * 10).collect();
+            assert_eq!(results, expected, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn in_order_propagates_a_panicking_job() {
+        for workers in [1, 4] {
+            let outcome = std::panic::catch_unwind(|| {
+                in_order(8, workers, |i| {
+                    assert_ne!(i, 5, "job 5 fails");
+                    i
+                })
+            });
+            assert!(outcome.is_err(), "{workers} workers");
+        }
     }
 
     #[test]

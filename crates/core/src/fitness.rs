@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pe_arith::{tree_gates, NeuronArithSpec, NeuronGateCounts};
-use pe_hw::variation::{RobustStat, VariationConfig, VariationModel};
+use pe_hw::variation::{RobustStat, VariationConfig};
 use pe_hw::{argmax_gate_counts, qrelu_gate_counts, CostScenario};
 use pe_mlp::columnar::{self, ColumnLabels, ColumnMatrix, ColumnarScratch, QuantMatrix};
 use pe_mlp::InferenceScratch;
@@ -50,8 +50,7 @@ impl Default for AreaObjective {
 /// are scored on (training error, estimated area).
 ///
 /// Scoring is a pure function of the genes, so the problem composes
-/// with [`crate::eval::BatchEvaluator`] for deduplicated,
-/// batch-parallel evaluation.
+/// with [`crate::eval::BatchEvaluator`] for batch-parallel evaluation.
 ///
 /// Internally the accuracy objective runs on the **columnar engine**:
 /// the dataset is transposed once into a [`ColumnMatrix`], and every
@@ -96,20 +95,20 @@ pub struct AxTrainProblem {
     /// historical nominal fitness bit for bit.
     robust: Option<RobustContext>,
     /// Design-store ingest hook ([`with_sink`](Self::with_sink)):
-    /// records every unique evaluated design. A pure side channel —
+    /// offers every evaluated design to the store, which keeps one
+    /// record per unique design. A pure side channel —
     /// attaching a sink never changes any evaluation or RNG stream.
     sink: Option<crate::store::StoreSink>,
 }
 
-/// Precomputed Monte-Carlo state of a variation-aware problem: each
-/// trial's seed and input-perturbed dataset (transposed once). Built by
+/// Precomputed Monte-Carlo state of a variation-aware problem: the
+/// trials (each one's seed and input-perturbed dataset, transposed
+/// once) and the statistic over them. Built by
 /// [`AxTrainProblem::with_variation`].
 #[derive(Debug, Clone)]
 struct RobustContext {
-    model: VariationModel,
     statistic: RobustStat,
-    /// `(trial_seed(master, t), trial t's columns)` for `t = 0..M`.
-    trials: Vec<(u64, ColumnMatrix)>,
+    trials: crate::robust::Trials,
 }
 
 impl AxTrainProblem {
@@ -206,16 +205,14 @@ impl AxTrainProblem {
     pub fn with_variation(mut self, config: &VariationConfig, master_seed: u64) -> Self {
         config.validate().expect("a valid variation config");
         let input_bits = self.spec.layers().first().map_or(4, |l| l.input_bits);
-        let trials = crate::robust::trial_seeds(master_seed, config.trials)
-            .into_iter()
-            .map(|seed| {
-                let perturbed =
-                    crate::robust::extended_matrix(&self.rows, &config.model, &[seed], input_bits);
-                (seed, perturbed.columns())
-            })
-            .collect();
+        let trials = crate::robust::Trials::new(
+            &self.rows,
+            &config.model,
+            master_seed,
+            config.trials,
+            input_bits,
+        );
         self.robust = Some(RobustContext {
-            model: config.model,
             statistic: config.statistic,
             trials,
         });
@@ -374,57 +371,23 @@ impl AxTrainProblem {
 
     /// The accuracy the GA optimizes: nominal columnar accuracy, or —
     /// under [`with_variation`](Self::with_variation) — the robust
-    /// statistic over the Monte-Carlo trials. With a zero-variance
+    /// statistic over the Monte-Carlo trials'
+    /// ([`crate::robust::Trials`]) accuracies. With a zero-variance
     /// model the two are equal bit for bit.
     fn fitness_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarScratch) -> f64 {
         match &self.robust {
-            Some(robust) => self.robust_accuracy(mlp, robust, scratch),
-            None => self.accuracy_on(mlp, &self.columns, scratch, None),
+            Some(robust) => {
+                let accs = robust.trials.accuracies(mlp, &self.labels, scratch);
+                robust.statistic.statistic(&accs)
+            }
+            None => self.nominal_accuracy(mlp, scratch),
         }
     }
 
-    /// Accuracy of `mlp` over `columns` (the dataset or one trial's
-    /// copy of it) on the columnar forward pass.
-    fn accuracy_on(
-        &self,
-        mlp: &pe_mlp::AxMlp,
-        columns: &ColumnMatrix,
-        scratch: &mut ColumnarScratch,
-        perturb: Option<columnar::Perturb<'_>>,
-    ) -> f64 {
-        let hits = columnar::hits_columns(mlp, columns, &self.labels, scratch, perturb);
+    /// Accuracy of `mlp` over the dataset on the columnar forward pass.
+    fn nominal_accuracy(&self, mlp: &pe_mlp::AxMlp, scratch: &mut ColumnarScratch) -> f64 {
+        let hits = columnar::hits_columns(mlp, &self.columns, &self.labels, scratch, None);
         hits as f64 / self.labels.len() as f64
-    }
-
-    /// The robust statistic over the per-trial accuracies: each trial
-    /// runs the forward pass over its perturbed dataset, with the
-    /// trial's per-device gain/offset draw applied to every accumulator
-    /// before its QReLU or argmax. The draw is keyed by the neuron's
-    /// layer and position, so duplicate neurons draw apart.
-    fn robust_accuracy(
-        &self,
-        mlp: &pe_mlp::AxMlp,
-        robust: &RobustContext,
-        scratch: &mut ColumnarScratch,
-    ) -> f64 {
-        let accs: Vec<f64> = robust
-            .trials
-            .iter()
-            .map(|(seed, columns)| {
-                let draw = |li: usize, ni: usize, acc: &mut [i64]| {
-                    let draw = robust
-                        .model
-                        .device_draw(*seed, li, ni, mlp.layers[li].input_bits);
-                    if !draw.is_identity() {
-                        for a in acc {
-                            *a = draw.apply(*a);
-                        }
-                    }
-                };
-                self.accuracy_on(mlp, columns, scratch, Some(&draw))
-            })
-            .collect();
-        robust.statistic.statistic(&accs)
     }
 
     /// Assemble the Eq. (3) [`Evaluation`] from a scored
@@ -470,9 +433,9 @@ impl AxTrainProblem {
 
     /// Full evaluation (objectives + feasibility) against reusable
     /// scratch buffers. With a design-store sink attached the scored
-    /// design is recorded as a side effect — for robust searches the
-    /// record additionally carries the nominal accuracy (one extra
-    /// columnar pass per unique design).
+    /// design is offered to the store as a side effect — for robust
+    /// searches the record additionally carries the nominal accuracy
+    /// (one extra columnar pass per evaluation).
     fn evaluate_with(&self, genes: &[u32], scratch: &mut EvalScratch) -> Evaluation {
         let EvalScratch { columnar, decoded } = scratch;
         self.spec.decode_into(genes, decoded);
@@ -481,7 +444,7 @@ impl AxTrainProblem {
         let area = self.area_of(mlp);
         if let Some(sink) = &self.sink {
             let (nominal, robust) = if self.robust.is_some() {
-                let nominal = self.accuracy_on(mlp, &self.columns, columnar, None);
+                let nominal = self.nominal_accuracy(mlp, columnar);
                 (nominal, Some(accuracy))
             } else {
                 (accuracy, None)
@@ -922,6 +885,70 @@ mod tests {
         assert_eq!(deep.evaluate(&genes), deep_robust.evaluate(&genes));
     }
 
+    /// Index of the largest value, ties to the lowest index: the
+    /// hardware comparator.
+    fn argmax<T: PartialOrd + Copy>(values: &[T]) -> usize {
+        let mut best = 0;
+        for (j, &v) in values.iter().enumerate() {
+            if v > values[best] {
+                best = j;
+            }
+        }
+        best
+    }
+
+    /// The per-row Monte-Carlo oracle: each trial's accuracy, with
+    /// every row's inputs perturbed, walked through the network one
+    /// neuron at a time with the trial's device draw on every
+    /// accumulator, and argmaxed with ties to the lowest class. It
+    /// shares no code with the columnar pass the robust fitness and
+    /// [`crate::robust::mc_accuracy`] run.
+    fn per_row_trial_accuracies(
+        mlp: &pe_mlp::AxMlp,
+        rows: &QuantMatrix,
+        labels: &[usize],
+        model: &pe_hw::VariationModel,
+        trials: usize,
+        master: u64,
+    ) -> Vec<f64> {
+        let input_bits = mlp.layers[0].input_bits;
+        let predict = |seed: u64, s: usize, row: &[u8]| -> usize {
+            let mut act: Vec<u8> = row
+                .iter()
+                .enumerate()
+                .map(|(f, &x)| model.perturb_input(seed, s, f, x, input_bits))
+                .collect();
+            for (li, layer) in mlp.layers.iter().enumerate() {
+                let accs: Vec<i64> = layer
+                    .neurons
+                    .iter()
+                    .enumerate()
+                    .map(|(ni, n)| {
+                        let draw = model.device_draw(seed, li, ni, layer.input_bits);
+                        draw.apply(n.accumulate(&act))
+                    })
+                    .collect();
+                match layer.qrelu {
+                    Some(q) => act = accs.iter().map(|&a| q.apply(a)).collect(),
+                    None => return argmax(&accs),
+                }
+            }
+            argmax(&act)
+        };
+        crate::robust::trial_seeds(master, trials)
+            .into_iter()
+            .map(|seed| {
+                let hits = rows
+                    .iter()
+                    .zip(labels)
+                    .enumerate()
+                    .filter(|&(s, (row, &label))| predict(seed, s, row) == label)
+                    .count();
+                hits as f64 / labels.len() as f64
+            })
+            .collect()
+    }
+
     #[test]
     fn cached_robust_path_matches_the_uncached_oracle() {
         let model = pe_hw::VariationModel {
@@ -943,10 +970,12 @@ mod tests {
             .collect();
         let e = problem.evaluate(&genes);
         let mlp = problem.genome_spec().decode(&genes);
-        let oracle = crate::robust::mc_accuracy(&mlp, &rows, &labels, &model, trials, master);
+        let oracle = per_row_trial_accuracies(&mlp, &rows, &labels, &model, trials, master);
+        let worst = pe_hw::RobustStat::WorstCase.statistic(&oracle);
+        let p95 = pe_hw::RobustStat::P95.statistic(&oracle);
         assert_eq!(
             1.0 - e.objectives[0],
-            oracle.worst,
+            worst,
             "worst-case accuracy must equal the oracle's"
         );
         // Same check for the P95 statistic.
@@ -956,7 +985,12 @@ mod tests {
             master,
         );
         let e95 = p95_problem.evaluate(&genes);
-        assert_eq!(1.0 - e95.objectives[0], oracle.p95);
+        assert_eq!(1.0 - e95.objectives[0], p95);
+        // `mc_accuracy` runs the same per-trial pass.
+        let summary = crate::robust::mc_accuracy(&mlp, &rows, &labels, &model, trials, master);
+        assert_eq!((summary.worst, summary.p95), (worst, p95));
+        let mean = oracle.iter().sum::<f64>() / trials as f64;
+        assert_eq!(summary.mean, mean);
     }
 
     #[test]
@@ -995,12 +1029,19 @@ mod tests {
         assert_eq!(mlp.layers[0].neurons[0], mlp.layers[0].neurons[1]);
         assert_eq!(mlp.layers[0].neurons[0], mlp.layers[0].neurons[2]);
         let e = problem.evaluate(&genes);
-        let oracle = crate::robust::mc_accuracy(&mlp, &rows, &labels, &model, trials, master);
+        let oracle = per_row_trial_accuracies(&mlp, &rows, &labels, &model, trials, master);
+        let worst = pe_hw::RobustStat::WorstCase.statistic(&oracle);
         assert_eq!(
             1.0 - e.objectives[0],
-            oracle.worst,
+            worst,
             "robust path must match the oracle with duplicate neurons"
         );
+        // The trials disagree here, so this pins `mc_accuracy`'s
+        // per-trial values too.
+        assert!(oracle.iter().any(|&a| a != oracle[0]));
+        let summary = crate::robust::mc_accuracy(&mlp, &rows, &labels, &model, trials, master);
+        assert_eq!(summary.worst, worst);
+        assert_eq!(summary.mean, oracle.iter().sum::<f64>() / trials as f64);
     }
 
     #[test]

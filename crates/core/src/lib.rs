@@ -35,21 +35,22 @@
 //!   search stage runs; implemented here by [`NsgaEngine`] /
 //!   [`PlainGaEngine`] and by the three prior-work methods in
 //!   `pe-baselines`.
-//! * [`eval`] — the shared evaluation core: [`BatchEvaluator`] wraps
-//!   any `IntProblem` with within-wave deduplication and a
-//!   deterministic thread-pool batch path (results in input order,
-//!   byte-identical to serial), and [`thread_budget`] is the default
-//!   worker count (one per core) every pool falls back to. This crate reads no
-//!   environment variables: worker budgets and checkpoint cadences
-//!   are explicit parameters chosen by the caller.
+//! * [`eval`] — the shared evaluation core: one deterministic worker
+//!   pool (results in input order, byte-identical to serial) that runs
+//!   both [`BatchEvaluator`]'s evaluation waves of any `IntProblem` and
+//!   [`Pipeline::run_many`]'s datasets, and [`thread_budget`], the
+//!   default worker count (one per core) both fall back to. This crate
+//!   reads no environment variables: worker budgets and checkpoint
+//!   cadences are explicit parameters chosen by the caller.
 //! * [`checkpoint`] — crash-safe search checkpointing: the pipeline
 //!   persists a generation-level GA snapshot (atomically, next to the
 //!   `Searched` stage artifact) and resumes a killed or cancelled
 //!   search from it, byte-identical to an uninterrupted run.
 //! * [`robust`] — Monte-Carlo variation-aware evaluation: the
-//!   trial-major extended dataset behind the batched robust fitness
-//!   path and the uncached [`robust::mc_accuracy`] reference oracle
-//!   (the variation corner itself is [`pe_hw::VariationModel`]).
+//!   per-trial forward pass shared by the robust fitness and
+//!   [`robust::mc_accuracy`], which reports how a design holds up over
+//!   trials (the variation corner itself is
+//!   [`pe_hw::VariationModel`]).
 //! * [`store`] — design-store integration over `pe-store`: the
 //!   [`StoreSink`] eval hook that persists every unique design a
 //!   search encounters (a pure side channel — fronts and artifacts
@@ -110,7 +111,7 @@ pub use engine::{
     fingerprint_json, NsgaEngine, PlainGaEngine, SearchContext, SearchEngine, SearchOutcome,
 };
 pub use error::FlowError;
-pub use eval::{thread_budget, BatchEvaluator, EvalCacheStats};
+pub use eval::{thread_budget, BatchEvaluator};
 pub use fitness::{AreaObjective, AxTrainProblem};
 pub use flow::{DatasetStudy, StudyConfig};
 pub use genome::{GenomeSpec, LayerGenomeSpec};

@@ -25,11 +25,11 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
+use pe_arith::cache::{fnv1a64, splitmix64};
 use pe_datasets::{
     generate, quantize, stratified_split, Dataset, DatasetError, QuantizedData, TabularData,
 };
@@ -174,28 +174,20 @@ impl BaselineCosted {
     /// [`CostScenario`] defines the technology, supply voltage and
     /// power budget every engine searches and reports under.
     #[must_use]
-    pub fn search_context<'a>(
-        &'a self,
-        model: &'a ExactCostModel,
-        loss_budget: f64,
-    ) -> SearchContext<'a> {
+    pub fn search_context<'a>(&'a self, model: &'a ExactCostModel) -> SearchContext<'a> {
         let prepared = &self.float.prepared;
         let spec = prepared.dataset.spec();
         SearchContext {
-            dataset: prepared.dataset,
             name: spec.name,
             classes: spec.classes,
             baseline: &self.baseline,
             baseline_train_accuracy: self.baseline_train_accuracy,
-            baseline_test_accuracy: self.baseline_test_accuracy,
             train: &prepared.train,
             test: &prepared.test,
             float_mlp: &self.float.float_mlp,
             float_train: &prepared.float_train,
             float_test: &prepared.float_test,
-            scenario: model.scenario(),
             cost: model,
-            loss_budget,
             eval_threads: crate::eval::thread_budget(),
             // Nominal and storeless by default; `Pipeline::search`
             // injects the study's variation request and design-store
@@ -270,7 +262,10 @@ impl Selected {
 pub enum Budget {
     /// Seconds per dataset ([`StudyConfig::quick`]): tests, smoke runs.
     Quick,
-    /// The paper-scale default ([`StudyConfig::default`]).
+    /// [`StudyConfig::default`]: population 100 × 100 generations on a
+    /// 2000-row fitness subsample. This is not the bench `Full` preset
+    /// (`pe-bench`'s `BudgetPreset::Full`, population 150 × 700
+    /// generations), which builds its own [`StudyConfig`].
     Full,
 }
 
@@ -913,7 +908,7 @@ impl Pipeline {
             }
         });
         let outcome = {
-            let mut ctx = costed.search_context(&model, self.config.accuracy_loss_budget);
+            let mut ctx = costed.search_context(&model);
             if let Some(threads) = self.eval_threads {
                 ctx.eval_threads = threads;
             }
@@ -1366,34 +1361,11 @@ impl Pipeline {
         // parallelism multiply to ~`budget` threads instead of
         // oversubscribing to `budget²`.
         let eval_threads = (budget / workers).max(1);
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Selected, FlowError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&dataset) = datasets.get(i) else {
-                        break;
-                    };
-                    let result = Self::run_one_of_many(dataset, base, opts, eval_threads);
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every slot is filled before the scope ends")
-            })
-            .collect()
+        crate::eval::in_order(n, workers, |i| {
+            Self::run_one_of_many(datasets[i], base, opts, eval_threads)
+        })
+        .into_iter()
+        .collect()
     }
 
     fn run_one_of_many(
@@ -1510,27 +1482,6 @@ fn parent_link(stage: StageKind) -> Option<(StageKind, &'static str)> {
 #[must_use]
 pub fn derive_seed(master: u64, dataset: Dataset) -> u64 {
     splitmix64(master ^ fnv1a64(dataset.spec().short_name.as_bytes()))
-}
-
-/// splitmix64 finalizer (Steele et al.; the de-facto standard seed
-/// scrambler).
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a 64-bit hash (cache keys, seed derivation,
-/// [`crate::engine::fingerprint_json`]) — the single copy in this
-/// crate; the pinned [`derive_seed`] values depend on it.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -158,10 +158,11 @@ pub enum ProgressEvent {
     /// whose problems have no gate counts (e.g. the plain GA) report
     /// them as zero.
     EvalCache {
-        /// Requested genome evaluations served by a duplicate earlier
-        /// in the same wave, so far.
+        /// Always 0: every requested genome is computed, duplicates
+        /// within a wave included.
         hits: u64,
-        /// Genome evaluations the inner problem actually computed.
+        /// Genome evaluations the inner problem computed, so far (in
+        /// this process: a resumed search counts from 0).
         misses: u64,
         /// Always 0: no genome memo is kept across waves.
         entries: usize,

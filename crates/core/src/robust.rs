@@ -1,54 +1,106 @@
-//! Monte-Carlo robustness evaluation: shared helpers for the
-//! variation-aware fitness path and a standalone reference oracle.
+//! Monte-Carlo robustness evaluation: one per-trial forward pass for
+//! the variation-aware fitness and for [`mc_accuracy`].
 //!
-//! The fast path lives inside [`crate::fitness::AxTrainProblem`]: each
-//! of the M trials gets its own perturbed copy of the dataset, and every
-//! evaluation runs `pe-mlp`'s columnar forward pass once per trial with
-//! the trial's per-device gain/offset draws applied to each accumulator.
-//! This module provides the pieces both sides agree on:
-//!
-//! * [`extended_matrix`] — the trial-major perturbed dataset (trial
-//!   `t`'s rows occupy segment `[t·n, (t+1)·n)`), built with
-//!   [`pe_hw::VariationModel`]'s stateless keyed sampler so the same
-//!   seeds always produce the same bytes.
-//! * [`mc_accuracy`] — an independent Monte-Carlo oracle evaluating a
-//!   decoded network per trial with its own layer walk, applying the
-//!   per-device gain/offset draws to every accumulator. The fitness
-//!   path is tested bit-equal against this oracle, and the
-//!   `fig_robust` bench uses it to measure how nominal and robust
-//!   fronts degrade under variation.
+//! Each of the M trials gets its own input-perturbed copy of the
+//! dataset, built once with [`pe_hw::VariationModel`]'s stateless keyed
+//! sampler (so the same seeds always produce the same bytes) and
+//! transposed once. Scoring a network runs `pe-mlp`'s columnar forward
+//! pass ([`columnar::hits_columns`]) once per trial, with the trial's
+//! per-device gain/offset draws applied to every accumulator. The
+//! robust fitness ([`crate::fitness::AxTrainProblem::with_variation`])
+//! builds its trials once per search; [`mc_accuracy`] builds them per
+//! call and summarizes a design's nominal, worst, p95 and mean accuracy
+//! (the `fig_robust` bench judges nominal and robust fronts with it).
+//! Both share this code, so the tests check it against a per-row
+//! Monte-Carlo oracle of their own.
 
 use pe_hw::variation::{trial_seed, RobustStat, VariationModel};
-use pe_mlp::columnar::{self, ColumnMatrix, QuantMatrix};
+use pe_mlp::columnar::{self, ColumnLabels, ColumnMatrix, ColumnarScratch, QuantMatrix};
 use pe_mlp::AxMlp;
 
 /// Per-trial seeds `trial_seed(master, 0..trials)` — the single
-/// derivation both the fitness path and the oracle use.
+/// derivation every Monte-Carlo evaluation uses.
 #[must_use]
 pub fn trial_seeds(master: u64, trials: usize) -> Vec<u64> {
     (0..trials).map(|t| trial_seed(master, t)).collect()
 }
 
-/// The trial-major extended dataset: one input-perturbed copy of
-/// `rows` per trial seed, concatenated. With a zero-variance model the
-/// segments are byte-identical copies of `rows`.
-#[must_use]
-pub fn extended_matrix(
-    rows: &QuantMatrix,
-    model: &VariationModel,
-    seeds: &[u64],
-    input_bits: u32,
-) -> QuantMatrix {
-    let (n, w) = (rows.len(), rows.width());
-    let mut data = Vec::with_capacity(seeds.len() * n * w);
-    for &seed in seeds {
-        for s in 0..n {
-            for (f, &x) in rows.row(s).iter().enumerate() {
-                data.push(model.perturb_input(seed, s, f, x, input_bits));
-            }
+/// The Monte-Carlo trials of one dataset: each trial's seed and its
+/// input-perturbed columns, built once.
+#[derive(Debug, Clone)]
+pub(crate) struct Trials {
+    model: VariationModel,
+    /// `(trial_seed(master, t), trial t's columns)` for `t = 0..M`.
+    trials: Vec<(u64, ColumnMatrix)>,
+}
+
+impl Trials {
+    /// `trials` perturbed copies of `rows` under `model`, keyed by
+    /// [`trial_seeds`]`(master, trials)`; inputs are `input_bits` wide.
+    /// With a zero-variance model every copy equals `rows`.
+    pub(crate) fn new(
+        rows: &QuantMatrix,
+        model: &VariationModel,
+        master: u64,
+        trials: usize,
+        input_bits: u32,
+    ) -> Self {
+        let trials = trial_seeds(master, trials)
+            .into_iter()
+            .map(|seed| {
+                let data = rows
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(s, row)| {
+                        row.iter()
+                            .enumerate()
+                            .map(move |(f, &x)| model.perturb_input(seed, s, f, x, input_bits))
+                    })
+                    .collect();
+                let perturbed = QuantMatrix::from_flat(data, rows.width(), rows.len());
+                (seed, perturbed.columns())
+            })
+            .collect();
+        Self {
+            model: *model,
+            trials,
         }
     }
-    QuantMatrix::from_flat(data, w, seeds.len() * n)
+
+    /// `mlp`'s accuracy against `labels` in each trial: the columnar
+    /// forward pass over the trial's perturbed columns, with the
+    /// trial's per-device gain/offset draw applied to every accumulator
+    /// before its QReLU or argmax. The draw is keyed by the neuron's
+    /// layer and position, so duplicate neurons draw apart. Empty data
+    /// scores `0.0` in every trial, like every other accuracy API.
+    pub(crate) fn accuracies(
+        &self,
+        mlp: &AxMlp,
+        labels: &ColumnLabels,
+        scratch: &mut ColumnarScratch,
+    ) -> Vec<f64> {
+        self.trials
+            .iter()
+            .map(|&(seed, ref columns)| {
+                let draw = |li: usize, ni: usize, acc: &mut [i64]| {
+                    let draw = self
+                        .model
+                        .device_draw(seed, li, ni, mlp.layers[li].input_bits);
+                    if !draw.is_identity() {
+                        for a in acc {
+                            *a = draw.apply(*a);
+                        }
+                    }
+                };
+                let hits = columnar::hits_columns(mlp, columns, labels, scratch, Some(&draw));
+                if labels.is_empty() {
+                    0.0
+                } else {
+                    hits as f64 / labels.len() as f64
+                }
+            })
+            .collect()
+    }
 }
 
 /// How a network's accuracy holds up over Monte-Carlo variation
@@ -65,12 +117,13 @@ pub struct RobustSummary {
     pub mean: f64,
 }
 
-/// Monte-Carlo accuracy of `mlp` on `rows`/`labels` under `model`: the
-/// reference oracle (see the module docs).
+/// Monte-Carlo accuracy of `mlp` on `rows`/`labels` under `model`.
 ///
 /// Every trial perturbs the inputs, applies per-device gain/offset
 /// draws to each neuron's accumulator and re-runs the columnar
-/// forward. Deterministic in `(model, trials, master_seed)` only.
+/// forward: the per-trial pass the robust fitness optimizes (see the
+/// module docs). Deterministic in `(model, trials, master_seed)` only.
+/// Empty data scores `0.0` throughout.
 ///
 /// # Panics
 ///
@@ -89,84 +142,15 @@ pub fn mc_accuracy(
     assert_eq!(rows.len(), labels.len());
     let input_bits = mlp.layers.first().expect("a non-empty network").input_bits;
     let nominal = columnar::accuracy_columns(mlp, &rows.columns(), labels);
-    let seeds = trial_seeds(master_seed, trials);
-    let extended = extended_matrix(rows, model, &seeds, input_bits);
-    let columns = extended.columns();
-    let n = rows.len();
-    let accs: Vec<f64> = seeds
-        .iter()
-        .enumerate()
-        .map(|(t, &seed)| trial_accuracy(mlp, &columns, labels, model, seed, t * n, n))
-        .collect();
+    let trials = Trials::new(rows, model, master_seed, trials, input_bits);
+    let labels = ColumnLabels::new(labels.to_vec());
+    let accs = trials.accuracies(mlp, &labels, &mut ColumnarScratch::new());
     RobustSummary {
         nominal,
         worst: RobustStat::WorstCase.statistic(&accs),
         p95: RobustStat::P95.statistic(&accs),
         mean: accs.iter().sum::<f64>() / accs.len() as f64,
     }
-}
-
-/// One trial's accuracy: a plain (allocation-per-layer) columnar
-/// forward over segment `[base, base + n)` of the extended
-/// columns, with the trial's device draws applied pre-activation.
-fn trial_accuracy(
-    mlp: &AxMlp,
-    extended: &ColumnMatrix,
-    labels: &[usize],
-    model: &VariationModel,
-    seed: u64,
-    base: usize,
-    n: usize,
-) -> f64 {
-    let mut acc = Vec::new();
-    let mut narrow = Vec::new();
-    let mut act: Vec<Vec<u8>> = Vec::new();
-    let mut first = true;
-    for (li, layer) in mlp.layers.iter().enumerate() {
-        let refs: Vec<&[u8]> = if first {
-            (0..extended.width())
-                .map(|f| &extended.col(f)[base..base + n])
-                .collect()
-        } else {
-            act.iter().map(|c| &c[..]).collect()
-        };
-        let mut accs: Vec<Vec<i64>> = Vec::with_capacity(layer.neurons.len());
-        for (ni, neuron) in layer.neurons.iter().enumerate() {
-            columnar::accumulate_neuron_column(neuron, &refs, n, &mut acc, &mut narrow);
-            let draw = model.device_draw(seed, li, ni, layer.input_bits);
-            if !draw.is_identity() {
-                for a in acc.iter_mut() {
-                    *a = draw.apply(*a);
-                }
-            }
-            accs.push(std::mem::take(&mut acc));
-        }
-        drop(refs);
-        match layer.qrelu {
-            Some(q) => {
-                act = accs
-                    .iter()
-                    .map(|column| {
-                        let mut out = Vec::new();
-                        columnar::qrelu_column(q, column, &mut out);
-                        out
-                    })
-                    .collect();
-                first = false;
-            }
-            None => {
-                let cols: Vec<&[i64]> = accs.iter().map(|c| &c[..]).collect();
-                let preds = columnar::argmax_columns(&cols, n);
-                let hits = preds.iter().zip(labels).filter(|&(p, l)| p == l).count();
-                return hits as f64 / n as f64;
-            }
-        }
-    }
-    // Trailing-QReLU topology: argmax over the final activations.
-    let refs: Vec<&[u8]> = act.iter().map(|c| &c[..]).collect();
-    let preds = columnar::argmax_columns(&refs, n);
-    let hits = preds.iter().zip(labels).filter(|&(p, l)| p == l).count();
-    hits as f64 / n as f64
 }
 
 #[cfg(test)]
@@ -219,15 +203,37 @@ mod tests {
     }
 
     #[test]
-    fn extended_matrix_is_trial_major_copies_when_zero_variance() {
+    fn zero_variance_trials_copy_the_dataset() {
         let (rows, _) = toy_data();
-        let seeds = trial_seeds(9, 3);
-        let ext = extended_matrix(&rows, &VariationModel::nominal(), &seeds, 4);
-        assert_eq!(ext.len(), 3 * rows.len());
-        for t in 0..3 {
-            for s in 0..rows.len() {
-                assert_eq!(ext.row(t * rows.len() + s), rows.row(s));
-            }
+        let trials = Trials::new(&rows, &VariationModel::nominal(), 9, 3, 4);
+        let columns = rows.columns();
+        assert_eq!(trials.trials.len(), 3);
+        for (&(seed, ref copy), want) in trials.trials.iter().zip(trial_seeds(9, 3)) {
+            assert_eq!(seed, want);
+            assert_eq!(copy, &columns);
+        }
+    }
+
+    #[test]
+    fn empty_data_scores_zero_in_every_trial() {
+        let rows = QuantMatrix::from_flat(Vec::new(), 1, 0);
+        let mlp = toy_mlp();
+        for trials in [1, 4] {
+            let summary = mc_accuracy(
+                &mlp,
+                &rows,
+                &[],
+                &VariationModel::printed_egfet(),
+                trials,
+                3,
+            );
+            let zero = RobustSummary {
+                nominal: 0.0,
+                worst: 0.0,
+                p95: 0.0,
+                mean: 0.0,
+            };
+            assert_eq!(summary, zero, "{trials} trials");
         }
     }
 

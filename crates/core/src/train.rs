@@ -245,9 +245,9 @@ impl HwAwareTrainer {
         }
         let seeds = seeds;
 
-        // The evaluation core: every NSGA-II wave is deduplicated and
-        // fanned out over the worker budget; results come back in input
-        // order, so the run is byte-identical to a serial one.
+        // The evaluation core: every NSGA-II wave is fanned out over
+        // the worker budget; results come back in input order, so the
+        // run is byte-identical to a serial one.
         let eval_threads = self.eval_threads.unwrap_or_else(crate::eval::thread_budget);
         let mut history = Vec::with_capacity(self.config.nsga.generations);
         let started = Instant::now();

@@ -61,6 +61,7 @@
 //! assert!(nominal.device_draw(seed, 0, 3, 4).is_identity());
 //! ```
 
+use pe_arith::cache::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// The splitmix64 increment (the golden ratio in 64-bit fixed point).
@@ -72,15 +73,6 @@ const TAG_THRESHOLD: u64 = 0x7468_7265_7368_6F6C;
 const TAG_MOBILITY: u64 = 0x6D6F_6269_6C69_7479;
 const TAG_DROOP: u64 = 0x6472_6F6F_7076_6464;
 const TAG_INPUT: u64 = 0x696E_7075_746C_7362;
-
-/// The splitmix64 output mix: a high-quality stateless 64-bit mixer.
-#[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The seed of Monte-Carlo trial `trial` under `master`.
 ///

@@ -26,8 +26,10 @@
 //!
 //! [`hits_columns`] drives a whole [`AxMlp`] this way, against a
 //! reused [`ColumnarScratch`] that keeps every hidden layer's
-//! post-QReLU columns; it is the GA fitness's forward pass and serves
-//! [`accuracy_columns`]. [`ResidentPass`] runs the same layer code for
+//! post-QReLU columns; it is the GA fitness's forward pass, serves
+//! [`accuracy_columns`] and, through its [`Perturb`] hook, runs every
+//! Monte-Carlo variation trial (`printed-axc`'s robust fitness and
+//! `mc_accuracy`). [`ResidentPass`] runs the same layer code for
 //! coordinate descent (doped-seed refinement and memetic polish): after
 //! one full pass, a trial on one neuron recomputes that neuron's column
 //! and the hidden layers after it, then reruns the argmax layer. Both
@@ -669,12 +671,14 @@ fn hidden_column(
 }
 
 /// Column-major argmax with ties to the lowest index — the hardware
-/// comparator's behavior, applied per sample across neuron columns.
+/// comparator's behavior, applied per sample across neuron columns:
+/// the tests' reference for the forward pass's fused argmax.
 ///
 /// # Panics
 ///
 /// Panics if `columns` is empty or lengths disagree with `samples`.
-pub fn argmax_columns<T: Copy + PartialOrd, C: AsRef<[T]>>(
+#[cfg(test)]
+pub(crate) fn argmax_columns<T: Copy + PartialOrd, C: AsRef<[T]>>(
     columns: &[C],
     samples: usize,
 ) -> Vec<usize> {

@@ -29,6 +29,8 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
+use pe_arith::cache::{fnv1a64, splitmix64};
+
 /// What an armed fault rule asks the site to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -159,22 +161,6 @@ impl FaultPlan {
 #[must_use]
 pub fn seeded_occurrence(seed: u64, site: &str, span: u64) -> u64 {
     splitmix64(seed ^ fnv1a64(site.as_bytes())) % span + 1
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The process-wide plan parsed from `PE_FAULT` (once), plus per-site
