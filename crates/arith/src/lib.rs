@@ -21,6 +21,9 @@
 //!   final carry-propagate adder, counted in closed form.
 //! * [`csd`] — canonical signed-digit decomposition of constants, used to
 //!   cost the *exact* bespoke baseline's constant multipliers.
+//! * [`math`] — owned math functions, ports of published algorithms
+//!   that return the same bits on every host: [`math::expf`] (glibc's
+//!   `expf`), which the float trainer's softmax runs.
 //! * [`summand`] — the description of one operand of a bespoke
 //!   multi-operand addition (masked input, shift, sign, or a constant),
 //!   which `pe-hw`'s structural elaborator binds to nets.
@@ -55,6 +58,7 @@ pub mod csd;
 pub mod error;
 pub mod estimator;
 pub mod fixed;
+pub mod math;
 #[cfg(test)]
 mod oracle;
 pub mod reduce;

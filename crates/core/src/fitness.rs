@@ -960,17 +960,28 @@ mod tests {
         let (master, trials) = (7u64, 9usize);
         let (problem, rows, labels) = deep_problem();
         let problem = problem.with_variation(&pe_hw::VariationConfig::new(model, trials), master);
-        // A deterministic in-bounds genome with structure (varied
-        // masks/shifts/biases) so hidden columns actually vary.
-        let genes: Vec<u32> = problem
-            .bounds()
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (i as u32 * 7 + 3) % b)
-            .collect();
+        // Hidden neuron 0 passes the input through (full mask, +2^0,
+        // bias 0); class 1 reads it with bias −7 against class 0's
+        // constant 0, so nominally every row is right (class 1 from
+        // v = 8) and each trial's noise flips its own rows near the
+        // boundary.
+        let mut genes = vec![0u32; problem.genome_spec().gene_count()];
+        for neuron in 0..3 {
+            genes[neuron * 4 + 3] = 128;
+        }
+        genes[0] = 0b1111;
+        genes[21] = 128;
+        genes[22] = 0b1111;
+        genes[31] = 128 - 7;
         let e = problem.evaluate(&genes);
         let mlp = problem.genome_spec().decode(&genes);
         let oracle = per_row_trial_accuracies(&mlp, &rows, &labels, &model, trials, master);
+        // A pass that scored every trial with one trial's draws would
+        // pass this test only if the trials agreed.
+        assert!(
+            oracle.iter().any(|&a| a != oracle[0]),
+            "the trials must differ: {oracle:?}"
+        );
         let worst = pe_hw::RobustStat::WorstCase.statistic(&oracle);
         let p95 = pe_hw::RobustStat::P95.statistic(&oracle);
         assert_eq!(

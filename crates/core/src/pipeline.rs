@@ -769,8 +769,9 @@ impl Pipeline {
     }
 
     /// Compute stage 2: backprop-train the float MLP at the paper's
-    /// topology (best-of-3 restarts), reporting one
-    /// [`ProgressEvent::SgdEpoch`] per epoch.
+    /// topology (best-of-3 restarts, in lockstep), reporting one
+    /// [`ProgressEvent::SgdEpoch`] per restart and epoch. A cancellation
+    /// seen at any of them stops every restart after that epoch.
     ///
     /// # Errors
     ///
@@ -1355,14 +1356,9 @@ impl Pipeline {
             t => t,
         };
         let workers = budget.clamp(1, n.max(1));
-        // Divide the global budget between the two pool levels: with
-        // `workers` studies running concurrently, each study's batch
-        // evaluator gets its share, so dataset-level and within-study
-        // parallelism multiply to ~`budget` threads instead of
-        // oversubscribing to `budget²`.
-        let eval_threads = (budget / workers).max(1);
+        let eval_threads = eval_thread_shares(budget, n);
         crate::eval::in_order(n, workers, |i| {
-            Self::run_one_of_many(datasets[i], base, opts, eval_threads)
+            Self::run_one_of_many(datasets[i], base, opts, eval_threads[i])
         })
         .into_iter()
         .collect()
@@ -1397,6 +1393,21 @@ impl Pipeline {
         }
         builder.finish()?.run()
     }
+}
+
+/// Each of `n` studies' evaluation threads under a global `budget`:
+/// with `min(budget, n)` studies running at once, each study's batch
+/// evaluator gets its share of the budget, so dataset-level and
+/// within-study parallelism multiply to `budget` threads instead of
+/// oversubscribing to `budget²`. The first `budget % n` studies by
+/// input index take one thread more, so the shares sum to the budget;
+/// below one thread per study, each gets one.
+fn eval_thread_shares(budget: usize, n: usize) -> Vec<usize> {
+    let workers = budget.clamp(1, n.max(1));
+    let (share, extra) = (budget / workers, budget % workers);
+    (0..n)
+        .map(|i| (share + usize::from(i < extra)).max(1))
+        .collect()
 }
 
 /// Options for [`Pipeline::run_many`].
@@ -1487,6 +1498,28 @@ pub fn derive_seed(master: u64, dataset: Dataset) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Over five datasets the shares sum to the budget, the first
+    /// `budget % 5` taking one more, or are all 1 below one thread per
+    /// dataset.
+    #[test]
+    fn the_thread_budget_splits_over_the_datasets_with_no_thread_idle() {
+        let cases: [(usize, [usize; 5]); 6] = [
+            (1, [1; 5]),
+            (2, [1; 5]),
+            (5, [1; 5]),
+            (8, [2, 2, 2, 1, 1]),
+            (10, [2; 5]),
+            (13, [3, 3, 3, 2, 2]),
+        ];
+        for (budget, want) in cases {
+            let shares = eval_thread_shares(budget, 5);
+            assert_eq!(shares, want, "budget {budget}");
+            if budget >= 5 {
+                assert_eq!(shares.iter().sum::<usize>(), budget);
+            }
+        }
+    }
 
     #[test]
     fn builder_rejects_unrunnable_configs() {

@@ -132,7 +132,10 @@ pub enum ProgressEvent {
         /// What went wrong.
         cause: StageCacheCause,
     },
-    /// One SGD epoch of the float-training stage completed.
+    /// One SGD epoch of one restart of the float-training stage
+    /// completed. The restarts train in lockstep, so the events
+    /// interleave them: each epoch's events come for restart 0, 1, … in
+    /// order, before any event of the next epoch.
     SgdEpoch {
         /// Restart index within the best-of-N loop.
         restart: u64,

@@ -25,7 +25,12 @@ fn normal(rng: &mut StdRng) -> f64 {
 /// Generate the synthetic stand-in for `dataset`, normalized to `[0,1]`.
 ///
 /// The generator is fully deterministic in `seed`: identical seeds yield
-/// identical datasets across runs and platforms.
+/// identical datasets across runs, and across hosts whose libm returns
+/// the same bits. The Box–Muller draws call the platform's `ln` and
+/// `cos`, and the class radius its `powf`; IEEE 754 does not require
+/// those to be correctly rounded, so another libm may answer some of
+/// the ~300,000 calls an ulp apart and move the data. The workspace's
+/// owned ports (`pe_arith::math`) do not yet cover them.
 ///
 /// Class structure follows the spec's [`crate::spec::ClassArrangement`]:
 /// centers live in a *low-dimensional* random subspace of feature space

@@ -19,7 +19,10 @@
 //! The kernels are chosen by the platform: the explicit `std::arch`
 //! pair kernels of [`simd`] when the `simd` feature is built on x86_64
 //! and the host has AVX2, for every layer whose sums fit their lanes;
-//! the portable loops for every other layer and host.
+//! the portable loops for every other layer and host. [`train`]'s
+//! softmax runs the owned `pe_arith::math::expf` the same way: through
+//! [`simd`]'s 4-lane kernel where the host has AVX2 and FMA, the scalar
+//! port elsewhere, with the same bits either way.
 //!
 //! # Example: train, quantize, approximate
 //!

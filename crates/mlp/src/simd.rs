@@ -1,5 +1,6 @@
-//! Explicit `std::arch` x86_64 kernels of the forward pass, runtime
-//! feature-detected: the pair kernels.
+//! Explicit `std::arch` x86_64 kernels, runtime feature-detected: the
+//! pair kernels of the forward pass, and the float trainer's softmax
+//! `exp` (`expf_in_place`).
 //!
 //! [`hits_columns`](crate::columnar::hits_columns) runs a layer here
 //! when its sums fit the kernels' lanes, and on the portable loops of
@@ -52,6 +53,12 @@
 //! are also the kernels' parity reference; so do hidden layers whose
 //! ranges leave `i16`, layers with a shift above 6, and the robust
 //! search's perturbed accumulators.
+//!
+//! The softmax `exp` runs [`pe_arith::math::expf`] on 4 `f64` lanes per
+//! step where the host has AVX2 and FMA: every lane performs the scalar
+//! port's IEEE operations in its order (the fused multiply-adds as
+//! `vfmadd`, the table lookup as a gather), so it returns the same bits.
+//! Elsewhere it runs the scalar port.
 
 use crate::axmlp::AxNeuron;
 use crate::quant::QReluCfg;
@@ -77,6 +84,21 @@ pub fn i16_lanes() -> bool {
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         false
+    }
+}
+
+/// `x ↦ e^x` for every value in place, bit for bit as
+/// [`pe_arith::math::expf`] computes it: 4 lanes per step where the
+/// `simd` feature is built on x86_64 and the host has AVX2 and FMA, the
+/// scalar port elsewhere.
+pub(crate) fn expf_in_place(values: &mut [f32]) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if x86::has_avx2_fma() {
+        x86::expf(values);
+        return;
+    }
+    for v in values {
+        *v = pe_arith::math::expf(*v);
     }
 }
 
@@ -374,21 +396,29 @@ pub(crate) fn argmax_hits_pairs(
 #[allow(unsafe_code)]
 mod x86 {
     //! The x86_64 lowering. `unsafe` is confined to this module: the
-    //! pointer loads and stores, and the `#[target_feature]` call
-    //! boundary (SSE2 is part of the x86_64 baseline; AVX2 is gated by
-    //! `is_x86_feature_detected!`).
+    //! pointer loads and stores, the table gather, and the
+    //! `#[target_feature]` call boundary (SSE2 is part of the x86_64
+    //! baseline; AVX2 and FMA are gated by `is_x86_feature_detected!`).
 
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_and_si256, _mm256_castsi256_si128,
-        _mm256_cmpeq_epi16, _mm256_cmpgt_epi16, _mm256_cmpgt_epi32, _mm256_extracti128_si256,
+        __m128, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256,
+        _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_castsi256_si128, _mm256_cmpeq_epi16,
+        _mm256_cmpgt_epi16, _mm256_cmpgt_epi32, _mm256_cvtpd_ps, _mm256_cvtps_pd,
+        _mm256_extracti128_si256, _mm256_fmadd_pd, _mm256_fmsub_pd, _mm256_i64gather_epi64,
         _mm256_load_si256, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16,
-        _mm256_max_epi16, _mm256_max_epi32, _mm256_min_epi16, _mm256_or_si256, _mm256_set1_epi16,
-        _mm256_set1_epi32, _mm256_setzero_si256, _mm256_slli_epi32, _mm256_sra_epi16,
+        _mm256_max_epi16, _mm256_max_epi32, _mm256_min_epi16, _mm256_mul_pd, _mm256_or_si256,
+        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd,
+        _mm256_setzero_si256, _mm256_slli_epi32, _mm256_slli_epi64, _mm256_sra_epi16,
         _mm256_srai_epi32, _mm256_store_si256, _mm256_storeu_si256, _mm256_sub_epi16,
-        _mm_cvtsi32_si128, _mm_loadu_si128, _mm_packus_epi16, _mm_storeu_si128, _mm_unpackhi_epi8,
-        _mm_unpacklo_epi8,
+        _mm256_sub_pd, _mm_add_ps, _mm_andnot_ps, _mm_blendv_ps, _mm_cmpgt_ps, _mm_cmplt_ps,
+        _mm_cmpunord_ps, _mm_cvtsi32_si128, _mm_loadu_ps, _mm_loadu_si128, _mm_packus_epi16,
+        _mm_set1_ps, _mm_storeu_ps, _mm_storeu_si128, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
     };
     use std::sync::OnceLock;
+
+    use pe_arith::math::{
+        EXPF_INV_LN2_N, EXPF_OVERFLOW, EXPF_POLY, EXPF_SHIFT, EXPF_TABLE, EXPF_UNDERFLOW,
+    };
 
     use super::{Lanes, PairInputs, PairScratch, PairWidth};
     use crate::axmlp::AxNeuron;
@@ -398,6 +428,74 @@ mod x86 {
     pub(super) fn has_avx2() -> bool {
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
+    }
+
+    /// Runtime AVX2 and FMA detection, probed once per process.
+    pub(super) fn has_avx2_fma() -> bool {
+        static AVX2_FMA: OnceLock<bool> = OnceLock::new();
+        *AVX2_FMA.get_or_init(|| has_avx2() && std::is_x86_feature_detected!("fma"))
+    }
+
+    /// [`expf_in_place`](super::expf_in_place) on AVX2 and FMA.
+    pub(super) fn expf(values: &mut [f32]) {
+        assert!(has_avx2_fma(), "the exp kernel needs AVX2 and FMA");
+        // SAFETY: AVX2 and FMA were confirmed above.
+        unsafe { expf_avx2(values) }
+    }
+
+    /// Four values per step; the last, partial step runs on a
+    /// zero-padded copy.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the host supports AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn expf_avx2(values: &mut [f32]) {
+        let mut fours = values.chunks_exact_mut(4);
+        for four in &mut fours {
+            // SAFETY: `four` holds 4 values.
+            unsafe { _mm_storeu_ps(four.as_mut_ptr(), expf4(_mm_loadu_ps(four.as_ptr()))) };
+        }
+        let rest = fours.into_remainder();
+        if !rest.is_empty() {
+            let mut padded = [0.0f32; 4];
+            padded[..rest.len()].copy_from_slice(rest);
+            // SAFETY: `padded` holds 4 values.
+            unsafe { _mm_storeu_ps(padded.as_mut_ptr(), expf4(_mm_loadu_ps(padded.as_ptr()))) };
+            rest.copy_from_slice(&padded[..rest.len()]);
+        }
+    }
+
+    /// [`pe_arith::math::expf`] of each lane: the scalar port's
+    /// operations in its order, on `f64` lanes, then its special cases
+    /// by blending (a NaN lane returns `x + x`, a lane above the
+    /// overflow bound +∞, a lane below the underflow bound +0).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn expf4(x: __m128) -> __m128 {
+        let [c0, c1, c2] = EXPF_POLY;
+        let (c0, c1, c2) = (_mm256_set1_pd(c0), _mm256_set1_pd(c1), _mm256_set1_pd(c2));
+        let (inv_ln2_n, shift) = (_mm256_set1_pd(EXPF_INV_LN2_N), _mm256_set1_pd(EXPF_SHIFT));
+        let xd = _mm256_cvtps_pd(x);
+        let kd = _mm256_fmadd_pd(xd, inv_ln2_n, shift);
+        let ki = _mm256_castpd_si256(kd);
+        let kd = _mm256_sub_pd(kd, shift);
+        // `xd · inv_ln2_n − kd` in one rounding, as `mul_add(.., -kd)`.
+        let r = _mm256_fmsub_pd(xd, inv_ln2_n, kd);
+        let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+        // SAFETY: the table is a static of 32 entries, and every index
+        // is below 32.
+        let t = unsafe { _mm256_i64gather_epi64::<8>(EXPF_TABLE.as_ptr().cast(), index) };
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+        let z = _mm256_fmadd_pd(c0, r, c1);
+        let r2 = _mm256_mul_pd(r, r);
+        let y = _mm256_fmadd_pd(c2, r, _mm256_set1_pd(1.0));
+        let y = _mm256_fmadd_pd(z, r2, y);
+        let y = _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+        let over = _mm_cmpgt_ps(x, _mm_set1_ps(EXPF_OVERFLOW));
+        let y = _mm_blendv_ps(y, _mm_set1_ps(f32::INFINITY), over);
+        let y = _mm_andnot_ps(_mm_cmplt_ps(x, _mm_set1_ps(EXPF_UNDERFLOW)), y);
+        _mm_blendv_ps(y, _mm_add_ps(x, x), _mm_cmpunord_ps(x, x))
     }
 
     /// Interleave 16 bytes of `a` and of `b` into `out` (SSE2, the
@@ -1043,6 +1141,67 @@ mod tests {
                 outputs.iter().map(|n| n.bias).collect::<Vec<_>>()
             );
             assert_argmax_matches_the_sweep(&outputs, PairWidth::I32, &what);
+        }
+    }
+
+    /// `values` through [`expf_in_place`] equal the scalar port's
+    /// answers bit for bit.
+    fn assert_expf_lanes_match(values: &[f32]) {
+        let mut lanes = values.to_vec();
+        expf_in_place(&mut lanes);
+        for (&x, &y) in values.iter().zip(&lanes) {
+            let want = pe_arith::math::expf(x).to_bits();
+            assert_eq!(y.to_bits(), want, "expf({x:e}) [{:#010x}]", x.to_bits());
+        }
+    }
+
+    /// Every 4099th `f32` bit pattern: both signs, subnormals, both
+    /// bounds' neighbourhoods, infinities and NaNs.
+    #[test]
+    fn expf_lanes_match_the_scalar_port_on_a_stride_of_every_f32() {
+        let patterns: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
+        assert_expf_lanes_match(&patterns);
+    }
+
+    /// Every length up to a batch and a block past it, from every
+    /// offset in a step of 4: the full steps and the zero-padded last
+    /// one, with special values in every lane position.
+    #[test]
+    fn expf_lanes_match_the_scalar_port_at_every_batch_length() {
+        let special = [
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            -0.0,
+            89.0,
+            f32::from_bits(0xc27c_65d9),
+            f32::from_bits(0xc2cf_f1b4),
+            f32::from_bits(0xc2cf_f1b5),
+            f32::from_bits(0x42b1_7217),
+            f32::from_bits(0x42b1_7218),
+        ];
+        let values: Vec<f32> = (0..41)
+            .map(|i| special.get(i % 13).copied().unwrap_or(-0.37 * i as f32))
+            .collect();
+        for start in 0..4 {
+            for end in start..=values.len() {
+                assert_expf_lanes_match(&values[start..end]);
+            }
+        }
+    }
+
+    /// The exp kernel equals the scalar port on all 2^32 `f32` bit
+    /// patterns. About 20-60 s in release mode, far longer in debug:
+    /// `cargo test --release -p pe-mlp -- --ignored every_f32`.
+    #[test]
+    #[ignore = "all 2^32 inputs: run in release mode with --ignored"]
+    fn expf_lanes_match_the_scalar_port_on_every_f32() {
+        let mut patterns = vec![0.0f32; 1 << 20];
+        for block in 0..1u32 << 12 {
+            for (low, x) in patterns.iter_mut().enumerate() {
+                *x = f32::from_bits(block << 20 | low as u32);
+            }
+            assert_expf_lanes_match(&patterns);
         }
     }
 
